@@ -20,9 +20,10 @@ from .stepsize import (RateEstimate, SpreadStep, StepPolicy, exit_time,
                        resolve_exit_compromise, resolve_exit_compromise_bounds,
                        resolve_spread_compromise)
 from .solver import (SolverConfig, Trace, descend, fit_tail_rate,
-                     minimal_ball_estimate, multistart_uniqueness, one_step)
+                     minimal_ball_estimate, multistart_uniqueness, one_step,
+                     trailing_rate)
 from .geocheck import (Chart, comparison_check, convex_combination,
-                       hull_membership, secant_by_intersection,
+                       hull_check, hull_membership, secant_by_intersection,
                        tethering_check)
 
 __version__ = "0.1.0"

@@ -16,11 +16,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import emit, experiments, frechet, geocheck, solver, stepsize
 from .errors import CutLocusError, DomainError, GeomeanError, PreconditionError
-from .kernels import b_lower, c_upper
 from .manifolds import make_space
 from .solver import SolverConfig, descend, minimal_ball_estimate
 
@@ -51,30 +48,6 @@ def _build_policy(args):
     return stepsize.StepPolicy(kind or "conjecture")
 
 
-def trailing_rate(ds, trace, t, k_start=None):
-    """Rate prediction from Hessian radial bounds on a ball around the
-    final point that contains the trace tail; None when the region is not
-    strongly convex enough (h <= 0)."""
-    if k_start is None:
-        k_start = len(trace.records) // 2
-    sp = ds.space
-    cst = sp.constants()
-    xbar = trace.final
-    tail_r = max(trace.dist_to_final[k_start:], default=0.0)
-    D = tail_r + max(sp.distance(xbar, xi) for xi in ds.points)
-    try:
-        h = b_lower(cst.Delta, D)
-    except DomainError:
-        return None
-    if h <= 0:
-        return None
-    H = c_upper(cst.delta, D)
-    f_gap = trace.records[k_start].cost - trace.records[-1].cost
-    if not (0 < t < 2.0 / H):
-        return None
-    return stepsize.rate_estimate(h, H, t, max(f_gap, 0.0))
-
-
 def cmd_mean(args):
     try:
         with open(args.dataset) as f:
@@ -97,7 +70,7 @@ def cmd_mean(args):
     out = _outdir(args)
     emit.write_trace_csv(os.path.join(out, "trace.csv"), tr,
                          ds.space.ambient_dim)
-    rate = trailing_rate(ds, tr, t)
+    rate = solver.trailing_rate(ds, tr, t)
     summary = {
         "status": tr.status,
         "uniqueness_certified": tr.uniqueness_certified,
@@ -176,40 +149,12 @@ def cmd_check(args):
                                        seed,
                                        exploratory=space.constants().delta < 0)
     else:
-        rep = _hull_check(space, args.trials, seed)
+        rep = geocheck.hull_check(space, args.trials, seed)
     out = _outdir(args)
     with open(os.path.join(out, f"check_{args.suite}.json"), "w") as f:
         json.dump(rep, f, indent=2)
     print(json.dumps(rep, indent=2))
     return EXIT_OK
-
-
-def _hull_check(space, n_trials, seed):
-    """Hull-trap sweep: once a descent iterate enters the convex hull of
-    the data, later iterates must stay inside."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    cst = space.constants()
-    cap = cst.r_cx if math.isfinite(cst.r_cx) else 1.5
-    violations = 0
-    for _ in range(n_trials):
-        o = space.random_point(rng)
-        rho = cap * (0.1 + 0.9 * rng.uniform())
-        n = int(rng.integers(3, 7))
-        pts = [space.random_in_ball(o, rho, rng) for _ in range(n)]
-        ds = frechet.make_dataset(space, pts, None, o, rho)
-        x0 = space.random_in_ball(o, rho, rng)
-        tr = descend(ds, SolverConfig(p=2.0, step=1.0, grad_tol=1e-9,
-                                      max_iters=60), x0=x0)
-        entered = False
-        for rec in tr.records:
-            inside = geocheck.hull_membership(space, pts, rec.point,
-                                              center=o, tol=1e-8)
-            if entered and not inside:
-                violations += 1
-                break
-            entered = entered or inside
-    return {"suite": "hull", "trials": n_trials, "violations": violations,
-            "min_margin": math.nan, "seed": seed}
 
 
 def build_parser():
@@ -279,6 +224,9 @@ def main(argv=None):
     except PreconditionError as e:
         print(f"error: precondition: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except GeomeanError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -167,26 +167,9 @@ def run_sphere_configs(rho_list=(0.35 * math.pi, 0.47 * math.pi),
     return report
 
 
-def _largest_rho_step_at_least_one(delta, Delta, rho_prime):
-    """Largest rho with resolved exit-compromise step >= 1 (bisection)."""
-    f = lambda rho: stepsize.resolve_exit_compromise_bounds(
-        delta, Delta, rho, rho_prime) - 1.0
-    lo, hi = 1e-9 * rho_prime, rho_prime * (1.0 - 1e-9)
-    if f(lo) < 0:
-        return 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _largest_rho_exit_dominates(delta, Delta, rho_prime):
-    """Largest rho with t_exit >= 1/c_delta(rho + rho') (bisection)."""
-    f = lambda rho: (stepsize.exit_time_bounds(delta, Delta, rho, rho_prime)
-                     - 1.0 / c_upper(delta, rho + rho_prime))
+def _largest_rho(f, rho_prime):
+    """Largest rho in (0, rho') with f(rho) >= 0, by bisection; 0 when f
+    is already negative at the bottom of the range."""
     lo, hi = 1e-9 * rho_prime, rho_prime * (1.0 - 1e-9)
     if f(lo) < 0:
         return 0.0
@@ -223,9 +206,13 @@ def stepsize_table():
         stepsize.resolve_exit_compromise_bounds(0.0, 1.0, 0.99 * hp, hp), 0.0033)
     add("exit_hyperbolic_rho_third", -1.0, 0.0, hp / 3.0, hp,
         stepsize.resolve_exit_compromise_bounds(-1.0, 0.0, hp / 3.0, hp), 0.3022)
-    r1 = _largest_rho_step_at_least_one(0.0, 1.0, hp)
+    # largest rho whose resolved exit-compromise step is still >= 1
+    r1 = _largest_rho(lambda rho: stepsize.resolve_exit_compromise_bounds(
+        0.0, 1.0, rho, hp) - 1.0, hp)
     add("r1_over_rcx", 0.0, 1.0, r1, hp, r1 / hp, 0.0303)
-    r2 = _largest_rho_exit_dominates(-1.0, 0.0, hp)
+    # largest rho with t_exit >= 1/c_delta(rho + rho')
+    r2 = _largest_rho(lambda rho: stepsize.exit_time_bounds(-1.0, 0.0, rho, hp)
+                      - 1.0 / c_upper(-1.0, rho + hp), hp)
     add("r2_over_rho_prime", -1.0, 0.0, r2, hp, r2 / hp, 0.1950)
     # spread-compromise guidance value for the same hyperbolic ball
     spread = stepsize.resolve_spread_compromise(Hyperbolic(2, -1.0),

@@ -128,12 +128,12 @@ def gradient(ds, p, x):
     g = np.zeros(sp.ambient_dim)
     for i, (w, xi) in enumerate(zip(ds.weights, ds.points)):
         try:
-            lg = sp.log(x, xi)
+            lg, d = sp.log_dist(x, xi)
         except CutLocusError as e:
             raise CutLocusError(f"gradient: data point {i} at cut locus: {e}",
                                 index=i) from None
         if p != 2.0:
-            lg = lg * sp.distance(x, xi) ** (p - 2.0)
+            lg = lg * d ** (p - 2.0)
         g -= w * lg
     return g
 

@@ -10,7 +10,6 @@ positive curvature, Klein for negative, identity for flat).
 import math
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .errors import CutLocusError, DegenerateSecantError, DomainError
 from .kernels import secant_euclid, secant_sphere
@@ -28,28 +27,12 @@ class Chart:
     flat spaces.
     """
 
-    def __init__(self, space, center, basis=None):
+    def __init__(self, space, center, basis=()):
+        """`basis`: leading orthonormal frame vectors at center; the
+        frame is completed from the ambient coordinate axes."""
         self.space = space
         self.center = np.asarray(center, dtype=float)
-        self.basis = self._make_basis() if basis is None else list(basis)
-
-    def _make_basis(self):
-        sp, c = self.space, self.center
-        basis = []
-        for i in range(sp.ambient_dim):
-            e = np.zeros(sp.ambient_dim)
-            e[i] = 1.0
-            v = sp.tangent_project(c, e)
-            for b in basis:
-                v = v - sp.inner(c, v, b) * b
-            n = sp.norm(c, v)
-            if n > 1e-8:
-                basis.append(v / n)
-            if len(basis) == sp.dim:
-                break
-        if len(basis) != sp.dim:
-            raise DomainError("chart: failed to build a tangent basis")
-        return basis
+        self.basis = _extend_basis(space, self.center, basis)
 
     def forward(self, point):
         """Chart coordinates of a point inside the chart domain."""
@@ -102,7 +85,7 @@ def secant_by_intersection(space, x, y1, y2, alpha1, tol=1e-12):
         raise DegenerateSecantError("secant: x, y1, y2 are collinear")
     e2 = w / nw
 
-    chart = Chart(sp, x, basis=_extend_basis(sp, x, [e1, e2]))
+    chart = Chart(sp, x, basis=[e1, e2])
     d1 = math.cos(alpha1)
     d2 = math.sin(alpha1)
 
@@ -129,7 +112,8 @@ def secant_by_intersection(space, x, y1, y2, alpha1, tol=1e-12):
 
 
 def _extend_basis(space, x, seed):
-    """Complete an orthonormal tangent frame starting from seed vectors."""
+    """Complete an orthonormal tangent frame starting from seed vectors;
+    raises DomainError when no full frame is found."""
     basis = list(seed)
     for i in range(space.ambient_dim):
         if len(basis) == space.dim:
@@ -142,14 +126,20 @@ def _extend_basis(space, x, seed):
         n = space.norm(x, v)
         if n > 1e-8:
             basis.append(v / n)
+    if len(basis) != space.dim:
+        raise DomainError("chart: failed to build a tangent basis")
     return basis
+
+
+def _sampling_cap(space):
+    """Largest radius of a sampled ball: r_cx where it is finite."""
+    r_cx = space.constants().r_cx
+    return r_cx if math.isfinite(r_cx) else _DEFAULT_RADIUS_CAP
 
 
 def sample_triangle(space, rng, max_radius=None):
     """Random triangle (x, y1, y2) inside a random ball of radius <= r_cx."""
-    r_cx = space.constants().r_cx
-    cap = max_radius if max_radius is not None else \
-        (r_cx if math.isfinite(r_cx) else _DEFAULT_RADIUS_CAP)
+    cap = _sampling_cap(space) if max_radius is None else max_radius
     center = space.random_point(rng)
     radius = cap * rng.uniform()
     pts = [space.random_in_ball(center, radius, rng) for _ in range(3)]
@@ -222,6 +212,7 @@ def hull_membership(space, vertices, query, center=None, tol=1e-9):
     least-squares feasibility problem.  Charting at the enclosing-ball
     center keeps the gnomonic domain valid for any ball radius <= r_cx.
     """
+    from scipy.optimize import lsq_linear  # scipy loads on first use only
     chart = Chart(space, query if center is None else center)
     V = np.array([chart.forward(v) for v in np.atleast_2d(vertices)])
     q = chart.forward(query)
@@ -248,8 +239,7 @@ def tethering_check(space, n_trials, t_grid, seed, exploratory=False):
     if space.constants().delta < 0 and not exploratory:
         raise DomainError("tethering_check: needs curvature >= 0 (or exploratory)")
     rng = np.random.Generator(np.random.Philox(seed))
-    r_cx = space.constants().r_cx
-    cap = r_cx if math.isfinite(r_cx) else _DEFAULT_RADIUS_CAP
+    cap = _sampling_cap(space)
     violations = 0
     min_margin = math.inf
     for _ in range(n_trials):
@@ -273,3 +263,29 @@ def tethering_check(space, n_trials, t_grid, seed, exploratory=False):
             violations += 1
     return {"suite": "tethering", "trials": n_trials,
             "violations": violations, "min_margin": min_margin, "seed": seed}
+
+
+def hull_check(space, n_trials, seed):
+    """Hull-trap sweep: once a descent iterate enters the convex hull of
+    the data, later iterates must stay inside."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    cap = _sampling_cap(space)
+    violations = 0
+    for _ in range(n_trials):
+        o = space.random_point(rng)
+        rho = cap * (0.1 + 0.9 * rng.uniform())
+        n = int(rng.integers(3, 7))
+        pts = [space.random_in_ball(o, rho, rng) for _ in range(n)]
+        ds = frechet.make_dataset(space, pts, None, o, rho)
+        x0 = space.random_in_ball(o, rho, rng)
+        tr = solver.descend(ds, solver.SolverConfig(
+            p=2.0, step=1.0, grad_tol=1e-9, max_iters=60), x0=x0)
+        entered = False
+        for rec in tr.records:
+            inside = hull_membership(space, pts, rec.point, center=o, tol=1e-8)
+            if entered and not inside:
+                violations += 1
+                break
+            entered = entered or inside
+    return {"suite": "hull", "trials": n_trials, "violations": violations,
+            "min_margin": math.nan, "seed": seed}

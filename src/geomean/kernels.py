@@ -12,7 +12,7 @@ package.  All of them branch on the sign of kappa:
 Note the flat branch of sn is 1/l, not l.  That is deliberate: it matches
 the printed definition this code implements, and sn with kappa = 0 only
 ever feeds the exit-time ratio, where the Jacobi convention sn_0(l) = l is
-used instead (see stepsize._sn_jacobi).
+used instead (see sn_jacobi).
 
 Out-of-domain arguments raise DomainError rather than returning NaN.
 """
@@ -38,6 +38,11 @@ def sn(kappa, l):
         return 1.0 / l
     rk = math.sqrt(-kappa)
     return math.sinh(rk * l) / rk
+
+
+def sn_jacobi(kappa, l):
+    """Jacobi-field sine: sn with the flat branch sn_0(l) = l."""
+    return l if kappa == 0 else sn(kappa, l)
 
 
 def ct(kappa, l):

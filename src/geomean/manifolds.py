@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutLocusError, DomainError
-from .kernels import sn
+from .kernels import sn_jacobi
 
 _CANON_TOL = 1e-9  # first coordinate of magnitude above this fixes the sign
 
@@ -54,13 +54,12 @@ class ManifoldSpace:
     def project(self, x):
         raise NotImplementedError
 
-    def distance(self, x, y):
+    def _tangential(self, x, y):
+        """(u, |u|, d(x, y)): the part u of y tangential at x, its norm
+        and the distance, from one evaluation of the pair."""
         raise NotImplementedError
 
     def exp(self, x, v):
-        raise NotImplementedError
-
-    def log(self, x, y):
         raise NotImplementedError
 
     def inner(self, x, u, v):
@@ -78,6 +77,23 @@ class ManifoldSpace:
         raise NotImplementedError
 
     # -- shared plumbing -----------------------------------------------
+    def distance(self, x, y):
+        return self._tangential(x, y)[2]
+
+    def log(self, x, y):
+        return self.log_dist(x, y)[0]
+
+    def log_dist(self, x, y):
+        """(log_x y, d(x, y)); raises CutLocusError in the cut-locus band."""
+        u, nu, d = self._tangential(x, y)
+        self._check_cut_band(d)
+        if d == 0.0:
+            return np.zeros_like(np.asarray(x, dtype=float)), d
+        return (d / nu) * u, d
+
+    def _check_cut_band(self, d):
+        """No-op: spaces with an infinite injectivity radius have no band."""
+
     @property
     def ambient_dim(self):
         return self.dim if self.kind == "euclidean" else self.dim + 1
@@ -95,8 +111,10 @@ class ManifoldSpace:
         if x.shape != (self.ambient_dim,):
             raise DomainError(
                 f"{self.kind}: point shape {x.shape}, expected ({self.ambient_dim},)")
+        if not np.all(np.isfinite(x)):
+            raise DomainError(f"{self.kind}: non-finite coordinate in {x}")
         err = self._constraint_error(x)
-        if err > tol:
+        if not err <= tol:  # also rejects a NaN error
             raise DomainError(f"{self.kind}: representation violated by {err:.3e}")
         return x
 
@@ -126,16 +144,12 @@ class ManifoldSpace:
         if n == 1:
             r = radius * rng.uniform()
         else:
-            top = self._jacobi_sn(radius)
+            top = sn_jacobi(self.kappa, radius)
             while True:
                 r = radius * rng.uniform()
-                if rng.uniform() <= (self._jacobi_sn(r) / top) ** (n - 1):
+                if rng.uniform() <= (sn_jacobi(self.kappa, r) / top) ** (n - 1):
                     break
         return self.exp(center, r * self.random_unit_tangent(center, rng))
-
-    def _jacobi_sn(self, l):
-        k = self.kappa
-        return l if k == 0 else sn(k, l)
 
     def to_json(self):
         return {"kind": self.kind, "dim": self.dim, "kappa": self.kappa}
@@ -153,14 +167,17 @@ class Euclidean(ManifoldSpace):
     def project(self, x):
         return np.asarray(x, dtype=float)
 
-    def distance(self, x, y):
-        return float(np.linalg.norm(np.asarray(y) - np.asarray(x)))
+    def _tangential(self, x, y):
+        u = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+        nu = float(np.linalg.norm(u))
+        return u, nu, nu
+
+    def log_dist(self, x, y):
+        u, nu, _ = self._tangential(x, y)
+        return u, nu
 
     def exp(self, x, v):
         return np.asarray(x, dtype=float) + np.asarray(v, dtype=float)
-
-    def log(self, x, y):
-        return np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
 
     def inner(self, x, u, v):
         return float(np.dot(u, v))
@@ -193,14 +210,18 @@ class Sphere(ManifoldSpace):
     def _constraint_error(self, x):
         return abs(np.linalg.norm(x) - 1.0)
 
-    def _angle(self, x, y):
-        """Angle between unit vectors, stable at both 0 and pi."""
+    def _tangential(self, x, y):
         cosq = float(np.dot(x, y))
-        perp = y - cosq * x
-        return math.atan2(float(np.linalg.norm(perp)), cosq)
+        u = y - cosq * x
+        nu = float(np.linalg.norm(u))
+        # the angle via atan2 stays stable at both 0 and pi
+        return u, nu, math.atan2(nu, cosq) / self._rk
 
-    def distance(self, x, y):
-        return self._angle(x, y) / self._rk
+    def _check_cut_band(self, d):
+        inj = self.constants().inj
+        if d >= inj * (1.0 - _CANON_TOL):
+            raise CutLocusError(
+                f"{self.kind}: log at distance {d} within cut-locus band of inj={inj}")
 
     def exp(self, x, v):
         v = np.asarray(v, dtype=float)
@@ -209,18 +230,6 @@ class Sphere(ManifoldSpace):
             return np.asarray(x, dtype=float).copy()
         th = self._rk * nv
         return self.project(math.cos(th) * x + math.sin(th) * (v / nv))
-
-    def log(self, x, y):
-        d = self.distance(x, y)
-        cst = self.constants()
-        if d >= cst.inj * (1.0 - _CANON_TOL):
-            raise CutLocusError(
-                f"{self.kind}: log at distance {d} within cut-locus band of inj={cst.inj}")
-        if d == 0.0:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        u = y - float(np.dot(x, y)) * x
-        nu = float(np.linalg.norm(u))
-        return (d / nu) * u
 
     def inner(self, x, u, v):
         return float(np.dot(u, v))
@@ -276,14 +285,11 @@ class RealProjective(Sphere):
         """Representative of y on the same side as x (nearest lift)."""
         return y if float(np.dot(x, y)) >= 0.0 else -y
 
-    def distance(self, x, y):
-        return self._angle(x, self._lift(x, y)) / self._rk
+    def _tangential(self, x, y):
+        return Sphere._tangential(self, x, self._lift(x, y))
 
     def exp(self, x, v):
         return _canonical_sign(Sphere.exp(self, x, v))
-
-    def log(self, x, y):
-        return Sphere.log(self, x, self._lift(x, y))
 
     def constants(self):
         inj = math.pi / (2.0 * self._rk)
@@ -341,16 +347,17 @@ class Hyperbolic(ManifoldSpace):
         # relative to x0^2, the size of the cancelling terms
         return abs(self.minkowski(x, x) + self._R**2) / (1.0 + x[0] ** 2)
 
-    def distance(self, x, y):
+    def _tangential(self, x, y):
         R = self._R
-        # tangential component has Minkowski norm R*sinh(d/R): asinh keeps
-        # full precision at small separations where arccosh would not
-        ch = -self.minkowski(x, y) / R**2
-        t = y + (self.minkowski(x, y) / R**2) * x
-        sh = math.sqrt(max(self.minkowski(t, t), 0.0)) / R
+        m = self.minkowski(x, y)
+        u = y + (m / R**2) * x
+        nu = math.sqrt(max(self.minkowski(u, u), 0.0))
+        # u has Minkowski norm R*sinh(d/R): asinh keeps full precision at
+        # small separations where arccosh would not
+        ch = -m / R**2
         if ch < 2.0:
-            return R * math.asinh(sh)
-        return R * math.acosh(max(ch, 1.0))
+            return u, nu, R * math.asinh(nu / R)
+        return u, nu, R * math.acosh(max(ch, 1.0))
 
     def exp(self, x, v):
         v = np.asarray(v, dtype=float)
@@ -359,14 +366,6 @@ class Hyperbolic(ManifoldSpace):
             return np.asarray(x, dtype=float).copy()
         th = nv / self._R
         return self.project(math.cosh(th) * x + (self._R * math.sinh(th) / nv) * v)
-
-    def log(self, x, y):
-        d = self.distance(x, y)
-        if d == 0.0:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        u = y + (self.minkowski(x, y) / self._R**2) * x  # tangential part of y
-        nu = math.sqrt(max(self.minkowski(u, u), 0.0))
-        return (d / nu) * u
 
     def inner(self, x, u, v):
         return self.minkowski(u, v)

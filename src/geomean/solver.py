@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CutLocusError, DomainError, PreconditionError
+from .kernels import b_lower, c_upper
+from .stepsize import rate_estimate
 from . import frechet
 
 
@@ -180,6 +182,31 @@ def fit_tail_rate(trace):
     lds = np.log([p[1] for p in pts])
     slope = np.polyfit(ks, lds, 1)[0]
     return float(np.exp(2.0 * slope))
+
+
+def trailing_rate(ds, trace, t, k_start=None):
+    """Rate prediction from Hessian radial bounds on a ball around the
+    final point that contains the trace from k_start on (default: its
+    second half) and the data; None when the region is not strongly
+    convex enough (h <= 0) or t is not below 2/H."""
+    if k_start is None:
+        k_start = len(trace.records) // 2
+    sp = ds.space
+    cst = sp.constants()
+    xbar = trace.final
+    tail_r = max(trace.dist_to_final[k_start:], default=0.0)
+    D = tail_r + max(sp.distance(xbar, xi) for xi in ds.points)
+    try:
+        h = b_lower(cst.Delta, D)
+    except DomainError:
+        return None
+    if h <= 0:
+        return None
+    H = c_upper(cst.delta, D)
+    f_gap = trace.records[k_start].cost - trace.records[-1].cost
+    if not (0 < t < 2.0 / H):
+        return None
+    return rate_estimate(h, H, t, max(f_gap, 0.0))
 
 
 def minimal_ball_estimate(space, points, iters=200):

@@ -20,13 +20,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PreconditionError
-from .kernels import c_upper, sn
+from .kernels import c_upper, sn_jacobi
 from .frechet import uniform_hessian_bound
-
-
-def _sn_jacobi(kappa, l):
-    """Jacobi-field sine: like kernels.sn but with the flat branch l."""
-    return l if kappa == 0 else sn(kappa, l)
 
 
 def resolve_conjecture(space, rho, p):
@@ -68,7 +63,7 @@ def resolve_spread_compromise(space, rho, p, start_at_o=False):
 def _exit_profile(delta, Delta, rho, rho_prime, r):
     """max of the two per-radius exit lower bounds at r = d(y, o)."""
     t1 = (2.0 / c_upper(delta, rho_prime)) * r * (r - rho) \
-        * _sn_jacobi(Delta, r - rho) / _sn_jacobi(Delta, r + rho)
+        * sn_jacobi(Delta, r - rho) / sn_jacobi(Delta, r + rho)
     t2 = (rho_prime - r) / (rho + r)
     return max(t1, t2)
 
@@ -116,12 +111,18 @@ def _golden_section(f, lo, hi, tol):
     return 0.5 * (a + b)
 
 
-def exit_time(space, rho, rho_prime):
-    """t_exit for a space, using its curvature bounds; p = 2 regime."""
+def _annulus_constants(space, rho_prime, who):
+    """The space's constants, once rho' <= r_cx is checked."""
     cst = space.constants()
     if rho_prime > cst.r_cx:
         raise PreconditionError(
-            f"exit_time: rho_prime={rho_prime} exceeds r_cx={cst.r_cx}")
+            f"{who}: rho_prime={rho_prime} exceeds r_cx={cst.r_cx}")
+    return cst
+
+
+def exit_time(space, rho, rho_prime):
+    """t_exit for a space, using its curvature bounds; p = 2 regime."""
+    cst = _annulus_constants(space, rho_prime, "exit_time")
     return exit_time_bounds(cst.delta, cst.Delta, rho, rho_prime)
 
 
@@ -133,10 +134,7 @@ def resolve_exit_compromise_bounds(delta, Delta, rho, rho_prime):
 
 
 def resolve_exit_compromise(space, rho, rho_prime):
-    cst = space.constants()
-    if rho_prime > cst.r_cx:
-        raise PreconditionError(
-            f"exit_compromise: rho_prime={rho_prime} exceeds r_cx={cst.r_cx}")
+    cst = _annulus_constants(space, rho_prime, "exit_compromise")
     return resolve_exit_compromise_bounds(cst.delta, cst.Delta, rho, rho_prime)
 
 
@@ -170,25 +168,24 @@ def rate_estimate(h_S, H_S, t, f_gap):
                         K=math.sqrt(2.0 * f_gap / h_S))
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepPolicy:
-    """A named step-size rule plus its parameters; resolve() fills resolved_t."""
+    """A named step-size rule plus its parameters; resolve() returns t."""
 
     kind: str                  # user_constant | conjecture | constant_curvature
     #                          | spread_compromise | exit_compromise
     t: float = None            # for user_constant
     rho_prime: float = None    # for exit_compromise
     start_at_o: bool = False   # for spread_compromise
-    resolved_t: float = None
 
     def resolve(self, space, rho, p):
         if self.kind == "user_constant":
             if self.t is None or self.t <= 0:
                 raise DomainError("user_constant policy needs t > 0")
-            self.resolved_t = float(self.t)
-        elif self.kind == "conjecture":
-            self.resolved_t = resolve_conjecture(space, rho, p)
-        elif self.kind == "constant_curvature":
+            return float(self.t)
+        if self.kind == "conjecture":
+            return resolve_conjecture(space, rho, p)
+        if self.kind == "constant_curvature":
             cst = space.constants()
             if cst.delta < 0:
                 raise PreconditionError(
@@ -198,16 +195,13 @@ class StepPolicy:
             if rho > cst.r_cx:
                 raise PreconditionError(
                     f"constant_curvature: rho={rho} exceeds r_cx={cst.r_cx}")
-            self.resolved_t = 1.0
-        elif self.kind == "spread_compromise":
-            self.resolved_t = resolve_spread_compromise(
-                space, rho, p, self.start_at_o).t_base
-        elif self.kind == "exit_compromise":
+            return 1.0
+        if self.kind == "spread_compromise":
+            return resolve_spread_compromise(space, rho, p, self.start_at_o).t_base
+        if self.kind == "exit_compromise":
             if self.rho_prime is None:
                 raise DomainError("exit_compromise policy needs rho_prime")
             if p != 2:
                 raise PreconditionError("exit_compromise policy is p=2 only")
-            self.resolved_t = resolve_exit_compromise(space, rho, self.rho_prime)
-        else:
-            raise DomainError(f"unknown step policy {self.kind!r}")
-        return self.resolved_t
+            return resolve_exit_compromise(space, rho, self.rho_prime)
+        raise DomainError(f"unknown step policy {self.kind!r}")

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from geomean import cli, experiments, frechet, geocheck, solver, stepsize
+from geomean import experiments, frechet, geocheck, solver, stepsize
 from geomean.errors import CutLocusError
 from geomean.experiments import cross_config, pair_config
 from geomean.frechet import (cost, fd_hessian_quadratic_form, make_dataset)
@@ -125,7 +125,7 @@ def test_criterion_4_tethering_and_hull_trap():
         rep = geocheck.tethering_check(space, 2500, (0.25, 0.5, 0.75, 1.0),
                                        seed=99)
         total_violations += rep["violations"]
-    hull = cli._hull_check(Sphere(2), 1000, seed=7)
+    hull = geocheck.hull_check(Sphere(2), 1000, seed=7)
     elapsed = time.perf_counter() - t0
     ok = (total_violations == 0 and hull["violations"] == 0 and elapsed < 60.0)
     _verdict("4 tethering and hull trap", ok,
@@ -180,18 +180,11 @@ def _rate_trial(space, rho, rng):
                                   monitor_radius=step.stay_ball_radius), x0=x0)
     if tr.status != "converged":
         return False
-    xbar = tr.final
-    cst = space.constants()
-    # radial Hessian bounds on the smallest ball around xbar holding the
-    # whole trace and the data
-    R = (max(tr.dist_to_final)
-         + max(space.distance(xbar, xi) for xi in ds.points))
-    h = b_lower(cst.Delta, R)
-    if h <= 0:
+    # radial Hessian bounds on the smallest ball around the final point
+    # holding the whole trace and the data
+    est = solver.trailing_rate(ds, tr, step.t_base, k_start=0)
+    if est is None:
         return False
-    H = max(1.0, c_upper(cst.delta, R))
-    f_gap = max(tr.records[0].cost - tr.records[-1].cost, 0.0)
-    est = stepsize.rate_estimate(h, H, step.t_base, f_gap)
     return all(d <= est.K * est.q ** (k / 2.0) * (1.0 + 1e-9)
                for k, d in enumerate(tr.dist_to_final))
 

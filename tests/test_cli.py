@@ -57,6 +57,27 @@ def test_mean_command_parse_error(tmp_path):
     assert cli.main(["mean", str(missing), "--out", str(tmp_path)]) == 1
 
 
+def test_mean_command_rejects_nan_point(tmp_path, capsys):
+    dsfile = tmp_path / "ds.json"
+    obj = _write_dataset(dsfile)
+    obj["points"][2][1] = math.nan
+    json.dump(obj, open(dsfile, "w"))
+    code = cli.main(["mean", str(dsfile), "--policy", "conjecture",
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_PARSE
+    assert not (tmp_path / "trace.csv").exists()
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_other_errors_map_to_parse_exit(tmp_path, capsys):
+    # the default --kappa 1 is not a valid hyperbolic curvature
+    code = cli.main(["check", "comparison", "--space", "hyperbolic",
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_mean_command_precondition_violation(tmp_path):
     dsfile = tmp_path / "ds.json"
     obj = _write_dataset(dsfile)

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import geomean
 from geomean import geocheck
 from geomean.errors import DomainError
 from geomean.geocheck import (Chart, comparison_check, convex_combination,
@@ -209,3 +213,16 @@ def test_tethering_t0_identity(rng):
     ds = make_dataset(sp, pts, None, o, 0.5)
     x = sp.random_in_ball(o, 0.5, rng)
     assert sp.distance(one_step(ds, 2, x, 1e-300), x) <= 1e-12
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is only needed by hull_membership, which imports it on first use
+    src = os.path.dirname(os.path.dirname(geomean.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, geomean; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

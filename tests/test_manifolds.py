@@ -66,6 +66,52 @@ def test_log_is_tangent_and_has_right_norm(space, rng):
         assert space.norm(x, v) == pytest.approx(space.distance(x, y), abs=1e-10)
 
 
+SIX_SPACES = [Euclidean(3), Sphere(2), Circle(1.0), Hyperbolic(2),
+              RealProjective(2), SO3()]
+
+
+@pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
+def test_log_dist_is_one_pair_evaluation(space, rng):
+    cst = space.constants()
+    reach = cst.inj if math.isfinite(cst.inj) else 3.0
+    for _ in range(200):
+        x = space.random_point(rng)
+        r = 0.99 * reach * rng.uniform()
+        y = space.exp(x, r * space.random_unit_tangent(x, rng))
+        v, d = space.log_dist(x, y)
+        assert np.array_equal(v, space.log(x, y))
+        assert d == space.distance(x, y)
+        assert space.norm(x, v) == pytest.approx(d, abs=1e-12)
+    if math.isinf(cst.inj):
+        return
+    # inside the guard band: log refuses, distance still answers
+    x = space.random_point(rng)
+    y = space.exp(x, cst.inj * (1.0 - 1e-10) * space.random_unit_tangent(x, rng))
+    with pytest.raises(CutLocusError):
+        space.log(x, y)
+    with pytest.raises(CutLocusError):
+        space.log_dist(x, y)
+    assert math.isfinite(space.distance(x, y))
+    assert space.distance(x, y) == pytest.approx(cst.inj, abs=1e-8)
+
+
+@pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_check_point_rejects_non_finite(space, bad, rng):
+    x = space.random_point(rng)
+    space.check_point(x)
+    x[-1] = bad
+    with pytest.raises(DomainError):
+        space.check_point(x)
+
+
+def test_check_point_rejects_overflowed_hyperboloid_point():
+    # finite coordinates whose constraint error is NaN (inf - inf)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DomainError):
+        Hyperbolic(2).check_point(np.array([1e200, 1e200, 0.0]))
+
+
 def test_sphere_examples():
     sp = Sphere(2)
     e1, e2 = np.eye(3)[0], np.eye(3)[1]
