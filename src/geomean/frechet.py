@@ -58,8 +58,7 @@ def make_dataset(space, points, weights=None, ball_center=None, ball_radius=None
     n = len(points)
     if n < 1:
         raise DomainError("dataset needs at least one point")
-    for pt in points:
-        space.check_point(pt)
+    space.check_points(points)
     if weights is None:
         weights = np.full(n, 1.0 / n)
     else:
@@ -78,11 +77,12 @@ def make_dataset(space, points, weights=None, ball_center=None, ball_radius=None
     ball_center = space.check_point(ball_center)
     ball_radius = float(ball_radius)
     slack = 1e-9 * max(1.0, ball_radius)
-    for i, pt in enumerate(points):
-        d = space.distance(ball_center, pt)
-        if d > ball_radius + slack:
-            raise DomainError(
-                f"point {i} at distance {d} outside ball of radius {ball_radius}")
+    d = space.dist_many(ball_center, points)
+    outside = d > ball_radius + slack
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise DomainError(f"point {i} at distance {float(d[i])} outside ball "
+                          f"of radius {ball_radius}")
     return WeightedDataset(space, points, weights, ball_center, ball_radius)
 
 
@@ -90,13 +90,14 @@ def dataset_from_json(obj, ball_fallback=None):
     """Load a dataset from the JSON schema; `ball_fallback(space, points)`
     supplies (center, radius) when the "ball" entry is absent."""
     space = space_from_json(obj["space"])
-    points = np.asarray(obj["points"], dtype=float)
+    points = np.atleast_2d(np.asarray(obj["points"], dtype=float))
     weights = obj.get("weights")
     ball = obj.get("ball")
     if ball is not None:
         center = np.asarray(ball["center"], dtype=float)
         radius = float(ball["radius"])
     elif ball_fallback is not None:
+        space.check_points(points)  # the fallback needs valid points
         center, radius = ball_fallback(space, points)
     else:
         raise DomainError("dataset JSON has no ball and no fallback was given")
@@ -112,9 +113,7 @@ def _check_p(p):
 
 def cost(ds, p, x):
     p = _check_p(p)
-    sp = ds.space
-    return sum(w * sp.distance(x, xi) ** p
-               for w, xi in zip(ds.weights, ds.points)) / p
+    return float(ds.weights @ ds.space.dist_many(x, ds.points) ** p) / p
 
 
 def gradient(ds, p, x):
@@ -124,18 +123,13 @@ def gradient(ds, p, x):
     cut-locus band of some x_i.
     """
     p = _check_p(p)
-    sp = ds.space
-    g = np.zeros(sp.ambient_dim)
-    for i, (w, xi) in enumerate(zip(ds.weights, ds.points)):
-        try:
-            lg, d = sp.log_dist(x, xi)
-        except CutLocusError as e:
-            raise CutLocusError(f"gradient: data point {i} at cut locus: {e}",
-                                index=i) from None
-        if p != 2.0:
-            lg = lg * d ** (p - 2.0)
-        g -= w * lg
-    return g
+    try:
+        logs, d = ds.space.log_dist_many(x, ds.points)
+    except CutLocusError as e:
+        raise CutLocusError(f"gradient: data point {e.index} at cut locus: {e}",
+                            index=e.index) from None
+    w = ds.weights if p == 2.0 else ds.weights * d ** (p - 2.0)
+    return -(w @ logs)
 
 
 def grad_norm(ds, p, x):

@@ -15,13 +15,19 @@ Points are plain numpy arrays in an extrinsic embedding:
 Tangent vectors at x are ambient arrays orthogonal to x under the ambient
 (or Minkowski) inner product; their stored norm equals the geodesic speed.
 
+Each space evaluates a pair (distance, log, log_dist) with scalar code, and
+N points at once (dist_many, log_dist_many) with the same formulas on an
+(N, D) array.  Single-pair callers such as the monitors and the oracles use
+the first; sums over the data points use the second, which costs more than
+the scalar code for one pair.
+
 Angles near 0 and pi are computed via atan2 of a projected norm rather
 than arccos, so distances stay accurate right up to the cut locus (needed
 for the cut-locus guard band of log to fire reliably).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +35,7 @@ from .errors import CutLocusError, DomainError
 from .kernels import sn_jacobi
 
 _CANON_TOL = 1e-9  # first coordinate of magnitude above this fixes the sign
+_MAX_COORD = 1e150  # below this, sums of squared coordinates stay finite
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,12 @@ class ManifoldSpace:
         and the distance, from one evaluation of the pair."""
         raise NotImplementedError
 
+    def _tangential_many(self, x, P):
+        """_tangential over the last axis of P, the same formulas on
+        arrays: (U, |U|, d) for points x and P whose leading axes
+        broadcast, e.g. x of shape (D,) against P of shape (N, D)."""
+        raise NotImplementedError
+
     def exp(self, x, v):
         raise NotImplementedError
 
@@ -71,7 +84,8 @@ class ManifoldSpace:
         raise NotImplementedError
 
     def constants(self):
-        raise NotImplementedError
+        """The SpaceConstants built once at construction."""
+        return self._constants
 
     def random_point(self, rng):
         raise NotImplementedError
@@ -86,13 +100,37 @@ class ManifoldSpace:
     def log_dist(self, x, y):
         """(log_x y, d(x, y)); raises CutLocusError in the cut-locus band."""
         u, nu, d = self._tangential(x, y)
-        self._check_cut_band(d)
+        if d >= self._band_start():
+            raise self._cut_locus_error(d)
         if d == 0.0:
             return np.zeros_like(np.asarray(x, dtype=float)), d
         return (d / nu) * u, d
 
-    def _check_cut_band(self, d):
-        """No-op: spaces with an infinite injectivity radius have no band."""
+    def dist_many(self, x, P):
+        """Distances d(x, P[i]) over the rows of P, as one array."""
+        return self._tangential_many(x, P)[2]
+
+    def log_dist_many(self, x, P):
+        """(logs, d) over the rows of an (N, D) array P: row i is
+        log_dist(x, P[i]).  The first row in the cut-locus band raises the
+        CutLocusError log_dist raises for it, with `index` set to the row."""
+        U, nU, d = self._tangential_many(x, P)
+        band = d >= self._band_start()
+        if band.any():
+            i = int(np.argmax(band))
+            raise self._cut_locus_error(d[i], index=i)
+        scale = np.divide(d, nU, out=np.zeros_like(d), where=d != 0.0)
+        return scale[:, np.newaxis] * U, d
+
+    def _band_start(self):
+        """Distance from which log refuses: the cut-locus guard band below
+        inj (never reached when inj is infinite)."""
+        return self._constants.inj * (1.0 - _CANON_TOL)
+
+    def _cut_locus_error(self, d, index=None):
+        return CutLocusError(
+            f"{self.kind}: log at distance {float(d)} within cut-locus band "
+            f"of inj={self._constants.inj}", index=index)
 
     @property
     def ambient_dim(self):
@@ -108,18 +146,31 @@ class ManifoldSpace:
     def check_point(self, x, tol=1e-12):
         """Validate the representation constraint; raises DomainError."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.ambient_dim,):
-            raise DomainError(
-                f"{self.kind}: point shape {x.shape}, expected ({self.ambient_dim},)")
-        if not np.all(np.isfinite(x)):
-            raise DomainError(f"{self.kind}: non-finite coordinate in {x}")
-        err = self._constraint_error(x)
-        if not err <= tol:  # also rejects a NaN error
-            raise DomainError(f"{self.kind}: representation violated by {err:.3e}")
+        self.check_points(x[np.newaxis], tol)
         return x
 
-    def _constraint_error(self, x):
-        return 0.0
+    def check_points(self, X, tol=1e-12):
+        """Validate the rows of an (N, D) array in one pass; raises the
+        DomainError of the first bad row (shape, then finiteness, then
+        the representation constraint)."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.ambient_dim:
+            raise DomainError(f"{self.kind}: point shape {X.shape[1:]}, "
+                              f"expected ({self.ambient_dim},)")
+        finite = np.isfinite(X).all(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = self._constraint_errors(X)
+        bad = ~(finite & (err <= tol))  # also rejects a NaN error
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not finite[i]:
+                raise DomainError(f"{self.kind}: non-finite coordinate in {X[i]}")
+            raise DomainError(
+                f"{self.kind}: representation violated by {err[i]:.3e}")
+
+    def _constraint_errors(self, X):
+        """Representation error of each row of X."""
+        return np.zeros(len(X))
 
     def random_unit_tangent(self, x, rng):
         """Uniform direction on the unit sphere of T_x."""
@@ -163,6 +214,8 @@ class Euclidean(ManifoldSpace):
 
     def __init__(self, dim):
         super().__init__(dim, 0.0)
+        self._constants = SpaceConstants(inj=math.inf, r_cx=math.inf,
+                                         delta=0.0, Delta=0.0)
 
     def project(self, x):
         return np.asarray(x, dtype=float)
@@ -172,9 +225,18 @@ class Euclidean(ManifoldSpace):
         nu = float(np.linalg.norm(u))
         return u, nu, nu
 
+    def _tangential_many(self, x, P):
+        U = P - x
+        nU = np.linalg.norm(U, axis=-1)
+        return U, nU, nU
+
     def log_dist(self, x, y):
         u, nu, _ = self._tangential(x, y)
         return u, nu
+
+    def log_dist_many(self, x, P):
+        U, nU, _ = self._tangential_many(x, P)
+        return U, nU
 
     def exp(self, x, v):
         return np.asarray(x, dtype=float) + np.asarray(v, dtype=float)
@@ -184,9 +246,6 @@ class Euclidean(ManifoldSpace):
 
     def tangent_project(self, x, g):
         return np.asarray(g, dtype=float)
-
-    def constants(self):
-        return SpaceConstants(inj=math.inf, r_cx=math.inf, delta=0.0, Delta=0.0)
 
     def random_point(self, rng):
         return rng.standard_normal(self.dim)
@@ -202,13 +261,16 @@ class Sphere(ManifoldSpace):
             raise DomainError(f"Sphere: need kappa > 0, got {kappa}")
         super().__init__(dim, kappa)
         self._rk = math.sqrt(kappa)
+        inj = math.pi / self._rk
+        self._constants = SpaceConstants(inj=inj, r_cx=inj / 2.0,
+                                         delta=self.kappa, Delta=self.kappa)
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
         return x / np.linalg.norm(x)
 
-    def _constraint_error(self, x):
-        return abs(np.linalg.norm(x) - 1.0)
+    def _constraint_errors(self, X):
+        return np.abs(np.linalg.norm(X, axis=1) - 1.0)
 
     def _tangential(self, x, y):
         cosq = float(np.dot(x, y))
@@ -217,11 +279,11 @@ class Sphere(ManifoldSpace):
         # the angle via atan2 stays stable at both 0 and pi
         return u, nu, math.atan2(nu, cosq) / self._rk
 
-    def _check_cut_band(self, d):
-        inj = self.constants().inj
-        if d >= inj * (1.0 - _CANON_TOL):
-            raise CutLocusError(
-                f"{self.kind}: log at distance {d} within cut-locus band of inj={inj}")
+    def _tangential_many(self, x, P):
+        cosq = _dot_rows(P, x)
+        U = P - cosq[..., np.newaxis] * x
+        nU = np.linalg.norm(U, axis=-1)
+        return U, nU, np.arctan2(nU, cosq) / self._rk
 
     def exp(self, x, v):
         v = np.asarray(v, dtype=float)
@@ -238,11 +300,6 @@ class Sphere(ManifoldSpace):
         g = np.asarray(g, dtype=float)
         return g - float(np.dot(g, x)) * x
 
-    def constants(self):
-        inj = math.pi / self._rk
-        return SpaceConstants(inj=inj, r_cx=inj / 2.0,
-                              delta=self.kappa, Delta=self.kappa)
-
     def random_point(self, rng):
         return self.project(rng.standard_normal(self.ambient_dim))
 
@@ -258,10 +315,7 @@ class Circle(Sphere):
 
     def __init__(self, kappa=1.0):
         super().__init__(1, kappa)
-
-    def constants(self):
-        inj = math.pi / self._rk
-        return SpaceConstants(inj=inj, r_cx=inj / 2.0, delta=0.0, Delta=0.0)
+        self._constants = replace(self._constants, delta=0.0, Delta=0.0)
 
     def point_from_angle(self, theta):
         """Point at arc-length coordinate theta/sqrt(kappa) from (1,0)."""
@@ -278,6 +332,11 @@ class RealProjective(Sphere):
 
     kind = "real_projective"
 
+    def __init__(self, dim, kappa=1.0):
+        super().__init__(dim, kappa)
+        inj = self._constants.inj / 2.0   # antipodes are identified
+        self._constants = replace(self._constants, inj=inj, r_cx=inj / 2.0)
+
     def project(self, x):
         return _canonical_sign(super().project(x))
 
@@ -288,13 +347,12 @@ class RealProjective(Sphere):
     def _tangential(self, x, y):
         return Sphere._tangential(self, x, self._lift(x, y))
 
+    def _tangential_many(self, x, P):
+        lift = np.where(_dot_rows(P, x) >= 0.0, 1.0, -1.0)
+        return Sphere._tangential_many(self, x, lift[..., np.newaxis] * P)
+
     def exp(self, x, v):
         return _canonical_sign(Sphere.exp(self, x, v))
-
-    def constants(self):
-        inj = math.pi / (2.0 * self._rk)
-        return SpaceConstants(inj=inj, r_cx=inj / 2.0,
-                              delta=self.kappa, Delta=self.kappa)
 
 
 class SO3(RealProjective):
@@ -331,21 +389,29 @@ class Hyperbolic(ManifoldSpace):
             raise DomainError(f"Hyperbolic: need kappa < 0, got {kappa}")
         super().__init__(dim, kappa)
         self._R = 1.0 / math.sqrt(-kappa)
+        self._constants = SpaceConstants(inj=math.inf, r_cx=math.inf,
+                                         delta=kappa, Delta=kappa)
 
     def minkowski(self, u, v):
         return float(-u[0] * v[0] + np.dot(u[1:], v[1:]))
+
+    @staticmethod
+    def _minkowski_rows(U, V):
+        return -U[..., 0] * V[..., 0] + _dot_rows(U[..., 1:], V[..., 1:])
 
     def project(self, x):
         x = np.asarray(x, dtype=float).copy()
         # recompute the time coordinate from the spatial part
         x[0] = math.sqrt(self._R**2 + float(np.dot(x[1:], x[1:])))
+        if not math.isfinite(x[0]):  # a non-finite or overflowing spatial part
+            raise DomainError(f"{self.kind}: point {x} is not finite")
         return x
 
-    def _constraint_error(self, x):
-        if x[0] <= 0:
-            return math.inf
+    def _constraint_errors(self, X):
         # relative to x0^2, the size of the cancelling terms
-        return abs(self.minkowski(x, x) + self._R**2) / (1.0 + x[0] ** 2)
+        err = (np.abs(self._minkowski_rows(X, X) + self._R**2)
+               / (1.0 + X[:, 0] ** 2))
+        return np.where(X[:, 0] <= 0, math.inf, err)
 
     def _tangential(self, x, y):
         R = self._R
@@ -359,13 +425,31 @@ class Hyperbolic(ManifoldSpace):
             return u, nu, R * math.asinh(nu / R)
         return u, nu, R * math.acosh(max(ch, 1.0))
 
+    def _tangential_many(self, x, P):
+        R = self._R
+        m = self._minkowski_rows(x, P)
+        U = P + (m / R**2)[..., np.newaxis] * x
+        nU = np.sqrt(np.maximum(self._minkowski_rows(U, U), 0.0))
+        ch = -m / R**2
+        d = np.where(ch < 2.0, R * np.arcsinh(nU / R),
+                     R * np.arccosh(np.maximum(ch, 1.0)))
+        return U, nU, d
+
     def exp(self, x, v):
         v = np.asarray(v, dtype=float)
         nv = math.sqrt(max(self.minkowski(v, v), 0.0))
         if nv == 0.0:
             return np.asarray(x, dtype=float).copy()
         th = nv / self._R
-        return self.project(math.cosh(th) * x + (self._R * math.sinh(th) / nv) * v)
+        try:
+            y = math.cosh(th) * x + (self._R * math.sinh(th) / nv) * v
+        except OverflowError:
+            y = None
+        # |y_spatial| < y[0], so below the cap project's sum of squares
+        # stays finite
+        if y is None or not abs(y[0]) < _MAX_COORD:
+            raise DomainError(f"{self.kind}: exp step of length {nv} overflows")
+        return self.project(y)
 
     def inner(self, x, u, v):
         return self.minkowski(u, v)
@@ -374,15 +458,16 @@ class Hyperbolic(ManifoldSpace):
         g = np.asarray(g, dtype=float)
         return g + (self.minkowski(g, x) / self._R**2) * x
 
-    def constants(self):
-        return SpaceConstants(inj=math.inf, r_cx=math.inf,
-                              delta=self.kappa, Delta=self.kappa)
-
     def random_point(self, rng):
         origin = np.zeros(self.ambient_dim)
         origin[0] = self._R
         v = self.tangent_project(origin, rng.standard_normal(self.ambient_dim))
         return self.exp(origin, v)
+
+
+def _dot_rows(A, B):
+    """Inner products along the last axis, broadcasting the leading axes."""
+    return np.einsum("...i,...i->...", A, B)
 
 
 def _canonical_sign(x):

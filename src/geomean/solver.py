@@ -195,7 +195,7 @@ def trailing_rate(ds, trace, t, k_start=None):
     cst = sp.constants()
     xbar = trace.final
     tail_r = max(trace.dist_to_final[k_start:], default=0.0)
-    D = tail_r + max(sp.distance(xbar, xi) for xi in ds.points)
+    D = tail_r + float(np.max(sp.dist_many(xbar, ds.points)))
     try:
         h = b_lower(cst.Delta, D)
     except DomainError:
@@ -209,6 +209,9 @@ def trailing_rate(ds, trace, t, k_start=None):
     return rate_estimate(h, H, t, max(f_gap, 0.0))
 
 
+_PAIRS_PER_BLOCK = 1 << 20   # pairwise distances evaluated at once
+
+
 def minimal_ball_estimate(space, points, iters=200):
     """Approximate geodesic 1-center of a point set.
 
@@ -220,16 +223,21 @@ def minimal_ball_estimate(space, points, iters=200):
     if len(points) == 1:
         return points[0].copy(), 0.0
     r_cx = space.constants().r_cx
-    dmax = max(space.distance(a, b) for i, a in enumerate(points)
-               for b in points[i + 1:])
+    # row i: max_j d(points[i], points[j]), a block of rows at a time so
+    # that memory grows as N, not N^2
+    n = len(points)
+    rows = max(1, _PAIRS_PER_BLOCK // n)
+    row_max = np.concatenate([
+        space.dist_many(points[i:i + rows, np.newaxis], points).max(axis=1)
+        for i in range(0, n, rows)])
+    dmax = float(row_max.max())
     if dmax >= 2.0 * r_cx:
         raise PreconditionError(
             f"minimal_ball_estimate: point spread {dmax} >= 2 r_cx = {2 * r_cx}")
     # seed: data point with the smallest maximum distance
-    center = min(points, key=lambda c: max(space.distance(c, q) for q in points))
-    center = center.copy()
+    center = points[np.argmin(row_max)].copy()
     for k in range(iters):
-        far = max(points, key=lambda q: space.distance(center, q))
+        far = points[np.argmax(space.dist_many(center, points))]
         center = space.exp(center, space.log(center, far) / (k + 2.0))
-    radius = max(space.distance(center, q) for q in points)
+    radius = float(np.max(space.dist_many(center, points)))
     return center, radius

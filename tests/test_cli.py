@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from geomean import cli, experiments
-from geomean.manifolds import Sphere
+from geomean.manifolds import Hyperbolic, Sphere
 
 
 def _write_dataset(path, rho=0.8, n=6, seed=3):
@@ -67,6 +67,39 @@ def test_mean_command_rejects_nan_point(tmp_path, capsys):
     assert code == cli.EXIT_PARSE
     assert not (tmp_path / "trace.csv").exists()
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_nan_point_rejected_before_ball_fallback(tmp_path, monkeypatch):
+    def no_fallback(space, points):
+        pytest.fail("ball estimated before the points were validated")
+
+    monkeypatch.setattr(cli, "minimal_ball_estimate", no_fallback)
+    dsfile = tmp_path / "ds.json"
+    obj = _write_dataset(dsfile)
+    obj["points"][2][1] = math.nan
+    del obj["ball"]
+    json.dump(obj, open(dsfile, "w"))
+    code = cli.main(["mean", str(dsfile), "--policy", "conjecture",
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_PARSE
+
+
+def test_hyperbolic_overflowing_step_is_an_error(tmp_path, capsys):
+    # points at distance 2 and 0.5 on either side of o; t = 1000 makes the
+    # first step far too long for the hyperboloid coordinates
+    hy = Hyperbolic(2)
+    o = np.array([1.0, 0.0, 0.0])
+    e1 = np.array([0.0, 1.0, 0.0])
+    obj = {"space": {"kind": "hyperbolic", "dim": 2, "kappa": -1.0},
+           "points": [list(hy.exp(o, 2.0 * e1)), list(hy.exp(o, -0.5 * e1))],
+           "ball": {"center": list(o), "radius": 2.0}}
+    dsfile = tmp_path / "h2.json"
+    json.dump(obj, open(dsfile, "w"))
+    code = cli.main(["mean", str(dsfile), "--policy", "user_constant",
+                     "--t", "1000", "--max-iters", "5", "--out", str(tmp_path)])
+    assert code == cli.EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_other_errors_map_to_parse_exit(tmp_path, capsys):

@@ -9,7 +9,8 @@ from geomean.frechet import (cost, dataset_from_json, fd_hessian_quadratic_form,
                              gradient, grad_norm, hessian_radial_bounds,
                              make_dataset, uniform_hessian_bound)
 from geomean.kernels import b_lower, c_upper
-from geomean.manifolds import Circle, Euclidean, Hyperbolic, SO3, Sphere
+from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
+                               SO3, Sphere)
 from geomean.experiments import cross_config, pair_config
 
 TH1, TH2 = 2 * math.pi / 5, -2 * math.pi / 5
@@ -70,6 +71,57 @@ def test_gradient_cut_locus_index():
     with pytest.raises(CutLocusError) as ei:
         gradient(ds, 2, antipode)
     assert ei.value.index == 0
+
+
+SIX_SPACES = [Euclidean(3), Sphere(2), Circle(1.0), Hyperbolic(2),
+              RealProjective(2), SO3()]
+
+
+def _loop_cost(ds, p, x):
+    """Reference: f_p as a sum over the data points, one pair at a time."""
+    return sum(w * ds.space.distance(x, xi) ** p
+               for w, xi in zip(ds.weights, ds.points)) / p
+
+
+def _loop_gradient(ds, p, x):
+    """Reference: grad f_p as a sum over the data points, one pair at a time."""
+    g = np.zeros(ds.space.ambient_dim)
+    for w, xi in zip(ds.weights, ds.points):
+        lg, d = ds.space.log_dist(x, xi)
+        g -= w * d ** (p - 2.0) * lg
+    return g
+
+
+@pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
+def test_cost_and_gradient_match_point_loop(space, rng):
+    for _ in range(20):
+        ds = random_ds(space, rng, rho=min(0.6, space.constants().r_cx / 2),
+                       n=int(rng.integers(1, 40)))
+        if space.kind in ("real_projective", "so3"):
+            ds.points[::2] *= -1.0   # the other lift of the same points
+        x = space.random_in_ball(ds.ball_center, ds.ball_radius, rng)
+        for xe in (x, ds.points[0]):   # also at a data point, where d = 0
+            for p in (2.0, 3.0, 4.5):
+                assert cost(ds, p, xe) == pytest.approx(
+                    _loop_cost(ds, p, xe), rel=1e-12, abs=1e-15)
+                np.testing.assert_allclose(gradient(ds, p, xe),
+                                           _loop_gradient(ds, p, xe),
+                                           rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("space", [Sphere(2), Circle(1.0), RealProjective(2),
+                                   SO3()], ids=lambda s: s.kind)
+def test_gradient_cut_locus_first_row(space, rng):
+    inj = space.constants().inj
+    x = space.random_point(rng)
+    radii = (0.3 * inj, inj * (1.0 - 1e-10), inj * (1.0 - 1e-11), 0.5 * inj)
+    pts = [space.exp(x, r * space.random_unit_tangent(x, rng)) for r in radii]
+    ds = make_dataset(space, pts, None, x, inj)
+    for p in (2.0, 3.0):
+        with pytest.raises(CutLocusError, match="data point 1 ") as ei:
+            gradient(ds, p, x)
+        assert ei.value.index == 1
+    assert math.isfinite(cost(ds, 2.0, x))
 
 
 def test_gradient_fd_directional(rng):
@@ -176,6 +228,9 @@ def test_dataset_validation():
         make_dataset(sp, [p1], [0.5, 0.5], o, 0.5)   # count mismatch
     with pytest.raises(DomainError):
         make_dataset(sp, [p1], None, o, 0.1)         # point outside ball
+    p2 = sp.exp(o, np.array([0.0, 0.2, 0.0]))
+    with pytest.raises(DomainError, match="^point 1 at distance"):
+        make_dataset(sp, [p2, p1, p1], None, o, 0.25)  # first one outside
     with pytest.raises(DomainError):
         make_dataset(sp, [p1], [1.0], o, None)       # no ball
     ds = make_dataset(sp, [p1], [1.0 + 5e-10], o, 0.5)  # renormalized once

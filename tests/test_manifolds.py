@@ -95,6 +95,87 @@ def test_log_dist_is_one_pair_evaluation(space, rng):
     assert space.distance(x, y) == pytest.approx(cst.inj, abs=1e-8)
 
 
+def _batch_rows(space, x, rng, n=60):
+    """Rows around x out to the guard band, plus x itself: RP/SO(3) rows of
+    either sign, hyperbolic rows on both sides of cosh(d) = 2."""
+    cst = space.constants()
+    reach = 0.999 * cst.inj if math.isfinite(cst.inj) else 3.0
+    radii = reach * rng.uniform(size=n)
+    if space.kind == "hyperbolic":
+        assert radii.min() < math.acosh(2.0) < radii.max()
+    P = np.array([space.exp(x, r * space.random_unit_tangent(x, rng))
+                  for r in radii] + [x])
+    if space.kind in ("real_projective", "so3"):
+        P[::2] *= -1.0
+    return P
+
+
+@pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
+def test_batched_rows_match_per_pair(space, rng):
+    for _ in range(20):
+        x = space.random_point(rng)
+        P = _batch_rows(space, x, rng)
+        logs, d = space.log_dist_many(x, P)
+        assert np.array_equal(space.dist_many(x, P), d)
+        for i, y in enumerate(P):
+            v, dy = space.log_dist(x, y)
+            assert d[i] == pytest.approx(dy, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(logs[i], v, rtol=1e-12, atol=1e-12)
+        assert np.abs(logs[-1]).max() <= 1e-12   # the row equal to x
+
+
+@pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
+def test_batched_zero_distance_row_is_zero_vector(space):
+    # a base point whose self-distance rounds to exactly 0
+    x = np.zeros(space.ambient_dim)
+    x[0] = 1.0
+    logs, d = space.log_dist_many(x, np.array([x, x]))
+    assert np.array_equal(d, [0.0, 0.0])
+    assert np.array_equal(logs, np.zeros((2, space.ambient_dim)))
+
+
+@pytest.mark.parametrize("space", [s for s in SIX_SPACES
+                                   if math.isfinite(s.constants().inj)],
+                         ids=lambda s: s.kind)
+def test_batched_cut_band_raises_first_row(space, rng):
+    inj = space.constants().inj
+    x = space.random_point(rng)
+    radii = [0.3 * inj, 0.5 * inj, inj * (1.0 - 1e-10), inj * (1.0 - 1e-11)]
+    P = np.array([space.exp(x, r * space.random_unit_tangent(x, rng))
+                  for r in radii])
+    with pytest.raises(CutLocusError) as per_pair:
+        space.log_dist(x, P[2])
+    with pytest.raises(CutLocusError) as batched:
+        space.log_dist_many(x, P)
+    assert batched.value.index == 2
+    assert str(batched.value) == str(per_pair.value)
+    assert np.isfinite(space.dist_many(x, P)).all()
+
+
+@pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
+def test_check_points_reports_first_bad_row(space, rng):
+    X = np.array([space.random_point(rng) for _ in range(5)])
+    space.check_points(X)
+    nan_row = X[0].copy()
+    nan_row[-1] = math.nan
+    off_row = 1.5 * X[0]   # off the manifold, except in euclidean space
+    for first, second in ((nan_row, off_row), (off_row, nan_row)):
+        Y = X.copy()
+        Y[1], Y[3] = first, second
+        with pytest.raises(DomainError) as batched:
+            space.check_points(Y)
+        for y in Y:   # reference: the per-point check, row by row
+            try:
+                space.check_point(y)
+            except DomainError as e:
+                assert str(batched.value) == str(e)
+                break
+        else:
+            pytest.fail("no row failed the per-point check")
+    with pytest.raises(DomainError, match="point shape"):
+        space.check_points(X[:, :-1])
+
+
 @pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_check_point_rejects_non_finite(space, bad, rng):
@@ -130,6 +211,18 @@ def test_sphere_distance_stable_near_antipode():
     assert sp.distance(e1, y) == pytest.approx(math.pi - eps, abs=1e-12)
 
 
+def test_hyperbolic_exp_overflow_is_domain_error():
+    hy = Hyperbolic(2)
+    x = np.array([1.0, 0.0, 0.0])
+    assert np.isfinite(hy.exp(x, np.array([0.0, 300.0, 0.0]))).all()
+    for step in (400.0, 800.0):  # the squared norm, then cosh, overflows
+        with pytest.raises(DomainError, match="overflows"):
+            hy.exp(x, np.array([0.0, step, 0.0]))
+    with np.errstate(over="ignore"), \
+            pytest.raises(DomainError, match="not finite"):
+        hy.project(np.array([0.0, 1e200, 1e200]))
+
+
 def test_constants_table():
     assert Sphere(2).constants().r_cx == pytest.approx(math.pi / 2)
     assert Sphere(2, 4.0).constants().inj == pytest.approx(math.pi / 2)
@@ -146,6 +239,8 @@ def test_constants_table():
     assert math.isinf(eu.inj) and math.isinf(eu.r_cx)
     hy = Hyperbolic(2).constants()
     assert math.isinf(hy.inj) and hy.delta == -1.0
+    for space in SPACES:   # built once, at construction
+        assert space.constants() is space.constants()
 
 
 def test_circle_matches_sphere1(rng):

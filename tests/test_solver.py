@@ -7,7 +7,8 @@ from geomean import frechet
 from geomean.errors import PreconditionError
 from geomean.experiments import cross_config
 from geomean.frechet import cost, make_dataset, uniform_hessian_bound
-from geomean.manifolds import Circle, Euclidean, SO3, Sphere
+from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
+                               SO3, Sphere)
 from geomean.solver import (SolverConfig, descend, fit_tail_rate,
                             minimal_ball_estimate, multistart_uniqueness,
                             one_step)
@@ -195,6 +196,29 @@ def test_minimal_ball_cap_fixture(rng):
     assert r_est <= r_true * 1.02
     with pytest.raises(PreconditionError):
         minimal_ball_estimate(sp, [np.array([1.0, 0, 0]), np.array([-1.0, 0, 0])])
+
+
+def _loop_minimal_ball(space, points, iters=200):
+    """Reference: minimal_ball_estimate one pair at a time."""
+    dist = space.distance
+    center = min(points, key=lambda c: max(dist(c, q) for q in points)).copy()
+    for k in range(iters):
+        far = max(points, key=lambda q: dist(center, q))
+        center = space.exp(center, space.log(center, far) / (k + 2.0))
+    return center, max(dist(center, q) for q in points)
+
+
+@pytest.mark.parametrize("space", [Euclidean(3), Sphere(2), Circle(1.0),
+                                   Hyperbolic(2), RealProjective(2), SO3()],
+                         ids=lambda s: s.kind)
+def test_minimal_ball_matches_point_loop(space, rng):
+    for n in (2, 5, 12):
+        o = space.random_point(rng)
+        pts = np.array([space.random_in_ball(o, 0.5, rng) for _ in range(n)])
+        c, r = minimal_ball_estimate(space, pts)
+        c_ref, r_ref = _loop_minimal_ball(space, list(pts))
+        np.testing.assert_allclose(c, c_ref, rtol=1e-12, atol=1e-12)
+        assert r == pytest.approx(r_ref, rel=1e-12)
 
 
 def test_fit_tail_rate(rng):
