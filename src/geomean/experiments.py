@@ -169,12 +169,16 @@ def run_sphere_configs(rho_list=(0.35 * math.pi, 0.47 * math.pi),
 
 def _largest_rho(f, rho_prime):
     """Largest rho in (0, rho') with f(rho) >= 0, by bisection; 0 when f
-    is already negative at the bottom of the range."""
+    is already negative at the bottom of the range.  Stops once the
+    midpoint no longer falls strictly between lo and hi: the result is
+    then that midpoint, as it would be after any further steps."""
     lo, hi = 1e-9 * rho_prime, rho_prime * (1.0 - 1e-9)
     if f(lo) < 0:
         return 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if f(mid) >= 0:
             lo = mid
         else:

@@ -15,11 +15,12 @@ Points are plain numpy arrays in an extrinsic embedding:
 Tangent vectors at x are ambient arrays orthogonal to x under the ambient
 (or Minkowski) inner product; their stored norm equals the geodesic speed.
 
-Each space evaluates a pair (distance, log, log_dist) with scalar code, and
-N points at once (dist_many, log_dist_many) with the same formulas on an
-(N, D) array.  Single-pair callers such as the monitors and the oracles use
-the first; sums over the data points use the second, which costs more than
-the scalar code for one pair.
+Each space evaluates a pair (distance, log, log_dist, exp) with scalar
+code, and N points at once (dist_many, log_dist_many, exp_many) with the
+same formulas on an (N, D) array.  Single-pair callers such as the descent
+step itself, the ball-estimate sweep, the oracles and Chart use the first;
+sums over the data points and the solver's monitor substeps use the
+second, which costs more than the scalar code for one pair.
 
 Angles near 0 and pi are computed via atan2 of a projected norm rather
 than arccos, so distances stay accurate right up to the cut locus (needed
@@ -73,6 +74,11 @@ class ManifoldSpace:
         raise NotImplementedError
 
     def exp(self, x, v):
+        raise NotImplementedError
+
+    def exp_many(self, x, V):
+        """exp over the rows of an (N, D) array V of tangent vectors at x,
+        the same formulas on arrays: row i is exp(x, V[i])."""
         raise NotImplementedError
 
     def inner(self, x, u, v):
@@ -241,6 +247,9 @@ class Euclidean(ManifoldSpace):
     def exp(self, x, v):
         return np.asarray(x, dtype=float) + np.asarray(v, dtype=float)
 
+    def exp_many(self, x, V):
+        return np.asarray(x, dtype=float) + np.asarray(V, dtype=float)
+
     def inner(self, x, u, v):
         return float(np.dot(u, v))
 
@@ -292,6 +301,15 @@ class Sphere(ManifoldSpace):
             return np.asarray(x, dtype=float).copy()
         th = self._rk * nv
         return self.project(math.cos(th) * x + math.sin(th) * (v / nv))
+
+    def exp_many(self, x, V):
+        V = np.asarray(V, dtype=float)
+        nV = np.linalg.norm(V, axis=-1)[:, np.newaxis]
+        zero = nV == 0.0
+        th = self._rk * nV
+        Y = np.cos(th) * x + np.sin(th) * (V / np.where(zero, 1.0, nV))
+        Y /= np.linalg.norm(Y, axis=-1)[:, np.newaxis]
+        return np.where(zero, x, Y)
 
     def inner(self, x, u, v):
         return float(np.dot(u, v))
@@ -354,6 +372,9 @@ class RealProjective(Sphere):
     def exp(self, x, v):
         return _canonical_sign(Sphere.exp(self, x, v))
 
+    def exp_many(self, x, V):
+        return _canonical_sign_rows(Sphere.exp_many(self, x, V))
+
 
 class SO3(RealProjective):
     """Rotation group as unit quaternions modulo sign.
@@ -415,25 +436,43 @@ class Hyperbolic(ManifoldSpace):
 
     def _tangential(self, x, y):
         R = self._R
-        m = self.minkowski(x, y)
-        u = y + (m / R**2) * x
-        nu = math.sqrt(max(self.minkowski(u, u), 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = self.minkowski(x, y)
+            u = y + (m / R**2) * x
+            nu = math.sqrt(max(self.minkowski(u, u), 0.0))
         # u has Minkowski norm R*sinh(d/R): asinh keeps full precision at
         # small separations where arccosh would not
         ch = -m / R**2
         if ch < 2.0:
-            return u, nu, R * math.asinh(nu / R)
-        return u, nu, R * math.acosh(max(ch, 1.0))
+            d = R * math.asinh(nu / R)
+        else:
+            d = R * math.acosh(max(ch, 1.0))
+        if not (math.isfinite(nu) and math.isfinite(d)):
+            raise self._overflow_error(x, y)
+        return u, nu, d
 
     def _tangential_many(self, x, P):
         R = self._R
-        m = self._minkowski_rows(x, P)
-        U = P + (m / R**2)[..., np.newaxis] * x
-        nU = np.sqrt(np.maximum(self._minkowski_rows(U, U), 0.0))
-        ch = -m / R**2
-        d = np.where(ch < 2.0, R * np.arcsinh(nU / R),
-                     R * np.arccosh(np.maximum(ch, 1.0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = self._minkowski_rows(x, P)
+            U = P + (m / R**2)[..., np.newaxis] * x
+            nU = np.sqrt(np.maximum(self._minkowski_rows(U, U), 0.0))
+            ch = -m / R**2
+            d = np.where(ch < 2.0, R * np.arcsinh(nU / R),
+                         R * np.arccosh(np.maximum(ch, 1.0)))
+        bad = ~(np.isfinite(nU) & np.isfinite(d))
+        if bad.any():
+            i = np.unravel_index(np.argmax(bad), bad.shape)
+            X, P = np.broadcast_arrays(x, P)
+            raise self._overflow_error(X[i], P[i])
         return U, nU, d
+
+    def _overflow_error(self, x, y):
+        """The error of a pair whose tangential part is not finite: the
+        points are too far apart for the hyperboloid coordinates."""
+        return DomainError(
+            f"{self.kind}: distance between points with time coordinates "
+            f"{float(x[0]):.6g} and {float(y[0]):.6g} overflows")
 
     def exp(self, x, v):
         v = np.asarray(v, dtype=float)
@@ -450,6 +489,25 @@ class Hyperbolic(ManifoldSpace):
         if y is None or not abs(y[0]) < _MAX_COORD:
             raise DomainError(f"{self.kind}: exp step of length {nv} overflows")
         return self.project(y)
+
+    def exp_many(self, x, V):
+        """Rows for which exp raises its overflow DomainError (cosh
+        overflows, the step length is not finite, or the time coordinate
+        reaches the cap) come back as NaN rows, without a numpy warning."""
+        V = np.asarray(V, dtype=float)
+        R = self._R
+        with np.errstate(over="ignore", invalid="ignore"):
+            nV = np.sqrt(np.maximum(self._minkowski_rows(V, V), 0.0))
+            zero = nV == 0.0
+            th = nV / R
+            ch = np.cosh(th)
+            coef = R * np.sinh(th) / np.where(zero, 1.0, nV)
+            Y = ch[:, np.newaxis] * x + coef[:, np.newaxis] * V
+            bad = ~(np.isfinite(ch) & np.isfinite(nV)
+                    & (np.abs(Y[:, 0]) < _MAX_COORD))
+            Y[:, 0] = np.sqrt(R**2 + _dot_rows(Y[:, 1:], Y[:, 1:]))  # project
+        Y[bad | ~np.isfinite(Y[:, 0])] = math.nan
+        return np.where(zero[:, np.newaxis], x, Y)
 
     def inner(self, x, u, v):
         return self.minkowski(u, v)
@@ -477,6 +535,14 @@ def _canonical_sign(x):
         if abs(c) > _CANON_TOL:
             return x if c > 0 else -x
     return x
+
+
+def _canonical_sign_rows(X):
+    """_canonical_sign applied to each row of X; a row with no coordinate
+    above the tolerance is left unchanged."""
+    big = np.abs(X) > _CANON_TOL
+    lead = np.take_along_axis(X, np.argmax(big, axis=-1)[:, np.newaxis], -1)
+    return np.where(big.any(axis=-1)[:, np.newaxis] & (lead < 0.0), -X, X)
 
 
 _KINDS = {

@@ -5,6 +5,10 @@ iteration the solver records, per step, whether the iterate stayed in the
 monitor ball, whether the connecting geodesic stayed inside (sampled at
 interior parameters), and whether the cost decreased.  A cut-locus hit
 aborts the run; the offending iterate is recorded rather than perturbed.
+
+The step itself is one per-pair exp.  The interior samples of a step lie
+on one geodesic, so the continuous-stay monitor evaluates them with one
+exp_many and one dist_many.
 """
 
 import math
@@ -94,10 +98,9 @@ def descend(ds, cfg, x0=None):
     verd = {"stayed_in_ball": True, "continuously_stayed": True,
             "monotone_cost": True, "converged": False,
             "descent_inequality": None if cfg.hessian_upper is None else True}
-    ball_slack = _BALL_TOL * max(1.0, mon_rho)
-
-    def in_ball(pt):
-        return sp.distance(mon_o, pt) <= mon_rho + ball_slack
+    ball_limit = mon_rho + _BALL_TOL * max(1.0, mon_rho)
+    n_sub = cfg.record_substeps
+    sub_s = np.arange(1, n_sub + 1)[:, np.newaxis] / (n_sub + 1)
 
     f = frechet.cost(ds, cfg.p, x)
     for k in range(cfg.max_iters + 1):
@@ -110,8 +113,10 @@ def descend(ds, cfg, x0=None):
             tr.cut_locus_index = e.index
             break
         gn = sp.norm(x, g)
-        tr.records.append(IterateRecord(k, x, f, gn, sp.distance(o, x), t))
-        if not in_ball(x):
+        d_o = sp.distance(o, x)
+        tr.records.append(IterateRecord(k, x, f, gn, d_o, t))
+        d_mon = d_o if cfg.monitor_center is None else sp.distance(mon_o, x)
+        if not d_mon <= ball_limit:
             verd["stayed_in_ball"] = False
             verd["continuously_stayed"] = False
         if gn <= cfg.grad_tol:
@@ -123,12 +128,9 @@ def descend(ds, cfg, x0=None):
             break
 
         step_vec = -t * g
-        if verd["continuously_stayed"] and cfg.record_substeps > 0:
-            for j in range(1, cfg.record_substeps + 1):
-                s = j / (cfg.record_substeps + 1)
-                if not in_ball(sp.exp(x, s * step_vec)):
-                    verd["continuously_stayed"] = False
-                    break
+        if verd["continuously_stayed"] and n_sub > 0:
+            verd["continuously_stayed"] = _substeps_stay(
+                sp, x, sub_s * step_vec, mon_o, ball_limit)
         x_next = sp.exp(x, step_vec)
         f_next = frechet.cost(ds, cfg.p, x_next)
         if f_next > f + 1e-12:
@@ -143,6 +145,22 @@ def descend(ds, cfg, x0=None):
     tr.verdicts = verd
     tr.dist_to_final = [sp.distance(r.point, x) for r in tr.records]
     return tr
+
+
+def _substeps_stay(sp, x, V, center, limit):
+    """Whether every exp(x, V[i]) lies within `limit` of center.  Rows
+    are checked in order: a row whose exp overflows (a non-finite row of
+    exp_many) raises exp's DomainError when every earlier row was inside,
+    as a per-substep loop would."""
+    E = sp.exp_many(x, V)
+    finite = np.isfinite(E).all(axis=1)
+    n_ok = len(E) if finite.all() else int(np.argmin(finite))
+    if not (sp.dist_many(center, E[:n_ok]) <= limit).all():
+        return False
+    if n_ok < len(E):
+        sp.exp(x, V[n_ok])   # raises the overflow for this row
+        return False         # only if the scalar and array tests disagree
+    return True
 
 
 def one_step(ds, p, x, t):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -84,9 +85,9 @@ def test_nan_point_rejected_before_ball_fallback(tmp_path, monkeypatch):
     assert code == cli.EXIT_PARSE
 
 
-def test_hyperbolic_overflowing_step_is_an_error(tmp_path, capsys):
-    # points at distance 2 and 0.5 on either side of o; t = 1000 makes the
-    # first step far too long for the hyperboloid coordinates
+def _mean_far_h2(tmp_path, t):
+    """`geomean mean` with step t on two H^2 points at distance 2 and 0.5
+    on either side of o; returns the exit code.  Fails on a numpy warning."""
     hy = Hyperbolic(2)
     o = np.array([1.0, 0.0, 0.0])
     e1 = np.array([0.0, 1.0, 0.0])
@@ -95,11 +96,29 @@ def test_hyperbolic_overflowing_step_is_an_error(tmp_path, capsys):
            "ball": {"center": list(o), "radius": 2.0}}
     dsfile = tmp_path / "h2.json"
     json.dump(obj, open(dsfile, "w"))
-    code = cli.main(["mean", str(dsfile), "--policy", "user_constant",
-                     "--t", "1000", "--max-iters", "5", "--out", str(tmp_path)])
-    assert code == cli.EXIT_PARSE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return cli.main(["mean", str(dsfile), "--policy", "user_constant",
+                         "--t", str(t), "--max-iters", "5",
+                         "--out", str(tmp_path)])
+
+
+def test_hyperbolic_overflowing_step_is_an_error(tmp_path, capsys):
+    # t = 1000 makes the first step far too long for the hyperboloid
+    # coordinates: the monitor's first substep already leaves the ball, so
+    # the error is the full step's
+    assert _mean_far_h2(tmp_path, 1000) == cli.EXIT_PARSE
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    assert err == ["error: hyperbolic: exp step of length 750.0 overflows"]
+
+
+def test_hyperbolic_far_iterate_is_an_error(tmp_path, capsys):
+    # t = 400 lands the first step at x_0 ~ 1e130, below exp's cap; the
+    # distances from there overflow the hyperboloid coordinates
+    assert _mean_far_h2(tmp_path, 400) == cli.EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: hyperbolic: ")
+    assert "overflows" in err[0] and "nan" not in err[0]
 
 
 def test_other_errors_map_to_parse_exit(tmp_path, capsys):

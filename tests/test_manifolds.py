@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from geomean.errors import CutLocusError, DomainError
 from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
-                               SO3, Sphere, make_space, space_from_json)
+                               SO3, Sphere, _canonical_sign_rows, make_space,
+                               space_from_json)
 
 SPACES = [Euclidean(3), Sphere(2), Sphere(3), Sphere(2, kappa=4.0),
           Hyperbolic(2), Hyperbolic(3, kappa=-0.5), Circle(1.0),
@@ -209,6 +211,86 @@ def test_sphere_distance_stable_near_antipode():
     eps = 1e-7
     y = sp.project(np.array([-1.0, eps, 0.0]))
     assert sp.distance(e1, y) == pytest.approx(math.pi - eps, abs=1e-12)
+
+
+def _exp_many_rows(space, x, rng):
+    """Tangent rows at x: random lengths out to past inj, a zero row, and
+    on RP/SO(3) steps whose endpoint has a negative or a near-zero first
+    coordinate (the canonical sign then flips it or looks further on)."""
+    cst = space.constants()
+    reach = 1.5 * cst.inj if math.isfinite(cst.inj) else 5.0
+    rows = [r * space.random_unit_tangent(x, rng)
+            for r in reach * rng.uniform(size=30)]
+    rows.append(np.zeros(space.ambient_dim))
+    if space.kind in ("real_projective", "so3"):
+        quarter = math.pi / (2.0 * math.sqrt(space.kappa))  # cos(th) = 0
+        e1 = np.zeros(space.ambient_dim)
+        e1[1] = 1.0
+        rows += [s * e1 for s in (1.3 * quarter, quarter, -quarter,
+                                  quarter * (1.0 + 1e-13))]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
+def test_exp_many_rows_match_exp(space, rng):
+    for trial in range(10):
+        if trial == 0 and space.kind in ("real_projective", "so3"):
+            x = np.zeros(space.ambient_dim)
+            x[0] = 1.0   # the e1 rows then end on the first coordinate's sign
+        else:
+            x = space.random_point(rng)
+        V = _exp_many_rows(space, x, rng)
+        E = space.exp_many(x, V)
+        assert E.shape == V.shape
+        for v, e in zip(V, E):
+            np.testing.assert_allclose(e, space.exp(x, v), rtol=1e-12, atol=1e-12)
+        assert np.array_equal(E[30], x)   # the zero row
+
+
+def test_canonical_sign_rows_keeps_rows_without_a_leading_coordinate():
+    tiny = np.array([[-1e-10, 1e-10, 0.0], [2e-10, -1e-10, 0.0]])
+    assert np.array_equal(_canonical_sign_rows(tiny), tiny)
+
+
+def test_exp_many_hyperbolic_overflow_rows_are_nan():
+    hy = Hyperbolic(2)
+    x = np.array([1.0, 0.0, 0.0])
+    # finite, then past the coordinate cap (with a finite projection at
+    # 350, none at 400), cosh overflowing, a length that is not finite,
+    # and a zero row
+    V = np.array([[0.0, s, 0.0]
+                  for s in (300.0, 350.0, 400.0, 800.0, 1e200, 0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E = hy.exp_many(x, V)
+    np.testing.assert_allclose(E[0], hy.exp(x, V[0]), rtol=1e-12)
+    assert np.isnan(E[1:5]).all()
+    assert np.array_equal(E[5], x)
+    # the per-pair exp warns on its way to the error for the infinite length
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in V[1:5]:
+            with pytest.raises(DomainError, match="overflows"):
+                hy.exp(x, v)
+
+
+def test_hyperbolic_far_pair_is_domain_error():
+    # a point well below exp's coordinate cap, whose log/distance from a
+    # point near the origin overflows the hyperboloid coordinates
+    hy = Hyperbolic(2)
+    o = np.array([1.0, 0.0, 0.0])
+    far = hy.exp(o, np.array([0.0, 300.0, 0.0]))
+    near = hy.exp(o, np.array([0.0, 0.0, 2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: hy.distance(far, near),
+                     lambda: hy.log_dist(far, near),
+                     lambda: hy.dist_many(far, np.array([o, near])),
+                     lambda: hy.log_dist_many(far, np.array([o, near]))):
+            with pytest.raises(DomainError, match="overflows") as e:
+                call()
+            assert "nan" not in str(e.value)
+        # the other order stays finite
+        assert math.isfinite(hy.distance(o, far))
 
 
 def test_hyperbolic_exp_overflow_is_domain_error():

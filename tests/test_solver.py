@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geomean import frechet
-from geomean.errors import PreconditionError
+from geomean.errors import DomainError, PreconditionError
 from geomean.experiments import cross_config
 from geomean.frechet import cost, make_dataset, uniform_hessian_bound
 from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
@@ -132,6 +132,119 @@ def test_stay_equivalence(rng):
                                       max_iters=200), x0=x0)
         if tr.verdicts["stayed_in_ball"]:
             assert tr.verdicts["continuously_stayed"] is True
+
+
+def _stayed_per_substep(ds, cfg, tr):
+    """continuously_stayed replayed from the trace with a per-substep loop
+    of per-pair exp and distance calls."""
+    sp = ds.space
+    center = ds.ball_center if cfg.monitor_center is None else cfg.monitor_center
+    rho = ds.ball_radius if cfg.monitor_radius is None else cfg.monitor_radius
+    limit = rho + 1e-9 * max(1.0, rho)
+    m = cfg.record_substeps
+    for i, rec in enumerate(tr.records):
+        last = i == len(tr.records) - 1
+        if last and tr.status == "cut_locus":
+            break
+        if not sp.distance(center, rec.point) <= limit:
+            return False
+        if last:
+            break
+        step_vec = -cfg.step * frechet.gradient(ds, cfg.p, rec.point)
+        for j in range(1, m + 1):
+            y = sp.exp(rec.point, j / (m + 1) * step_vec)
+            if not sp.distance(center, y) <= limit:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("space", [Euclidean(2), Sphere(2), Circle(1.0),
+                                   Hyperbolic(2), RealProjective(2), SO3()],
+                         ids=lambda s: s.kind)
+def test_continuous_stay_matches_per_substep_loop(space, rng):
+    reach = min(space.constants().r_cx, 1.5)
+    seen = set()
+    for _ in range(25):
+        o = space.random_point(rng)
+        rho = reach * (0.1 + 0.85 * rng.uniform())
+        pts = [space.random_in_ball(o, rho, rng) for _ in range(4)]
+        ds = make_dataset(space, pts, None, o, rho)
+        # a monitor ball of its own, at times wider than r_cx, so that some
+        # steps leave it between two iterates inside it
+        mon_r = 2.0 * reach * rng.uniform()
+        H = uniform_hessian_bound(space, rho, 2)
+        cfg = SolverConfig(p=2, step=(0.05 + 1.9 * rng.uniform()) / H,
+                           grad_tol=1e-9, max_iters=40,
+                           monitor_center=space.random_in_ball(o, rho, rng),
+                           monitor_radius=mon_r,
+                           record_substeps=int(rng.integers(1, 20)))
+        tr = descend(ds, cfg, x0=space.random_in_ball(o, rho, rng))
+        stayed = tr.verdicts["continuously_stayed"]
+        assert stayed == _stayed_per_substep(ds, cfg, tr)
+        seen.add(stayed)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("s, cap", [(0.5, 0.25), (1.0 / 17.0, 1e-3)])
+def test_continuous_stay_catches_a_step_leaving_between_iterates(s, cap):
+    # the monitor ball is the sphere minus a cap of radius cap * L around
+    # the point q at parameter s of the first step (length L): both ends
+    # are inside, the substeps near q are not.  s = 1/17 is the first of
+    # the 16 substeps, and only that one is inside so small a cap
+    sp = Sphere(2)
+    ds = cross_config(0.4)
+    x0 = sp.exp(ds.ball_center, np.array([0.3, 0.0, 0.0]))
+    x1 = one_step(ds, 2, x0, 1.0)
+    L = sp.distance(x0, x1)
+    q = sp.exp(x0, s * sp.log(x0, x1))
+    cfg = SolverConfig(p=2, step=1.0, max_iters=1, monitor_center=-q,
+                       monitor_radius=math.pi - cap * L)
+    tr = descend(ds, cfg, x0=x0)
+    assert tr.verdicts["stayed_in_ball"] is True
+    assert tr.verdicts["continuously_stayed"] is False
+    assert _stayed_per_substep(ds, cfg, tr) is False
+
+
+def test_descend_per_pair_calls(monkeypatch):
+    # one exp per step; one distance per iterate for the record and the
+    # ball monitor together, and one more for dist_to_final
+    ds = cross_config(0.35 * math.pi)
+    sp = ds.space
+    x0 = sp.exp(ds.ball_center, np.array([0.5, -0.4, 0.0]))
+    calls = {"exp": 0, "distance": 0}
+    for name in calls:
+        def counted(x, y, name=name, method=getattr(sp, name)):
+            calls[name] += 1
+            return method(x, y)
+        monkeypatch.setattr(sp, name, counted)
+    tr = descend(ds, SolverConfig(p=2, step=0.5, grad_tol=1e-12), x0=x0)
+    assert tr.status == "converged" and tr.n_iters > 5
+    assert tr.verdicts["continuously_stayed"] is True
+    assert calls == {"exp": tr.n_iters, "distance": 2 * len(tr.records)}
+
+
+@pytest.mark.parametrize("t", [1000.0, 10000.0])
+def test_overflowing_substep_raises_its_own_exp_error(t):
+    # every substep before the overflowing one is inside a wide monitor
+    # ball, so the error is that substep's, as a per-substep loop gives
+    hy = Hyperbolic(2)
+    o = np.array([1.0, 0.0, 0.0])
+    e1 = np.array([0.0, 1.0, 0.0])
+    ds = make_dataset(hy, [hy.exp(o, 2.0 * e1), hy.exp(o, -0.5 * e1)],
+                      None, o, 2.0)
+    cfg = SolverConfig(p=2, step=t, max_iters=5, monitor_radius=1e3)
+    step_vec = -t * frechet.gradient(ds, 2, o)
+    for j in range(1, 18):
+        try:
+            y = hy.exp(o, j / 17 * step_vec)
+        except DomainError as e:
+            expected = str(e)
+            break
+        assert hy.distance(o, y) <= 1e3
+    with pytest.raises(DomainError) as err:
+        descend(ds, cfg)
+    assert str(err.value) == expected
+    assert "length 750.0 " not in expected
 
 
 def test_multistart_uniqueness(rng):

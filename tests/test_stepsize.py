@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geomean import experiments
 from geomean.errors import DomainError, PreconditionError
 from geomean.kernels import c_upper, sn
 from geomean.manifolds import Euclidean, Hyperbolic, Sphere
@@ -155,3 +156,40 @@ def test_step_policy_resolution():
         StepPolicy("exit_compromise", rho_prime=math.pi / 2).resolve(sp, 0.3, 3)
     with pytest.raises(DomainError):
         StepPolicy("nonsense").resolve(sp, 0.3, 2)
+
+
+def _bisect_200(f, rho_prime):
+    """The largest-rho bisection without the early stop: 200 steps."""
+    lo, hi = 1e-9 * rho_prime, rho_prime * (1.0 - 1e-9)
+    if f(lo) < 0:
+        return 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_largest_rho_matches_full_bisection():
+    hp = math.pi / 2
+    table_fns = [  # the two bisections of the step-size table
+        lambda rho: resolve_exit_compromise_bounds(0.0, 1.0, rho, hp) - 1.0,
+        lambda rho: exit_time_bounds(-1.0, 0.0, rho, hp)
+        - 1.0 / c_upper(-1.0, rho + hp)]
+    others = [lambda rho: 1.0,          # >= 0 everywhere: hi never moves
+              lambda rho: 0.3 - rho,    # a root inside the range
+              lambda rho: -1.0]         # negative at the bottom
+    for f in table_fns + others:
+        values = {}   # f is pure; caching keeps the 200 steps cheap
+
+        def cached(rho):
+            if rho not in values:
+                values[rho] = f(rho)
+            return values[rho]
+        calls = []
+        fast = experiments._largest_rho(
+            lambda rho: calls.append(rho) or cached(rho), hp)
+        assert fast == _bisect_200(cached, hp)
+        assert len(calls) < 70   # the dead steps are gone
