@@ -4,7 +4,10 @@ Independent cross-checks for the closed-form results elsewhere in the
 package: a numerical geodesic-intersection secant, Monte Carlo sweeps of
 the secant comparison and of tethering, Riemannian convex combinations,
 and convex-hull membership via geodesics-to-lines charts (gnomonic for
-positive curvature, Klein for negative, identity for flat).
+positive curvature, Klein for negative, identity for flat).  In a chart
+the hull test is a nonnegative least-squares feasibility problem, solved
+by the Lawson-Hanson active-set method in numpy; the hull-trap sweep
+charts each trial's vertices once.
 """
 
 import math
@@ -208,24 +211,58 @@ def hull_membership(space, vertices, query, center=None, tol=1e-9):
 
     Charts the configuration (at `center`, default the query point) so
     geodesics become straight lines, then asks whether the query image is
-    a convex combination of the vertex images, solved as a nonnegative
-    least-squares feasibility problem.  Charting at the enclosing-ball
-    center keeps the gnomonic domain valid for any ball radius <= r_cx.
+    a convex combination of the vertex images (`_in_hull`).  Charting at
+    the enclosing-ball center keeps the gnomonic domain valid for any ball
+    radius <= r_cx.
     """
-    from scipy.optimize import lsq_linear  # scipy loads on first use only
     chart = Chart(space, query if center is None else center)
     V = np.array([chart.forward(v) for v in np.atleast_2d(vertices)])
-    q = chart.forward(query)
+    return _in_hull(V, chart.forward(query), tol)
+
+
+def _in_hull(V, q, tol):
+    """Whether the chart point q is a convex combination of the rows of
+    V, solved as a nonnegative least-squares feasibility problem."""
     scale = 1.0 + float(np.abs(V).max(initial=0.0))
     # rows: chart coordinates plus a sum-to-one constraint
     A = np.vstack([V.T, scale * np.ones(len(V))])
     bvec = np.concatenate([q, [scale]])
-    # bounded least squares with an explicitly recomputed residual; the
-    # dedicated nnls solver can report a stale residual for infeasible
-    # right-hand sides, which silently breaks the membership verdict
-    res = lsq_linear(A, bvec, bounds=(0.0, np.inf), method="bvls", tol=1e-14)
-    resid = float(np.linalg.norm(A @ res.x - bvec))
+    resid = float(np.linalg.norm(A @ _nnls(A, bvec) - bvec))
     return resid <= tol * scale
+
+
+def _nnls(A, b):
+    """Lawson-Hanson active-set solution of min |A x - b| over x >= 0
+    (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23).
+
+    Each inner step moves at least one index out of the passive set, so
+    the inner loop ends within n + 1 solves with x >= 0; the outer loop
+    is capped at 3n steps, the usual bound.
+    """
+    m, n = A.shape
+    tol = 10.0 * max(m, n) * np.finfo(float).eps * float(np.abs(A).max())
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        w = A.T @ (b - A @ x)  # the negative gradient of |A x - b|^2 / 2
+        if not (w > tol)[~passive].any():
+            break
+        passive[np.argmax(np.where(passive, -np.inf, w))] = True
+        for _ in range(n + 1):
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+            neg = passive & (s < 0.0)
+            if not neg.any():
+                break
+            # step from x toward s until the first passive weight hits 0
+            ratio = np.full(n, np.inf)
+            ratio[neg] = x[neg] / (x[neg] - s[neg])
+            j = int(np.argmin(ratio))
+            x += ratio[j] * (s - x)
+            x[j] = 0.0
+            passive &= x > 0.0
+        x = s
+    return x
 
 
 def tethering_check(space, n_trials, t_grid, seed, exploratory=False):
@@ -280,9 +317,11 @@ def hull_check(space, n_trials, seed):
         x0 = space.random_in_ball(o, rho, rng)
         tr = solver.descend(ds, solver.SolverConfig(
             p=2.0, step=1.0, grad_tol=1e-9, max_iters=60), x0=x0)
+        chart = Chart(space, o)
+        V = np.array([chart.forward(p) for p in pts])
         entered = False
         for rec in tr.records:
-            inside = hull_membership(space, pts, rec.point, center=o, tol=1e-8)
+            inside = _in_hull(V, chart.forward(rec.point), 1e-8)
             if entered and not inside:
                 violations += 1
                 break

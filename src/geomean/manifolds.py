@@ -296,19 +296,25 @@ class Sphere(ManifoldSpace):
 
     def exp(self, x, v):
         v = np.asarray(v, dtype=float)
-        nv = float(np.linalg.norm(v))
+        with np.errstate(over="ignore"):
+            nv = math.sqrt(v.dot(v))  # np.linalg.norm(v), without its overhead
         if nv == 0.0:
             return np.asarray(x, dtype=float).copy()
+        if not math.isfinite(nv):
+            raise DomainError(f"{self.kind}: exp step of length {nv} overflows")
         th = self._rk * nv
         return self.project(math.cos(th) * x + math.sin(th) * (v / nv))
 
     def exp_many(self, x, V):
+        """Rows whose step length is not finite (exp raises for them)
+        come back as NaN rows, without a numpy warning."""
         V = np.asarray(V, dtype=float)
-        nV = np.linalg.norm(V, axis=-1)[:, np.newaxis]
-        zero = nV == 0.0
-        th = self._rk * nV
-        Y = np.cos(th) * x + np.sin(th) * (V / np.where(zero, 1.0, nV))
-        Y /= np.linalg.norm(Y, axis=-1)[:, np.newaxis]
+        with np.errstate(over="ignore", invalid="ignore"):
+            nV = np.linalg.norm(V, axis=-1)[:, np.newaxis]
+            zero = nV == 0.0
+            th = self._rk * nV
+            Y = np.cos(th) * x + np.sin(th) * (V / np.where(zero, 1.0, nV))
+            Y /= np.linalg.norm(Y, axis=-1)[:, np.newaxis]
         return np.where(zero, x, Y)
 
     def inner(self, x, u, v):
@@ -447,7 +453,9 @@ class Hyperbolic(ManifoldSpace):
             d = R * math.asinh(nu / R)
         else:
             d = R * math.acosh(max(ch, 1.0))
-        if not (math.isfinite(nu) and math.isfinite(d)):
+        # d > 0 with nu = 0 cannot hold for an exact tangent: the Minkowski
+        # square of u has cancelled at a far base point
+        if not (math.isfinite(nu) and math.isfinite(d)) or (nu == 0.0 and d > 0.0):
             raise self._overflow_error(x, y)
         return u, nu, d
 
@@ -460,7 +468,7 @@ class Hyperbolic(ManifoldSpace):
             ch = -m / R**2
             d = np.where(ch < 2.0, R * np.arcsinh(nU / R),
                          R * np.arccosh(np.maximum(ch, 1.0)))
-        bad = ~(np.isfinite(nU) & np.isfinite(d))
+        bad = ~(np.isfinite(nU) & np.isfinite(d)) | ((nU == 0.0) & (d > 0.0))
         if bad.any():
             i = np.unravel_index(np.argmax(bad), bad.shape)
             X, P = np.broadcast_arrays(x, P)
@@ -468,22 +476,25 @@ class Hyperbolic(ManifoldSpace):
         return U, nU, d
 
     def _overflow_error(self, x, y):
-        """The error of a pair whose tangential part is not finite: the
-        points are too far apart for the hyperboloid coordinates."""
+        """The error of a pair whose tangential part is not finite, or is
+        lost to cancellation: the points are too far apart for the
+        hyperboloid coordinates."""
         return DomainError(
             f"{self.kind}: distance between points with time coordinates "
             f"{float(x[0]):.6g} and {float(y[0]):.6g} overflows")
 
     def exp(self, x, v):
         v = np.asarray(v, dtype=float)
-        nv = math.sqrt(max(self.minkowski(v, v), 0.0))
-        if nv == 0.0:
-            return np.asarray(x, dtype=float).copy()
-        th = nv / self._R
-        try:
-            y = math.cosh(th) * x + (self._R * math.sinh(th) / nv) * v
-        except OverflowError:
-            y = None
+        # a step whose length overflows leaves y[0] inf or NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            nv = math.sqrt(max(self.minkowski(v, v), 0.0))
+            if nv == 0.0:
+                return np.asarray(x, dtype=float).copy()
+            th = nv / self._R
+            try:
+                y = math.cosh(th) * x + (self._R * math.sinh(th) / nv) * v
+            except OverflowError:
+                y = None
         # |y_spatial| < y[0], so below the cap project's sum of squares
         # stays finite
         if y is None or not abs(y[0]) < _MAX_COORD:

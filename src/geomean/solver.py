@@ -179,8 +179,8 @@ def multistart_uniqueness(ds, cfg, n_starts, rng):
     for _ in range(n_starts):
         x0 = sp.random_in_ball(ds.ball_center, ds.ball_radius, rng)
         finals.append(descend(ds, cfg, x0=x0).final)
-    spread = max((sp.distance(a, b) for i, a in enumerate(finals)
-                  for b in finals[i + 1:]), default=0.0)
+    spread = max((float(np.max(sp.dist_many(a, np.array(finals[i + 1:]))))
+                  for i, a in enumerate(finals[:-1])), default=0.0)
     return {"all_agree": spread <= 10.0 * cfg.grad_tol, "spread": spread,
             "finals": finals}
 

@@ -85,6 +85,18 @@ def test_nan_point_rejected_before_ball_fallback(tmp_path, monkeypatch):
     assert code == cli.EXIT_PARSE
 
 
+def _mean_user_step(tmp_path, obj, t, max_iters=5):
+    """`geomean mean` on dataset obj with constant step t; returns the
+    exit code.  Fails on a numpy warning."""
+    dsfile = tmp_path / "ds.json"
+    json.dump(obj, open(dsfile, "w"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return cli.main(["mean", str(dsfile), "--policy", "user_constant",
+                         "--t", str(t), "--max-iters", str(max_iters),
+                         "--out", str(tmp_path)])
+
+
 def _mean_far_h2(tmp_path, t):
     """`geomean mean` with step t on two H^2 points at distance 2 and 0.5
     on either side of o; returns the exit code.  Fails on a numpy warning."""
@@ -94,13 +106,36 @@ def _mean_far_h2(tmp_path, t):
     obj = {"space": {"kind": "hyperbolic", "dim": 2, "kappa": -1.0},
            "points": [list(hy.exp(o, 2.0 * e1)), list(hy.exp(o, -0.5 * e1))],
            "ball": {"center": list(o), "radius": 2.0}}
-    dsfile = tmp_path / "h2.json"
-    json.dump(obj, open(dsfile, "w"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        return cli.main(["mean", str(dsfile), "--policy", "user_constant",
-                         "--t", str(t), "--max-iters", "5",
-                         "--out", str(tmp_path)])
+    return _mean_user_step(tmp_path, obj, t)
+
+
+_S2_PAIR = {"space": {"kind": "sphere", "dim": 2, "kappa": 1.0},
+            "points": [[0.0, 0.0, 1.0], [0.1, 0.0, 0.99498743710662]],
+            "ball": {"center": [0.0, 0.0, 1.0], "radius": 0.5}}
+
+# two H^2 points at distance 1 and about 1.04 from o
+_H2_PAIR = {"space": {"kind": "hyperbolic", "dim": 2, "kappa": -1.0},
+            "points": [[1.5430806348152437, 1.1752011936438014, 0.0],
+                       [1.0453385141288605, -0.3045202934471426, 0.0]],
+            "ball": {"center": [1.0, 0.0, 0.0], "radius": 1.1}}
+
+
+def test_sphere_step_of_non_finite_length_is_an_error(tmp_path, capsys):
+    # the norm of a step of size 1e300 overflows
+    assert _mean_user_step(tmp_path, _S2_PAIR, 1e300) == cli.EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: sphere: exp step of length inf overflows"]
+
+
+@pytest.mark.parametrize("t, max_iters", [
+    (1e308, 5),   # the step's Minkowski square overflows
+    (2.5, 60),    # t > 2/H: the iterates diverge until the tangent cancels
+])
+def test_hyperbolic_diverging_steps_are_errors(tmp_path, capsys, t, max_iters):
+    assert _mean_user_step(tmp_path, _H2_PAIR, t, max_iters) == cli.EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: hyperbolic: ")
+    assert "overflows" in err[0] and "nan" not in err[0]
 
 
 def test_hyperbolic_overflowing_step_is_an_error(tmp_path, capsys):

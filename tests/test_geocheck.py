@@ -178,6 +178,93 @@ def test_hull_membership(rng):
     assert not hull_membership(sp, verts, outside)
 
 
+def test_hull_membership_hand_built():
+    eu = Euclidean(2)
+    tri = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    for verts in (tri, tri + tri[:2]):   # also with duplicate vertices
+        assert hull_membership(eu, verts, [1.0, 0.0])          # a vertex
+        assert hull_membership(eu, verts, [0.5, 0.5])          # an edge
+        assert hull_membership(eu, verts, [0.2, 0.3])          # interior
+        assert not hull_membership(eu, verts, [0.5 + 1e-6, 0.5])
+        assert not hull_membership(eu, verts, [-1e-6, 0.5])
+    line = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]               # collinear
+    assert hull_membership(eu, line, [1.5, 1.5])
+    assert hull_membership(eu, line, [2.0, 2.0])
+    assert not hull_membership(eu, line, [1.5, 1.5 + 1e-6])
+    assert not hull_membership(eu, line, [2.0 + 1e-6, 2.0 + 1e-6])
+
+
+def test_hull_membership_so3_triangle():
+    # three vertices span only a plane of the 3-D chart
+    so3 = SO3()
+    o = so3.identity()
+    e1, e2, e3 = np.eye(4)[1:]
+    verts = [so3.exp(o, 0.6 * e1), so3.exp(o, 0.6 * e2),
+             so3.exp(o, -0.4 * e1 - 0.4 * e2)]
+    mid = so3.exp(verts[0], 0.5 * so3.log(verts[0], verts[1]))
+    for q in (verts[2], mid, o):
+        assert hull_membership(so3, verts, q, center=o)
+    for h in (1e-6, 1e-3):   # e3 is normal to the plane at o and at mid
+        for q in (o, mid):
+            assert not hull_membership(so3, verts, so3.exp(q, h * e3),
+                                       center=o)
+    assert not hull_membership(so3, verts, so3.exp(o, 0.7 * e1), center=o)
+
+
+def test_nnls_kkt(rng):
+    # Lawson-Hanson's solution satisfies the KKT conditions of
+    # min |Ax - b| over x >= 0: w = A^T (b - Ax) is <= 0 off the support
+    # and 0 on it
+    for trial in range(400):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        A = rng.standard_normal((m, n))
+        if trial % 4 == 0 and n > 1:
+            A[:, -1] = A[:, 0]                  # a duplicate column
+        b = 3.0 * rng.standard_normal(m)
+        x = geocheck._nnls(A, b)
+        w = A.T @ (b - A @ x)
+        tol = 1e-9 * (1.0 + np.abs(A).max()) ** 2 * (1.0 + np.abs(b).max())
+        assert (x >= 0.0).all()
+        assert (w[x == 0.0] <= tol).all()
+        assert (np.abs(w[x > 0.0]) <= tol).all()
+
+
+@pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2), SO3()],
+                         ids=lambda s: s.kind)
+def test_hull_check_matches_membership_loop(space, monkeypatch):
+    # hull_check charts each trial once; its verdicts equal one
+    # hull_membership call per record
+    trials, flags = [], []
+    descend, in_hull = geocheck.solver.descend, geocheck._in_hull
+
+    def spy_descend(ds, cfg, x0=None):
+        trials.append((ds, descend(ds, cfg, x0=x0)))
+        return trials[-1][1]
+
+    def spy_in_hull(V, q, tol):
+        flags.append(in_hull(V, q, tol))
+        return flags[-1]
+
+    monkeypatch.setattr(geocheck.solver, "descend", spy_descend)
+    monkeypatch.setattr(geocheck, "_in_hull", spy_in_hull)
+    rep = geocheck.hull_check(space, 30, seed=5)
+    monkeypatch.undo()
+    expected, violations = [], 0
+    for ds, tr in trials:
+        entered = False
+        for rec in tr.records:
+            inside = hull_membership(space, ds.points, rec.point,
+                                     center=ds.ball_center, tol=1e-8)
+            expected.append(inside)
+            if entered and not inside:
+                violations += 1
+                break
+            entered = entered or inside
+    assert len(trials) == 30
+    assert flags == expected and any(flags) and not all(flags)
+    assert rep["violations"] == violations
+
+
 def test_hull_contains_l2_mean(rng):
     from geomean.frechet import make_dataset
     from geomean.solver import SolverConfig, descend
@@ -215,14 +302,22 @@ def test_tethering_t0_identity(rng):
     assert sp.distance(one_step(ds, 2, x, 1e-300), x) <= 1e-12
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is only needed by hull_membership, which imports it on first use
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # scipy is never needed: with its import blocked, the package imports
+    # and the hull sweep runs
     src = os.path.dirname(os.path.dirname(geomean.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, geomean; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import geomean.cli\n"
+        "code = geomean.cli.main(['check', 'hull', '--trials', '3',\n"
+        f"                        '--out', {str(tmp_path)!r}])\n"
+        "print(code, sys.modules['scipy'] is None\n"
+        "      and not any(m.startswith('scipy.') for m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 True"
+    assert (tmp_path / "check_hull.json").exists()

@@ -263,34 +263,56 @@ def test_exp_many_hyperbolic_overflow_rows_are_nan():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         E = hy.exp_many(x, V)
-    np.testing.assert_allclose(E[0], hy.exp(x, V[0]), rtol=1e-12)
-    assert np.isnan(E[1:5]).all()
-    assert np.array_equal(E[5], x)
-    # the per-pair exp warns on its way to the error for the infinite length
-    with np.errstate(over="ignore", invalid="ignore"):
+        np.testing.assert_allclose(E[0], hy.exp(x, V[0]), rtol=1e-12)
+        assert np.isnan(E[1:5]).all()
+        assert np.array_equal(E[5], x)
         for v in V[1:5]:
             with pytest.raises(DomainError, match="overflows"):
                 hy.exp(x, v)
 
 
-def test_hyperbolic_far_pair_is_domain_error():
-    # a point well below exp's coordinate cap, whose log/distance from a
-    # point near the origin overflows the hyperboloid coordinates
-    hy = Hyperbolic(2)
-    o = np.array([1.0, 0.0, 0.0])
-    far = hy.exp(o, np.array([0.0, 300.0, 0.0]))
-    near = hy.exp(o, np.array([0.0, 0.0, 2.0]))
+@pytest.mark.parametrize("space", [Sphere(2), Circle(1.0), RealProjective(2),
+                                   SO3()], ids=lambda s: s.kind)
+def test_sphere_family_step_of_non_finite_length(space, rng):
+    # a step whose norm overflows, and one with an infinite coordinate:
+    # exp raises, exp_many returns NaN rows, and neither warns
+    x = space.random_point(rng)
+    u = space.random_unit_tangent(x, rng)
+    inf_step = np.where(u == u.max(), np.inf, 0.0)
+    V = np.array([0.3 * u, 1e200 * u, inf_step, 0.0 * u])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for call in (lambda: hy.distance(far, near),
-                     lambda: hy.log_dist(far, near),
-                     lambda: hy.dist_many(far, np.array([o, near])),
-                     lambda: hy.log_dist_many(far, np.array([o, near]))):
-            with pytest.raises(DomainError, match="overflows") as e:
-                call()
-            assert "nan" not in str(e.value)
-        # the other order stays finite
-        assert math.isfinite(hy.distance(o, far))
+        E = space.exp_many(x, V)
+        np.testing.assert_allclose(E[0], space.exp(x, V[0]), rtol=1e-12)
+        assert np.isnan(E[1:3]).all()
+        assert np.array_equal(E[3], x)
+        for v in V[1:3]:
+            with pytest.raises(DomainError,
+                               match="exp step of length inf overflows"):
+                space.exp(x, v)
+
+
+def test_hyperbolic_far_pair_is_domain_error():
+    # points well below exp's coordinate cap, whose log/distance from a
+    # point near the origin overflows the hyperboloid coordinates (x0 ~
+    # 1e130), or loses the tangential norm to cancellation while the
+    # distance is about 26 (x0 ~ 1e11)
+    hy = Hyperbolic(2)
+    o = np.array([1.0, 0.0, 0.0])
+    near = hy.exp(o, np.array([0.0, 0.0, 2.0]))
+    for far in (hy.exp(o, np.array([0.0, 300.0, 0.0])),
+                hy.exp(o, np.array([0.0, 26.0, 0.0]))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: hy.distance(far, near),
+                         lambda: hy.log_dist(far, near),
+                         lambda: hy.dist_many(far, np.array([o, near])),
+                         lambda: hy.log_dist_many(far, np.array([o, near]))):
+                with pytest.raises(DomainError, match="overflows") as e:
+                    call()
+                assert "nan" not in str(e.value)
+            # the other order stays finite
+            assert math.isfinite(hy.distance(o, far))
 
 
 def test_hyperbolic_exp_overflow_is_domain_error():

@@ -266,6 +266,23 @@ def test_multistart_uniqueness(rng):
         multistart_uniqueness(bad, cfg, 3, rng)
 
 
+@pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2), SO3()],
+                         ids=lambda s: s.kind)
+def test_multistart_spread_matches_pair_loop(space, rng):
+    # two iterates leave the finals apart, so the spread is not ~0
+    o = space.random_point(rng)
+    pts = [space.random_in_ball(o, 0.5, rng) for _ in range(4)]
+    ds = make_dataset(space, pts, None, o, 0.5)
+    cfg = SolverConfig(p=2, step=0.2, grad_tol=1e-12, max_iters=2)
+    rep = multistart_uniqueness(ds, cfg, 7, rng)
+    finals = rep["finals"]
+    pairwise = max(space.distance(a, b) for i, a in enumerate(finals)
+                   for b in finals[i + 1:])
+    assert pairwise > 1e-3
+    assert abs(rep["spread"] - pairwise) <= 1e-12
+    assert multistart_uniqueness(ds, cfg, 1, rng)["spread"] == 0.0
+
+
 def test_multistart_so3_brute_force(rng):
     so3 = SO3()
     o = so3.random_point(rng)
