@@ -6,8 +6,6 @@ Subcommands:
   circle-example run the scripted circle scenarios
   sphere-configs run the cross/pair configurations on S^2
   check          Monte Carlo suites: comparison | tethering | hull
-
-GEOMEAN_SEED in the environment overrides --seed.
 """
 
 import argparse
@@ -26,11 +24,6 @@ EXIT_PARSE = 1
 EXIT_CUT_LOCUS = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_PRECONDITION = 4
-
-
-def _seed(args):
-    env = os.environ.get("GEOMEAN_SEED")
-    return int(env) if env is not None else args.seed
 
 
 def _outdir(args):
@@ -133,23 +126,22 @@ def cmd_sphere_configs(args):
     rho_list = ([float(r) for r in args.rho_list.split(",")]
                 if args.rho_list else (0.35 * math.pi, 0.47 * math.pi))
     report = experiments.run_sphere_configs(rho_list, args.t or 1.0,
-                                            _outdir(args), _seed(args))
+                                            _outdir(args), args.seed)
     print(json.dumps(report, indent=2))
     return EXIT_OK
 
 
 def cmd_check(args):
     space = make_space(args.space, args.dim, args.kappa)
-    seed = _seed(args)
     if args.suite == "comparison":
-        rep = geocheck.comparison_check(space, args.trials, seed,
+        rep = geocheck.comparison_check(space, args.trials, args.seed,
                                         exploratory=space.kappa <= 0)
     elif args.suite == "tethering":
         rep = geocheck.tethering_check(space, args.trials, (0.25, 0.5, 1.0),
-                                       seed,
+                                       args.seed,
                                        exploratory=space.constants().delta < 0)
     else:
-        rep = geocheck.hull_check(space, args.trials, seed)
+        rep = geocheck.hull_check(space, args.trials, args.seed)
     out = _outdir(args)
     with open(os.path.join(out, f"check_{args.suite}.json"), "w") as f:
         json.dump(rep, f, indent=2)
@@ -157,8 +149,17 @@ def cmd_check(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose rejections exit EXIT_PARSE, not 2 (the
+    cut-locus code); subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="geomean",
         description="Riemannian L^p centers of mass on constant-curvature spaces")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -37,6 +37,10 @@ from .kernels import sn_jacobi
 
 _CANON_TOL = 1e-9  # first coordinate of magnitude above this fixes the sign
 _MAX_COORD = 1e150  # below this, sums of squared coordinates stay finite
+# Hyperbolic: a tangent's Minkowski norm at x is good to about
+# eps*(x0/R)^2, so a base point past this time coordinate (about 6 digits
+# left) is refused as an overflow
+_MAX_BASE = 2.0 ** 16
 
 
 @dataclass(frozen=True)
@@ -453,9 +457,7 @@ class Hyperbolic(ManifoldSpace):
             d = R * math.asinh(nu / R)
         else:
             d = R * math.acosh(max(ch, 1.0))
-        # d > 0 with nu = 0 cannot hold for an exact tangent: the Minkowski
-        # square of u has cancelled at a far base point
-        if not (math.isfinite(nu) and math.isfinite(d)) or (nu == 0.0 and d > 0.0):
+        if not (math.isfinite(nu) and math.isfinite(d) and x[0] <= _MAX_BASE * R):
             raise self._overflow_error(x, y)
         return u, nu, d
 
@@ -468,7 +470,7 @@ class Hyperbolic(ManifoldSpace):
             ch = -m / R**2
             d = np.where(ch < 2.0, R * np.arcsinh(nU / R),
                          R * np.arccosh(np.maximum(ch, 1.0)))
-        bad = ~(np.isfinite(nU) & np.isfinite(d)) | ((nU == 0.0) & (d > 0.0))
+        bad = ~(np.isfinite(nU) & np.isfinite(d) & (x[..., 0] <= _MAX_BASE * R))
         if bad.any():
             i = np.unravel_index(np.argmax(bad), bad.shape)
             X, P = np.broadcast_arrays(x, P)

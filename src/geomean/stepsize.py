@@ -11,11 +11,18 @@ Four policies are supported:
   * exit_compromise:     the exit-time construction on an annulus
                          rho < d(y,o) < rho', for p = 2.
 
-The exit-time infimum over r uses a dense grid scan followed by
-golden-section refinement; inside the ratio sn_Delta(r-rho)/sn_Delta(r+rho)
-the flat branch is the Jacobi convention sn_0(l) = l.
+The exit-time infimum over r is bracketed by bisection over a 4096-point
+grid and refined by golden-section search.  Both rely on the profile
+max(t_out1, t_out2) falling and then rising: t_out2 = (rho'-r)/(rho+r)
+strictly decreases, and t_out1 is 0 at r = rho and strictly increases,
+since the log-derivative of sn_Delta(r-rho)/sn_Delta(r+rho) is
+sqrt(Delta) (cot sqrt(Delta)(r-rho) - cot sqrt(Delta)(r+rho)) > 0 below
+the conjugate distance (coth for Delta < 0, 2 rho/(r^2 - rho^2) for
+Delta = 0).  Inside the ratio the flat branch is the Jacobi convention
+sn_0(l) = l.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -36,7 +43,6 @@ class SpreadStep:
     t_base: float            # 1/H, the midpoint guidance value
     t_max_exclusive: float   # 2/H
     stay_ball_radius: float
-    rho_max: float           # precondition bound on rho
 
 
 def resolve_spread_compromise(space, rho, p, start_at_o=False):
@@ -54,10 +60,9 @@ def resolve_spread_compromise(space, rho, p, start_at_o=False):
     if rho <= 0:
         raise DomainError(f"spread_compromise: need rho > 0, got {rho}")
     reach = (3.0 if start_at_o else 4.0) * rho  # 2x the stay-ball radius
-    H = reach ** (p - 2.0) * max(p - 1.0, c_upper(cst.delta, reach))
+    H = uniform_hessian_bound(space, reach / 2.0, p)
     return SpreadStep(t_base=1.0 / H, t_max_exclusive=2.0 / H,
-                      stay_ball_radius=(2.0 if start_at_o else 3.0) * rho,
-                      rho_max=rho_max)
+                      stay_ball_radius=(2.0 if start_at_o else 3.0) * rho)
 
 
 def _exit_profile(delta, Delta, rho, rho_prime, r):
@@ -72,8 +77,12 @@ def exit_time_bounds(delta, Delta, rho, rho_prime):
     """t_exit for explicit curvature bounds (delta, Delta).
 
     t_exit = min( t_in, inf_{r in [rho, rho')} max(t_out1(r), t_out2(r)) )
-    with t_in = (rho' - rho)/(2 rho).  The infimum is found by a
-    4096-point grid scan plus golden-section refinement to 1e-10.
+    with t_in = (rho' - rho)/(2 rho).  The profile falls and then rises
+    (see the module docstring), so the first grid point r_i = rho + i h,
+    h = (rho' - rho)/4096, whose value does not exceed the next one's is
+    its first grid minimum: bisection finds it in 12 steps of two profile
+    values each.  Golden-section search then refines [r_{i-1}, r_{i+1}]
+    to 1e-10.
     """
     if not (0 < rho < rho_prime):
         raise DomainError(f"exit_time: need 0 < rho < rho_prime, got {rho}, {rho_prime}")
@@ -84,11 +93,10 @@ def exit_time_bounds(delta, Delta, rho, rho_prime):
     f = lambda r: _exit_profile(delta, Delta, rho, rho_prime, r)
     n = 4096
     h = (rho_prime - rho) / n
-    rs = [rho + i * h for i in range(n)]
-    vals = [f(r) for r in rs]
-    i0 = min(range(n), key=vals.__getitem__)
-    lo = rs[max(i0 - 1, 0)]
-    hi = rs[min(i0 + 1, n - 1)]
+    i0 = bisect.bisect_left(range(n - 1), True,
+                            key=lambda i: f(rho + i * h) <= f(rho + (i + 1) * h))
+    lo = rho + max(i0 - 1, 0) * h
+    hi = rho + min(i0 + 1, n - 1) * h
     r_star = _golden_section(f, lo, hi, tol=1e-10)
     return min(t_in, f(r_star))
 

@@ -250,12 +250,36 @@ def test_check_cli_suites(tmp_path):
     assert rep["violations"] == 0
 
 
-def test_env_seed_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("GEOMEAN_SEED", "99")
-    assert cli.main(["check", "comparison", "--space", "sphere", "--seed", "5",
-                     "--trials", "50", "--out", str(tmp_path)]) == 0
-    rep = json.load(open(tmp_path / "check_comparison.json"))
-    assert rep["seed"] == 99
+@pytest.mark.parametrize("argv", [
+    ["mean", "ds.json", "--p", "abc"],       # a bad float
+    ["check", "hull", "--bogus"],            # an unknown option
+    [],                                      # no subcommand
+])
+def test_argument_errors_exit_parse(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: geomean") and "error: " in err
+
+
+def test_help_exits_ok(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["--help"])
+    assert e.value.code == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: geomean")
+
+
+def test_spread_compromise_rejects_p_below_2(tmp_path, capsys):
+    dsfile = tmp_path / "ds.json"
+    _write_dataset(dsfile, rho=0.3)
+    code = cli.main(["mean", str(dsfile), "--p", "1.5",
+                     "--policy", "spread_compromise", "--out", str(tmp_path)])
+    assert code == cli.EXIT_PRECONDITION
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: step policy: exponent p must satisfy "
+                   "2 <= p < inf, got 1.5"]
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_circle_f2_piecewise():

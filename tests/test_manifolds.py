@@ -315,6 +315,31 @@ def test_hyperbolic_far_pair_is_domain_error():
             assert math.isfinite(hy.distance(o, far))
 
 
+def test_hyperbolic_far_base_point_is_domain_error():
+    # at a base point with x0 = 3.3e7 (r = 18) or 1.3e10 (r = 24) the
+    # Minkowski square of the tangent still is positive but |log| / d came
+    # out as 1.019 and 0.960; a base at r = 10 (x0 = 1.1e4) keeps 7 digits
+    hy = Hyperbolic(2)
+    o = np.array([1.0, 0.0, 0.0])
+    y = hy.exp(o, np.array([0.0, 1.0, 0.0]))
+    u = np.array([0.0, math.cos(0.7), math.sin(0.7)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (18.0, 24.0):
+            x = hy.exp(o, r * u)
+            for call in (lambda: hy.distance(x, y),
+                         lambda: hy.log_dist(x, y),
+                         lambda: hy.dist_many(x, np.array([y])),
+                         lambda: hy.log_dist_many(x, np.array([y]))):
+                with pytest.raises(DomainError, match="overflows"):
+                    call()
+        x = hy.exp(o, 10.0 * u)
+        v, d = hy.log_dist(x, y)
+        assert abs(hy.norm(x, v) / d - 1.0) <= 1e-7
+        V, D = hy.log_dist_many(x, np.array([y]))
+        assert abs(hy.norm(x, V[0]) / D[0] - 1.0) <= 1e-7
+
+
 def test_hyperbolic_exp_overflow_is_domain_error():
     hy = Hyperbolic(2)
     x = np.array([1.0, 0.0, 0.0])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geomean import experiments
+from geomean import experiments, stepsize
 from geomean.errors import DomainError, PreconditionError
 from geomean.kernels import c_upper, sn
 from geomean.manifolds import Euclidean, Hyperbolic, Sphere
@@ -43,14 +43,58 @@ def test_resolve_spread_compromise():
     assert r.stay_ball_radius == pytest.approx(0.4 * math.pi)
 
 
-def test_exit_time_positive_random(rng):
+def _exit_time_scan(delta, Delta, rho, rho_prime):
+    """exit_time_bounds with its bracket found by the 4096-point linear
+    scan (the first grid minimum) instead of by bisection."""
+    f = lambda r: stepsize._exit_profile(delta, Delta, rho, rho_prime, r)
+    n = 4096
+    h = (rho_prime - rho) / n
+    rs = [rho + i * h for i in range(n)]
+    vals = [f(r) for r in rs]
+    i0 = min(range(n), key=vals.__getitem__)
+    r_star = stepsize._golden_section(f, rs[max(i0 - 1, 0)],
+                                      rs[min(i0 + 1, n - 1)], tol=1e-10)
+    return min((rho_prime - rho) / (2.0 * rho), f(r_star))
+
+
+def test_exit_time_positive_random(rng, monkeypatch):
+    hp = math.pi / 2
+    annuli = [(0.0, 1.0, hp / 3.0, hp), (0.0, 1.0, 0.9 * hp, hp),  # the table
+              (0.0, 1.0, 0.99 * hp, hp), (-1.0, 0.0, hp / 3.0, hp)]
     for _ in range(200):
         rho_prime = 0.1 + 1.3 * rng.uniform()
         rho = rho_prime * (0.05 + 0.9 * rng.uniform())
         delta, Delta = sorted(rng.uniform(-1, 1, size=2))
+        annuli.append((delta, Delta, rho, rho_prime))
+    for Delta in (-4.0, 4.0):
+        for _ in range(20):
+            rho_prime = 0.05 + 0.7 * rng.uniform()
+            annuli.append((Delta - rng.uniform(), Delta,
+                           rho_prime * (0.05 + 0.9 * rng.uniform()), rho_prime))
+    for delta, Delta in ((-1.0, -1.0), (0.0, 0.0), (-1.0, 1.0), (4.0, 4.0)):
+        for frac in (0.999, 1e-6):   # rho -> rho' and rho -> 0
+            annuli.append((delta, Delta, frac * 0.3, 0.3))
+    for Delta in (0.25, 1.0, 4.0):   # rho + rho' within 1e-3 of pi/sqrt(Delta)
+        conj = math.pi / math.sqrt(Delta) - 1e-3
+        for frac in (0.1, 0.5, 0.9):
+            annuli.append((0.0, Delta, frac * conj / (1.0 + frac),
+                           conj / (1.0 + frac)))
+
+    calls = []
+    profile = stepsize._exit_profile
+    monkeypatch.setattr(stepsize, "_exit_profile",
+                        lambda *a: calls.append(a) or profile(*a))
+    checked = 0
+    for delta, Delta, rho, rho_prime in annuli:
         if Delta > 0 and rho + rho_prime >= math.pi / math.sqrt(Delta):
             continue
-        assert exit_time_bounds(delta, Delta, rho, rho_prime) > 0
+        calls.clear()
+        te = exit_time_bounds(delta, Delta, rho, rho_prime)
+        assert len(calls) <= 100   # no grid scan
+        assert te > 0
+        assert te.hex() == _exit_time_scan(delta, Delta, rho, rho_prime).hex()
+        checked += 1
+    assert checked > 250
 
 
 def test_exit_time_space_wrapper():
