@@ -9,6 +9,7 @@ Subcommands:
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -158,7 +159,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process; each parse_args call
+    still returns a fresh Namespace."""
     ap = _Parser(
         prog="geomean",
         description="Riemannian L^p centers of mass on constant-curvature spaces")
@@ -184,7 +188,6 @@ def build_parser():
     pm.add_argument("--grad-tol", dest="grad_tol", type=float, default=1e-10)
     pm.add_argument("--max-iters", dest="max_iters", type=int, default=1000)
     pm.add_argument("--out", default=None)
-    pm.set_defaults(func=cmd_mean)
 
     ps = sub.add_parser("stepsize", help="resolve step-size policies")
     common(ps)
@@ -193,11 +196,9 @@ def build_parser():
     ps.add_argument("--rho-prime", dest="rho_prime", type=float, default=None)
     ps.add_argument("--table", action="store_true",
                     help="emit the exit-time reference table")
-    ps.set_defaults(func=cmd_stepsize)
 
     pc = sub.add_parser("circle-example", help="scripted circle scenarios")
     pc.add_argument("--out", default=None)
-    pc.set_defaults(func=cmd_circle_example)
 
     pg = sub.add_parser("sphere-configs", help="cross/pair configurations")
     pg.add_argument("--rho-list", dest="rho_list", default=None,
@@ -205,20 +206,24 @@ def build_parser():
     pg.add_argument("--t", type=float, default=None)
     pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--out", default=None)
-    pg.set_defaults(func=cmd_sphere_configs)
 
     pk = sub.add_parser("check", help="Monte Carlo verification suites")
     pk.add_argument("suite", choices=["comparison", "tethering", "hull"])
     common(pk)
     pk.add_argument("--trials", type=int, default=1000)
-    pk.set_defaults(func=cmd_check)
     return ap
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # looked up on every call, not bound into the parser built once, so
+    # that a wrapped or patched cmd_* is the one that runs
+    command = {"mean": cmd_mean, "stepsize": cmd_stepsize,
+               "circle-example": cmd_circle_example,
+               "sphere-configs": cmd_sphere_configs,
+               "check": cmd_check}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except CutLocusError as e:
         print(f"error: cut locus: {e}", file=sys.stderr)
         return EXIT_CUT_LOCUS

@@ -76,6 +76,8 @@ def make_dataset(space, points, weights=None, ball_center=None, ball_radius=None
         raise DomainError("dataset needs an enclosing ball (o, rho)")
     ball_center = space.check_point(ball_center)
     ball_radius = float(ball_radius)
+    if not 0.0 <= ball_radius < math.inf:
+        raise DomainError(f"ball radius must be finite and >= 0, got {ball_radius}")
     slack = 1e-9 * max(1.0, ball_radius)
     d = space.dist_many(ball_center, points)
     outside = d > ball_radius + slack
@@ -116,11 +118,12 @@ def cost(ds, p, x):
     return float(ds.weights @ ds.space.dist_many(x, ds.points) ** p) / p
 
 
-def gradient(ds, p, x):
-    """Riemannian gradient of f_p at x (ambient tangent array).
+def cost_gradient(ds, p, x):
+    """(f_p(x), grad f_p(x)) from one log_dist_many over the data: the
+    values of cost and gradient, bit for bit.
 
     Raises CutLocusError with the offending data index if x sits in the
-    cut-locus band of some x_i.
+    cut-locus band of some x_i (cost alone is still defined there).
     """
     p = _check_p(p)
     try:
@@ -129,7 +132,13 @@ def gradient(ds, p, x):
         raise CutLocusError(f"gradient: data point {e.index} at cut locus: {e}",
                             index=e.index) from None
     w = ds.weights if p == 2.0 else ds.weights * d ** (p - 2.0)
-    return -(w @ logs)
+    return float(ds.weights @ d ** p) / p, -(w @ logs)
+
+
+def gradient(ds, p, x):
+    """Riemannian gradient of f_p at x (ambient tangent array); raises
+    cost_gradient's CutLocusError."""
+    return cost_gradient(ds, p, x)[1]
 
 
 def grad_norm(ds, p, x):
@@ -158,7 +167,7 @@ def uniform_hessian_bound(space, rho, p):
     if rho > cst.r_cx:
         raise PreconditionError(
             f"uniform_hessian_bound: rho={rho} exceeds r_cx={cst.r_cx}")
-    if rho <= 0:
+    if not rho > 0:
         raise DomainError(f"uniform_hessian_bound: need rho > 0, got {rho}")
     return (2.0 * rho) ** (p - 2.0) * max(p - 1.0, c_upper(cst.delta, 2.0 * rho))
 

@@ -270,8 +270,8 @@ class Sphere(ManifoldSpace):
     kind = "sphere"
 
     def __init__(self, dim, kappa=1.0):
-        if kappa <= 0:
-            raise DomainError(f"Sphere: need kappa > 0, got {kappa}")
+        if not 0 < kappa < math.inf:
+            raise DomainError(f"Sphere: need finite kappa > 0, got {kappa}")
         super().__init__(dim, kappa)
         self._rk = math.sqrt(kappa)
         inj = math.pi / self._rk
@@ -416,8 +416,8 @@ class Hyperbolic(ManifoldSpace):
     kind = "hyperbolic"
 
     def __init__(self, dim, kappa=-1.0):
-        if kappa >= 0:
-            raise DomainError(f"Hyperbolic: need kappa < 0, got {kappa}")
+        if not -math.inf < kappa < 0:
+            raise DomainError(f"Hyperbolic: need finite kappa < 0, got {kappa}")
         super().__init__(dim, kappa)
         self._R = 1.0 / math.sqrt(-kappa)
         self._constants = SpaceConstants(inj=math.inf, r_cx=math.inf,

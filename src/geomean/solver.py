@@ -8,7 +8,9 @@ aborts the run; the offending iterate is recorded rather than perturbed.
 
 The step itself is one per-pair exp.  The interior samples of a step lie
 on one geodesic, so the continuous-stay monitor evaluates them with one
-exp_many and one dist_many.
+exp_many and one dist_many.  Each iterate's cost, which the monitors
+compare, and its gradient, which the next step takes, come from one
+log_dist_many over the data (frechet.cost_gradient).
 """
 
 import math
@@ -34,12 +36,13 @@ class SolverConfig:
     hessian_upper: float = None   # enables the descent-inequality monitor
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise DomainError("grad_tol must be positive")
+        if not 0 < self.grad_tol < math.inf:
+            raise DomainError(f"grad_tol must be finite and positive, "
+                              f"got {self.grad_tol}")
         if self.max_iters < 1:
             raise DomainError("max_iters must be at least 1")
-        if self.step <= 0:
-            raise DomainError("step must be positive")
+        if not 0 < self.step < math.inf:
+            raise DomainError(f"step must be finite and positive, got {self.step}")
 
 
 @dataclass
@@ -102,15 +105,13 @@ def descend(ds, cfg, x0=None):
     n_sub = cfg.record_substeps
     sub_s = np.arange(1, n_sub + 1)[:, np.newaxis] / (n_sub + 1)
 
-    f = frechet.cost(ds, cfg.p, x)
+    f, g, cut = _cost_gradient(ds, cfg.p, x)
     for k in range(cfg.max_iters + 1):
-        try:
-            g = frechet.gradient(ds, cfg.p, x)
-        except CutLocusError as e:
+        if g is None:
             tr.records.append(IterateRecord(k, x, f, math.nan,
                                             sp.distance(o, x), math.nan))
             tr.status = "cut_locus"
-            tr.cut_locus_index = e.index
+            tr.cut_locus_index = cut
             break
         gn = sp.norm(x, g)
         d_o = sp.distance(o, x)
@@ -132,7 +133,7 @@ def descend(ds, cfg, x0=None):
             verd["continuously_stayed"] = _substeps_stay(
                 sp, x, sub_s * step_vec, mon_o, ball_limit)
         x_next = sp.exp(x, step_vec)
-        f_next = frechet.cost(ds, cfg.p, x_next)
+        f_next, g, cut = _cost_gradient(ds, cfg.p, x_next)
         if f_next > f + 1e-12:
             verd["monotone_cost"] = False
         if cfg.hessian_upper is not None:
@@ -145,6 +146,15 @@ def descend(ds, cfg, x0=None):
     tr.verdicts = verd
     tr.dist_to_final = [sp.distance(r.point, x) for r in tr.records]
     return tr
+
+
+def _cost_gradient(ds, p, x):
+    """(f, grad f, None) at x, or (f, None, i) when x is in the cut-locus
+    band of data point i, where only the cost is defined."""
+    try:
+        return (*frechet.cost_gradient(ds, p, x), None)
+    except CutLocusError as e:
+        return frechet.cost(ds, p, x), None, e.index
 
 
 def _substeps_stay(sp, x, V, center, limit):

@@ -187,9 +187,12 @@ class StepPolicy:
     start_at_o: bool = False   # for spread_compromise
 
     def resolve(self, space, rho, p):
+        if not math.isfinite(rho):
+            raise DomainError(f"step policy needs a finite rho, got {rho}")
         if self.kind == "user_constant":
-            if self.t is None or self.t <= 0:
-                raise DomainError("user_constant policy needs t > 0")
+            if self.t is None or not 0 < self.t < math.inf:
+                raise DomainError(f"user_constant policy needs finite t > 0, "
+                                  f"got {self.t}")
             return float(self.t)
         if self.kind == "conjecture":
             return resolve_conjecture(space, rho, p)

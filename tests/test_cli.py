@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from geomean import cli, experiments
-from geomean.manifolds import Hyperbolic, Sphere
+from geomean.errors import DomainError
+from geomean.manifolds import Hyperbolic, Sphere, make_space
 
 
 def _write_dataset(path, rho=0.8, n=6, seed=3):
@@ -85,16 +86,21 @@ def test_nan_point_rejected_before_ball_fallback(tmp_path, monkeypatch):
     assert code == cli.EXIT_PARSE
 
 
+def _mean_with(tmp_path, obj, *options):
+    """`geomean mean` on dataset obj with the given options; returns the
+    exit code."""
+    dsfile = tmp_path / "ds.json"
+    dsfile.write_text(json.dumps(obj))
+    return cli.main(["mean", str(dsfile), *options, "--out", str(tmp_path)])
+
+
 def _mean_user_step(tmp_path, obj, t, max_iters=5):
     """`geomean mean` on dataset obj with constant step t; returns the
     exit code.  Fails on a numpy warning."""
-    dsfile = tmp_path / "ds.json"
-    json.dump(obj, open(dsfile, "w"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return cli.main(["mean", str(dsfile), "--policy", "user_constant",
-                         "--t", str(t), "--max-iters", str(max_iters),
-                         "--out", str(tmp_path)])
+        return _mean_with(tmp_path, obj, "--policy", "user_constant",
+                          "--t", str(t), "--max-iters", str(max_iters))
 
 
 def _mean_far_h2(tmp_path, t):
@@ -280,6 +286,81 @@ def test_spread_compromise_rejects_p_below_2(tmp_path, capsys):
     assert err == ["error: step policy: exponent p must satisfy "
                    "2 <= p < inf, got 1.5"]
     assert not (tmp_path / "trace.csv").exists()
+
+
+def test_parser_is_built_once_and_parses_afresh(tmp_path, monkeypatch):
+    dsfile = tmp_path / "ds.json"
+    _write_dataset(dsfile)
+    assert cli.build_parser() is cli.build_parser()
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["mean", str(dsfile), "--p", "3.0", "--out", str(a)]) == 0
+    assert cli.main(["mean", str(dsfile), "--out", str(b)]) == 0
+    assert json.load(open(a / "summary.json"))["p"] == 3.0
+    assert json.load(open(b / "summary.json"))["p"] == 2.0
+    with pytest.raises(SystemExit) as e:
+        cli.main(["mean", str(dsfile), "--p", "abc"])
+    assert e.value.code == cli.EXIT_PARSE
+    # the subcommand is looked up when it runs, not when the parser is built
+    monkeypatch.setattr(cli, "cmd_mean", lambda args: 7)
+    assert cli.main(["mean", str(dsfile)]) == 7
+
+
+def _one_error_line(capsys, start):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(start), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "comparison", "--kappa", "nan", "--trials", "3"],
+    ["check", "tethering", "--kappa", "inf", "--trials", "3"],
+])
+def test_non_finite_kappa_exits_parse(argv, tmp_path, capsys):
+    # checked first: a NaN kappa that reached the comparison sampler would
+    # never return
+    with pytest.raises(DomainError):
+        make_space("sphere", 2, math.nan)
+    assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_PARSE
+    _one_error_line(capsys, "error: Sphere: need finite kappa > 0")
+
+
+def test_dataset_with_non_finite_kappa_exits_parse(tmp_path, capsys):
+    obj = dict(_S2_PAIR, space={"kind": "sphere", "dim": 2, "kappa": math.nan})
+    assert _mean_with(tmp_path, obj) == cli.EXIT_PARSE
+    _one_error_line(capsys, "error: cannot load dataset: Sphere: need finite")
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -0.5])
+def test_dataset_with_bad_ball_radius_exits_parse(radius, tmp_path, capsys):
+    obj = dict(_S2_PAIR, ball={"center": [0.0, 0.0, 1.0], "radius": radius})
+    assert _mean_with(tmp_path, obj) == cli.EXIT_PARSE
+    _one_error_line(capsys, "error: cannot load dataset: ball radius must "
+                            "be finite and >= 0")
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_grad_tol_exits_parse(tol, tmp_path, capsys):
+    assert _mean_with(tmp_path, _S2_PAIR, "--grad-tol", tol) == cli.EXIT_PARSE
+    _one_error_line(capsys, "error: grad_tol must be finite and positive")
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_non_finite_user_step_is_a_precondition_exit(t, tmp_path, capsys):
+    assert _mean_with(tmp_path, _S2_PAIR, "--t", t) == cli.EXIT_PRECONDITION
+    _one_error_line(capsys, "error: step policy: user_constant policy needs "
+                            "finite t > 0")
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_stepsize_with_nan_rho_reports_every_policy(tmp_path, capsys):
+    assert cli.main(["stepsize", "--rho", "nan", "--rho-prime", "1.2",
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 4
+    assert all(r["preconditions"] == "step policy needs a finite rho, got nan"
+               for r in rows)
 
 
 def test_circle_f2_piecewise():

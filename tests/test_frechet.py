@@ -107,6 +107,14 @@ def test_cost_and_gradient_match_point_loop(space, rng):
                 np.testing.assert_allclose(gradient(ds, p, xe),
                                            _loop_gradient(ds, p, xe),
                                            rtol=1e-12, atol=1e-14)
+                # the fused evaluation is bit for bit cost's value and
+                # the weighted sum of one log_dist_many
+                f, g = frechet.cost_gradient(ds, p, xe)
+                assert f == cost(ds, p, xe)
+                logs, d = space.log_dist_many(xe, ds.points)
+                w = ds.weights if p == 2.0 else ds.weights * d ** (p - 2.0)
+                assert np.array_equal(g, -(w @ logs))
+                assert np.array_equal(g, gradient(ds, p, xe))
 
 
 @pytest.mark.parametrize("space", [Sphere(2), Circle(1.0), RealProjective(2),
@@ -118,9 +126,10 @@ def test_gradient_cut_locus_first_row(space, rng):
     pts = [space.exp(x, r * space.random_unit_tangent(x, rng)) for r in radii]
     ds = make_dataset(space, pts, None, x, inj)
     for p in (2.0, 3.0):
-        with pytest.raises(CutLocusError, match="data point 1 ") as ei:
-            gradient(ds, p, x)
-        assert ei.value.index == 1
+        for evaluate in (gradient, frechet.cost_gradient):
+            with pytest.raises(CutLocusError, match="data point 1 ") as ei:
+                evaluate(ds, p, x)
+            assert ei.value.index == 1
     assert math.isfinite(cost(ds, 2.0, x))
 
 
@@ -168,6 +177,9 @@ def test_uniform_hessian_bound():
         pytest.approx(2.1588946242718521, abs=1e-12)
     with pytest.raises(PreconditionError):
         uniform_hessian_bound(Sphere(2), 2.0, 2)
+    # a NaN radius is neither above r_cx nor at most 0
+    with pytest.raises(DomainError, match="need rho > 0, got nan"):
+        uniform_hessian_bound(Sphere(2), math.nan, 2)
 
 
 def test_fd_hessian_single_point_sandwich(rng):

@@ -464,6 +464,20 @@ def test_space_json_roundtrip():
         make_space("torus")
 
 
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+def test_non_finite_curvature_is_rejected(kappa):
+    # NaN passes both sign tests; a NaN density would never accept a
+    # radius in random_in_ball
+    for ctor in (lambda: Sphere(2, kappa), lambda: Circle(kappa),
+                 lambda: RealProjective(2, kappa), lambda: Hyperbolic(2, kappa),
+                 lambda: make_space("sphere", 2, kappa),
+                 lambda: make_space("hyperbolic", 2, kappa),
+                 lambda: space_from_json({"kind": "circle", "dim": 1,
+                                          "kappa": kappa})):
+        with pytest.raises(DomainError, match="finite kappa"):
+            ctor()
+
+
 def test_random_in_ball_stays_inside(rng):
     for space in SPACES:
         cst = space.constants()

@@ -38,6 +38,13 @@ def test_euclidean_one_iteration():
     assert tr.exit_code == 0
 
 
+@pytest.mark.parametrize("field", ["step", "grad_tol"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_config_needs_finite_positive_step_and_tol(field, value):
+    with pytest.raises(DomainError, match=f"{field} must be finite and positive"):
+        SolverConfig(**{field: value})
+
+
 def test_circle_scenarios():
     ci = Circle(1.0)
     ds = circle_ds((0.1, 0.9))
@@ -207,11 +214,13 @@ def test_continuous_stay_catches_a_step_leaving_between_iterates(s, cap):
 
 def test_descend_per_pair_calls(monkeypatch):
     # one exp per step; one distance per iterate for the record and the
-    # ball monitor together, and one more for dist_to_final
+    # ball monitor together, and one more for dist_to_final; one
+    # log_dist_many per iterate for its cost and gradient together, and
+    # one dist_many per step, the substep monitor's
     ds = cross_config(0.35 * math.pi)
     sp = ds.space
     x0 = sp.exp(ds.ball_center, np.array([0.5, -0.4, 0.0]))
-    calls = {"exp": 0, "distance": 0}
+    calls = {"exp": 0, "distance": 0, "log_dist_many": 0, "dist_many": 0}
     for name in calls:
         def counted(x, y, name=name, method=getattr(sp, name)):
             calls[name] += 1
@@ -220,7 +229,43 @@ def test_descend_per_pair_calls(monkeypatch):
     tr = descend(ds, SolverConfig(p=2, step=0.5, grad_tol=1e-12), x0=x0)
     assert tr.status == "converged" and tr.n_iters > 5
     assert tr.verdicts["continuously_stayed"] is True
-    assert calls == {"exp": tr.n_iters, "distance": 2 * len(tr.records)}
+    assert calls == {"exp": tr.n_iters, "distance": 2 * len(tr.records),
+                     "log_dist_many": len(tr.records),
+                     "dist_many": tr.n_iters}
+
+
+@pytest.mark.parametrize("space", [Euclidean(2), Sphere(2), Circle(1.0),
+                                   Hyperbolic(2), RealProjective(2), SO3()],
+                         ids=lambda s: s.kind)
+def test_records_carry_cost_and_gradient_of_their_point(space, rng):
+    reach = min(space.constants().r_cx, 1.5)
+    for p in (2.0, 3.0):
+        o = space.random_point(rng)
+        rho = 0.5 * reach
+        pts = [space.random_in_ball(o, rho, rng) for _ in range(5)]
+        ds = make_dataset(space, pts, None, o, rho)
+        cfg = SolverConfig(p=p, step=0.5 / uniform_hessian_bound(space, rho, p),
+                           grad_tol=1e-9, max_iters=30)
+        tr = descend(ds, cfg, x0=space.random_in_ball(o, rho, rng))
+        assert tr.n_iters > 2
+        for rec in tr.records:
+            assert rec.cost == frechet.cost(ds, p, rec.point)
+            assert rec.grad_norm == space.norm(
+                rec.point, frechet.gradient(ds, p, rec.point))
+
+
+def test_cut_locus_record_keeps_the_cost_of_its_point():
+    # t = 25/18 from x1 lands on the antipode of x1, where only the cost
+    # is defined
+    ds = circle_ds((0.1, 0.9))
+    x1 = ds.space.point_from_angle(TH1)
+    tr = descend(ds, SolverConfig(p=2, step=25.0 / 18.0, grad_tol=1e-13), x0=x1)
+    assert tr.status == "cut_locus" and tr.cut_locus_index == 0
+    first, last = tr.records
+    assert first.cost == frechet.cost(ds, 2, x1)
+    assert first.grad_norm == ds.space.norm(x1, frechet.gradient(ds, 2, x1))
+    assert last.cost == frechet.cost(ds, 2, last.point)
+    assert math.isnan(last.grad_norm)
 
 
 @pytest.mark.parametrize("t", [1000.0, 10000.0])
