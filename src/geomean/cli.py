@@ -17,7 +17,7 @@ import sys
 
 from . import emit, experiments, frechet, geocheck, solver, stepsize
 from .errors import CutLocusError, DomainError, GeomeanError, PreconditionError
-from .manifolds import make_space
+from .manifolds import KINDS, make_space
 from .solver import SolverConfig, descend, minimal_ball_estimate
 
 EXIT_OK = 0
@@ -34,12 +34,8 @@ def _outdir(args):
 
 
 def _build_policy(args):
-    kind = args.policy
-    if kind == "user_constant" or (kind is None and args.t is not None):
-        return stepsize.StepPolicy("user_constant", t=args.t)
-    if kind == "exit_compromise":
-        return stepsize.StepPolicy("exit_compromise", rho_prime=args.rho_prime)
-    return stepsize.StepPolicy(kind or "conjecture")
+    kind = args.policy or ("conjecture" if args.t is None else "user_constant")
+    return stepsize.StepPolicy(kind, t=args.t, rho_prime=args.rho_prime)
 
 
 def cmd_mean(args):
@@ -62,8 +58,7 @@ def cmd_mean(args):
                        max_iters=args.max_iters)
     tr = descend(ds, cfg)
     out = _outdir(args)
-    emit.write_trace_csv(os.path.join(out, "trace.csv"), tr,
-                         ds.space.ambient_dim)
+    emit.write_trace_csv(os.path.join(out, "trace.csv"), tr)
     rate = solver.trailing_rate(ds, tr, t)
     summary = {
         "status": tr.status,
@@ -97,8 +92,7 @@ def cmd_stepsize(args):
         return EXIT_OK
     space = make_space(args.space, args.dim, args.kappa)
     rows = []
-    for kind in ("conjecture", "constant_curvature", "spread_compromise",
-                 "exit_compromise"):
+    for kind in [k for k in stepsize.POLICIES if k != "user_constant"]:
         pol = stepsize.StepPolicy(kind, rho_prime=args.rho_prime)
         try:
             t = pol.resolve(space, args.rho, args.p)
@@ -124,9 +118,7 @@ def cmd_circle_example(args):
 
 
 def cmd_sphere_configs(args):
-    rho_list = ([float(r) for r in args.rho_list.split(",")]
-                if args.rho_list else (0.35 * math.pi, 0.47 * math.pi))
-    report = experiments.run_sphere_configs(rho_list, args.t or 1.0,
+    report = experiments.run_sphere_configs(args.rho_list, args.t,
                                             _outdir(args), args.seed)
     print(json.dumps(report, indent=2))
     return EXIT_OK
@@ -150,6 +142,11 @@ def cmd_check(args):
     return EXIT_OK
 
 
+def float_list(text):
+    """The argparse type of --rho-list: comma-separated floats."""
+    return tuple(float(r) for r in text.split(","))
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose rejections exit EXIT_PARSE, not 2 (the
     cut-locus code); subparsers are built from the same class."""
@@ -169,9 +166,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--space", default="sphere",
-                       choices=["euclidean", "sphere", "hyperbolic", "circle",
-                                "real_projective", "so3"])
+        p.add_argument("--space", default="sphere", choices=KINDS)
         p.add_argument("--dim", type=int, default=2)
         p.add_argument("--kappa", type=float, default=1.0)
         p.add_argument("--seed", type=int, default=0)
@@ -180,9 +175,7 @@ def build_parser():
     pm = sub.add_parser("mean", help="compute a center of mass")
     pm.add_argument("dataset", help="dataset JSON file")
     pm.add_argument("--p", type=float, default=2.0)
-    pm.add_argument("--policy", default=None,
-                    choices=["user_constant", "conjecture", "constant_curvature",
-                             "spread_compromise", "exit_compromise"])
+    pm.add_argument("--policy", default=None, choices=stepsize.POLICIES)
     pm.add_argument("--t", type=float, default=None)
     pm.add_argument("--rho-prime", dest="rho_prime", type=float, default=None)
     pm.add_argument("--grad-tol", dest="grad_tol", type=float, default=1e-10)
@@ -201,9 +194,10 @@ def build_parser():
     pc.add_argument("--out", default=None)
 
     pg = sub.add_parser("sphere-configs", help="cross/pair configurations")
-    pg.add_argument("--rho-list", dest="rho_list", default=None,
+    pg.add_argument("--rho-list", dest="rho_list", type=float_list,
+                    default=experiments.SPHERE_RHOS,
                     help="comma-separated rho values")
-    pg.add_argument("--t", type=float, default=None)
+    pg.add_argument("--t", type=float, default=1.0)
     pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--out", default=None)
 

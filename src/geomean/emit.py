@@ -27,23 +27,16 @@ def write_csv(path, header, rows):
             f.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def trace_rows(trace):
-    """Rows for the trace CSV: k, coords..., cost, grad_norm, dist_to_o,
-    dist_to_final, step_used."""
-    rows = []
-    for rec, dfin in zip(trace.records, trace.dist_to_final):
-        rows.append([rec.k, *map(float, rec.point), rec.cost, rec.grad_norm,
-                     rec.dist_to_o, dfin, rec.step_used])
-    return rows
-
-
-def trace_header(ambient_dim):
-    return (["k"] + [f"x{i}" for i in range(ambient_dim)]
-            + ["cost", "grad_norm", "dist_to_o", "dist_to_final", "step_used"])
-
-
-def write_trace_csv(path, trace, ambient_dim):
-    write_csv(path, trace_header(ambient_dim), trace_rows(trace))
+def write_trace_csv(path, trace):
+    """The trace as CSV: k, x0..x{D-1}, cost, grad_norm, dist_to_o,
+    dist_to_final, step_used, where D is the length of the first record's
+    point (descend always records at least one)."""
+    header = (["k"] + [f"x{i}" for i in range(len(trace.records[0].point))]
+              + ["cost", "grad_norm", "dist_to_o", "dist_to_final", "step_used"])
+    write_csv(path, header,
+              [[rec.k, *map(float, rec.point), rec.cost, rec.grad_norm,
+                rec.dist_to_o, dfin, rec.step_used]
+               for rec, dfin in zip(trace.records, trace.dist_to_final)])
 
 
 class PlotSeries:

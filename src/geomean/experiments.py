@@ -14,21 +14,22 @@ from .solver import SolverConfig, descend
 
 TH1 = 2.0 * math.pi / 5.0
 TH2 = -2.0 * math.pi / 5.0
+SPHERE_RHOS = (0.35 * math.pi, 0.47 * math.pi)  # sphere-configs default
 
 
-def circle_f2(theta, w1, w2, th1=TH1, th2=TH2):
-    """Closed-form f_2 on the circle for two points at th1 > 0 > th2.
+def circle_f2(theta, w1, w2):
+    """Closed-form f_2 on the circle for two points at TH1 > 0 > TH2.
 
-    The outer branches use the wrap-around distances theta - th1 + 2 pi
-    and theta - th2 - 2 pi, so the plotted minima sit where descent
+    The outer branches use the wrap-around distances theta - TH1 + 2 pi
+    and theta - TH2 - 2 pi, so the plotted minima sit where descent
     actually converges.
     """
-    if theta <= th1 - math.pi:
-        d1, d2 = theta - th1 + 2.0 * math.pi, theta - th2
-    elif theta <= th2 + math.pi:
-        d1, d2 = theta - th1, theta - th2
+    if theta <= TH1 - math.pi:
+        d1, d2 = theta - TH1 + 2.0 * math.pi, theta - TH2
+    elif theta <= TH2 + math.pi:
+        d1, d2 = theta - TH1, theta - TH2
     else:
-        d1, d2 = theta - th1, theta - th2 - 2.0 * math.pi
+        d1, d2 = theta - TH1, theta - TH2 - 2.0 * math.pi
     return 0.5 * (w1 * d1 * d1 + w2 * d2 * d2)
 
 
@@ -67,8 +68,7 @@ def run_circle_example(out=None):
                  "verdicts": tr.verdicts}
         report["scenarios"].append(entry)
         if out:
-            emit.write_trace_csv(os.path.join(out, f"circle_{name}.csv"),
-                                 tr, space.ambient_dim)
+            emit.write_trace_csv(os.path.join(out, f"circle_{name}.csv"), tr)
     if out:
         thetas = np.linspace(-math.pi + 1e-9, math.pi, 2001)
         series = [
@@ -85,9 +85,9 @@ def run_circle_example(out=None):
     return report
 
 
-def cross_config(rho, kappa=1.0):
+def cross_config(rho):
     """Four points at distance rho from the pole along +-e1, +-e2 on S^2."""
-    space = Sphere(2, kappa)
+    space = Sphere(2)
     o = np.array([0.0, 0.0, 1.0])
     dirs = [np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]),
             np.array([0.0, 1.0, 0.0]), np.array([0.0, -1.0, 0.0])]
@@ -95,9 +95,9 @@ def cross_config(rho, kappa=1.0):
     return frechet.make_dataset(space, pts, [0.25] * 4, o, rho)
 
 
-def pair_config(rho, kappa=1.0):
+def pair_config(rho):
     """Four points (two coincident pairs) at +-rho along e1 on S^2."""
-    space = Sphere(2, kappa)
+    space = Sphere(2)
     o = np.array([0.0, 0.0, 1.0])
     u = np.array([1.0, 0.0, 0.0])
     a, b = space.exp(o, rho * u), space.exp(o, -rho * u)
@@ -117,16 +117,15 @@ def eigenvalue_report(ds, rho):
             "rho_ct_rho": rho * ct(space.kappa, rho)}
 
 
-def iters_to_tol(trace, tol=1e-6):
-    """First iteration index with d(x^k, final) < tol; None if never."""
+def iters_to_tol(trace):
+    """First iteration index with d(x^k, final) < 1e-6; None if never."""
     for rec, d in zip(trace.records, trace.dist_to_final):
-        if d < tol:
+        if d < 1e-6:
             return rec.k
     return None
 
 
-def run_sphere_configs(rho_list=(0.35 * math.pi, 0.47 * math.pi),
-                       t=1.0, out=None, seed=0):
+def run_sphere_configs(rho_list=SPHERE_RHOS, t=1.0, out=None, seed=0):
     """Descent on the cross and pair configurations at each rho.
 
     Starts from a seeded uniform point in B(o, rho), records d(x^k, xbar)
@@ -156,8 +155,7 @@ def run_sphere_configs(rho_list=(0.35 * math.pi, 0.47 * math.pi),
                 name, [r.k for r in tr.records], tr.dist_to_final))
             if out:
                 emit.write_trace_csv(
-                    os.path.join(out, f"sphere_{name}.csv"),
-                    tr, ds.space.ambient_dim)
+                    os.path.join(out, f"sphere_{name}.csv"), tr)
     if out:
         emit.write_svg(os.path.join(out, "sphere_configs.svg"), series,
                        title="distance to the center of mass per iteration",

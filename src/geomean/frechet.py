@@ -7,7 +7,7 @@ d^0 is taken to be 1 even at d = 0 (half of d^2 is smooth there).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ class WeightedDataset:
     weights: np.ndarray         # (N,), nonnegative, sums to 1
     ball_center: np.ndarray
     ball_radius: float
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_points(self):
@@ -172,11 +171,11 @@ def uniform_hessian_bound(space, rho, p):
     return (2.0 * rho) ** (p - 2.0) * max(p - 1.0, c_upper(cst.delta, 2.0 * rho))
 
 
-def fd_hessian_quadratic_form(ds, p, x, u, h=None):
-    """Central second difference of f_p along the unit direction u at x."""
+def fd_hessian_quadratic_form(ds, p, x, u):
+    """Central second difference of f_p along the unit direction u at x,
+    with step h = 1e-4 min(1, inj)."""
     sp = ds.space
-    if h is None:
-        h = 1e-4 * min(1.0, sp.constants().inj)
+    h = 1e-4 * min(1.0, sp.constants().inj)
     u = np.asarray(u, dtype=float)
     fp = cost(ds, p, sp.exp(x, h * u))
     f0 = cost(ds, p, x)

@@ -59,7 +59,7 @@ class Chart:
         return np.array([sp.inner(self.center, w, b) for b in self.basis])
 
 
-def secant_by_intersection(space, x, y1, y2, alpha1, tol=1e-12):
+def secant_by_intersection(space, x, y1, y2, alpha1):
     """Secant length by explicit geodesic intersection (oracle).
 
     Launches the geodesic from x at angle alpha1 off side x y1 (rotating
@@ -104,7 +104,7 @@ def secant_by_intersection(space, x, y1, y2, alpha1, tol=1e-12):
     flo = side(lo)
     if flo > 0:  # orientation guard; should not trigger for valid input
         raise DegenerateSecantError("secant: inconsistent orientation")
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if side(mid) <= 0:
             lo = mid
@@ -170,6 +170,8 @@ def comparison_check(space, n_trials, seed, exploratory=False):
     """
     if space.kappa <= 0 and not exploratory:
         raise DomainError("comparison_check: kappa > 0 required (or exploratory)")
+    if n_trials < 1:
+        raise DomainError(f"comparison_check: need n_trials >= 1, got {n_trials}")
     rng = np.random.Generator(np.random.Philox(seed))
     violations = 0
     min_margin = math.inf
@@ -275,6 +277,8 @@ def tethering_check(space, n_trials, t_grid, seed, exploratory=False):
     """
     if space.constants().delta < 0 and not exploratory:
         raise DomainError("tethering_check: needs curvature >= 0 (or exploratory)")
+    if n_trials < 1:
+        raise DomainError(f"tethering_check: need n_trials >= 1, got {n_trials}")
     rng = np.random.Generator(np.random.Philox(seed))
     cap = _sampling_cap(space)
     violations = 0
@@ -305,6 +309,8 @@ def tethering_check(space, n_trials, t_grid, seed, exploratory=False):
 def hull_check(space, n_trials, seed):
     """Hull-trap sweep: once a descent iterate enters the convex hull of
     the data, later iterates must stay inside."""
+    if n_trials < 1:
+        raise DomainError(f"hull_check: need n_trials >= 1, got {n_trials}")
     rng = np.random.Generator(np.random.Philox(seed))
     cap = _sampling_cap(space)
     violations = 0

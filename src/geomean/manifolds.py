@@ -60,6 +60,8 @@ class ManifoldSpace:
 
     def __init__(self, dim, kappa):
         self.dim = int(dim)
+        if self.dim < 1:
+            raise DomainError(f"{self.kind}: need dim >= 1, got {dim}")
         self.kappa = float(kappa)
 
     # -- subclass responsibilities -------------------------------------
@@ -153,16 +155,16 @@ class ManifoldSpace:
         """Point at parameter t along the geodesic from x with velocity v."""
         return self.exp(x, t * np.asarray(v, dtype=float))
 
-    def check_point(self, x, tol=1e-12):
+    def check_point(self, x):
         """Validate the representation constraint; raises DomainError."""
         x = np.asarray(x, dtype=float)
-        self.check_points(x[np.newaxis], tol)
+        self.check_points(x[np.newaxis])
         return x
 
-    def check_points(self, X, tol=1e-12):
+    def check_points(self, X):
         """Validate the rows of an (N, D) array in one pass; raises the
         DomainError of the first bad row (shape, then finiteness, then
-        the representation constraint)."""
+        a representation error above 1e-12)."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.ambient_dim:
             raise DomainError(f"{self.kind}: point shape {X.shape[1:]}, "
@@ -170,7 +172,7 @@ class ManifoldSpace:
         finite = np.isfinite(X).all(axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             err = self._constraint_errors(X)
-        bad = ~(finite & (err <= tol))  # also rejects a NaN error
+        bad = ~(finite & (err <= 1e-12))  # also rejects a NaN error
         if bad.any():
             i = int(np.argmax(bad))
             if not finite[i]:
@@ -558,7 +560,8 @@ def _canonical_sign_rows(X):
     return np.where(big.any(axis=-1)[:, np.newaxis] & (lead < 0.0), -X, X)
 
 
-_KINDS = {
+# space kind -> constructor(dim, kappa); also the CLI's --space choices
+KINDS = {
     "euclidean": lambda dim, kappa: Euclidean(dim),
     "sphere": lambda dim, kappa: Sphere(dim, kappa),
     "hyperbolic": lambda dim, kappa: Hyperbolic(dim, kappa),
@@ -570,7 +573,7 @@ _KINDS = {
 
 def make_space(kind, dim=2, kappa=1.0):
     try:
-        ctor = _KINDS[kind]
+        ctor = KINDS[kind]
     except KeyError:
         raise DomainError(f"unknown space kind {kind!r}") from None
     return ctor(dim, kappa)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CutLocusError, DomainError, PreconditionError
-from .kernels import b_lower, c_upper
 from .stepsize import rate_estimate
 from . import frechet
 
@@ -215,22 +214,23 @@ def fit_tail_rate(trace):
 def trailing_rate(ds, trace, t, k_start=None):
     """Rate prediction from Hessian radial bounds on a ball around the
     final point that contains the trace from k_start on (default: its
-    second half) and the data; None when the region is not strongly
-    convex enough (h <= 0) or t is not below 2/H."""
+    second half) and the data (frechet.hessian_radial_bounds at its
+    diameter D); None when D reaches min(inj, pi/sqrt(Delta)), where no
+    bound holds, when the region is not strongly convex enough (h <= 0)
+    or when t is not below 2/H."""
     if k_start is None:
         k_start = len(trace.records) // 2
     sp = ds.space
-    cst = sp.constants()
     xbar = trace.final
     tail_r = max(trace.dist_to_final[k_start:], default=0.0)
     D = tail_r + float(np.max(sp.dist_many(xbar, ds.points)))
     try:
-        h = b_lower(cst.Delta, D)
+        bounds = frechet.hessian_radial_bounds(sp, D)
     except DomainError:
         return None
+    h, H = bounds["lower"], bounds["upper"]
     if h <= 0:
         return None
-    H = c_upper(cst.delta, D)
     f_gap = trace.records[k_start].cost - trace.records[-1].cost
     if not (0 < t < 2.0 / H):
         return None
@@ -240,11 +240,11 @@ def trailing_rate(ds, trace, t, k_start=None):
 _PAIRS_PER_BLOCK = 1 << 20   # pairwise distances evaluated at once
 
 
-def minimal_ball_estimate(space, points, iters=200):
+def minimal_ball_estimate(space, points):
     """Approximate geodesic 1-center of a point set.
 
-    Badoiu-Clarkson style: from a seed, repeatedly pull the center toward
-    the current farthest point with shrinking step 1/(k+1).  Accurate to a
+    Badoiu-Clarkson style: from a seed, 200 times move the center 1/(k+2)
+    of the way to the current farthest point (k = 0..199).  Accurate to a
     couple of percent in the radius for the sizes used here.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -264,7 +264,7 @@ def minimal_ball_estimate(space, points, iters=200):
             f"minimal_ball_estimate: point spread {dmax} >= 2 r_cx = {2 * r_cx}")
     # seed: data point with the smallest maximum distance
     center = points[np.argmin(row_max)].copy()
-    for k in range(iters):
+    for k in range(200):
         far = points[np.argmax(space.dist_many(center, points))]
         center = space.exp(center, space.log(center, far) / (k + 2.0))
     radius = float(np.max(space.dist_many(center, points)))

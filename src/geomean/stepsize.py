@@ -176,15 +176,17 @@ def rate_estimate(h_S, H_S, t, f_gap):
                         K=math.sqrt(2.0 * f_gap / h_S))
 
 
+POLICIES = ("user_constant", "conjecture", "constant_curvature",
+            "spread_compromise", "exit_compromise")
+
+
 @dataclass(frozen=True)
 class StepPolicy:
     """A named step-size rule plus its parameters; resolve() returns t."""
 
-    kind: str                  # user_constant | conjecture | constant_curvature
-    #                          | spread_compromise | exit_compromise
+    kind: str                  # one of POLICIES
     t: float = None            # for user_constant
     rho_prime: float = None    # for exit_compromise
-    start_at_o: bool = False   # for spread_compromise
 
     def resolve(self, space, rho, p):
         if not math.isfinite(rho):
@@ -208,7 +210,7 @@ class StepPolicy:
                     f"constant_curvature: rho={rho} exceeds r_cx={cst.r_cx}")
             return 1.0
         if self.kind == "spread_compromise":
-            return resolve_spread_compromise(space, rho, p, self.start_at_o).t_base
+            return resolve_spread_compromise(space, rho, p).t_base
         if self.kind == "exit_compromise":
             if self.rho_prime is None:
                 raise DomainError("exit_compromise policy needs rho_prime")

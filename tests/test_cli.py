@@ -323,6 +323,56 @@ def test_non_finite_kappa_exits_parse(argv, tmp_path, capsys):
     _one_error_line(capsys, "error: Sphere: need finite kappa > 0")
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (["check", "comparison", "--dim", "0", "--trials", "3"], "sphere"),
+    (["check", "tethering", "--dim", "-1", "--trials", "3"], "sphere"),
+    (["check", "hull", "--space", "euclidean", "--dim", "0"], "euclidean"),
+])
+def test_dimension_below_one_exits_parse(argv, kind, tmp_path, capsys):
+    # checked first: a 0-dimensional tangent space would keep the samplers
+    # drawing for ever
+    for space in ("sphere", "euclidean"):
+        with pytest.raises(DomainError):
+            make_space(space, 0)
+    assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_PARSE
+    _one_error_line(capsys, f"error: {kind}: need dim >= 1")
+
+
+@pytest.mark.parametrize("suite", ["comparison", "tethering", "hull"])
+def test_zero_trials_exit_parse(suite, tmp_path, capsys):
+    # a suite of no trials would report min_margin Infinity and exit 0
+    assert cli.main(["check", suite, "--trials", "0",
+                     "--out", str(tmp_path)]) == cli.EXIT_PARSE
+    _one_error_line(capsys, f"error: {suite}_check: need n_trials >= 1, got 0")
+    assert not (tmp_path / f"check_{suite}.json").exists()
+
+
+@pytest.mark.parametrize("rho_list", ["abc", "1,,2"])
+def test_sphere_configs_bad_rho_list_exits_parse(rho_list, capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["sphere-configs", "--rho-list", rho_list])
+    assert e.value.code == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: geomean sphere-configs")
+    assert err.endswith(f"error: argument --rho-list: invalid float_list "
+                        f"value: '{rho_list}'\n")
+
+
+def test_sphere_configs_zero_step_exits_parse(tmp_path, capsys):
+    # --t 0 is a step of 0, not the default step 1
+    assert cli.main(["sphere-configs", "--t", "0",
+                     "--out", str(tmp_path)]) == cli.EXIT_PARSE
+    _one_error_line(capsys, "error: step must be finite and positive, got 0.0")
+
+
+def test_sphere_configs_takes_rho_list_and_step(tmp_path, capsys):
+    assert cli.main(["sphere-configs", "--rho-list", "0.5,0.25", "--t", "0.5",
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["t"] == 0.5
+    assert [r["rho"] for r in rep["runs"]] == [0.5, 0.5, 0.25, 0.25]
+
+
 def test_dataset_with_non_finite_kappa_exits_parse(tmp_path, capsys):
     obj = dict(_S2_PAIR, space={"kind": "sphere", "dim": 2, "kappa": math.nan})
     assert _mean_with(tmp_path, obj) == cli.EXIT_PARSE

@@ -478,6 +478,21 @@ def test_non_finite_curvature_is_rejected(kappa):
             ctor()
 
 
+@pytest.mark.parametrize("ctor", [Euclidean, Sphere, Hyperbolic,
+                                  RealProjective], ids=lambda c: c.kind)
+@pytest.mark.parametrize("dim", [0, -1])
+def test_dimension_below_one_is_rejected(ctor, dim):
+    # a 0-dimensional tangent space would keep random_unit_tangent drawing
+    # for ever
+    with pytest.raises(DomainError, match="need dim >= 1"):
+        ctor(dim)
+
+
+def test_fixed_dimension_kinds_ignore_dim():
+    assert make_space("circle", 0).dim == 1
+    assert make_space("so3", -1).dim == 3
+
+
 def test_random_in_ball_stays_inside(rng):
     for space in SPACES:
         cst = space.constants()

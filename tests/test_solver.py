@@ -11,7 +11,7 @@ from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
                                SO3, Sphere)
 from geomean.solver import (SolverConfig, descend, fit_tail_rate,
                             minimal_ball_estimate, multistart_uniqueness,
-                            one_step)
+                            one_step, trailing_rate)
 
 TH1, TH2 = 2 * math.pi / 5, -2 * math.pi / 5
 
@@ -394,6 +394,20 @@ def test_minimal_ball_matches_point_loop(space, rng):
         c_ref, r_ref = _loop_minimal_ball(space, list(pts))
         np.testing.assert_allclose(c, c_ref, rtol=1e-12, atol=1e-12)
         assert r == pytest.approx(r_ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("space, far", [
+    (Circle(1.0), np.array([-1.0, 0.0])),
+    (SO3(), SO3.from_axis_angle([0.0, 0.0, 1.0], math.pi)),
+], ids=["circle", "so3"])
+def test_trailing_rate_is_none_at_a_cut_locus_stop(space, far):
+    # the run stops at o, a distance inj from `far`: no radial Hessian
+    # bound holds there, so no rate is predicted
+    o = np.eye(space.ambient_dim)[0]
+    ds = make_dataset(space, [o, far], None, o, math.pi)
+    tr = descend(ds, SolverConfig(p=2.0, step=0.5))
+    assert tr.status == "cut_locus" and tr.n_iters == 0
+    assert trailing_rate(ds, tr, 0.5) is None
 
 
 def test_fit_tail_rate(rng):
