@@ -127,12 +127,10 @@ def cmd_sphere_configs(args):
 def cmd_check(args):
     space = make_space(args.space, args.dim, args.kappa)
     if args.suite == "comparison":
-        rep = geocheck.comparison_check(space, args.trials, args.seed,
-                                        exploratory=space.kappa <= 0)
+        rep = geocheck.comparison_check(space, args.trials, args.seed)
     elif args.suite == "tethering":
         rep = geocheck.tethering_check(space, args.trials, (0.25, 0.5, 1.0),
-                                       args.seed,
-                                       exploratory=space.constants().delta < 0)
+                                       args.seed)
     else:
         rep = geocheck.hull_check(space, args.trials, args.seed)
     out = _outdir(args)
@@ -165,11 +163,12 @@ def build_parser():
         description="Riemannian L^p centers of mass on constant-curvature spaces")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=True):
         p.add_argument("--space", default="sphere", choices=KINDS)
         p.add_argument("--dim", type=int, default=2)
         p.add_argument("--kappa", type=float, default=1.0)
-        p.add_argument("--seed", type=int, default=0)
+        if seed:   # stepsize draws nothing
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
 
     pm = sub.add_parser("mean", help="compute a center of mass")
@@ -183,7 +182,7 @@ def build_parser():
     pm.add_argument("--out", default=None)
 
     ps = sub.add_parser("stepsize", help="resolve step-size policies")
-    common(ps)
+    common(ps, seed=False)
     ps.add_argument("--p", type=float, default=2.0)
     ps.add_argument("--rho", type=float, default=0.5)
     ps.add_argument("--rho-prime", dest="rho_prime", type=float, default=None)

@@ -161,15 +161,13 @@ def triangle_data(space, x, y1, y2):
     return b, c, math.acos(cos_a)
 
 
-def comparison_check(space, n_trials, seed, exploratory=False):
+def comparison_check(space, n_trials, seed):
     """Monte Carlo sweep of the secant comparison z >= z_euclid.
 
     For kappa > 0 the spherical trig formula supplies z; zero violations
-    are expected.  With exploratory=True (negative curvature) z comes from
+    are expected.  For kappa <= 0 the suite is exploratory: z comes from
     the intersection oracle and violations are only reported.
     """
-    if space.kappa <= 0 and not exploratory:
-        raise DomainError("comparison_check: kappa > 0 required (or exploratory)")
     if n_trials < 1:
         raise DomainError(f"comparison_check: need n_trials >= 1, got {n_trials}")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -267,16 +265,15 @@ def _nnls(A, b):
     return x
 
 
-def tethering_check(space, n_trials, t_grid, seed, exploratory=False):
+def tethering_check(space, n_trials, t_grid, seed):
     """Monte Carlo check that x -> exp_x(-t grad f_2(x)) maps B(o, rho)
     into itself for t in (0, 1] on constant nonnegative curvature.
 
     Each trial draws a ball, a dataset inside it, a start x inside it and
     a step t from t_grid, applies one descent update and measures the
-    boundary margin rho - d(o, image).
+    boundary margin rho - d(o, image).  On negative curvature (delta < 0)
+    the suite is exploratory: violations are only reported.
     """
-    if space.constants().delta < 0 and not exploratory:
-        raise DomainError("tethering_check: needs curvature >= 0 (or exploratory)")
     if n_trials < 1:
         raise DomainError(f"tethering_check: need n_trials >= 1, got {n_trials}")
     rng = np.random.Generator(np.random.Philox(seed))

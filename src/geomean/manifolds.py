@@ -38,8 +38,9 @@ from .kernels import sn_jacobi
 _CANON_TOL = 1e-9  # first coordinate of magnitude above this fixes the sign
 _MAX_COORD = 1e150  # below this, sums of squared coordinates stay finite
 # Hyperbolic: a tangent's Minkowski norm at x is good to about
-# eps*(x0/R)^2, so a base point past this time coordinate (about 6 digits
-# left) is refused as an overflow
+# eps*(x0/R)^2, so log refuses a base point past this time coordinate
+# (about 6 digits left) as an overflow; the distance, from the Minkowski
+# product alone at such a separation, keeps full precision there
 _MAX_BASE = 2.0 ** 16
 
 
@@ -459,7 +460,7 @@ class Hyperbolic(ManifoldSpace):
             d = R * math.asinh(nu / R)
         else:
             d = R * math.acosh(max(ch, 1.0))
-        if not (math.isfinite(nu) and math.isfinite(d) and x[0] <= _MAX_BASE * R):
+        if not math.isfinite(d):
             raise self._overflow_error(x, y)
         return u, nu, d
 
@@ -472,12 +473,30 @@ class Hyperbolic(ManifoldSpace):
             ch = -m / R**2
             d = np.where(ch < 2.0, R * np.arcsinh(nU / R),
                          R * np.arccosh(np.maximum(ch, 1.0)))
-        bad = ~(np.isfinite(nU) & np.isfinite(d) & (x[..., 0] <= _MAX_BASE * R))
+        self._raise_first(~np.isfinite(d), x, P)
+        return U, nU, d
+
+    def log_dist(self, x, y):
+        u, nu, d = self._tangential(x, y)
+        if not (math.isfinite(nu) and x[0] <= _MAX_BASE * self._R):
+            raise self._overflow_error(x, y)
+        if d == 0.0:
+            return np.zeros_like(u), d
+        return (d / nu) * u, d
+
+    def log_dist_many(self, x, P):
+        U, nU, d = self._tangential_many(x, P)
+        self._raise_first(~(np.isfinite(nU) & (x[..., 0] <= _MAX_BASE * self._R)),
+                          x, P)
+        scale = np.divide(d, nU, out=np.zeros_like(d), where=d != 0.0)
+        return scale[:, np.newaxis] * U, d
+
+    def _raise_first(self, bad, x, P):
+        """Raise the overflow error of the first pair of x and P marked bad."""
         if bad.any():
             i = np.unravel_index(np.argmax(bad), bad.shape)
             X, P = np.broadcast_arrays(x, P)
             raise self._overflow_error(X[i], P[i])
-        return U, nU, d
 
     def _overflow_error(self, x, y):
         """The error of a pair whose tangential part is not finite, or is

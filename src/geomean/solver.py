@@ -2,15 +2,20 @@
 
 The update is x^{k+1} = exp_{x^k}(-t grad f_p(x^k)).  Alongside the bare
 iteration the solver records, per step, whether the iterate stayed in the
-monitor ball, whether the connecting geodesic stayed inside (sampled at
-interior parameters), and whether the cost decreased.  A cut-locus hit
+monitor ball, whether the connecting geodesic stayed inside (certified
+or sampled, below), and whether the cost decreased.  A cut-locus hit
 aborts the run; the offending iterate is recorded rather than perturbed.
 
-The step itself is one per-pair exp.  The interior samples of a step lie
-on one geodesic, so the continuous-stay monitor evaluates them with one
-exp_many and one dist_many.  Each iterate's cost, which the monitors
-compare, and its gradient, which the next step takes, come from one
-log_dist_many over the data (frechet.cost_gradient).
+The step itself is one per-pair exp.  A ball of radius below
+r_cx = 1/2 min(inj, pi/sqrt(Delta)) is strongly convex (Afsari 2011), so
+a step shorter than inj whose two ends lie in such a monitor ball stays
+in it throughout: the continuous-stay monitor certifies it from the
+distance of the step's end, which the next iterate's ball monitor reuses.
+Any other step is sampled: its interior points lie on one geodesic, so
+the monitor evaluates them with one exp_many and one dist_many.  Each
+iterate's cost, which the monitors compare, and its gradient, which the
+next step takes, come from one log_dist_many over the data
+(frechet.cost_gradient).
 """
 
 import math
@@ -83,7 +88,8 @@ def descend(ds, cfg, x0=None):
     verdicts report the monitored convergence hypotheses:
 
       stayed_in_ball      every iterate in the monitor ball
-      continuously_stayed every sampled interior geodesic point in it too
+      continuously_stayed every step's geodesic in it too (certified by
+                          the ball's convexity, else sampled)
       monotone_cost       f never increased (beyond 1e-12)
       descent_inequality  quantified per-step decrease (needs
                           cfg.hessian_upper; None when not monitored)
@@ -105,6 +111,7 @@ def descend(ds, cfg, x0=None):
     sub_s = np.arange(1, n_sub + 1)[:, np.newaxis] / (n_sub + 1)
 
     f, g, cut = _cost_gradient(ds, cfg.p, x)
+    d_mon = None   # d(mon_o, x), when the step to x computed it
     for k in range(cfg.max_iters + 1):
         if g is None:
             tr.records.append(IterateRecord(k, x, f, math.nan,
@@ -113,9 +120,13 @@ def descend(ds, cfg, x0=None):
             tr.cut_locus_index = cut
             break
         gn = sp.norm(x, g)
-        d_o = sp.distance(o, x)
+        if cfg.monitor_center is None:
+            d_o = d_mon = sp.distance(o, x) if d_mon is None else d_mon
+        else:
+            d_o = sp.distance(o, x)
+            if d_mon is None:
+                d_mon = sp.distance(mon_o, x)
         tr.records.append(IterateRecord(k, x, f, gn, d_o, t))
-        d_mon = d_o if cfg.monitor_center is None else sp.distance(mon_o, x)
         if not d_mon <= ball_limit:
             verd["stayed_in_ball"] = False
             verd["continuously_stayed"] = False
@@ -128,10 +139,18 @@ def descend(ds, cfg, x0=None):
             break
 
         step_vec = -t * g
+        try:
+            x_next, exp_error = sp.exp(x, step_vec), None
+        except DomainError as e:   # a sampled substep's overflow comes first
+            x_next, exp_error = None, e
+        d_next = None
         if verd["continuously_stayed"] and n_sub > 0:
-            verd["continuously_stayed"] = _substeps_stay(
-                sp, x, sub_s * step_vec, mon_o, ball_limit)
-        x_next = sp.exp(x, step_vec)
+            d_next = _end_distance(sp, mon_o, mon_rho, d_mon, t * gn, x_next)
+            if d_next is None or d_next > mon_rho:
+                verd["continuously_stayed"] = _substeps_stay(
+                    sp, x, sub_s * step_vec, mon_o, ball_limit)
+        if exp_error is not None:
+            raise exp_error
         f_next, g, cut = _cost_gradient(ds, cfg.p, x_next)
         if f_next > f + 1e-12:
             verd["monotone_cost"] = False
@@ -139,7 +158,7 @@ def descend(ds, cfg, x0=None):
             bound = f - gn * gn * t * (1.0 - cfg.hessian_upper * t / 2.0)
             if f_next > bound + 1e-10:
                 verd["descent_inequality"] = False
-        x, f = x_next, f_next
+        x, f, d_mon = x_next, f_next, d_next
 
     tr.final = x
     tr.verdicts = verd
@@ -170,6 +189,25 @@ def _substeps_stay(sp, x, V, center, limit):
         sp.exp(x, V[n_ok])   # raises the overflow for this row
         return False         # only if the scalar and array tests disagree
     return True
+
+
+def _end_distance(sp, center, rho, d_x, step_len, y):
+    """d(center, y) for the step of length step_len from x, at d_x from
+    center, to y; None when the step cannot be certified by convexity
+    (ball radius rho not below r_cx, step not shorter than inj, x outside
+    the closed ball, or no y because exp raised) or the distance raises.
+    A step with d(center, y) <= rho then stays in the ball throughout:
+    its two ends lie in the strongly convex ball and, being shorter than
+    inj, it is their unique minimal geodesic.  A distance that raises is
+    left to the next iterate's record, which raises it after the cost at
+    y."""
+    c = sp.constants()
+    if not (rho < c.r_cx and step_len < c.inj and d_x <= rho and y is not None):
+        return None
+    try:
+        return sp.distance(center, y)
+    except DomainError:
+        return None
 
 
 def one_step(ds, p, x, t):

@@ -347,6 +347,16 @@ def test_zero_trials_exit_parse(suite, tmp_path, capsys):
     assert not (tmp_path / f"check_{suite}.json").exists()
 
 
+def test_stepsize_has_no_seed(capsys):
+    # stepsize draws nothing, so --seed is not one of its options
+    with pytest.raises(SystemExit) as e:
+        cli.main(["stepsize", "--seed", "5"])
+    assert e.value.code == cli.EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error:" in line] == [
+        "geomean: error: unrecognized arguments: --seed 5"]
+
+
 @pytest.mark.parametrize("rho_list", ["abc", "1,,2"])
 def test_sphere_configs_bad_rho_list_exits_parse(rho_list, capsys):
     with pytest.raises(SystemExit) as e:

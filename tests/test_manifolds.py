@@ -293,10 +293,11 @@ def test_sphere_family_step_of_non_finite_length(space, rng):
 
 
 def test_hyperbolic_far_pair_is_domain_error():
-    # points well below exp's coordinate cap, whose log/distance from a
-    # point near the origin overflows the hyperboloid coordinates (x0 ~
-    # 1e130), or loses the tangential norm to cancellation while the
-    # distance is about 26 (x0 ~ 1e11)
+    # points well below exp's coordinate cap, whose log from a base there
+    # overflows the hyperboloid coordinates (x0 ~ 1e130), or loses the
+    # tangential norm to cancellation while the distance is about 26
+    # (x0 ~ 1e11): log refuses them, while the distance, from the
+    # Minkowski product alone, is the same from either end
     hy = Hyperbolic(2)
     o = np.array([1.0, 0.0, 0.0])
     near = hy.exp(o, np.array([0.0, 0.0, 2.0]))
@@ -304,15 +305,19 @@ def test_hyperbolic_far_pair_is_domain_error():
                 hy.exp(o, np.array([0.0, 26.0, 0.0]))):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in (lambda: hy.distance(far, near),
-                         lambda: hy.log_dist(far, near),
-                         lambda: hy.dist_many(far, np.array([o, near])),
+            for call in (lambda: hy.log_dist(far, near),
                          lambda: hy.log_dist_many(far, np.array([o, near]))):
                 with pytest.raises(DomainError, match="overflows") as e:
                     call()
                 assert "nan" not in str(e.value)
-            # the other order stays finite
-            assert math.isfinite(hy.distance(o, far))
+            d = hy.dist_many(far, np.array([o, near]))
+            assert d[0] == hy.distance(far, o) == hy.distance(o, far)
+            assert d[1] == hy.distance(far, near) == hy.distance(near, far)
+            # cosh d = cosh(r) cosh(2) for legs r and 2 at a right angle
+            r = hy.distance(o, far)
+            assert d[1] == pytest.approx(
+                math.log(math.cosh(2.0)) + r + math.log1p(math.exp(-2.0 * r)),
+                rel=1e-12)
 
 
 def test_hyperbolic_far_base_point_is_domain_error():
@@ -327,12 +332,14 @@ def test_hyperbolic_far_base_point_is_domain_error():
         warnings.simplefilter("error")
         for r in (18.0, 24.0):
             x = hy.exp(o, r * u)
-            for call in (lambda: hy.distance(x, y),
-                         lambda: hy.log_dist(x, y),
-                         lambda: hy.dist_many(x, np.array([y])),
+            for call in (lambda: hy.log_dist(x, y),
                          lambda: hy.log_dist_many(x, np.array([y]))):
                 with pytest.raises(DomainError, match="overflows"):
                     call()
+            # the distance alone stays accurate from that base
+            assert hy.dist_many(x, np.array([y]))[0] == hy.distance(x, y)
+            assert hy.distance(x, y) == pytest.approx(hy.distance(y, x),
+                                                      rel=1e-12)
         x = hy.exp(o, 10.0 * u)
         v, d = hy.log_dist(x, y)
         assert abs(hy.norm(x, v) / d - 1.0) <= 1e-7

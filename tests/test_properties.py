@@ -1,7 +1,7 @@
 """Hypothesis properties of the six spaces: the exp/log round trip, the
-length of log against the distance, symmetry of the distance, and the
-array primitives (dist_many, log_dist_many, exp_many) against the scalar
-ones, row by row."""
+length of log against the distance, symmetry of the distance (also for
+pairs far apart), and the array primitives (dist_many, log_dist_many,
+exp_many) against the scalar ones, row by row."""
 
 import math
 
@@ -82,6 +82,23 @@ def test_log_length_is_distance_and_distance_is_symmetric(space, data):
         assert d >= space.constants().inj * (1.0 - 1e-9)
         return
     assert space.norm(x, v) == pytest.approx(d, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
+@FEW
+@given(data=st.data())
+def test_distance_is_symmetric_for_far_pairs(space, data):
+    # y is a step of up to 100 reaches away: on H its time coordinate
+    # reaches about e^300, far past the base points log refuses (2^16 R),
+    # and the distance from either end is the same, and the step length
+    (x,) = _draw_points(data, space, 1)
+    (v,) = _draw_tangents(data, space, x, 1, 100.0)
+    y = space.exp(x, v)
+    d = space.distance(x, y)
+    assert d == pytest.approx(space.distance(y, x), rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(space.dist_many(y, x[np.newaxis]), [d], **ROW_TOL)
+    if space.kind in ("euclidean", "hyperbolic"):
+        assert d == pytest.approx(space.norm(x, v), rel=1e-9)
 
 
 @pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)

@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from geomean import frechet
+from geomean import frechet, solver
 from geomean.errors import DomainError, PreconditionError
 from geomean.experiments import cross_config
 from geomean.frechet import cost, make_dataset, uniform_hessian_bound
 from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
                                SO3, Sphere)
-from geomean.solver import (SolverConfig, descend, fit_tail_rate,
-                            minimal_ball_estimate, multistart_uniqueness,
-                            one_step, trailing_rate)
+from geomean.solver import (SolverConfig, _end_distance, _substeps_stay,
+                            descend, fit_tail_rate, minimal_ball_estimate,
+                            multistart_uniqueness, one_step, trailing_rate)
 
 TH1, TH2 = 2 * math.pi / 5, -2 * math.pi / 5
+SIX_SPACES = [Euclidean(2), Sphere(2), Circle(1.0), Hyperbolic(2),
+              RealProjective(2), SO3()]
 
 
 def circle_ds(weights):
@@ -212,26 +214,106 @@ def test_continuous_stay_catches_a_step_leaving_between_iterates(s, cap):
     assert _stayed_per_substep(ds, cfg, tr) is False
 
 
-def test_descend_per_pair_calls(monkeypatch):
-    # one exp per step; one distance per iterate for the record and the
-    # ball monitor together, and one more for dist_to_final; one
-    # log_dist_many per iterate for its cost and gradient together, and
-    # one dist_many per step, the substep monitor's
+def _descend_counting(monkeypatch, **cfg):
+    """A descent on the cross configuration, with the calls of its
+    primitives counted."""
     ds = cross_config(0.35 * math.pi)
     sp = ds.space
     x0 = sp.exp(ds.ball_center, np.array([0.5, -0.4, 0.0]))
-    calls = {"exp": 0, "distance": 0, "log_dist_many": 0, "dist_many": 0}
+    calls = dict.fromkeys(
+        ("exp", "distance", "log_dist_many", "exp_many", "dist_many"), 0)
     for name in calls:
         def counted(x, y, name=name, method=getattr(sp, name)):
             calls[name] += 1
             return method(x, y)
         monkeypatch.setattr(sp, name, counted)
-    tr = descend(ds, SolverConfig(p=2, step=0.5, grad_tol=1e-12), x0=x0)
+    tr = descend(ds, SolverConfig(p=2, step=0.5, grad_tol=1e-12, **cfg), x0=x0)
     assert tr.status == "converged" and tr.n_iters > 5
     assert tr.verdicts["continuously_stayed"] is True
+    return tr, calls
+
+
+def test_descend_per_pair_calls(monkeypatch):
+    # one exp per step; one distance per iterate for the record and the
+    # ball monitor together (the step to an iterate computes it for the
+    # convexity certificate), and one more for dist_to_final; one
+    # log_dist_many per iterate for its cost and gradient together; no
+    # sampled substeps, since every step is certified
+    tr, calls = _descend_counting(monkeypatch)
     assert calls == {"exp": tr.n_iters, "distance": 2 * len(tr.records),
                      "log_dist_many": len(tr.records),
-                     "dist_many": tr.n_iters}
+                     "exp_many": 0, "dist_many": 0}
+
+
+def test_descend_per_pair_calls_on_a_ball_of_radius_r_cx(monkeypatch):
+    # a monitor ball of radius r_cx (pi/2 on the unit S^2) is not
+    # certified strongly convex, so every step samples its substeps: one
+    # exp_many and one dist_many
+    tr, calls = _descend_counting(monkeypatch, monitor_radius=math.pi / 2)
+    assert calls == {"exp": tr.n_iters, "distance": 2 * len(tr.records),
+                     "log_dist_many": len(tr.records),
+                     "exp_many": tr.n_iters, "dist_many": tr.n_iters}
+
+
+@pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
+def test_certified_stay_agrees_with_sampled_substeps(space, rng):
+    # the convexity certificate of a step (_end_distance at most rho)
+    # never passes a step that the 16 sampled substeps fail.  Monitor
+    # balls reach 1.5 r_cx, a third of the steps wrap once round a closed
+    # geodesic (longer than inj, same end) and a third have an end in the
+    # 1e-9 slack band above rho, which only the sampled check admits
+    c = space.constants()
+    reach = min(c.r_cx, 1.5)
+    sub_s = np.arange(1, 17)[:, np.newaxis] / 17
+    seen = set()
+    for i in range(300):
+        o = space.random_point(rng)
+        rho = 1.5 * reach * rng.uniform()
+        x = space.random_in_ball(o, rho, rng)
+        v = (2.2 * reach * rng.uniform() + 1e-3) * space.random_unit_tangent(x, rng)
+        if i % 3 == 1 and math.isfinite(c.inj):
+            v *= 1.0 + 2.0 * c.inj / space.norm(x, v)
+        y = space.exp(x, v)
+        if i % 3 == 2:
+            rho = max(space.distance(o, x), space.distance(o, y)) * (1.0 - 5e-10)
+        d = _end_distance(space, o, rho, space.distance(o, x),
+                          space.norm(x, v), y)
+        if d is not None:
+            assert d == space.distance(o, y)   # reused as the next d_mon
+        certified = d is not None and d <= rho
+        sampled = _substeps_stay(space, x, sub_s * v, o,
+                                 rho + 1e-9 * max(1.0, rho))
+        assert (certified or sampled) == sampled
+        seen.add((certified, sampled))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
+def test_certified_steps_leave_the_trace_unchanged(space, rng, monkeypatch):
+    # the same runs with every step sampled give identical records,
+    # verdicts and final points
+    reach = min(space.constants().r_cx, 1.5)
+    runs = []
+    for _ in range(6):
+        o = space.random_point(rng)
+        rho = reach * (0.1 + 0.85 * rng.uniform())
+        pts = [space.random_in_ball(o, rho, rng) for _ in range(4)]
+        ds = make_dataset(space, pts, None, o, rho)
+        H = uniform_hessian_bound(space, rho, 2)
+        cfg = SolverConfig(p=2, step=(0.05 + 1.9 * rng.uniform()) / H,
+                           grad_tol=1e-9, max_iters=40)
+        runs.append((ds, cfg, space.random_in_ball(o, rho, rng)))
+    def rows(tr):
+        return [[r.k, r.cost, r.grad_norm, r.dist_to_o, r.step_used, *r.point]
+                for r in tr.records]
+
+    certified = [descend(*run) for run in runs]
+    monkeypatch.setattr(solver, "_end_distance", lambda *args: None)
+    for tr, run in zip(certified, runs):
+        sampled = descend(*run)
+        np.testing.assert_array_equal(rows(tr), rows(sampled))
+        assert tr.verdicts == sampled.verdicts
+        assert np.array_equal(tr.final, sampled.final)
 
 
 @pytest.mark.parametrize("space", [Euclidean(2), Sphere(2), Circle(1.0),
