@@ -43,6 +43,8 @@ def cmd_mean(args):
         with open(args.dataset) as f:
             obj = json.load(f)
         ds = frechet.dataset_from_json(obj, ball_fallback=minimal_ball_estimate)
+    except PreconditionError:   # points too wide for the ball estimate
+        raise
     except (OSError, ValueError, KeyError, DomainError) as e:
         print(f"error: cannot load dataset: {e}", file=sys.stderr)
         return EXIT_PARSE

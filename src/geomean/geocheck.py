@@ -196,14 +196,13 @@ def comparison_check(space, n_trials, seed):
 
 
 def convex_combination(space, x, points, weights, t=1.0):
-    """exp_x(t sum_i w_i log_x x_i), the Riemannian convex combination."""
+    """exp_x(t sum_i w_i log_x x_i), the Riemannian convex combination,
+    from one log_dist_many over the points."""
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"convex_combination: t={t} outside [0, 1]")
-    weights = np.asarray(weights, dtype=float)
-    v = np.zeros(space.ambient_dim)
-    for w, pt in zip(weights, np.atleast_2d(points)):
-        v += w * space.log(x, pt)
-    return space.exp(x, t * v)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    logs, _ = space.log_dist_many(x, points)
+    return space.exp(x, t * (np.asarray(weights, dtype=float) @ logs))
 
 
 def hull_membership(space, vertices, query, center=None, tol=1e-9):

@@ -18,9 +18,14 @@ Tangent vectors at x are ambient arrays orthogonal to x under the ambient
 Each space evaluates a pair (distance, log, log_dist, exp) with scalar
 code, and N points at once (dist_many, log_dist_many, exp_many) with the
 same formulas on an (N, D) array.  Single-pair callers such as the descent
-step itself, the ball-estimate sweep, the oracles and Chart use the first;
-sums over the data points and the solver's monitor substeps use the
-second, which costs more than the scalar code for one pair.
+step itself, the ball-estimate sweep's step, the oracles and Chart use the
+first; sums over the data points and the solver's monitor substeps use the
+second, which costs more than the scalar code for one pair.  The sweep
+picks its far point with _farthest: the first maximum of dist_many, read
+off one ambient product where a rounding margin certifies the order.
+Norms are numpy's own definition of np.linalg.norm for these arguments,
+math.sqrt(u.dot(u)) for one vector and _norm_rows for the rows of an
+array, without its argument handling.
 
 Angles near 0 and pi are computed via atan2 of a projected norm rather
 than arccos, so distances stay accurate right up to the cut locus (needed
@@ -122,6 +127,29 @@ class ManifoldSpace:
     def dist_many(self, x, P):
         """Distances d(x, P[i]) over the rows of P, as one array."""
         return self._tangential_many(x, P)[2]
+
+    def _farthest(self, x, P):
+        """Index of the row of an (N, D) array P farthest from x: the
+        first maximum of dist_many(x, P), which raises where it raises."""
+        return int(np.argmax(self.dist_many(x, P)))
+
+    def _farthest_by_key(self, x, P, keys, margin):
+        """_farthest(x, P) from keys, one per row, that fall strictly as
+        the distance grows: the row with the smallest key, when that key
+        lies below every other by more than `margin`.
+
+        The caller's margin exceeds the rounding of its keys plus that of
+        dist_many's distances, taken through the monotone relation, so a
+        gap above it orders the computed distances the same way and the
+        first maximum of dist_many is that row.  Ties, near-ties, a
+        non-finite key or margin, and a single row take the base path.
+        """
+        k = keys.tolist()
+        if len(k) > 1 and math.isfinite(sum(k)):
+            lo, second = sorted(k)[:2]
+            if second - lo > margin:
+                return k.index(lo)
+        return ManifoldSpace._farthest(self, x, P)
 
     def log_dist_many(self, x, P):
         """(logs, d) over the rows of an (N, D) array P: row i is
@@ -235,12 +263,12 @@ class Euclidean(ManifoldSpace):
 
     def _tangential(self, x, y):
         u = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-        nu = float(np.linalg.norm(u))
+        nu = math.sqrt(u.dot(u))
         return u, nu, nu
 
     def _tangential_many(self, x, P):
         U = P - x
-        nU = np.linalg.norm(U, axis=-1)
+        nU = _norm_rows(U)
         return U, nU, nU
 
     def log_dist(self, x, y):
@@ -283,28 +311,37 @@ class Sphere(ManifoldSpace):
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
-        return x / np.linalg.norm(x)
+        return x / math.sqrt(x.dot(x))
 
     def _constraint_errors(self, X):
-        return np.abs(np.linalg.norm(X, axis=1) - 1.0)
+        return np.abs(_norm_rows(X) - 1.0)
 
     def _tangential(self, x, y):
         cosq = float(np.dot(x, y))
         u = y - cosq * x
-        nu = float(np.linalg.norm(u))
+        nu = math.sqrt(u.dot(u))
         # the angle via atan2 stays stable at both 0 and pi
         return u, nu, math.atan2(nu, cosq) / self._rk
 
     def _tangential_many(self, x, P):
         cosq = _dot_rows(P, x)
         U = P - cosq[..., np.newaxis] * x
-        nU = np.linalg.norm(U, axis=-1)
+        nU = _norm_rows(U)
         return U, nU, np.arctan2(nU, cosq) / self._rk
+
+    def _farthest(self, x, P):
+        """The distance is the angle arccos<x, p>, which falls strictly
+        as the cosine P @ x grows.  A cosine is rounded by about D eps,
+        and check_points leaves a norm off 1 by up to 1e-12; dist_many's
+        angle is good to a few eps plus that norm error.  arccos has
+        slope at least 1, so a cosine gap of 1e-9 orders the computed
+        angles, and dividing by sqrt(kappa) keeps that order."""
+        return self._farthest_by_key(x, P, P @ x, 1e-9)
 
     def exp(self, x, v):
         v = np.asarray(v, dtype=float)
         with np.errstate(over="ignore"):
-            nv = math.sqrt(v.dot(v))  # np.linalg.norm(v), without its overhead
+            nv = math.sqrt(v.dot(v))
         if nv == 0.0:
             return np.asarray(x, dtype=float).copy()
         if not math.isfinite(nv):
@@ -317,11 +354,11 @@ class Sphere(ManifoldSpace):
         come back as NaN rows, without a numpy warning."""
         V = np.asarray(V, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            nV = np.linalg.norm(V, axis=-1)[:, np.newaxis]
+            nV = _norm_rows(V)[:, np.newaxis]
             zero = nV == 0.0
             th = self._rk * nV
             Y = np.cos(th) * x + np.sin(th) * (V / np.where(zero, 1.0, nV))
-            Y /= np.linalg.norm(Y, axis=-1)[:, np.newaxis]
+            Y /= _norm_rows(Y)[:, np.newaxis]
         return np.where(zero, x, Y)
 
     def inner(self, x, u, v):
@@ -382,6 +419,11 @@ class RealProjective(Sphere):
         lift = np.where(_dot_rows(P, x) >= 0.0, 1.0, -1.0)
         return Sphere._tangential_many(self, x, lift[..., np.newaxis] * P)
 
+    def _farthest(self, x, P):
+        """Sphere._farthest on the nearest lifts: the distance falls
+        strictly as |P @ x| grows."""
+        return self._farthest_by_key(x, P, np.abs(P @ x), 1e-9)
+
     def exp(self, x, v):
         return _canonical_sign(Sphere.exp(self, x, v))
 
@@ -404,7 +446,7 @@ class SO3(RealProjective):
     @staticmethod
     def from_axis_angle(axis, angle):
         axis = np.asarray(axis, dtype=float)
-        axis = axis / np.linalg.norm(axis)
+        axis = axis / math.sqrt(axis.dot(axis))
         h = 0.5 * angle
         return _canonical_sign(np.concatenate(([math.cos(h)], math.sin(h) * axis)))
 
@@ -425,6 +467,9 @@ class Hyperbolic(ManifoldSpace):
         self._R = 1.0 / math.sqrt(-kappa)
         self._constants = SpaceConstants(inj=math.inf, r_cx=math.inf,
                                          delta=kappa, Delta=kappa)
+        # P @ (self._time_flip * x) is the Minkowski product of each row
+        self._time_flip = np.ones(self.ambient_dim)
+        self._time_flip[0] = -1.0
 
     def minkowski(self, u, v):
         return float(-u[0] * v[0] + np.dot(u[1:], v[1:]))
@@ -475,6 +520,24 @@ class Hyperbolic(ManifoldSpace):
                          R * np.arccosh(np.maximum(ch, 1.0)))
         self._raise_first(~np.isfinite(d), x, P)
         return U, nU, d
+
+    def _farthest(self, x, P):
+        """The distance is R acosh(-m / R^2) in the Minkowski product
+        m = <x, p>, so it falls strictly as m grows.  With s = |x0| max|P0|
+        (at least R^2), m and dist_many's acosh branch are rounded by
+        about (D + 1) eps s; its asinh branch, below cosh = 2, where p0
+        and x0 are within a factor e^{acosh 2} < 4 of each other, by about
+        100 (D + 1) eps s, and by 1e-12 (1 + s) more from check_points'
+        representation tolerance, all in units of m.  A gap of
+        1e-9 (1 + s) orders the computed distances.  The keys are used
+        only where s and s / R^2 stay below 1e300, where every product in
+        dist_many is finite, so it would not raise; a base point far out
+        (s large against the gaps) leaves the gap test to fail."""
+        s = abs(float(x[0])) * float(np.abs(P[:, 0]).max())
+        if not s * max(1.0, 1.0 / self._R**2) < 1e300:
+            return ManifoldSpace._farthest(self, x, P)
+        return self._farthest_by_key(x, P, P @ (self._time_flip * x),
+                                     1e-9 * (1.0 + s))
 
     def log_dist(self, x, y):
         u, nu, d = self._tangential(x, y)
@@ -560,6 +623,12 @@ class Hyperbolic(ManifoldSpace):
 def _dot_rows(A, B):
     """Inner products along the last axis, broadcasting the leading axes."""
     return np.einsum("...i,...i->...", A, B)
+
+
+def _norm_rows(U):
+    """Euclidean norms along the last axis: np.linalg.norm(U, axis=-1)
+    as numpy defines it, without its argument handling."""
+    return np.sqrt(np.add.reduce(U * U, axis=-1))
 
 
 def _canonical_sign(x):

@@ -283,7 +283,11 @@ def minimal_ball_estimate(space, points):
 
     Badoiu-Clarkson style: from a seed, 200 times move the center 1/(k+2)
     of the way to the current farthest point (k = 0..199).  Accurate to a
-    couple of percent in the radius for the sizes used here.
+    couple of percent in the radius for the sizes used here.  Each step
+    picks its far point from one ambient product of the points with the
+    center (the space's _farthest), which is the first maximum of
+    dist_many; the seed's pairwise distances and the final radius are
+    dist_many values.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 1:
@@ -303,7 +307,7 @@ def minimal_ball_estimate(space, points):
     # seed: data point with the smallest maximum distance
     center = points[np.argmin(row_max)].copy()
     for k in range(200):
-        far = points[np.argmax(space.dist_many(center, points))]
+        far = points[space._farthest(center, points)]
         center = space.exp(center, space.log(center, far) / (k + 2.0))
     radius = float(np.max(space.dist_many(center, points)))
     return center, radius

@@ -181,6 +181,23 @@ def test_mean_command_precondition_violation(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("kind, points", [
+    ("sphere", [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+    ("real_projective", [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+    ("so3", [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+])
+def test_dataset_too_wide_for_the_ball_estimate_exits_precondition(
+        kind, points, tmp_path, capsys):
+    # no ball given, and the points spread at least 2 r_cx
+    space = make_space(kind)
+    obj = {"space": space.to_json(), "points": points}
+    assert _mean_with(tmp_path, obj, "--policy", "conjecture") == \
+        cli.EXIT_PRECONDITION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: precondition: ")
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_mean_command_cut_locus(tmp_path):
     # circle two-point dataset; from the ball center theta=0 the first step
     # with t=15/8 lands exactly on the antipode of x1

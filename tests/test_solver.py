@@ -455,14 +455,15 @@ def test_minimal_ball_cap_fixture(rng):
         minimal_ball_estimate(sp, [np.array([1.0, 0, 0]), np.array([-1.0, 0, 0])])
 
 
-def _loop_minimal_ball(space, points, iters=200):
-    """Reference: minimal_ball_estimate one pair at a time."""
-    dist = space.distance
-    center = min(points, key=lambda c: max(dist(c, q) for q in points)).copy()
+def _array_loop_minimal_ball(space, points, iters=200):
+    """Reference: minimal_ball_estimate with a full dist_many for the
+    far point of every step."""
+    row_max = space.dist_many(points[:, np.newaxis], points).max(axis=1)
+    center = points[np.argmin(row_max)].copy()
     for k in range(iters):
-        far = max(points, key=lambda q: dist(center, q))
+        far = points[np.argmax(space.dist_many(center, points))]
         center = space.exp(center, space.log(center, far) / (k + 2.0))
-    return center, max(dist(center, q) for q in points)
+    return center, float(np.max(space.dist_many(center, points)))
 
 
 @pytest.mark.parametrize("space", [Euclidean(3), Sphere(2), Circle(1.0),
@@ -473,9 +474,28 @@ def test_minimal_ball_matches_point_loop(space, rng):
         o = space.random_point(rng)
         pts = np.array([space.random_in_ball(o, 0.5, rng) for _ in range(n)])
         c, r = minimal_ball_estimate(space, pts)
-        c_ref, r_ref = _loop_minimal_ball(space, list(pts))
-        np.testing.assert_allclose(c, c_ref, rtol=1e-12, atol=1e-12)
-        assert r == pytest.approx(r_ref, rel=1e-12)
+        c_ref, r_ref = _array_loop_minimal_ball(space, pts)
+        assert np.array_equal(c, c_ref)
+        assert r == r_ref
+
+
+@pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
+def test_minimal_ball_dist_many_calls(space, rng, monkeypatch):
+    # the pairwise seed block and the final radius; the 200 far points
+    # come from one ambient product each, except on Euclidean space,
+    # whose dist_many is already one subtraction and a norm
+    o = space.random_point(rng)
+    pts = np.array([space.random_in_ball(o, 0.5, rng) for _ in range(8)])
+    calls = []
+    dist_many = space.dist_many
+
+    def counted(*args):
+        calls.append(1)
+        return dist_many(*args)
+
+    monkeypatch.setattr(space, "dist_many", counted)
+    minimal_ball_estimate(space, pts)
+    assert len(calls) == (202 if space.kind == "euclidean" else 2)
 
 
 @pytest.mark.parametrize("space, far", [
