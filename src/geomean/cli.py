@@ -45,7 +45,7 @@ def cmd_mean(args):
         ds = frechet.dataset_from_json(obj, ball_fallback=minimal_ball_estimate)
     except PreconditionError:   # points too wide for the ball estimate
         raise
-    except (OSError, ValueError, KeyError, DomainError) as e:
+    except (OSError, ValueError, KeyError, DomainError, RecursionError) as e:
         print(f"error: cannot load dataset: {e}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -64,7 +64,7 @@ def cmd_mean(args):
     rate = solver.trailing_rate(ds, tr, t)
     summary = {
         "status": tr.status,
-        "uniqueness_certified": tr.uniqueness_certified,
+        "uniqueness_certified": ds.uniqueness_certified,
         "policy": policy.kind,
         "step": t,
         "p": args.p,
@@ -76,7 +76,7 @@ def cmd_mean(args):
         "predicted_q": None if rate is None else rate.q,
         "empirical_q": solver.fit_tail_rate(tr),
     }
-    if not tr.uniqueness_certified:
+    if not ds.uniqueness_certified:
         summary["warning"] = "rho exceeds r_cx: uniqueness not certified"
     with open(os.path.join(out, "summary.json"), "w") as f:
         json.dump(summary, f, indent=2)

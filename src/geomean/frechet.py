@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import CutLocusError, DomainError, PreconditionError
 from .kernels import b_lower, c_upper
-from .manifolds import ManifoldSpace, space_from_json
+from .manifolds import ManifoldSpace, json_float, space_from_json
 
 
 @dataclass
@@ -25,10 +25,6 @@ class WeightedDataset:
     weights: np.ndarray         # (N,), nonnegative, sums to 1
     ball_center: np.ndarray
     ball_radius: float
-
-    @property
-    def n_points(self):
-        return len(self.points)
 
     @property
     def uniqueness_certified(self):
@@ -64,8 +60,8 @@ def make_dataset(space, points, weights=None, ball_center=None, ball_radius=None
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (n,):
             raise DomainError(f"got {len(weights)} weights for {n} points")
-        if np.any(weights < -1e-12) or np.any(weights > 1.0 + 1e-9):
-            raise DomainError("weights must lie in [0, 1]")
+        if not np.all((weights >= -1e-12) & (weights <= 1.0 + 1e-9)):
+            raise DomainError("weights must lie in [0, 1]")   # NaN too
         weights = np.clip(weights, 0.0, None)
         s = float(weights.sum())
         if abs(s - 1.0) > 1e-9:
@@ -89,14 +85,21 @@ def make_dataset(space, points, weights=None, ball_center=None, ball_radius=None
 
 def dataset_from_json(obj, ball_fallback=None):
     """Load a dataset from the JSON schema; `ball_fallback(space, points)`
-    supplies (center, radius) when the "ball" entry is absent."""
+    supplies (center, radius) when the "ball" entry is absent.  A value
+    of the wrong JSON type raises DomainError."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"dataset must be an object, got {type(obj).__name__}")
     space = space_from_json(obj["space"])
-    points = np.atleast_2d(np.asarray(obj["points"], dtype=float))
+    points = np.atleast_2d(_json_array(obj["points"], "points"))
     weights = obj.get("weights")
+    if weights is not None:
+        weights = _json_array(weights, "weights")
     ball = obj.get("ball")
     if ball is not None:
-        center = np.asarray(ball["center"], dtype=float)
-        radius = float(ball["radius"])
+        if not isinstance(ball, dict):
+            raise DomainError(f"ball must be an object, got {type(ball).__name__}")
+        center = _json_array(ball["center"], "ball center")
+        radius = json_float(ball["radius"], "ball radius")
     elif ball_fallback is not None:
         space.check_points(points)  # the fallback needs valid points
         center, radius = ball_fallback(space, points)
@@ -105,7 +108,17 @@ def dataset_from_json(obj, ball_fallback=None):
     return make_dataset(space, points, weights, center, radius)
 
 
-def _check_p(p):
+def _json_array(value, what):
+    """A JSON array of numbers, nested for points, as a float array."""
+    if not isinstance(value, list):
+        raise DomainError(f"{what} must be an array, got {type(value).__name__}")
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as e:   # a non-number or a ragged row
+        raise DomainError(f"{what}: {e}") from None
+
+
+def check_p(p):
     p = float(p)
     if not (2.0 <= p < math.inf):
         raise DomainError(f"exponent p must satisfy 2 <= p < inf, got {p}")
@@ -113,7 +126,7 @@ def _check_p(p):
 
 
 def cost(ds, p, x):
-    p = _check_p(p)
+    p = check_p(p)
     return float(ds.weights @ ds.space.dist_many(x, ds.points) ** p) / p
 
 
@@ -124,7 +137,7 @@ def cost_gradient(ds, p, x):
     Raises CutLocusError with the offending data index if x sits in the
     cut-locus band of some x_i (cost alone is still defined there).
     """
-    p = _check_p(p)
+    p = check_p(p)
     try:
         logs, d = ds.space.log_dist_many(x, ds.points)
     except CutLocusError as e:
@@ -138,11 +151,6 @@ def gradient(ds, p, x):
     """Riemannian gradient of f_p at x (ambient tangent array); raises
     cost_gradient's CutLocusError."""
     return cost_gradient(ds, p, x)[1]
-
-
-def grad_norm(ds, p, x):
-    g = gradient(ds, p, x)
-    return float(ds.space.norm(x, g))
 
 
 def hessian_radial_bounds(space, d_xy):
@@ -161,7 +169,7 @@ def hessian_radial_bounds(space, d_xy):
 def uniform_hessian_bound(space, rho, p):
     """H_{B(o,rho),p} = (2 rho)^(p-2) max(p-1, c_delta(2 rho)), valid for
     rho <= r_cx."""
-    p = _check_p(p)
+    p = check_p(p)
     cst = space.constants()
     if rho > cst.r_cx:
         raise PreconditionError(

@@ -33,6 +33,7 @@ for the cut-locus guard band of log to fire reliably).
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -179,10 +180,6 @@ class ManifoldSpace:
 
     def norm(self, x, v):
         return math.sqrt(max(self.inner(x, v, v), 0.0))
-
-    def geodesic(self, x, v, t):
-        """Point at parameter t along the geodesic from x with velocity v."""
-        return self.exp(x, t * np.asarray(v, dtype=float))
 
     def check_point(self, x):
         """Validate the representation constraint; raises DomainError."""
@@ -660,14 +657,29 @@ KINDS = {
 
 
 def make_space(kind, dim=2, kappa=1.0):
-    try:
-        ctor = KINDS[kind]
-    except KeyError:
-        raise DomainError(f"unknown space kind {kind!r}") from None
+    ctor = KINDS.get(kind) if isinstance(kind, str) else None
+    if ctor is None:
+        raise DomainError(f"unknown space kind {kind!r}")
     return ctor(dim, kappa)
 
 
 def space_from_json(obj):
-    """Build a space from the descriptor {"kind", "dim", "kappa"}."""
-    return make_space(obj["kind"], int(obj.get("dim", 2)),
-                      float(obj.get("kappa", 1.0)))
+    """Build a space from the descriptor {"kind", "dim", "kappa"}, dim and
+    kappa optional; a value of the wrong JSON type raises DomainError."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"space must be an object, got {type(obj).__name__}")
+    dim = json_float(obj.get("dim", 2), "space dim")
+    if not dim.is_integer():
+        raise DomainError(f"space dim must be an integer, got {dim}")
+    return make_space(obj["kind"], int(dim),
+                      json_float(obj.get("kappa", 1.0), "space kappa"))
+
+
+def json_float(value, what):
+    """A JSON number, booleans excluded, as a float (+-inf past its range)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{what} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf

@@ -11,7 +11,7 @@ r_cx = 1/2 min(inj, pi/sqrt(Delta)) is strongly convex (Afsari 2011), so
 a step shorter than inj whose two ends lie in such a monitor ball stays
 in it throughout: the continuous-stay monitor certifies it from the
 distance of the step's end, which the next iterate's ball monitor reuses.
-Any other step is sampled: its interior points lie on one geodesic, so
+Any other step is sampled: its 16 interior points lie on one geodesic, so
 the monitor evaluates them with one exp_many and one dist_many.  Each
 iterate's cost, which the monitors compare, and its gradient, which the
 next step takes, come from one log_dist_many over the data
@@ -30,13 +30,13 @@ from . import frechet
 
 @dataclass
 class SolverConfig:
+    """Settings of one descent run.  The monitor ball is B(o, r): o is the
+    dataset's ball center, r is monitor_radius, or the dataset's rho."""
     p: float = 2.0
     step: float = 1.0             # resolved constant step size
     grad_tol: float = 1e-10
     max_iters: int = 1000
-    monitor_center: np.ndarray = None   # defaults to the dataset ball
     monitor_radius: float = None
-    record_substeps: int = 16     # interior geodesic samples per step
     hessian_upper: float = None   # enables the descent-inequality monitor
 
     def __post_init__(self):
@@ -67,7 +67,6 @@ class Trace:
     status: str = None            # converged | max_iters | cut_locus
     cut_locus_index: int = None
     dist_to_final: list = None
-    uniqueness_certified: bool = True
 
     @property
     def n_iters(self):
@@ -79,6 +78,8 @@ class Trace:
 
 
 _BALL_TOL = 1e-9
+# the 16 interior fractions at which a step not certified is sampled
+_SUBSTEPS = np.arange(1, 17)[:, np.newaxis] / 17
 
 
 def descend(ds, cfg, x0=None):
@@ -87,9 +88,9 @@ def descend(ds, cfg, x0=None):
     Starts from x0 (default: the ball center o).  Returns a Trace whose
     verdicts report the monitored convergence hypotheses:
 
-      stayed_in_ball      every iterate in the monitor ball
+      stayed_in_ball      every iterate in the monitor ball B(o, r)
       continuously_stayed every step's geodesic in it too (certified by
-                          the ball's convexity, else sampled)
+                          the ball's convexity, else at 16 substeps)
       monotone_cost       f never increased (beyond 1e-12)
       descent_inequality  quantified per-step decrease (needs
                           cfg.hessian_upper; None when not monitored)
@@ -98,36 +99,28 @@ def descend(ds, cfg, x0=None):
     sp = ds.space
     x = sp.project(np.asarray(ds.ball_center if x0 is None else x0, dtype=float))
     o = ds.ball_center
-    mon_o = o if cfg.monitor_center is None else cfg.monitor_center
     mon_rho = ds.ball_radius if cfg.monitor_radius is None else cfg.monitor_radius
     t = cfg.step
 
-    tr = Trace(uniqueness_certified=ds.uniqueness_certified)
+    tr = Trace()
     verd = {"stayed_in_ball": True, "continuously_stayed": True,
             "monotone_cost": True, "converged": False,
             "descent_inequality": None if cfg.hessian_upper is None else True}
     ball_limit = mon_rho + _BALL_TOL * max(1.0, mon_rho)
-    n_sub = cfg.record_substeps
-    sub_s = np.arange(1, n_sub + 1)[:, np.newaxis] / (n_sub + 1)
 
     f, g, cut = _cost_gradient(ds, cfg.p, x)
-    d_mon = None   # d(mon_o, x), when the step to x computed it
+    d_o = None   # d(o, x), when the step to x computed it
     for k in range(cfg.max_iters + 1):
+        if d_o is None:
+            d_o = sp.distance(o, x)
         if g is None:
-            tr.records.append(IterateRecord(k, x, f, math.nan,
-                                            sp.distance(o, x), math.nan))
+            tr.records.append(IterateRecord(k, x, f, math.nan, d_o, math.nan))
             tr.status = "cut_locus"
             tr.cut_locus_index = cut
             break
         gn = sp.norm(x, g)
-        if cfg.monitor_center is None:
-            d_o = d_mon = sp.distance(o, x) if d_mon is None else d_mon
-        else:
-            d_o = sp.distance(o, x)
-            if d_mon is None:
-                d_mon = sp.distance(mon_o, x)
         tr.records.append(IterateRecord(k, x, f, gn, d_o, t))
-        if not d_mon <= ball_limit:
+        if not d_o <= ball_limit:
             verd["stayed_in_ball"] = False
             verd["continuously_stayed"] = False
         if gn <= cfg.grad_tol:
@@ -144,11 +137,11 @@ def descend(ds, cfg, x0=None):
         except DomainError as e:   # a sampled substep's overflow comes first
             x_next, exp_error = None, e
         d_next = None
-        if verd["continuously_stayed"] and n_sub > 0:
-            d_next = _end_distance(sp, mon_o, mon_rho, d_mon, t * gn, x_next)
+        if verd["continuously_stayed"]:
+            d_next = _end_distance(sp, o, mon_rho, d_o, t * gn, x_next)
             if d_next is None or d_next > mon_rho:
                 verd["continuously_stayed"] = _substeps_stay(
-                    sp, x, sub_s * step_vec, mon_o, ball_limit)
+                    sp, x, _SUBSTEPS * step_vec, o, ball_limit)
         if exp_error is not None:
             raise exp_error
         f_next, g, cut = _cost_gradient(ds, cfg.p, x_next)
@@ -158,7 +151,7 @@ def descend(ds, cfg, x0=None):
             bound = f - gn * gn * t * (1.0 - cfg.hessian_upper * t / 2.0)
             if f_next > bound + 1e-10:
                 verd["descent_inequality"] = False
-        x, f, d_mon = x_next, f_next, d_next
+        x, f, d_o = x_next, f_next, d_next
 
     tr.final = x
     tr.verdicts = verd

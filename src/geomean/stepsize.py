@@ -5,9 +5,8 @@ Four policies are supported:
   * conjecture:          t = 1/H_{B(o,rho),p}, rho <= r_cx.
   * constant_curvature:  t in (0, 1] for p = 2 on constant nonnegative
                          curvature (the tethering regime); resolves to 1.
-  * spread_compromise:   t below 2/H with H evaluated at 4*rho (or 3*rho
-                         when starting at the ball center); iterates then
-                         stay in B(o, 3*rho) (resp. 2*rho).
+  * spread_compromise:   t below 2/H with H evaluated at 4*rho; iterates
+                         then stay in B(o, 3*rho).
   * exit_compromise:     the exit-time construction on an annulus
                          rho < d(y,o) < rho', for p = 2.
 
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, PreconditionError
 from .kernels import c_upper, sn_jacobi
-from .frechet import uniform_hessian_bound
+from .frechet import check_p, uniform_hessian_bound
 
 
 def resolve_conjecture(space, rho, p):
@@ -45,24 +44,21 @@ class SpreadStep:
     stay_ball_radius: float
 
 
-def resolve_spread_compromise(space, rho, p, start_at_o=False):
+def resolve_spread_compromise(space, rho, p):
     """Admissible steps when the iterate may wander beyond the data ball.
 
-    Requires rho <= r_cx/3 (r_cx/2 when the start is the ball center o);
-    H is the uniform bound evaluated over the larger stay ball.
+    Requires rho <= r_cx/3; H is the uniform bound H_{B(o, 2 rho),p},
+    evaluated at the distance 4*rho (module docstring).
     """
-    cst = space.constants()
-    frac = 2.0 if start_at_o else 3.0
-    rho_max = cst.r_cx / frac
+    rho_max = space.constants().r_cx / 3.0
     if rho > rho_max:
         raise PreconditionError(
-            f"spread_compromise: rho={rho} exceeds r_cx/{frac:g}={rho_max}")
+            f"spread_compromise: rho={rho} exceeds r_cx/3={rho_max}")
     if rho <= 0:
         raise DomainError(f"spread_compromise: need rho > 0, got {rho}")
-    reach = (3.0 if start_at_o else 4.0) * rho  # 2x the stay-ball radius
-    H = uniform_hessian_bound(space, reach / 2.0, p)
+    H = uniform_hessian_bound(space, 2.0 * rho, p)
     return SpreadStep(t_base=1.0 / H, t_max_exclusive=2.0 / H,
-                      stay_ball_radius=(2.0 if start_at_o else 3.0) * rho)
+                      stay_ball_radius=3.0 * rho)
 
 
 def _exit_profile(delta, Delta, rho, rho_prime, r):
@@ -119,21 +115,6 @@ def _golden_section(f, lo, hi, tol):
     return 0.5 * (a + b)
 
 
-def _annulus_constants(space, rho_prime, who):
-    """The space's constants, once rho' <= r_cx is checked."""
-    cst = space.constants()
-    if rho_prime > cst.r_cx:
-        raise PreconditionError(
-            f"{who}: rho_prime={rho_prime} exceeds r_cx={cst.r_cx}")
-    return cst
-
-
-def exit_time(space, rho, rho_prime):
-    """t_exit for a space, using its curvature bounds; p = 2 regime."""
-    cst = _annulus_constants(space, rho_prime, "exit_time")
-    return exit_time_bounds(cst.delta, cst.Delta, rho, rho_prime)
-
-
 def resolve_exit_compromise_bounds(delta, Delta, rho, rho_prime):
     """t* = min(t_exit, 1/c_delta(rho + rho')); steps in (0, 2 t*) also
     bounded by t_exit are admissible."""
@@ -142,7 +123,11 @@ def resolve_exit_compromise_bounds(delta, Delta, rho, rho_prime):
 
 
 def resolve_exit_compromise(space, rho, rho_prime):
-    cst = _annulus_constants(space, rho_prime, "exit_compromise")
+    """resolve_exit_compromise_bounds for the space, once rho' <= r_cx."""
+    cst = space.constants()
+    if rho_prime > cst.r_cx:
+        raise PreconditionError(
+            f"exit_compromise: rho_prime={rho_prime} exceeds r_cx={cst.r_cx}")
     return resolve_exit_compromise_bounds(cst.delta, cst.Delta, rho, rho_prime)
 
 
@@ -195,6 +180,7 @@ class StepPolicy:
             if self.t is None or not 0 < self.t < math.inf:
                 raise DomainError(f"user_constant policy needs finite t > 0, "
                                   f"got {self.t}")
+            check_p(p)
             return float(self.t)
         if self.kind == "conjecture":
             return resolve_conjecture(space, rho, p)

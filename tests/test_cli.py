@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,10 +7,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomean import cli, experiments
 from geomean.errors import DomainError
-from geomean.manifolds import Hyperbolic, Sphere, make_space
+from geomean.manifolds import KINDS, Hyperbolic, Sphere, make_space
+from geomean.stepsize import POLICIES
 
 
 def _write_dataset(path, rho=0.8, n=6, seed=3):
@@ -305,6 +309,15 @@ def test_spread_compromise_rejects_p_below_2(tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
+def test_user_constant_rejects_p_below_2(tmp_path, capsys):
+    # as every other policy does, before the descent starts
+    assert _mean_with(tmp_path, _S2_PAIR, "--p", "1.5", "--t", "0.5") == \
+        cli.EXIT_PRECONDITION
+    _one_error_line(capsys, "error: step policy: exponent p must satisfy "
+                            "2 <= p < inf, got 1.5")
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_parser_is_built_once_and_parses_afresh(tmp_path, monkeypatch):
     dsfile = tmp_path / "ds.json"
     _write_dataset(dsfile)
@@ -414,6 +427,113 @@ def test_dataset_with_bad_ball_radius_exits_parse(radius, tmp_path, capsys):
     _one_error_line(capsys, "error: cannot load dataset: ball radius must "
                             "be finite and >= 0")
     assert not (tmp_path / "trace.csv").exists()
+
+
+_EU_PAIR = {"space": {"kind": "euclidean", "dim": 2},
+            "points": [[0.0, 0.0], [0.0, 1.0]],
+            "ball": {"center": [0.0, 0.0], "radius": 1.0}}
+
+
+@pytest.mark.parametrize("obj", [
+    [_S2_PAIR],
+    dict(_S2_PAIR, space=5),
+    dict(_S2_PAIR, space={"kind": ["sphere"]}),
+    dict(_S2_PAIR, space={"kind": "sphere", "dim": math.inf}),  # 1e400 reads inf
+    dict(_S2_PAIR, space={"kind": "sphere", "dim": 2.7}),
+    dict(_S2_PAIR, space={"kind": "sphere", "kappa": 10**400}),
+    dict(_S2_PAIR, ball=3),
+    dict(_S2_PAIR, ball={"center": [0.0, 0.0, 1.0], "radius": None}),
+    dict(_S2_PAIR, weights=1),
+    dict(_S2_PAIR, weights={"w": [0.5, 0.5]}),
+    dict(_S2_PAIR, weights=[math.nan, 1.0]),
+    dict(_EU_PAIR, weights=[math.nan, 1.0]),
+], ids=["list", "space-number", "kind-list", "dim-inf", "dim-fraction",
+        "kappa-huge-integer", "ball-number", "radius-null", "weights-number", "weights-object",
+        "weight-nan-sphere", "weight-nan-euclidean"])
+def test_malformed_dataset_exits_parse(obj, tmp_path, capsys):
+    assert _mean_with(tmp_path, obj) == cli.EXIT_PARSE
+    _one_error_line(capsys, "error: cannot load dataset: ")
+    assert not (tmp_path / "trace.csv").exists()
+
+
+# JSON values of a wrong type, and numbers no field accepts
+_WRONG = st.sampled_from([None, 3, "x", [], {}, True, [[1.0]], math.nan,
+                          math.inf, -1.0])
+
+
+@st.composite
+def _mean_inputs(draw):
+    """A dataset JSON value of up to 4 points with at most one fault, and
+    the options of a short `mean` run."""
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    space = make_space(kind, 2, -1.0 if kind == "hyperbolic" else 1.0)
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1))))
+    o = space.random_point(rng)
+    n = draw(st.integers(1, 4))
+    pts = np.array([space.random_in_ball(o, draw(st.sampled_from([0.3, 1.0])),
+                                         rng) for _ in range(n)])
+    radius = float(np.max(space.dist_many(o, pts)))
+    obj = {"space": space.to_json(), "points": pts.tolist()}
+    if draw(st.booleans()):   # else the ball is estimated
+        obj["ball"] = {"center": o.tolist(),
+                       "radius": radius * draw(st.sampled_from([1.0, 2.5]))}
+    if draw(st.booleans()):
+        obj["weights"] = [1.0 / n] * n
+    fault = draw(st.sampled_from([None, None, "point", "space", "weights",
+                                  "ball", "type"]))
+    if fault == "point":   # a non-finite coordinate, or off the manifold
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, len(o) - 1))
+        pts[i, j] = draw(st.sampled_from([math.nan, math.inf, 1.5 * pts[i, j]]))
+        obj["points"] = pts.tolist()
+    elif fault == "space":
+        obj["space"] = draw(st.sampled_from([
+            5, {"kind": ["sphere"]}, dict(obj["space"], dim=math.inf),
+            dict(obj["space"], dim=2.7), dict(obj["space"], kappa=None)]))
+    elif fault == "weights":   # also empty, negative or NaN weights
+        obj["weights"] = draw(_WRONG | st.lists(
+            st.floats(-0.5, 1.5) | st.just(math.nan), max_size=n + 1))
+    elif fault == "ball":
+        obj["ball"] = draw(_WRONG | st.sampled_from([
+            {"center": o.tolist()}, {"center": None, "radius": radius},
+            {"center": o.tolist(), "radius": 0.5 * radius}]) | st.builds(
+                lambda r: {"center": o.tolist(), "radius": r}, _WRONG))
+    elif fault == "type":
+        obj = draw(st.sampled_from([[obj], obj["points"], "x",
+                                    dict(obj, points=draw(_WRONG))]))
+    options = ["--policy", draw(st.sampled_from(POLICIES)),
+               "--p", draw(st.sampled_from(["2", "3", "1.5"])),
+               "--max-iters", "3"]
+    options += draw(st.sampled_from([[], ["--t", "0.5"], ["--t", "3"]]))
+    options += draw(st.sampled_from([[], ["--rho-prime", "1.2"]]))
+    return obj, options
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mean_inputs())
+def test_mean_fuzz_exits_with_one_error_line(tmp_path_factory, inputs):
+    # every dataset gives a documented exit code, one `error:` line at
+    # most, and neither a traceback (an exception out of main) nor a
+    # numpy warning
+    obj, options = inputs
+    out = tmp_path_factory.mktemp("fuzz")
+    dsfile = out / "ds.json"
+    dsfile.write_text(json.dumps(obj))
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        code = cli.main(["mean", str(dsfile), *options, "--out", str(out)])
+    assert code in range(5)
+    assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1
+
+
+def test_deeply_nested_dataset_exits_parse(tmp_path, capsys):
+    # deeper than the JSON decoder's recursion limit
+    dsfile = tmp_path / "ds.json"
+    dsfile.write_text("[" * 100000 + "]" * 100000)
+    assert cli.main(["mean", str(dsfile), "--out", str(tmp_path)]) == \
+        cli.EXIT_PARSE
+    _one_error_line(capsys, "error: cannot load dataset: maximum recursion")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

@@ -390,7 +390,7 @@ def test_circle_angle_parameterization():
     ci = Circle(1.0)
     x = ci.point_from_angle(0.0)
     u = ci.tangent_project(x, np.array([0.0, 1.0]))
-    y = ci.geodesic(x, u, 2 * math.pi / 5)
+    y = ci.exp(x, 2 * math.pi / 5 * u)
     assert ci.angle(y) == pytest.approx(2 * math.pi / 5, abs=1e-14)
 
 

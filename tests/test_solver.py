@@ -147,10 +147,10 @@ def _stayed_per_substep(ds, cfg, tr):
     """continuously_stayed replayed from the trace with a per-substep loop
     of per-pair exp and distance calls."""
     sp = ds.space
-    center = ds.ball_center if cfg.monitor_center is None else cfg.monitor_center
+    center = ds.ball_center
     rho = ds.ball_radius if cfg.monitor_radius is None else cfg.monitor_radius
     limit = rho + 1e-9 * max(1.0, rho)
-    m = cfg.record_substeps
+    m = 16
     for i, rec in enumerate(tr.records):
         last = i == len(tr.records) - 1
         if last and tr.status == "cut_locus":
@@ -178,15 +178,12 @@ def test_continuous_stay_matches_per_substep_loop(space, rng):
         rho = reach * (0.1 + 0.85 * rng.uniform())
         pts = [space.random_in_ball(o, rho, rng) for _ in range(4)]
         ds = make_dataset(space, pts, None, o, rho)
-        # a monitor ball of its own, at times wider than r_cx, so that some
-        # steps leave it between two iterates inside it
+        # a monitor radius of its own, at times wider than r_cx, so that
+        # some steps leave the monitor ball between two iterates inside it
         mon_r = 2.0 * reach * rng.uniform()
         H = uniform_hessian_bound(space, rho, 2)
         cfg = SolverConfig(p=2, step=(0.05 + 1.9 * rng.uniform()) / H,
-                           grad_tol=1e-9, max_iters=40,
-                           monitor_center=space.random_in_ball(o, rho, rng),
-                           monitor_radius=mon_r,
-                           record_substeps=int(rng.integers(1, 20)))
+                           grad_tol=1e-9, max_iters=40, monitor_radius=mon_r)
         tr = descend(ds, cfg, x0=space.random_in_ball(o, rho, rng))
         stayed = tr.verdicts["continuously_stayed"]
         assert stayed == _stayed_per_substep(ds, cfg, tr)
@@ -196,18 +193,19 @@ def test_continuous_stay_matches_per_substep_loop(space, rng):
 
 @pytest.mark.parametrize("s, cap", [(0.5, 0.25), (1.0 / 17.0, 1e-3)])
 def test_continuous_stay_catches_a_step_leaving_between_iterates(s, cap):
-    # the monitor ball is the sphere minus a cap of radius cap * L around
-    # the point q at parameter s of the first step (length L): both ends
-    # are inside, the substeps near q are not.  s = 1/17 is the first of
-    # the 16 substeps, and only that one is inside so small a cap
+    # the monitor ball, the dataset's ball, is the sphere minus a cap of
+    # radius cap * L around the point q at parameter s of the first step
+    # (length L): both ends are inside, the substeps near q are not.
+    # s = 1/17 is the first of the 16 substeps, and only that one is
+    # inside so small a cap
     sp = Sphere(2)
-    ds = cross_config(0.4)
-    x0 = sp.exp(ds.ball_center, np.array([0.3, 0.0, 0.0]))
-    x1 = one_step(ds, 2, x0, 1.0)
+    cross = cross_config(0.4)
+    x0 = sp.exp(cross.ball_center, np.array([0.3, 0.0, 0.0]))
+    x1 = one_step(cross, 2, x0, 1.0)
     L = sp.distance(x0, x1)
     q = sp.exp(x0, s * sp.log(x0, x1))
-    cfg = SolverConfig(p=2, step=1.0, max_iters=1, monitor_center=-q,
-                       monitor_radius=math.pi - cap * L)
+    ds = make_dataset(sp, cross.points, cross.weights, -q, math.pi - cap * L)
+    cfg = SolverConfig(p=2, step=1.0, max_iters=1)
     tr = descend(ds, cfg, x0=x0)
     assert tr.verdicts["stayed_in_ball"] is True
     assert tr.verdicts["continuously_stayed"] is False

@@ -7,8 +7,8 @@ from geomean import experiments, stepsize
 from geomean.errors import DomainError, PreconditionError
 from geomean.kernels import c_upper, sn
 from geomean.manifolds import Euclidean, Hyperbolic, Sphere
-from geomean.stepsize import (StepPolicy, exit_time, exit_time_bounds,
-                              rate_estimate, resolve_conjecture,
+from geomean.stepsize import (StepPolicy, exit_time_bounds, rate_estimate,
+                              resolve_conjecture, resolve_exit_compromise,
                               resolve_exit_compromise_bounds,
                               resolve_spread_compromise)
 
@@ -36,11 +36,9 @@ def test_resolve_spread_compromise():
     r = resolve_spread_compromise(Euclidean(3), 5.0, 2)
     assert r.t_max_exclusive == 2.0
 
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^spread_compromise: "
+                       r"rho=0\.628\d+ exceeds r_cx/3=0\.523\d+$"):
         resolve_spread_compromise(Sphere(2), 0.2 * math.pi, 2)
-    # start_at_o relaxes the precondition to r_cx / 2
-    r = resolve_spread_compromise(Sphere(2), 0.2 * math.pi, 2, start_at_o=True)
-    assert r.stay_ball_radius == pytest.approx(0.4 * math.pi)
 
 
 def _exit_time_scan(delta, Delta, rho, rho_prime):
@@ -98,12 +96,14 @@ def test_exit_time_positive_random(rng, monkeypatch):
 
 
 def test_exit_time_space_wrapper():
+    # resolve_exit_compromise reads the space's curvature bounds and
+    # checks the annulus against its r_cx
     sp = Sphere(2)
-    te = exit_time(sp, math.pi / 6, math.pi / 2)
-    assert te == pytest.approx(
-        exit_time_bounds(1.0, 1.0, math.pi / 6, math.pi / 2), abs=1e-12)
-    with pytest.raises(PreconditionError):
-        exit_time(sp, 0.5, 2.0)
+    assert resolve_exit_compromise(sp, math.pi / 6, math.pi / 2) == \
+        resolve_exit_compromise_bounds(1.0, 1.0, math.pi / 6, math.pi / 2)
+    with pytest.raises(PreconditionError, match=r"^exit_compromise: "
+                       r"rho_prime=2.0 exceeds r_cx=1.5707963267948966$"):
+        resolve_exit_compromise(sp, 0.5, 2.0)
     with pytest.raises(DomainError):
         exit_time_bounds(0.0, 1.0, 0.5, 0.4)
 
