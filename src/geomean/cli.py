@@ -147,6 +147,14 @@ def float_list(text):
     return tuple(float(r) for r in text.split(","))
 
 
+def nonnegative_int(text):
+    """The argparse type of --seed, the Philox key of the run's draws."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)   # argparse reports the text it was given
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose rejections exit EXIT_PARSE, not 2 (the
     cut-locus code); subparsers are built from the same class."""
@@ -170,7 +178,7 @@ def build_parser():
         p.add_argument("--dim", type=int, default=2)
         p.add_argument("--kappa", type=float, default=1.0)
         if seed:   # stepsize draws nothing
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=nonnegative_int, default=0)
         p.add_argument("--out", default=None)
 
     pm = sub.add_parser("mean", help="compute a center of mass")
@@ -199,7 +207,7 @@ def build_parser():
                     default=experiments.SPHERE_RHOS,
                     help="comma-separated rho values")
     pg.add_argument("--t", type=float, default=1.0)
-    pg.add_argument("--seed", type=int, default=0)
+    pg.add_argument("--seed", type=nonnegative_int, default=0)
     pg.add_argument("--out", default=None)
 
     pk = sub.add_parser("check", help="Monte Carlo verification suites")

@@ -52,8 +52,8 @@ def write_svg(path, series_list, title="", x_label="", y_label="", y_log=False):
     """Render line series into a standalone 800x600 SVG file."""
     pts = [(x, y) for s in series_list for x, y in zip(s.xs, s.ys)
            if math.isfinite(x) and math.isfinite(y) and (not y_log or y > 0)]
-    if not pts:
-        pts = [(0.0, 0.0), (1.0, 1.0)]
+    if not pts:   # nothing to plot: a unit frame
+        pts = [(0.0, 1.0), (1.0, 10.0)] if y_log else [(0.0, 0.0), (1.0, 1.0)]
     xs = [p[0] for p in pts]
     ys = [math.log10(p[1]) if y_log else p[1] for p in pts]
     x0, x1 = min(xs), max(xs)

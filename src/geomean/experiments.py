@@ -8,6 +8,7 @@ import os
 import numpy as np
 
 from . import emit, frechet, solver, stepsize
+from .errors import DomainError
 from .kernels import c_upper, ct
 from .manifolds import Circle, Hyperbolic, Sphere
 from .solver import SolverConfig, descend
@@ -132,6 +133,9 @@ def run_sphere_configs(rho_list=SPHERE_RHOS, t=1.0, out=None, seed=0):
     per iteration, and compares the predicted Hessian eigenvalues at o
     with finite differences.
     """
+    for rho in rho_list:   # before any run: a bad rho writes no file
+        if not (math.isfinite(rho) and rho > 0):
+            raise DomainError(f"sphere_configs: need finite rho > 0, got {rho}")
     rng = np.random.Generator(np.random.Philox(seed))
     report = {"experiment": "sphere_configs", "t": t, "seed": seed, "runs": []}
     series = []

@@ -7,6 +7,7 @@ d^0 is taken to be 1 even at d = 0 (half of d^2 is smooth there).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,7 +169,8 @@ def hessian_radial_bounds(space, d_xy):
 
 def uniform_hessian_bound(space, rho, p):
     """H_{B(o,rho),p} = (2 rho)^(p-2) max(p-1, c_delta(2 rho)), valid for
-    rho <= r_cx."""
+    rho <= r_cx.  Raises DomainError where H is too large or too small
+    for the steps 1/H and 2/H to be finite and positive."""
     p = check_p(p)
     cst = space.constants()
     if rho > cst.r_cx:
@@ -176,7 +178,14 @@ def uniform_hessian_bound(space, rho, p):
             f"uniform_hessian_bound: rho={rho} exceeds r_cx={cst.r_cx}")
     if not rho > 0:
         raise DomainError(f"uniform_hessian_bound: need rho > 0, got {rho}")
-    return (2.0 * rho) ** (p - 2.0) * max(p - 1.0, c_upper(cst.delta, 2.0 * rho))
+    try:
+        H = (2.0 * rho) ** (p - 2.0) * max(p - 1.0, c_upper(cst.delta, 2.0 * rho))
+    except OverflowError:
+        H = math.inf
+    if not 2.0 / sys.float_info.max <= H < math.inf:
+        raise DomainError(f"uniform_hessian_bound: H={H} out of range at "
+                          f"rho={rho}, p={p}")
+    return H
 
 
 def fd_hessian_quadratic_form(ds, p, x, u):

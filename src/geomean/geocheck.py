@@ -6,19 +6,26 @@ the secant comparison and of tethering, Riemannian convex combinations,
 and convex-hull membership via geodesics-to-lines charts (gnomonic for
 positive curvature, Klein for negative, identity for flat).  In a chart
 the hull test is a nonnegative least-squares feasibility problem, solved
-by the Lawson-Hanson active-set method in numpy; the hull-trap sweep
-charts each trial's vertices once.
+by the Lawson-Hanson active-set method in numpy.  The hull-trap sweep
+charts each trial's vertices and records once, certifies a record inside
+when its barycentric coordinates in some simplex of the vertices are all
+positive (one stacked solve per trial), and runs the NNLS test only for
+the records that certificate does not cover.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from .errors import CutLocusError, DegenerateSecantError, DomainError
+from .errors import (CutLocusError, DegenerateSecantError, DomainError,
+                     GeomeanError)
 from .kernels import secant_euclid, secant_sphere
 from . import frechet, solver
 
 _DEFAULT_RADIUS_CAP = 1.5  # sampling cap when r_cx is infinite
+_MIN_DET = 1e-12    # smallest simplex |det| the hull certificate uses
+_MIN_DEPTH = 1e-9   # smallest barycentric coordinate it certifies
 
 
 class Chart:
@@ -144,7 +151,7 @@ def sample_triangle(space, rng, max_radius=None):
     """Random triangle (x, y1, y2) inside a random ball of radius <= r_cx."""
     cap = _sampling_cap(space) if max_radius is None else max_radius
     center = space.random_point(rng)
-    radius = cap * rng.uniform()
+    radius = cap * rng.random()
     pts = [space.random_in_ball(center, radius, rng) for _ in range(3)]
     return center, radius, pts[0], pts[1], pts[2]
 
@@ -170,6 +177,8 @@ def comparison_check(space, n_trials, seed):
     """
     if n_trials < 1:
         raise DomainError(f"comparison_check: need n_trials >= 1, got {n_trials}")
+    if space.dim < 2:   # every triangle is degenerate: no angle to split
+        raise DomainError(f"comparison_check: need dim >= 2, got {space.dim}")
     rng = np.random.Generator(np.random.Philox(seed))
     violations = 0
     min_margin = math.inf
@@ -179,7 +188,7 @@ def comparison_check(space, n_trials, seed):
         b, c, alpha = triangle_data(space, x, y1, y2)
         if alpha <= 1e-9 or alpha >= math.pi - 1e-9:
             continue
-        a1 = alpha * rng.uniform()
+        a1 = alpha * rng.random()
         a2 = alpha - a1
         zt = secant_euclid(b, c, a1, a2)
         if space.kappa > 0:
@@ -228,6 +237,34 @@ def _in_hull(V, q, tol):
     bvec = np.concatenate([q, [scale]])
     resid = float(np.linalg.norm(A @ _nnls(A, bvec) - bvec))
     return resid <= tol * scale
+
+
+def _certified_inside(V, Q):
+    """Which chart points (rows of Q) a simplex certifies to lie in the
+    convex hull of the rows of V.
+
+    One stacked solve gives the barycentric coordinates of every row of
+    Q in every (dim+1)-vertex simplex of V whose |det| is at least
+    _MIN_DET; a row whose coordinates are all >= _MIN_DEPTH in some
+    simplex is a convex combination of vertices, so `_in_hull` finds it
+    inside too.  False elsewhere: outside, on or near a face, or where
+    no simplex qualifies (fewer than dim+1 vertices, or vertices in a
+    lower-dimensional affine subspace).
+    """
+    n, dim = V.shape
+    inside = np.zeros(len(Q), dtype=bool)
+    simplices = np.array(list(itertools.combinations(range(n), dim + 1)))
+    if not len(simplices) or not len(Q):
+        return inside
+    M = np.ones((len(simplices), dim + 1, dim + 1))
+    M[:, :dim, :] = V[simplices].transpose(0, 2, 1)
+    M = M[np.abs(np.linalg.det(M)) >= _MIN_DET]
+    if not len(M):
+        return inside
+    B = np.ones((dim + 1, len(Q)))
+    B[:dim] = Q.T
+    depth = np.linalg.solve(M, B).min(axis=1)   # (simplex, row)
+    return (depth >= _MIN_DEPTH).any(axis=0)
 
 
 def _nnls(A, b):
@@ -281,7 +318,7 @@ def tethering_check(space, n_trials, t_grid, seed):
     min_margin = math.inf
     for _ in range(n_trials):
         o = space.random_point(rng)
-        rho = cap * rng.uniform()
+        rho = cap * rng.random()
         if rho < 1e-6:
             rho = 1e-6
         n = int(rng.integers(1, 9))
@@ -304,7 +341,13 @@ def tethering_check(space, n_trials, t_grid, seed):
 
 def hull_check(space, n_trials, seed):
     """Hull-trap sweep: once a descent iterate enters the convex hull of
-    the data, later iterates must stay inside."""
+    the data, later iterates must stay inside.
+
+    A record's verdict is the simplex certificate (`_certified_inside`)
+    or else `_in_hull`.  The records are charted ahead of the sweep, but
+    a record the chart refuses raises only if the sweep, which stops at
+    the first violation, reaches it.
+    """
     if n_trials < 1:
         raise DomainError(f"hull_check: need n_trials >= 1, got {n_trials}")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -312,7 +355,7 @@ def hull_check(space, n_trials, seed):
     violations = 0
     for _ in range(n_trials):
         o = space.random_point(rng)
-        rho = cap * (0.1 + 0.9 * rng.uniform())
+        rho = cap * (0.1 + 0.9 * rng.random())
         n = int(rng.integers(3, 7))
         pts = [space.random_in_ball(o, rho, rng) for _ in range(n)]
         ds = frechet.make_dataset(space, pts, None, o, rho)
@@ -321,9 +364,18 @@ def hull_check(space, n_trials, seed):
             p=2.0, step=1.0, grad_tol=1e-9, max_iters=60), x0=x0)
         chart = Chart(space, o)
         V = np.array([chart.forward(p) for p in pts])
-        entered = False
+        Q = []
         for rec in tr.records:
-            inside = _in_hull(V, chart.forward(rec.point), 1e-8)
+            try:
+                Q.append(chart.forward(rec.point))
+            except GeomeanError:
+                break
+        certified = _certified_inside(V, np.reshape(Q, (len(Q), space.dim)))
+        entered = False
+        for i, rec in enumerate(tr.records):
+            if i == len(Q):   # the sweep reached a record forward refused
+                chart.forward(rec.point)
+            inside = certified[i] or _in_hull(V, Q[i], 1e-8)
             if entered and not inside:
                 violations += 1
                 break

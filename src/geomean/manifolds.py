@@ -223,7 +223,10 @@ class ManifoldSpace:
 
         Direction is uniform on the tangent sphere; the radius is drawn by
         rejection against the volume density sn(r)^(n-1) (Jacobi sine of
-        the geometric curvature, so flat means density r^(n-1)).
+        the geometric curvature, so flat means density r^(n-1)).  The draw
+        order (scalar uniforms for r and the acceptance test, then the
+        direction) is part of the output: the Monte Carlo suites report
+        results determined by their seed.
         """
         if radius < 0:
             raise DomainError("random_in_ball: negative radius")
@@ -231,12 +234,12 @@ class ManifoldSpace:
             return center.copy()
         n = self.dim
         if n == 1:
-            r = radius * rng.uniform()
+            r = radius * rng.random()
         else:
             top = sn_jacobi(self.kappa, radius)
             while True:
-                r = radius * rng.uniform()
-                if rng.uniform() <= (sn_jacobi(self.kappa, r) / top) ** (n - 1):
+                r = radius * rng.random()
+                if rng.random() <= (sn_jacobi(self.kappa, r) / top) ** (n - 1):
                     break
         return self.exp(center, r * self.random_unit_tangent(center, rng))
 

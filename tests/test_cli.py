@@ -527,6 +527,109 @@ def test_mean_fuzz_exits_with_one_error_line(tmp_path_factory, inputs):
     assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1
 
 
+# numbers no option accepts, and some it does; sphere-configs steps are
+# drawn from these only, since a tiny step runs every descent to its cap
+_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-300",
+                            "1e300", "0.5", "1"])
+
+
+def _option(name, values):
+    return st.just([]) | values.map(lambda v: [f"{name}={v}"])
+
+
+@st.composite
+def _argv(draw):
+    """A short command line of `check`, `stepsize` or `sphere-configs`."""
+    numbers = _NUMBERS | st.floats(-4, 4).map(repr)
+    command = draw(st.sampled_from(["check", "stepsize", "sphere-configs"]))
+    argv = [command]
+    if command == "check":
+        argv.append(draw(st.sampled_from(["comparison", "tethering", "hull"])))
+    if command != "sphere-configs":
+        kind = draw(st.sampled_from(sorted(KINDS)))
+        kappa = draw(numbers)
+        if kind == "hyperbolic" and draw(st.booleans()):   # H needs kappa < 0
+            kappa = kappa[1:] if kappa.startswith("-") else "-" + kappa
+        argv += [f"--space={kind}", f"--kappa={kappa}"]
+        argv += draw(_option("--dim", st.integers(-1, 4).map(str)))
+    if command != "stepsize":
+        argv += draw(_option("--seed", st.integers(-3, 2**64).map(str)))
+    if command == "check":
+        argv += ["--trials", draw(st.integers(-1, 5).map(str))]
+    elif command == "stepsize":
+        argv += draw(_option("--p", numbers)) + draw(_option("--rho", numbers))
+        argv += draw(_option("--rho-prime", numbers))
+        argv += draw(st.sampled_from([[], ["--table"]]))
+    else:
+        argv.append("--rho-list=" + ",".join(
+            draw(st.lists(numbers, min_size=1, max_size=3))))
+        argv += draw(_option("--t", _NUMBERS))
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_argv())
+def test_argv_fuzz_exits_with_one_error_line(tmp_path_factory, argv):
+    # every command line gives a documented exit code, one `error:` line at
+    # most, and neither a traceback (an exception out of main) nor a numpy
+    # warning; argparse's rejections leave main as SystemExit(EXIT_PARSE)
+    out = tmp_path_factory.mktemp("fuzz")
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(argv + ["--out", str(out)])
+        except SystemExit as e:
+            code = e.code
+    assert code in range(5)
+    assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "comparison", "--seed", "-1", "--trials", "3"],
+    ["sphere-configs", "--seed", "-1"],
+])
+def test_negative_seed_exits_parse(argv, tmp_path, capsys):
+    # Philox takes no negative key
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv + ["--out", str(tmp_path)])
+    assert e.value.code == cli.EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error:" in line] == [
+        f"geomean {argv[0]}: error: argument --seed: invalid nonnegative_int "
+        f"value: '-1'"]
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("space", [
+    ["--space", "euclidean", "--dim", "1"],
+    ["--space", "sphere", "--dim", "1"],
+    ["--space", "circle"],
+    ["--space", "real_projective", "--dim", "1"],
+    ["--space", "hyperbolic", "--dim", "1", "--kappa=-1"],
+], ids=["euclidean", "sphere", "circle", "real_projective", "hyperbolic"])
+def test_comparison_on_one_dimensional_space_exits_parse(space, tmp_path,
+                                                         capsys):
+    # a triangle in one dimension has no angle to split: the sampler
+    # would draw degenerate triangles for ever, or pass on rounding noise
+    assert cli.main(["check", "comparison", *space, "--trials", "3",
+                     "--out", str(tmp_path)]) == cli.EXIT_PARSE
+    _one_error_line(capsys, "error: comparison_check: need dim >= 2, got 1")
+    assert not (tmp_path / "check_comparison.json").exists()
+
+
+@pytest.mark.parametrize("rho_list", ["0.5,inf", "nan", "0", "-1"])
+def test_sphere_configs_rejects_rho_before_any_run(rho_list, tmp_path, capsys):
+    # checked before any run: an infinite rho would make NaN points, and
+    # a bad rho late in the list must leave no traces of the earlier runs
+    assert cli.main(["sphere-configs", "--rho-list", rho_list,
+                     "--out", str(tmp_path)]) == cli.EXIT_PARSE
+    _one_error_line(capsys, "error: sphere_configs: need finite rho > 0, got "
+                            + rho_list.split(",")[-1])
+    assert not os.listdir(tmp_path)
+
+
 def test_deeply_nested_dataset_exits_parse(tmp_path, capsys):
     # deeper than the JSON decoder's recursion limit
     dsfile = tmp_path / "ds.json"
@@ -604,6 +707,15 @@ def test_sphere_configs_qualitative(tmp_path):
             assert fd["fd_along_x1"] == pytest.approx(1.0, abs=1e-5)
             assert fd["fd_perpendicular"] == pytest.approx(
                 r["eigenvalues_predicted"]["perpendicular"], abs=1e-5)
+
+
+def test_log_svg_of_nothing_positive(tmp_path):
+    # a run that never moves has distances to its final point all 0
+    from geomean import emit
+    path = tmp_path / "x.svg"
+    emit.write_svg(path, [emit.PlotSeries("still", [0, 1, 2], [0.0] * 3)],
+                   y_log=True)
+    assert ">1e0</text>" in path.read_text()
 
 
 def test_csv_roundtrip_precision(tmp_path):

@@ -182,6 +182,10 @@ def test_uniform_hessian_bound():
     # a NaN radius is neither above r_cx nor at most 0
     with pytest.raises(DomainError, match="need rho > 0, got nan"):
         uniform_hessian_bound(Sphere(2), math.nan, 2)
+    # H underflows to 0 (1/H would divide by zero) or overflows
+    for rho, p in ((1e-300, 3.14), (0.7, 1e300)):
+        with pytest.raises(DomainError, match="out of range"):
+            uniform_hessian_bound(Sphere(2), rho, p)
 
 
 def test_fd_hessian_single_point_sandwich(rng):

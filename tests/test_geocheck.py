@@ -232,27 +232,36 @@ def test_nnls_kkt(rng):
 @pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2), SO3()],
                          ids=lambda s: s.kind)
 def test_hull_check_matches_membership_loop(space, monkeypatch):
-    # hull_check charts each trial once; its verdicts equal one
-    # hull_membership call per record
-    trials, flags = [], []
-    descend, in_hull = geocheck.solver.descend, geocheck._in_hull
+    # hull_check charts each trial once and takes each record's verdict
+    # from the simplex certificate or else from _in_hull; the verdicts
+    # equal one hull_membership call per record
+    trials, certificates, nnls = [], [], []
+    descend = geocheck.solver.descend
+    certified_inside, in_hull = geocheck._certified_inside, geocheck._in_hull
 
     def spy_descend(ds, cfg, x0=None):
         trials.append((ds, descend(ds, cfg, x0=x0)))
         return trials[-1][1]
 
+    def spy_certified_inside(V, Q):
+        certificates.append(certified_inside(V, Q))
+        return certificates[-1]
+
     def spy_in_hull(V, q, tol):
-        flags.append(in_hull(V, q, tol))
-        return flags[-1]
+        nnls.append(in_hull(V, q, tol))
+        return nnls[-1]
 
     monkeypatch.setattr(geocheck.solver, "descend", spy_descend)
+    monkeypatch.setattr(geocheck, "_certified_inside", spy_certified_inside)
     monkeypatch.setattr(geocheck, "_in_hull", spy_in_hull)
     rep = geocheck.hull_check(space, 30, seed=5)
     monkeypatch.undo()
-    expected, violations = [], 0
-    for ds, tr in trials:
+    flags, expected, violations = [], [], 0
+    nnls_verdicts = iter(nnls)
+    for (ds, tr), certified in zip(trials, certificates):
         entered = False
-        for rec in tr.records:
+        for rec, cert in zip(tr.records, certified):
+            flags.append(bool(cert) or next(nnls_verdicts))
             inside = hull_membership(space, ds.points, rec.point,
                                      center=ds.ball_center, tol=1e-8)
             expected.append(inside)
@@ -260,9 +269,79 @@ def test_hull_check_matches_membership_loop(space, monkeypatch):
                 violations += 1
                 break
             entered = entered or inside
-    assert len(trials) == 30
+    assert len(trials) == len(certificates) == 30
+    assert next(nnls_verdicts, None) is None   # every _in_hull call used
+    assert any(certified.any() for certified in certificates) and nnls
     assert flags == expected and any(flags) and not all(flags)
     assert rep["violations"] == violations
+
+
+def test_hull_check_charts_records_as_the_sweep_reaches_them(monkeypatch):
+    # records are charted ahead of the sweep, but a record the chart
+    # refuses raises only where the sweep, which stops at the first
+    # violation, reaches it
+    trials = []
+    descend, forward = geocheck.solver.descend, Chart.forward
+
+    def spy_descend(ds, cfg, x0=None):
+        trials.append(descend(ds, cfg, x0=x0))
+        return trials[-1]
+
+    def refuse(k):
+        def forward_refusing(chart, point):
+            if trials and point is trials[-1].records[k].point:
+                raise DomainError("chart: refused")
+            return forward(chart, point)
+        return forward_refusing
+
+    monkeypatch.setattr(geocheck.solver, "descend", spy_descend)
+    monkeypatch.setattr(geocheck, "_certified_inside",
+                        lambda V, Q: np.zeros(len(Q), dtype=bool))
+    monkeypatch.setattr(Chart, "forward", refuse(1))
+    with pytest.raises(DomainError, match="^chart: refused$"):
+        geocheck.hull_check(Sphere(2), 1, seed=5)
+    assert len(trials[-1].records) > 2
+    # record 0 enters the hull and record 1 leaves it: record 2 is never
+    # reached, so its chart is never asked for
+    verdicts = iter([True, False])
+    monkeypatch.setattr(geocheck, "_in_hull", lambda V, q, tol: next(verdicts))
+    monkeypatch.setattr(Chart, "forward", refuse(2))
+    assert geocheck.hull_check(Sphere(2), 1, seed=5)["violations"] == 1
+
+
+# Reports and a sum over the hull sweep's sampled inputs, recorded when
+# the scalar draws called Generator.uniform(); Generator.random() reads
+# the same stream and returns the same values
+_PINNED_DRAWS = {
+    "sphere": (2.1026270958721116e-10, 0, 0.0009853447162428669,
+               -3.7769618740643214),
+    "hyperbolic": (-0.24622127067185762, 200, 0.005027656000494702,
+                   327.8053170732187),
+}
+
+
+@pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2)],
+                         ids=lambda s: s.kind)
+def test_suites_keep_their_draw_order(space, monkeypatch):
+    margin, violations, tether_margin, total = _PINNED_DRAWS[space.kind]
+    assert comparison_check(space, 200, seed=21) == {
+        "suite": "comparison", "trials": 200, "violations": violations,
+        "min_margin": margin, "seed": 21}
+    assert tethering_check(space, 200, (0.25, 0.5, 1.0), seed=21) == {
+        "suite": "tethering", "trials": 200, "violations": 0,
+        "min_margin": tether_margin, "seed": 21}
+    sums, descend = [], geocheck.solver.descend
+
+    def spy_descend(ds, cfg, x0=None):
+        tr = descend(ds, cfg, x0=x0)
+        sums.append(float(ds.points.sum() + x0.sum() + tr.final.sum()))
+        return tr
+
+    monkeypatch.setattr(geocheck.solver, "descend", spy_descend)
+    rep = geocheck.hull_check(space, 20, seed=21)
+    assert math.isnan(rep.pop("min_margin"))
+    assert rep == {"suite": "hull", "trials": 20, "violations": 0, "seed": 21}
+    assert sum(sums) == total
 
 
 def test_hull_contains_l2_mean(rng):

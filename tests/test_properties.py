@@ -2,8 +2,9 @@
 length of log against the distance, symmetry of the distance (also for
 pairs far apart), the triangle inequality, the array primitives
 (dist_many, log_dist_many, exp_many) against the scalar ones, row by row,
-with the canonical sign of RP and SO(3) idempotent, and the far point of
-the ball-estimate sweep against dist_many, ties included."""
+with the canonical sign of RP and SO(3) idempotent, the far point of
+the ball-estimate sweep against dist_many, ties included, and the hull
+sweep's simplex certificate against the NNLS membership test."""
 
 import functools
 import math
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from geomean import geocheck
 from geomean.errors import CutLocusError
 from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
                                SO3, Sphere, _canonical_sign,
@@ -174,3 +176,36 @@ def test_farthest_is_the_first_maximum_of_dist_many(space, data):
         (v,) = _draw_tangents(data, space, x, 1, 0.9)
         P[i], P[j] = space.exp(x, v), space.exp(x, -v)
     assert space._farthest(x, P) == int(np.argmax(space.dist_many(x, P)))
+
+
+@pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_hull_certificate_implies_membership(space, data):
+    # every chart point the simplex certificate marks inside is inside by
+    # _in_hull too; the vertex sets have 1 to 6 points (so also fewer than
+    # dim + 1), copies, or lie in a hyperplane through the chart center,
+    # and the points include vertices, points on edges and points outside
+    (o,) = _draw_points(data, space, 1)
+    n = 7 - data.draw(st.integers(1, 6))   # Hypothesis favours the low end
+    # n vertices, two more points and a normal, all inside r_cx
+    *T, p1, p2, w = _draw_tangents(data, space, o, n + 3, 0.45)
+    chart = geocheck.Chart(space, o)
+    how = data.draw(st.sampled_from(["drawn", "frame", "copy", "flat"]))
+    if how != "drawn":   # about a frame at o, so that most sets span
+        T = 0.5 * np.array(T) + [
+            (-1) ** (i // space.dim) * 0.2 * _reach(space)
+            * chart.basis[i % space.dim] for i in range(n)]
+    if how == "copy":
+        T[data.draw(st.integers(0, n - 1))] = T[0]
+    elif how == "flat" and space.inner(o, w, w) > 0.0:   # all degenerate
+        T = T - np.outer([space.inner(o, t, w) for t in T], w) \
+            / space.inner(o, w, w)
+    V = np.array([chart.forward(space.exp(o, t)) for t in (*T, p1, p2)])
+    V, others = V[:n], V[n:]
+    W = 0.05 + np.abs(_draw_array(data, (4, n), 1.0))
+    W[0, data.draw(st.integers(0, n - 1))] = 0.0   # on a face, if any
+    W[0, 0] += W[0].sum() == 0.0                   # a single vertex
+    Q = np.vstack([(W / W.sum(axis=1, keepdims=True)) @ V, V, others])
+    certified = geocheck._certified_inside(V, Q)
+    assert all(geocheck._in_hull(V, q, 1e-8) for q in Q[certified])
