@@ -170,22 +170,12 @@ def run_sphere_configs(rho_list=SPHERE_RHOS, t=1.0, out=None, seed=0):
 
 
 def _largest_rho(f, rho_prime):
-    """Largest rho in (0, rho') with f(rho) >= 0, by bisection; 0 when f
-    is already negative at the bottom of the range.  Stops once the
-    midpoint no longer falls strictly between lo and hi: the result is
-    then that midpoint, as it would be after any further steps."""
+    """Largest rho in (0, rho') with f(rho) >= 0, bisected down to adjacent
+    floats; 0 when f is already negative at the bottom of the range."""
     lo, hi = 1e-9 * rho_prime, rho_prime * (1.0 - 1e-9)
     if f(lo) < 0:
         return 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if f(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return stepsize._bisect(lambda rho: f(rho) >= 0, lo, hi)
 
 
 def stepsize_table():

@@ -176,8 +176,8 @@ def uniform_hessian_bound(space, rho, p):
     if rho > cst.r_cx:
         raise PreconditionError(
             f"uniform_hessian_bound: rho={rho} exceeds r_cx={cst.r_cx}")
-    if not rho > 0:
-        raise DomainError(f"uniform_hessian_bound: need rho > 0, got {rho}")
+    if not rho >= 0:
+        raise DomainError(f"uniform_hessian_bound: need rho >= 0, got {rho}")
     try:
         H = (2.0 * rho) ** (p - 2.0) * max(p - 1.0, c_upper(cst.delta, 2.0 * rho))
     except OverflowError:

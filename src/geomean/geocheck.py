@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (CutLocusError, DegenerateSecantError, DomainError,
                      GeomeanError)
 from .kernels import secant_euclid, secant_sphere
-from . import frechet, solver
+from . import frechet, solver, stepsize
 
 _DEFAULT_RADIUS_CAP = 1.5  # sampling cap when r_cx is infinite
 _MIN_DET = 1e-12    # smallest simplex |det| the hull certificate uses
@@ -73,52 +73,33 @@ def secant_by_intersection(space, x, y1, y2, alpha1):
     toward y2) and finds where it meets the minimal geodesic y1 y2 by
     bisection of a chart-based side test; returns d(x, m).
     """
-    sp = space
-    v1 = sp.log(x, y1)
-    v2 = sp.log(x, y2)
-    b = sp.norm(x, v1)
-    c = sp.norm(x, v2)
-    if b < 1e-14 or c < 1e-14:
+    b, c, alpha, frame = _triangle(space, x, y1, y2)
+    if not frame:
         return 0.0
-    e1 = v1 / b
-    w = v2 - sp.inner(x, v2, e1) * e1
-    nw = sp.norm(x, w)
-    cos_a = min(1.0, max(-1.0, sp.inner(x, v2, e1) / c))
-    alpha = math.atan2(nw, c * cos_a)
     if alpha1 < 0 or alpha1 > alpha + 1e-12:
         raise DomainError(f"secant: alpha1={alpha1} outside [0, alpha={alpha}]")
     if alpha1 <= 1e-14:
         return b
     if alpha - alpha1 <= 1e-14:
         return c
-    if nw < 1e-14:
+    if len(frame) < 2:
         raise DegenerateSecantError("secant: x, y1, y2 are collinear")
-    e2 = w / nw
 
-    chart = Chart(sp, x, basis=[e1, e2])
-    d1 = math.cos(alpha1)
-    d2 = math.sin(alpha1)
+    chart = Chart(space, x, basis=frame)
+    d1, d2 = math.cos(alpha1), math.sin(alpha1)
 
-    u12 = sp.log(y1, y2)
-    a = sp.norm(y1, u12)
+    u12 = space.log(y1, y2)
+    a = space.norm(y1, u12)
     u12 = u12 / a
 
     def side(s):
-        p = chart.forward(sp.exp(y1, s * u12))
+        p = chart.forward(space.exp(y1, s * u12))
         return d1 * p[1] - d2 * p[0]
 
-    lo, hi = 0.0, a
-    flo = side(lo)
-    if flo > 0:  # orientation guard; should not trigger for valid input
+    if side(0.0) > 0:  # orientation guard; should not trigger for valid input
         raise DegenerateSecantError("secant: inconsistent orientation")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if side(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    m = sp.exp(y1, 0.5 * (lo + hi) * u12)
-    return sp.distance(x, m)
+    s = stepsize._bisect(lambda s: side(s) <= 0, 0.0, a, 1e-12)
+    return space.distance(x, space.exp(y1, s * u12))
 
 
 def _extend_basis(space, x, seed):
@@ -158,14 +139,26 @@ def sample_triangle(space, rng, max_radius=None):
 
 def triangle_data(space, x, y1, y2):
     """Side lengths (b, c) and the vertex angle alpha at x."""
+    return _triangle(space, x, y1, y2)[:3]
+
+
+def _triangle(space, x, y1, y2):
+    """Sides b = |log_x y1| and c = |log_x y2|, the angle alpha at x (by
+    atan2, accurate on thin triangles) and the frame [e1, e2] at x: e1
+    along log_x y1, e2 along the part w of log_x y2 normal to e1.  The
+    frame is empty (alpha 0) if b or c < 1e-14, and has no e2 if |w| is."""
     v1 = space.log(x, y1)
     v2 = space.log(x, y2)
     b = space.norm(x, v1)
     c = space.norm(x, v2)
     if b < 1e-14 or c < 1e-14:
-        return b, c, 0.0
-    cos_a = min(1.0, max(-1.0, space.inner(x, v1, v2) / (b * c)))
-    return b, c, math.acos(cos_a)
+        return b, c, 0.0, []
+    e1 = v1 / b
+    along = space.inner(x, v2, e1)
+    w = v2 - along * e1
+    nw = space.norm(x, w)
+    alpha = math.atan2(nw, c * min(1.0, max(-1.0, along / c)))
+    return b, c, alpha, [e1] if nw < 1e-14 else [e1, w / nw]
 
 
 def comparison_check(space, n_trials, seed):

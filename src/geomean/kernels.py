@@ -4,15 +4,13 @@ The kernels sn, ct, b, c are the usual comparison-geometry functions of a
 curvature kappa and a length l.  They drive every Hessian bound in the
 package.  All of them branch on the sign of kappa:
 
-    sn_k(l) = sin(sqrt(k) l)/sqrt(k)   | 1/l  | sinh(sqrt(-k) l)/sqrt(-k)
+    sn_k(l) = sin(sqrt(k) l)/sqrt(k)   | l    | sinh(sqrt(-k) l)/sqrt(-k)
     ct_k(l) = sqrt(k) cot(sqrt(k) l)   | 1/l  | sqrt(-k) coth(sqrt(-k) l)
     b_k(l)  = sqrt(k) l cot(sqrt(k) l) for k >= 0, else 1
     c_k(l)  = 1 for k >= 0, else sqrt(-k) l coth(sqrt(-k) l)
 
-Note the flat branch of sn is 1/l, not l.  That is deliberate: it matches
-the printed definition this code implements, and sn with kappa = 0 only
-ever feeds the exit-time ratio, where the Jacobi convention sn_0(l) = l is
-used instead (see sn_jacobi).
+sn is the Jacobi sine: the norm of a normal Jacobi field with J(0) = 0,
+|J'(0)| = 1, so its flat branch is l.
 
 Out-of-domain arguments raise DomainError rather than returning NaN.
 """
@@ -26,23 +24,16 @@ _SERIES_CUTOFF = 1e-4
 
 
 def sn(kappa, l):
-    """Generalized sine kernel. Flat branch is 1/l as printed (see module doc)."""
+    """Jacobi sine kernel; refuses l < 0 for kappa <= 0."""
     if kappa > 0:
         rk = math.sqrt(kappa)
         return math.sin(rk * l) / rk
     if l < 0:
         raise DomainError(f"sn: negative length l={l}")
     if kappa == 0:
-        if l == 0:
-            raise DomainError("sn: 1/l branch undefined at l=0")
-        return 1.0 / l
+        return l
     rk = math.sqrt(-kappa)
     return math.sinh(rk * l) / rk
-
-
-def sn_jacobi(kappa, l):
-    """Jacobi-field sine: sn with the flat branch sn_0(l) = l."""
-    return l if kappa == 0 else sn(kappa, l)
 
 
 def ct(kappa, l):

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CutLocusError, DomainError
-from .kernels import sn_jacobi
+from .kernels import sn
 
 _CANON_TOL = 1e-9  # first coordinate of magnitude above this fixes the sign
 _MAX_COORD = 1e150  # below this, sums of squared coordinates stay finite
@@ -228,18 +228,19 @@ class ManifoldSpace:
         direction) is part of the output: the Monte Carlo suites report
         results determined by their seed.
         """
-        if radius < 0:
-            raise DomainError("random_in_ball: negative radius")
+        if not 0 <= radius < math.inf:   # a NaN or infinite one never accepts
+            raise DomainError(
+                f"random_in_ball: need finite radius >= 0, got {radius}")
         if radius == 0:
             return center.copy()
         n = self.dim
         if n == 1:
             r = radius * rng.random()
         else:
-            top = sn_jacobi(self.kappa, radius)
+            top = sn(self.kappa, radius)
             while True:
                 r = radius * rng.random()
-                if rng.random() <= (sn_jacobi(self.kappa, r) / top) ** (n - 1):
+                if rng.random() <= (sn(self.kappa, r) / top) ** (n - 1):
                     break
         return self.exp(center, r * self.random_unit_tangent(center, rng))
 

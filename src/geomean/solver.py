@@ -47,6 +47,13 @@ class SolverConfig:
             raise DomainError("max_iters must be at least 1")
         if not 0 < self.step < math.inf:
             raise DomainError(f"step must be finite and positive, got {self.step}")
+        if self.hessian_upper is not None and not 0 < self.hessian_upper < math.inf:
+            raise DomainError(f"hessian_upper must be finite and positive, "
+                              f"got {self.hessian_upper}")
+        if self.monitor_radius is not None and \
+                not 0 <= self.monitor_radius < math.inf:
+            raise DomainError(f"monitor_radius must be finite and >= 0, "
+                              f"got {self.monitor_radius}")
 
 
 @dataclass
@@ -212,6 +219,9 @@ def one_step(ds, p, x, t):
 def multistart_uniqueness(ds, cfg, n_starts, rng):
     """Descend from n_starts uniform starts in B(o, rho); report whether
     all runs agree on the minimizer."""
+    if n_starts < 1:
+        raise DomainError(f"multistart_uniqueness: need n_starts >= 1, "
+                          f"got {n_starts}")
     if not ds.uniqueness_certified:
         raise PreconditionError("multistart_uniqueness: rho exceeds r_cx")
     sp = ds.space

@@ -17,8 +17,7 @@ strictly decreases, and t_out1 is 0 at r = rho and strictly increases,
 since the log-derivative of sn_Delta(r-rho)/sn_Delta(r+rho) is
 sqrt(Delta) (cot sqrt(Delta)(r-rho) - cot sqrt(Delta)(r+rho)) > 0 below
 the conjugate distance (coth for Delta < 0, 2 rho/(r^2 - rho^2) for
-Delta = 0).  Inside the ratio the flat branch is the Jacobi convention
-sn_0(l) = l.
+Delta = 0).
 """
 
 import bisect
@@ -26,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PreconditionError
-from .kernels import c_upper, sn_jacobi
+from .kernels import c_upper, sn
 from .frechet import check_p, uniform_hessian_bound
 
 
@@ -54,8 +53,6 @@ def resolve_spread_compromise(space, rho, p):
     if rho > rho_max:
         raise PreconditionError(
             f"spread_compromise: rho={rho} exceeds r_cx/3={rho_max}")
-    if rho <= 0:
-        raise DomainError(f"spread_compromise: need rho > 0, got {rho}")
     H = uniform_hessian_bound(space, 2.0 * rho, p)
     return SpreadStep(t_base=1.0 / H, t_max_exclusive=2.0 / H,
                       stay_ball_radius=3.0 * rho)
@@ -64,7 +61,7 @@ def resolve_spread_compromise(space, rho, p):
 def _exit_profile(delta, Delta, rho, rho_prime, r):
     """max of the two per-radius exit lower bounds at r = d(y, o)."""
     t1 = (2.0 / c_upper(delta, rho_prime)) * r * (r - rho) \
-        * sn_jacobi(Delta, r - rho) / sn_jacobi(Delta, r + rho)
+        * sn(Delta, r - rho) / sn(Delta, r + rho)
     t2 = (rho_prime - r) / (rho + r)
     return max(t1, t2)
 
@@ -113,6 +110,21 @@ def _golden_section(f, lo, hi, tol):
             d = a + invphi * (b - a)
             fd = f(d)
     return 0.5 * (a + b)
+
+
+def _bisect(keep_lo, lo, hi, tol=0.0):
+    """Bisection of [lo, hi], the midpoint replacing lo where keep_lo(mid)
+    and hi elsewhere, until hi - lo <= tol or the midpoint no longer falls
+    strictly inside; returns that midpoint."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if keep_lo(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def resolve_exit_compromise_bounds(delta, Delta, rho, rho_prime):

@@ -202,6 +202,24 @@ def test_dataset_too_wide_for_the_ball_estimate_exits_precondition(
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("space, points", [
+    (Sphere(2), [[0.0, 0.0, 1.0]]),
+    (Hyperbolic(2), [[1.0, 0.0, 0.0]] * 3),
+], ids=["sphere_one_point", "hyperbolic_coincident"])
+def test_zero_radius_dataset_converges_at_once(space, points, tmp_path, capsys):
+    # the ball estimate is 0; the default policy resolves H = 1 there
+    obj = {"space": space.to_json(), "points": points}
+    assert _mean_with(tmp_path, obj) == cli.EXIT_OK
+    summary = json.load(open(tmp_path / "summary.json"))
+    assert (summary["status"], summary["iterations"]) == ("converged", 0)
+    assert summary["final"] == points[0]
+    # at p = 3, H_{B,p} = 0 has no step 1/H
+    assert _mean_with(tmp_path, obj, "--p", "3") == cli.EXIT_PRECONDITION
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: step policy: uniform_hessian_bound: H=0.0 out of range "
+        "at rho=0.0, p=3.0")
+
+
 def test_mean_command_cut_locus(tmp_path):
     # circle two-point dataset; from the ball center theta=0 the first step
     # with t=15/8 lands exactly on the antipode of x1

@@ -179,13 +179,21 @@ def test_uniform_hessian_bound():
         pytest.approx(2.1588946242718521, abs=1e-12)
     with pytest.raises(PreconditionError):
         uniform_hessian_bound(Sphere(2), 2.0, 2)
-    # a NaN radius is neither above r_cx nor at most 0
-    with pytest.raises(DomainError, match="need rho > 0, got nan"):
+    # a NaN radius is neither above r_cx nor at least 0
+    with pytest.raises(DomainError, match="need rho >= 0, got nan"):
         uniform_hessian_bound(Sphere(2), math.nan, 2)
     # H underflows to 0 (1/H would divide by zero) or overflows
     for rho, p in ((1e-300, 3.14), (0.7, 1e300)):
         with pytest.raises(DomainError, match="out of range"):
             uniform_hessian_bound(Sphere(2), rho, p)
+    # one point, or coincident points: H at p = 2 is c_delta(0) = 1, and
+    # at p > 2 it is 0, which has no step 1/H
+    for space in SIX_SPACES:
+        assert uniform_hessian_bound(space, 0.0, 2) == 1.0
+        with pytest.raises(DomainError, match="H=0.0 out of range"):
+            uniform_hessian_bound(space, 0.0, 3)
+        with pytest.raises(DomainError, match="need rho >= 0, got -0.1"):
+            uniform_hessian_bound(space, -0.1, 2)
 
 
 def test_fd_hessian_single_point_sandwich(rng):

@@ -55,6 +55,27 @@ def test_secant_oracle_vs_euclid(rng):
         done += 1
 
 
+@pytest.mark.parametrize("space, x", [
+    (Euclidean(3), [0.0, 0.0, 0.0]), (Sphere(2), [0.0, 0.0, 1.0]),
+    (Hyperbolic(2), [1.0, 0.0, 0.0]), (RealProjective(2), [0.0, 0.0, 1.0]),
+    (SO3(), [1.0, 0.0, 0.0, 0.0])],
+    ids=["euclidean", "sphere", "hyperbolic", "real_projective", "so3"])
+def test_thin_triangle_angle(space, x, rng):
+    # at a coordinate point along coordinate axes the normal part of
+    # log_x y2 is exact to rounding, so the constructed angle is the angle
+    x = np.array(x)
+    e1, e2 = Chart(space, x).basis[:2]
+    for _ in range(100):
+        alpha = 10.0 ** rng.uniform(-8.0, -4.0)
+        b, c = 0.1 + 0.5 * rng.uniform(size=2)
+        y1 = space.exp(x, b * e1)
+        y2 = space.exp(x, c * (math.cos(alpha) * e1 + math.sin(alpha) * e2))
+        _, c_read, a_read = triangle_data(space, x, y1, y2)
+        assert a_read == pytest.approx(alpha, rel=1e-9)
+        # the oracle reads the same angle, so the full angle is side x y2
+        assert secant_by_intersection(space, x, y1, y2, a_read) == c_read
+
+
 def test_comparison_check_sphere():
     rep = comparison_check(Sphere(2), 1500, seed=42)
     assert rep["violations"] == 0

@@ -15,14 +15,15 @@ C_NEG1_2PI3 = 2.1588946242718521
 
 def test_sn_branches():
     assert sn(1.0, math.pi / 2) == pytest.approx(1.0, abs=1e-15)
-    assert sn(0.0, 2.0) == 0.5
+    assert sn(0.0, 2.0) == 2.0   # the Jacobi sine's flat branch is l
+    assert sn(0.0, 0.0) == 0.0
     assert sn(-1.0, 1.0) == pytest.approx(SINH_1, abs=1e-15)
     assert sn(4.0, math.pi / 4) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_sn_domain_errors():
     with pytest.raises(DomainError):
-        sn(0.0, 0.0)
+        sn(0.0, -1.0)
     with pytest.raises(DomainError):
         sn(-1.0, -1.0)
 

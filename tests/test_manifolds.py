@@ -508,3 +508,17 @@ def test_random_in_ball_stays_inside(rng):
         for _ in range(100):
             p = space.random_in_ball(c, rad, rng)
             assert space.distance(c, p) <= rad + 1e-12
+
+
+class _NoDraws:
+    """An rng whose every draw fails the test instead of looping on."""
+    def __getattr__(self, name):
+        pytest.fail(f"random_in_ball drew ({name}) for a refused radius")
+
+
+@pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
+def test_random_in_ball_refuses_radius_before_drawing(space, radius):
+    c = space.random_point(np.random.Generator(np.random.Philox(0)))
+    with pytest.raises(DomainError, match="need finite radius >= 0"):
+        space.random_in_ball(c, radius, _NoDraws())

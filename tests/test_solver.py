@@ -40,11 +40,17 @@ def test_euclidean_one_iteration():
     assert tr.exit_code == 0
 
 
-@pytest.mark.parametrize("field", ["step", "grad_tol"])
+@pytest.mark.parametrize("field", ["step", "grad_tol", "hessian_upper"])
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
 def test_config_needs_finite_positive_step_and_tol(field, value):
     with pytest.raises(DomainError, match=f"{field} must be finite and positive"):
         SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+def test_config_needs_finite_nonnegative_monitor_radius(value):
+    with pytest.raises(DomainError, match="monitor_radius must be finite and >= 0"):
+        SolverConfig(monitor_radius=value)
 
 
 def test_circle_scenarios():
@@ -389,6 +395,8 @@ def test_multistart_uniqueness(rng):
     bad = make_dataset(sp, [p1], None, np.array([0.0, 0.0, 1.0]), 2.0)
     with pytest.raises(PreconditionError):
         multistart_uniqueness(bad, cfg, 3, rng)
+    with pytest.raises(DomainError, match="need n_starts >= 1, got 0"):
+        multistart_uniqueness(ds, cfg, 0, rng)   # no runs certify nothing
 
 
 @pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2), SO3()],

@@ -40,6 +40,11 @@ def test_resolve_spread_compromise():
                        r"rho=0\.628\d+ exceeds r_cx/3=0\.523\d+$"):
         resolve_spread_compromise(Sphere(2), 0.2 * math.pi, 2)
 
+    r = resolve_spread_compromise(Hyperbolic(2), 0.0, 2)   # coincident points
+    assert (r.t_base, r.t_max_exclusive, r.stay_ball_radius) == (1.0, 2.0, 0.0)
+    with pytest.raises(DomainError, match="need rho >= 0"):
+        resolve_spread_compromise(Sphere(2), -0.1, 2)
+
 
 def _exit_time_scan(delta, Delta, rho, rho_prime):
     """exit_time_bounds with its bracket found by the 4096-point linear
@@ -119,7 +124,6 @@ def test_exit_time_euclidean_in_bound():
 def test_exit_profile_scalar_reduction(rng):
     # both per-point bounds depend on y only through r = d(y, o): evaluate
     # the same formulas from sampled points on S^2 and compare
-    from geomean.kernels import sn_jacobi
     from geomean.stepsize import _exit_profile
     sp = Sphere(2)
     o = sp.random_point(rng)
@@ -129,7 +133,7 @@ def test_exit_profile_scalar_reduction(rng):
         y = sp.exp(o, r * sp.random_unit_tangent(o, rng))
         ry = sp.distance(y, o)
         t1 = (2.0 / c_upper(1.0, rho_prime)) * ry * (ry - rho) \
-            * sn_jacobi(1.0, ry - rho) / sn_jacobi(1.0, ry + rho)
+            * sn(1.0, ry - rho) / sn(1.0, ry + rho)
         t2 = (rho_prime - ry) / (rho + ry)
         assert max(t1, t2) == pytest.approx(
             _exit_profile(1.0, 1.0, rho, rho_prime, r), abs=1e-12)
@@ -237,3 +241,12 @@ def test_largest_rho_matches_full_bisection():
             lambda rho: calls.append(rho) or cached(rho), hp)
         assert fast == _bisect_200(cached, hp)
         assert len(calls) < 70   # the dead steps are gone
+
+
+def test_bisect_stops_at_adjacent_floats():
+    # a bracket whose floats are spaced wider than tol: halving alone
+    # would never reach hi - lo <= tol
+    root = 1.5e15 + 0.25
+    mid = stepsize._bisect(lambda s: s <= root, 1e15, 2e15, tol=1e-12)
+    assert abs(mid - root) <= math.ulp(root)
+    assert stepsize._bisect(lambda s: True, 0.0, 1.0, tol=0.25) == 0.875
