@@ -23,7 +23,7 @@ from .solver import (SolverConfig, Trace, descend, fit_tail_rate,
                      minimal_ball_estimate, multistart_uniqueness, one_step,
                      trailing_rate)
 from .geocheck import (Chart, comparison_check, convex_combination,
-                       hull_check, hull_membership, secant_by_intersection,
+                       hull_check, in_hull, secant_by_intersection,
                        tethering_check)
 
 __version__ = "0.1.0"

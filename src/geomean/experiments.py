@@ -175,7 +175,14 @@ def _largest_rho(f, rho_prime):
     lo, hi = 1e-9 * rho_prime, rho_prime * (1.0 - 1e-9)
     if f(lo) < 0:
         return 0.0
-    return stepsize._bisect(lambda rho: f(rho) >= 0, lo, hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if f(mid) >= 0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def stepsize_table():

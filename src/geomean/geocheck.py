@@ -1,12 +1,13 @@
 """Geometric verification oracles.
 
 Independent cross-checks for the closed-form results elsewhere in the
-package: a numerical geodesic-intersection secant, Monte Carlo sweeps of
-the secant comparison and of tethering, Riemannian convex combinations,
-and convex-hull membership via geodesics-to-lines charts (gnomonic for
-positive curvature, Klein for negative, identity for flat).  In a chart
-the hull test is a nonnegative least-squares feasibility problem, solved
-by the Lawson-Hanson active-set method in numpy.  The hull-trap sweep
+package, built on geodesics-to-lines charts (gnomonic for positive
+curvature, Klein for negative, identity for flat): a secant read off the
+intersection of two chart lines, Monte Carlo sweeps of the secant
+comparison and of tethering, Riemannian convex combinations, and
+convex-hull membership.  In a chart the hull test (`in_hull`) is a
+nonnegative least-squares feasibility problem, solved by the
+Lawson-Hanson active-set method in numpy.  The hull-trap sweep
 charts each trial's vertices and records once, certifies a record inside
 when its barycentric coordinates in some simplex of the vertices are all
 positive (one stacked solve per trial), and runs the NNLS test only for
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import (CutLocusError, DegenerateSecantError, DomainError,
                      GeomeanError)
 from .kernels import secant_euclid, secant_sphere
-from . import frechet, solver, stepsize
+from . import frechet, solver
 
 _DEFAULT_RADIUS_CAP = 1.5  # sampling cap when r_cx is infinite
 _MIN_DET = 1e-12    # smallest simplex |det| the hull certificate uses
@@ -65,13 +66,28 @@ class Chart:
         w = scale * v
         return np.array([sp.inner(self.center, w, b) for b in self.basis])
 
+    def radial_distance(self, r):
+        """Distance from the center of the points that forward sends to
+        Euclidean radius r: the inverse of forward's radial law."""
+        k = self.space.kappa
+        if k > 0:
+            return math.atan(math.sqrt(k) * r) / math.sqrt(k)
+        if k < 0:
+            return math.atanh(math.sqrt(-k) * r) / math.sqrt(-k)
+        return r
+
 
 def secant_by_intersection(space, x, y1, y2, alpha1):
     """Secant length by explicit geodesic intersection (oracle).
 
     Launches the geodesic from x at angle alpha1 off side x y1 (rotating
-    toward y2) and finds where it meets the minimal geodesic y1 y2 by
-    bisection of a chart-based side test; returns d(x, m).
+    toward y2) and returns d(x, m) for the point m where it meets the
+    minimal geodesic y1 y2.  In the geodesics-to-lines chart at x both
+    are straight: the ray at angle alpha1 from the origin and the segment
+    between the images of y1 and y2, so m is their intersection.  On
+    kappa > 0 the gnomonic chart refuses (DomainError) a y1 or y2 at
+    pi/(2 sqrt(kappa)) or more from x; `comparison_check` uses
+    `secant_sphere` there.
     """
     b, c, alpha, frame = _triangle(space, x, y1, y2)
     if not frame:
@@ -86,20 +102,12 @@ def secant_by_intersection(space, x, y1, y2, alpha1):
         raise DegenerateSecantError("secant: x, y1, y2 are collinear")
 
     chart = Chart(space, x, basis=frame)
-    d1, d2 = math.cos(alpha1), math.sin(alpha1)
-
-    u12 = space.log(y1, y2)
-    a = space.norm(y1, u12)
-    u12 = u12 / a
-
-    def side(s):
-        p = chart.forward(space.exp(y1, s * u12))
-        return d1 * p[1] - d2 * p[0]
-
-    if side(0.0) > 0:  # orientation guard; should not trigger for valid input
-        raise DegenerateSecantError("secant: inconsistent orientation")
-    s = stepsize._bisect(lambda s: side(s) <= 0, 0.0, a, 1e-12)
-    return space.distance(x, space.exp(y1, s * u12))
+    p1, p2 = chart.forward(y1), chart.forward(y2)
+    # the side of the ray, linear along the segment: < 0 at p1, > 0 at p2
+    s1 = math.cos(alpha1) * p1[1] - math.sin(alpha1) * p1[0]
+    s2 = math.cos(alpha1) * p2[1] - math.sin(alpha1) * p2[0]
+    m = p1 + s1 / (s1 - s2) * (p2 - p1)
+    return chart.radial_distance(math.sqrt(m.dot(m)))
 
 
 def _extend_basis(space, x, seed):
@@ -207,23 +215,11 @@ def convex_combination(space, x, points, weights, t=1.0):
     return space.exp(x, t * (np.asarray(weights, dtype=float) @ logs))
 
 
-def hull_membership(space, vertices, query, center=None, tol=1e-9):
-    """Membership of query in the geodesic convex hull of vertices.
-
-    Charts the configuration (at `center`, default the query point) so
-    geodesics become straight lines, then asks whether the query image is
-    a convex combination of the vertex images (`_in_hull`).  Charting at
-    the enclosing-ball center keeps the gnomonic domain valid for any ball
-    radius <= r_cx.
-    """
-    chart = Chart(space, query if center is None else center)
-    V = np.array([chart.forward(v) for v in np.atleast_2d(vertices)])
-    return _in_hull(V, chart.forward(query), tol)
-
-
-def _in_hull(V, q, tol):
+def in_hull(V, q, tol):
     """Whether the chart point q is a convex combination of the rows of
-    V, solved as a nonnegative least-squares feasibility problem."""
+    V, solved as a nonnegative least-squares feasibility problem; for
+    `Chart.forward` images (a chart at the enclosing-ball center is valid
+    for any ball radius <= r_cx) this is geodesic convex-hull membership."""
     scale = 1.0 + float(np.abs(V).max(initial=0.0))
     # rows: chart coordinates plus a sum-to-one constraint
     A = np.vstack([V.T, scale * np.ones(len(V))])
@@ -239,7 +235,7 @@ def _certified_inside(V, Q):
     One stacked solve gives the barycentric coordinates of every row of
     Q in every (dim+1)-vertex simplex of V whose |det| is at least
     _MIN_DET; a row whose coordinates are all >= _MIN_DEPTH in some
-    simplex is a convex combination of vertices, so `_in_hull` finds it
+    simplex is a convex combination of vertices, so `in_hull` finds it
     inside too.  False elsewhere: outside, on or near a face, or where
     no simplex qualifies (fewer than dim+1 vertices, or vertices in a
     lower-dimensional affine subspace).
@@ -337,7 +333,7 @@ def hull_check(space, n_trials, seed):
     the data, later iterates must stay inside.
 
     A record's verdict is the simplex certificate (`_certified_inside`)
-    or else `_in_hull`.  The records are charted ahead of the sweep, but
+    or else `in_hull`.  The records are charted ahead of the sweep, but
     a record the chart refuses raises only if the sweep, which stops at
     the first violation, reaches it.
     """
@@ -368,7 +364,7 @@ def hull_check(space, n_trials, seed):
         for i, rec in enumerate(tr.records):
             if i == len(Q):   # the sweep reached a record forward refused
                 chart.forward(rec.point)
-            inside = certified[i] or _in_hull(V, Q[i], 1e-8)
+            inside = certified[i] or in_hull(V, Q[i], 1e-8)
             if entered and not inside:
                 violations += 1
                 break

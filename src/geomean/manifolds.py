@@ -223,21 +223,27 @@ class ManifoldSpace:
 
         Direction is uniform on the tangent sphere; the radius is drawn by
         rejection against the volume density sn(r)^(n-1) (Jacobi sine of
-        the geometric curvature, so flat means density r^(n-1)).  The draw
-        order (scalar uniforms for r and the acceptance test, then the
-        direction) is part of the output: the Monte Carlo suites report
-        results determined by their seed.
+        the geometric curvature, so flat means density r^(n-1)), scaled
+        by its maximum on [0, radius]: sn rises up to pi/(2 sqrt(kappa))
+        on the sphere family.  A radius past inj, the diameter there, is
+        the whole space and draws as inj.  The draw order (scalar
+        uniforms for r and the acceptance test, then the direction) is
+        part of the output: the Monte Carlo suites report results
+        determined by their seed.
         """
         if not 0 <= radius < math.inf:   # a NaN or infinite one never accepts
             raise DomainError(
                 f"random_in_ball: need finite radius >= 0, got {radius}")
         if radius == 0:
             return center.copy()
+        radius = min(radius, self._constants.inj)
         n = self.dim
         if n == 1:
             r = radius * rng.random()
         else:
-            top = sn(self.kappa, radius)
+            peak = (math.pi / (2.0 * math.sqrt(self.kappa)) if self.kappa > 0
+                    else math.inf)
+            top = sn(self.kappa, min(radius, peak))
             while True:
                 r = radius * rng.random()
                 if rng.random() <= (sn(self.kappa, r) / top) ** (n - 1):

@@ -112,21 +112,6 @@ def _golden_section(f, lo, hi, tol):
     return 0.5 * (a + b)
 
 
-def _bisect(keep_lo, lo, hi, tol=0.0):
-    """Bisection of [lo, hi], the midpoint replacing lo where keep_lo(mid)
-    and hi elsewhere, until hi - lo <= tol or the midpoint no longer falls
-    strictly inside; returns that midpoint."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if keep_lo(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def resolve_exit_compromise_bounds(delta, Delta, rho, rho_prime):
     """t* = min(t_exit, 1/c_delta(rho + rho')); steps in (0, 2 t*) also
     bounded by t_exit are admissible."""

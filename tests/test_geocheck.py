@@ -10,7 +10,7 @@ import geomean
 from geomean import geocheck
 from geomean.errors import DomainError
 from geomean.geocheck import (Chart, comparison_check, convex_combination,
-                              hull_membership, sample_triangle,
+                              in_hull, sample_triangle,
                               secant_by_intersection, tethering_check,
                               triangle_data)
 from geomean.kernels import secant_euclid, secant_sphere
@@ -24,17 +24,27 @@ def test_secant_oracle_trivial_alpha1_zero(rng):
     assert secant_by_intersection(sp, x, y1, y2, 0.0) == pytest.approx(b, abs=1e-9)
 
 
-def test_secant_oracle_vs_sphere_formula(rng):
-    sp = Sphere(2)
+@pytest.mark.parametrize("sp, max_radius", [
+    (Sphere(2), Sphere(2).constants().r_cx / 2.2), (Hyperbolic(2), 1.0),
+    (Hyperbolic(3, kappa=-0.5), 1.0)],
+    ids=["sphere", "hyperbolic", "hyperbolic_3d_kappa_-0.5"])
+def test_secant_oracle_vs_sphere_formula(sp, max_radius, rng):
+    # on H the law of cotangents takes coth: coth(rk z) sin alpha =
+    # coth(rk b) sin alpha2 + coth(rk c) sin alpha1, rk = sqrt(-kappa)
     done = 0
     while done < 150:
-        _, _, x, y1, y2 = sample_triangle(sp, rng,
-                                          max_radius=sp.constants().r_cx / 2.2)
+        _, _, x, y1, y2 = sample_triangle(sp, rng, max_radius=max_radius)
         b, c, alpha = triangle_data(sp, x, y1, y2)
         if min(b, c) < 1e-5 or not 1e-5 < alpha < math.pi - 1e-5:
             continue
         a1 = alpha * rng.uniform()
-        z = secant_sphere(b, c, a1, alpha - a1)
+        if sp.kappa > 0:
+            z = secant_sphere(b, c, a1, alpha - a1)
+        else:
+            rk = math.sqrt(-sp.kappa)
+            rhs = (math.sin(alpha - a1) / math.tanh(rk * b)
+                   + math.sin(a1) / math.tanh(rk * c))
+            z = math.atanh(math.sin(alpha) / rhs) / rk
         zo = secant_by_intersection(sp, x, y1, y2, a1)
         assert zo == pytest.approx(z, abs=1e-8)
         done += 1
@@ -51,7 +61,7 @@ def test_secant_oracle_vs_euclid(rng):
         a1 = alpha * rng.uniform()
         z = secant_euclid(b, c, a1, alpha - a1)
         zo = secant_by_intersection(eu, x, y1, y2, a1)
-        assert zo == pytest.approx(z, abs=1e-10)
+        assert zo == pytest.approx(z, abs=1e-13)
         done += 1
 
 
@@ -191,28 +201,36 @@ def test_hull_membership(rng):
     dirs = [np.array([1.0, 0, 0]), np.array([-1.0, 0, 0]),
             np.array([0, 1.0, 0]), np.array([0, -1.0, 0])]
     verts = [sp.exp(o, 0.5 * u) for u in dirs]
-    assert hull_membership(sp, verts, verts[0])
-    assert hull_membership(sp, verts, o)
+    chart = Chart(sp, o)
+    V = np.array([chart.forward(v) for v in verts])
+    inside = lambda q: in_hull(V, chart.forward(q), 1e-9)
+    assert inside(verts[0])
+    assert inside(o)
     mid = sp.exp(verts[0], 0.5 * sp.log(verts[0], verts[2]))
-    assert hull_membership(sp, verts, mid)
+    assert inside(mid)
     outside = sp.exp(o, 0.7 * dirs[0])
-    assert not hull_membership(sp, verts, outside)
+    assert not inside(outside)
 
 
 def test_hull_membership_hand_built():
     eu = Euclidean(2)
+    chart = Chart(eu, np.zeros(2))
+
+    def inside(verts, q):
+        V = np.array([chart.forward(np.array(v)) for v in verts])
+        return in_hull(V, chart.forward(np.array(q)), 1e-9)
     tri = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     for verts in (tri, tri + tri[:2]):   # also with duplicate vertices
-        assert hull_membership(eu, verts, [1.0, 0.0])          # a vertex
-        assert hull_membership(eu, verts, [0.5, 0.5])          # an edge
-        assert hull_membership(eu, verts, [0.2, 0.3])          # interior
-        assert not hull_membership(eu, verts, [0.5 + 1e-6, 0.5])
-        assert not hull_membership(eu, verts, [-1e-6, 0.5])
+        assert inside(verts, [1.0, 0.0])          # a vertex
+        assert inside(verts, [0.5, 0.5])          # an edge
+        assert inside(verts, [0.2, 0.3])          # interior
+        assert not inside(verts, [0.5 + 1e-6, 0.5])
+        assert not inside(verts, [-1e-6, 0.5])
     line = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]               # collinear
-    assert hull_membership(eu, line, [1.5, 1.5])
-    assert hull_membership(eu, line, [2.0, 2.0])
-    assert not hull_membership(eu, line, [1.5, 1.5 + 1e-6])
-    assert not hull_membership(eu, line, [2.0 + 1e-6, 2.0 + 1e-6])
+    assert inside(line, [1.5, 1.5])
+    assert inside(line, [2.0, 2.0])
+    assert not inside(line, [1.5, 1.5 + 1e-6])
+    assert not inside(line, [2.0 + 1e-6, 2.0 + 1e-6])
 
 
 def test_hull_membership_so3_triangle():
@@ -223,13 +241,15 @@ def test_hull_membership_so3_triangle():
     verts = [so3.exp(o, 0.6 * e1), so3.exp(o, 0.6 * e2),
              so3.exp(o, -0.4 * e1 - 0.4 * e2)]
     mid = so3.exp(verts[0], 0.5 * so3.log(verts[0], verts[1]))
+    chart = Chart(so3, o)
+    V = np.array([chart.forward(v) for v in verts])
+    inside = lambda q: in_hull(V, chart.forward(q), 1e-9)
     for q in (verts[2], mid, o):
-        assert hull_membership(so3, verts, q, center=o)
+        assert inside(q)
     for h in (1e-6, 1e-3):   # e3 is normal to the plane at o and at mid
         for q in (o, mid):
-            assert not hull_membership(so3, verts, so3.exp(q, h * e3),
-                                       center=o)
-    assert not hull_membership(so3, verts, so3.exp(o, 0.7 * e1), center=o)
+            assert not inside(so3.exp(q, h * e3))
+    assert not inside(so3.exp(o, 0.7 * e1))
 
 
 def test_nnls_kkt(rng):
@@ -254,11 +274,11 @@ def test_nnls_kkt(rng):
                          ids=lambda s: s.kind)
 def test_hull_check_matches_membership_loop(space, monkeypatch):
     # hull_check charts each trial once and takes each record's verdict
-    # from the simplex certificate or else from _in_hull; the verdicts
-    # equal one hull_membership call per record
+    # from the simplex certificate or else from in_hull; the verdicts
+    # equal one in_hull call per record in the chart at the ball center
     trials, certificates, nnls = [], [], []
     descend = geocheck.solver.descend
-    certified_inside, in_hull = geocheck._certified_inside, geocheck._in_hull
+    certified_inside = geocheck._certified_inside
 
     def spy_descend(ds, cfg, x0=None):
         trials.append((ds, descend(ds, cfg, x0=x0)))
@@ -274,24 +294,25 @@ def test_hull_check_matches_membership_loop(space, monkeypatch):
 
     monkeypatch.setattr(geocheck.solver, "descend", spy_descend)
     monkeypatch.setattr(geocheck, "_certified_inside", spy_certified_inside)
-    monkeypatch.setattr(geocheck, "_in_hull", spy_in_hull)
+    monkeypatch.setattr(geocheck, "in_hull", spy_in_hull)
     rep = geocheck.hull_check(space, 30, seed=5)
     monkeypatch.undo()
     flags, expected, violations = [], [], 0
     nnls_verdicts = iter(nnls)
     for (ds, tr), certified in zip(trials, certificates):
+        chart = Chart(space, ds.ball_center)
+        V = np.array([chart.forward(p) for p in ds.points])
         entered = False
         for rec, cert in zip(tr.records, certified):
             flags.append(bool(cert) or next(nnls_verdicts))
-            inside = hull_membership(space, ds.points, rec.point,
-                                     center=ds.ball_center, tol=1e-8)
+            inside = in_hull(V, chart.forward(rec.point), 1e-8)
             expected.append(inside)
             if entered and not inside:
                 violations += 1
                 break
             entered = entered or inside
     assert len(trials) == len(certificates) == 30
-    assert next(nnls_verdicts, None) is None   # every _in_hull call used
+    assert next(nnls_verdicts, None) is None   # every in_hull call used
     assert any(certified.any() for certified in certificates) and nnls
     assert flags == expected and any(flags) and not all(flags)
     assert rep["violations"] == violations
@@ -325,7 +346,7 @@ def test_hull_check_charts_records_as_the_sweep_reaches_them(monkeypatch):
     # record 0 enters the hull and record 1 leaves it: record 2 is never
     # reached, so its chart is never asked for
     verdicts = iter([True, False])
-    monkeypatch.setattr(geocheck, "_in_hull", lambda V, q, tol: next(verdicts))
+    monkeypatch.setattr(geocheck, "in_hull", lambda V, q, tol: next(verdicts))
     monkeypatch.setattr(Chart, "forward", refuse(2))
     assert geocheck.hull_check(Sphere(2), 1, seed=5)["violations"] == 1
 
@@ -336,7 +357,7 @@ def test_hull_check_charts_records_as_the_sweep_reaches_them(monkeypatch):
 _PINNED_DRAWS = {
     "sphere": (2.1026270958721116e-10, 0, 0.0009853447162428669,
                -3.7769618740643214),
-    "hyperbolic": (-0.24622127067185762, 200, 0.005027656000494702,
+    "hyperbolic": (-0.24622127067187594, 200, 0.005027656000494702,
                    327.8053170732187),
 }
 
@@ -378,7 +399,9 @@ def test_hull_contains_l2_mean(rng):
         tr = descend(ds, SolverConfig(p=2, step=1.0, grad_tol=1e-12,
                                       max_iters=300))
         if np.all(w > 0.02):
-            assert hull_membership(sp, pts, tr.final, center=o, tol=1e-7)
+            chart = Chart(sp, o)
+            V = np.array([chart.forward(p) for p in pts])
+            assert in_hull(V, chart.forward(tr.final), 1e-7)
 
 
 def test_tethering_check_spaces():

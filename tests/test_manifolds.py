@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from geomean.errors import CutLocusError, DomainError
+from geomean.kernels import sn
 from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
                                SO3, Sphere, _canonical_sign_rows, make_space,
                                space_from_json)
@@ -508,6 +509,27 @@ def test_random_in_ball_stays_inside(rng):
         for _ in range(100):
             p = space.random_in_ball(c, rad, rng)
             assert space.distance(c, p) <= rad + 1e-12
+
+
+@pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
+def test_random_in_ball_is_uniform_past_the_density_peak(space, rng):
+    # radii past pi/(2 sqrt(kappa)), where sn falls again on the sphere
+    # family, and past inj, its diameter, where the ball is the whole
+    # space: the share of draws within half the capped radius R is the
+    # volume share int_0^(R/2) sn^(n-1) / int_0^R sn^(n-1)
+    unit = 1.0 / math.sqrt(space.kappa) if space.kappa > 0 else 1.0
+    c = space.random_point(rng)
+    n_draws = 2000
+    for radius in (2.5 * unit, 4.0 * unit):
+        R = min(radius, space.constants().inj)
+        grid = np.linspace(0.0, R, 20001)
+        vol = np.array([sn(space.kappa, t) ** (space.dim - 1) for t in grid])
+        half = grid <= R / 2
+        share = np.trapezoid(vol[half], grid[half]) / np.trapezoid(vol, grid)
+        within = sum(space.distance(c, space.random_in_ball(c, radius, rng))
+                     <= R / 2 for _ in range(n_draws))
+        se = math.sqrt(share * (1.0 - share) / n_draws)
+        assert abs(within / n_draws - share) <= 4.0 * se, (radius, R)
 
 
 class _NoDraws:

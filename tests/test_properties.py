@@ -183,7 +183,7 @@ def test_farthest_is_the_first_maximum_of_dist_many(space, data):
 @given(data=st.data())
 def test_hull_certificate_implies_membership(space, data):
     # every chart point the simplex certificate marks inside is inside by
-    # _in_hull too; the vertex sets have 1 to 6 points (so also fewer than
+    # in_hull too; the vertex sets have 1 to 6 points (so also fewer than
     # dim + 1), copies, or lie in a hyperplane through the chart center,
     # and the points include vertices, points on edges and points outside
     (o,) = _draw_points(data, space, 1)
@@ -208,4 +208,4 @@ def test_hull_certificate_implies_membership(space, data):
     W[0, 0] += W[0].sum() == 0.0                   # a single vertex
     Q = np.vstack([(W / W.sum(axis=1, keepdims=True)) @ V, V, others])
     certified = geocheck._certified_inside(V, Q)
-    assert all(geocheck._in_hull(V, q, 1e-8) for q in Q[certified])
+    assert all(geocheck.in_hull(V, q, 1e-8) for q in Q[certified])

@@ -242,11 +242,3 @@ def test_largest_rho_matches_full_bisection():
         assert fast == _bisect_200(cached, hp)
         assert len(calls) < 70   # the dead steps are gone
 
-
-def test_bisect_stops_at_adjacent_floats():
-    # a bracket whose floats are spaced wider than tol: halving alone
-    # would never reach hi - lo <= tol
-    root = 1.5e15 + 0.25
-    mid = stepsize._bisect(lambda s: s <= root, 1e15, 2e15, tol=1e-12)
-    assert abs(mid - root) <= math.ulp(root)
-    assert stepsize._bisect(lambda s: True, 0.0, 1.0, tol=0.25) == 0.875
