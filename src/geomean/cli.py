@@ -39,6 +39,7 @@ def _build_policy(args):
 
 
 def cmd_mean(args):
+    out = _outdir(args)
     try:
         with open(args.dataset) as f:
             obj = json.load(f)
@@ -59,7 +60,6 @@ def cmd_mean(args):
     cfg = SolverConfig(p=args.p, step=t, grad_tol=args.grad_tol,
                        max_iters=args.max_iters)
     tr = descend(ds, cfg)
-    out = _outdir(args)
     emit.write_trace_csv(os.path.join(out, "trace.csv"), tr)
     rate = solver.trailing_rate(ds, tr, t)
     summary = {
@@ -78,9 +78,7 @@ def cmd_mean(args):
     }
     if not ds.uniqueness_certified:
         summary["warning"] = "rho exceeds r_cx: uniqueness not certified"
-    with open(os.path.join(out, "summary.json"), "w") as f:
-        json.dump(summary, f, indent=2)
-    print(json.dumps(summary, indent=2))
+    print(emit.write_json(os.path.join(out, "summary.json"), summary))
     return tr.exit_code
 
 
@@ -127,6 +125,7 @@ def cmd_sphere_configs(args):
 
 
 def cmd_check(args):
+    out = _outdir(args)
     space = make_space(args.space, args.dim, args.kappa)
     if args.suite == "comparison":
         rep = geocheck.comparison_check(space, args.trials, args.seed)
@@ -135,10 +134,7 @@ def cmd_check(args):
                                        args.seed)
     else:
         rep = geocheck.hull_check(space, args.trials, args.seed)
-    out = _outdir(args)
-    with open(os.path.join(out, f"check_{args.suite}.json"), "w") as f:
-        json.dump(rep, f, indent=2)
-    print(json.dumps(rep, indent=2))
+    print(emit.write_json(os.path.join(out, f"check_{args.suite}.json"), rep))
     return EXIT_OK
 
 
@@ -235,6 +231,9 @@ def main(argv=None):
         return EXIT_PRECONDITION
     except GeomeanError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as e:   # cmd_mean reports its unreadable dataset itself
+        print(f"error: cannot write output: {e}", file=sys.stderr)
         return EXIT_PARSE
 
 

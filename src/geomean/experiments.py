@@ -1,7 +1,6 @@
 """Scripted experiments: the circle two-point example, the sphere
 cross/pair configurations, and the exit-time step-size table."""
 
-import json
 import math
 import os
 
@@ -81,8 +80,7 @@ def run_circle_example(out=None):
         emit.write_svg(os.path.join(out, "circle_f2.svg"), series,
                        title="f2 on the circle, two-point datasets",
                        x_label="theta", y_label="f2")
-        with open(os.path.join(out, "circle_report.json"), "w") as f:
-            json.dump(report, f, indent=2)
+        emit.write_json(os.path.join(out, "circle_report.json"), report)
     return report
 
 
@@ -164,8 +162,8 @@ def run_sphere_configs(rho_list=SPHERE_RHOS, t=1.0, out=None, seed=0):
         emit.write_svg(os.path.join(out, "sphere_configs.svg"), series,
                        title="distance to the center of mass per iteration",
                        x_label="k", y_label="d(x^k, xbar)", y_log=True)
-        with open(os.path.join(out, "sphere_configs_report.json"), "w") as f:
-            json.dump(report, f, indent=2)
+        emit.write_json(os.path.join(out, "sphere_configs_report.json"),
+                        report)
     return report
 
 
@@ -232,6 +230,5 @@ def run_stepsize_table(out=None):
                   "value", "reference", "abs_error"]
         emit.write_csv(os.path.join(out, "stepsize_table.csv"), header,
                        [[r[h] for h in header] for r in rows])
-        with open(os.path.join(out, "stepsize_table.json"), "w") as f:
-            json.dump(rows, f, indent=2)
+        emit.write_json(os.path.join(out, "stepsize_table.json"), rows)
     return rows

@@ -743,3 +743,152 @@ def test_csv_roundtrip_precision(tmp_path):
     emit.write_csv(path, ["v"], [[v] for v in vals])
     back = [float(line) for line in open(path).read().splitlines()[1:]]
     assert back == vals
+
+
+def _old_csv(header, rows):
+    """The CSV the per-value formatter wrote: format(v, ".17g") for a
+    float, str(v) otherwise."""
+    def fmt(v):
+        return format(v, ".17g") if isinstance(v, float) else str(v)
+    return "".join(",".join(map(fmt, row)) + "\n" for row in [header, *rows])
+
+
+_CSV_VALUES = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1, 2.0 ** -52,
+               1.2e17, 1.0, -2.5]
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    from geomean import emit
+    header = ["name", "v", "i", "v64"]
+    rows = [[f"s{i}", v, i - 3, np.float64(v)]
+            for i, v in enumerate(_CSV_VALUES)]
+    emit.write_csv(tmp_path / "x.csv", header, rows)
+    assert (tmp_path / "x.csv").read_text() == _old_csv(header, rows)
+    assert "nan,-3,nan\n" in (tmp_path / "x.csv").read_text()
+
+
+def test_write_csv_matches_per_value_format_on_table_and_policies(tmp_path,
+                                                                  capsys):
+    assert cli.main(["stepsize", "--table", "--out", str(tmp_path)]) == 0
+    header = ["label", "delta", "Delta", "rho", "rho_prime",
+              "value", "reference", "abs_error"]
+    rows = [[r[h] for h in header] for r in experiments.stepsize_table()]
+    assert (tmp_path / "stepsize_table.csv").read_text() == \
+        _old_csv(header, rows)
+    capsys.readouterr()
+    # p = 1.5 fails the spread compromise: a NaN row among resolved ones
+    assert cli.main(["stepsize", "--rho", "0.4", "--rho-prime", "1.2",
+                     "--p", "1.5", "--out", str(tmp_path)]) == 0
+    header = ["policy", "resolved_t", "stay_ball", "preconditions"]
+    rows = [[r[h] for h in header]
+            for r in json.loads(capsys.readouterr().out)]
+    assert any(math.isnan(r[1]) for r in rows)
+    assert (tmp_path / "stepsize_policies.csv").read_text() == \
+        _old_csv(header, rows)
+
+
+def test_write_trace_csv_matches_per_value_format(tmp_path):
+    from geomean import emit, solver
+    ds = experiments._circle_dataset((0.1, 0.9))
+    tr = solver.descend(ds, solver.SolverConfig(p=2.0, step=25.0 / 18.0),
+                        x0=ds.points[0])
+    assert tr.status == "cut_locus"
+    emit.write_trace_csv(tmp_path / "t.csv", tr)
+    header = ["k", "x0", "x1", "cost", "grad_norm", "dist_to_o",
+              "dist_to_final", "step_used"]
+    rows = [[rec.k, *map(float, rec.point), rec.cost, rec.grad_norm,
+             rec.dist_to_o, dfin, rec.step_used]
+            for rec, dfin in zip(tr.records, tr.dist_to_final)]
+    text = (tmp_path / "t.csv").read_text()
+    assert text == _old_csv(header, rows)
+    last = text.splitlines()[-1].split(",")
+    assert last[4] == last[-1] == "nan"   # grad_norm and step_used
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["mean", "DATASET"], "geomean.cli.descend"),
+    (["stepsize", "--table"], "geomean.experiments.run_stepsize_table"),
+    (["circle-example"], "geomean.experiments.run_circle_example"),
+    (["sphere-configs"], "geomean.experiments.run_sphere_configs"),
+    (["check", "hull"], "geomean.geocheck.hull_check"),
+], ids=["mean", "stepsize", "circle-example", "sphere-configs", "check"])
+def test_unwritable_out_exits_parse_before_the_work(argv, work, tmp_path,
+                                                    capsys, monkeypatch):
+    # a regular file where the output directory should be: one error line
+    # before the descent, experiment or suite runs, and the file untouched
+    dsfile = tmp_path / "ds.json"
+    _write_dataset(dsfile)
+    argv = [str(dsfile) if a == "DATASET" else a for a in argv]
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"keep me\n")
+    before = blocker.stat()
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran with an unwritable --out")
+
+    monkeypatch.setattr(work, must_not_run)
+    for out in (blocker, blocker / "sub"):
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_PARSE
+        _one_error_line(capsys, "error: cannot write output: ")
+    assert blocker.read_bytes() == b"keep me\n"
+    assert blocker.stat().st_mtime_ns == before.st_mtime_ns
+
+
+def _fresh_mean_outputs(tmp_path):
+    """A `mean` run into a new directory: its dataset argv and the bytes
+    of its trace.csv and summary.json."""
+    dsfile = tmp_path / "ds.json"
+    _write_dataset(dsfile)
+    fresh = tmp_path / "fresh"
+    argv = ["mean", str(dsfile)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--out", str(fresh)]) == 0
+    return argv, {name: (fresh / name).read_bytes()
+                  for name in ("trace.csv", "summary.json")}
+
+
+@pytest.mark.parametrize("extra", [100, 0, -10],
+                         ids=["longer", "equal", "shorter"])
+@pytest.mark.parametrize("name", ["trace.csv", "summary.json"])
+def test_rewrite_leaves_no_stale_tail(name, extra, tmp_path, capsys):
+    argv, fresh = _fresh_mean_outputs(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).write_bytes(b"x" * (len(fresh[name]) + extra))
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert (out / name).read_bytes() == fresh[name]
+
+
+def test_rewrite_keeps_hard_links_and_mode(tmp_path, capsys):
+    argv, fresh = _fresh_mean_outputs(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.json").write_bytes(b"{}" * 1000)
+    os.chmod(out / "summary.json", 0o640)
+    os.link(out / "summary.json", tmp_path / "link.json")
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert (tmp_path / "link.json").read_bytes() == fresh["summary.json"]
+    assert os.stat(out / "summary.json").st_mode & 0o777 == 0o640
+
+
+def test_trace_to_dev_null_is_not_truncated(tmp_path, capsys):
+    # ftruncate on /dev/null fails with EINVAL
+    argv, fresh = _fresh_mean_outputs(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    os.symlink(os.devnull, out / "trace.csv")
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert (out / "summary.json").read_bytes() == fresh["summary.json"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["mean", "DATASET"], "summary.json"),
+    (["check", "tethering", "--space", "so3", "--trials", "20"],
+     "check_tethering.json"),
+], ids=["mean", "check"])
+def test_stdout_is_the_written_report(argv, name, tmp_path, capsys):
+    dsfile = tmp_path / "ds.json"
+    _write_dataset(dsfile)
+    argv = [str(dsfile) if a == "DATASET" else a for a in argv]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (tmp_path / name).read_text() + "\n"
