@@ -16,14 +16,12 @@ from .frechet import (WeightedDataset, cost, dataset_from_json,
                       hessian_radial_bounds, make_dataset,
                       uniform_hessian_bound)
 from .stepsize import (RateEstimate, SpreadStep, StepPolicy, exit_time_bounds,
-                       rate_estimate, resolve_conjecture,
-                       resolve_exit_compromise, resolve_exit_compromise_bounds,
+                       rate_estimate, resolve_exit_compromise,
+                       resolve_exit_compromise_bounds,
                        resolve_spread_compromise)
 from .solver import (SolverConfig, Trace, descend, fit_tail_rate,
-                     minimal_ball_estimate, multistart_uniqueness, one_step,
-                     trailing_rate)
-from .geocheck import (Chart, comparison_check, convex_combination,
-                       hull_check, in_hull, secant_by_intersection,
-                       tethering_check)
+                     minimal_ball_estimate, one_step, trailing_rate)
+from .geocheck import (Chart, comparison_check, hull_check, in_hull,
+                       secant_by_intersection, tethering_check)
 
 __version__ = "0.1.0"

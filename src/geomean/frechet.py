@@ -32,15 +32,6 @@ class WeightedDataset:
         """True when rho <= r_cx, so the center of mass is unique."""
         return self.ball_radius <= self.space.constants().r_cx
 
-    def to_json(self):
-        return {
-            "space": self.space.to_json(),
-            "points": [list(map(float, p)) for p in self.points],
-            "weights": [float(w) for w in self.weights],
-            "ball": {"center": list(map(float, self.ball_center)),
-                     "radius": float(self.ball_radius)},
-        }
-
 
 def make_dataset(space, points, weights=None, ball_center=None, ball_radius=None):
     """Validate and assemble a WeightedDataset.

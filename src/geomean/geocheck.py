@@ -4,14 +4,14 @@ Independent cross-checks for the closed-form results elsewhere in the
 package, built on geodesics-to-lines charts (gnomonic for positive
 curvature, Klein for negative, identity for flat): a secant read off the
 intersection of two chart lines, Monte Carlo sweeps of the secant
-comparison and of tethering, Riemannian convex combinations, and
-convex-hull membership.  In a chart the hull test (`in_hull`) is a
-nonnegative least-squares feasibility problem, solved by the
-Lawson-Hanson active-set method in numpy.  The hull-trap sweep
-charts each trial's vertices and records once, certifies a record inside
-when its barycentric coordinates in some simplex of the vertices are all
-positive (one stacked solve per trial), and runs the NNLS test only for
-the records that certificate does not cover.
+comparison and of tethering, and convex-hull membership.  In a chart
+the hull test (`in_hull`) is a nonnegative least-squares feasibility
+problem, solved by the Lawson-Hanson active-set method in numpy.  The
+hull-trap sweep charts each trial's vertices and records once,
+certifies a record inside when its barycentric coordinates in some
+simplex of the vertices are all positive (one stacked solve per trial),
+and runs the NNLS test only for the records that certificate does not
+cover.
 """
 
 import itertools
@@ -25,6 +25,7 @@ from .kernels import secant_euclid, secant_sphere
 from . import frechet, solver
 
 _DEFAULT_RADIUS_CAP = 1.5  # sampling cap when r_cx is infinite
+_MAX_DEGENERATE = 1000    # consecutive degenerate triangles that end a sweep
 _MIN_DET = 1e-12    # smallest simplex |det| the hull certificate uses
 _MIN_DEPTH = 1e-9   # smallest barycentric coordinate it certifies
 
@@ -174,7 +175,10 @@ def comparison_check(space, n_trials, seed):
 
     For kappa > 0 the spherical trig formula supplies z; zero violations
     are expected.  For kappa <= 0 the suite is exploratory: z comes from
-    the intersection oracle and violations are only reported.
+    the intersection oracle and violations are only reported.  A triangle
+    with no angle at x strictly inside (1e-9, pi - 1e-9) is drawn again;
+    _MAX_DEGENERATE such draws in a row raise DomainError (on a very
+    curved space every side falls below _triangle's 1e-14 floor).
     """
     if n_trials < 1:
         raise DomainError(f"comparison_check: need n_trials >= 1, got {n_trials}")
@@ -183,12 +187,19 @@ def comparison_check(space, n_trials, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     violations = 0
     min_margin = math.inf
-    done = 0
+    done = degenerate = 0
     while done < n_trials:
         _, _, x, y1, y2 = sample_triangle(space, rng)
         b, c, alpha = triangle_data(space, x, y1, y2)
         if alpha <= 1e-9 or alpha >= math.pi - 1e-9:
+            degenerate += 1
+            if degenerate == _MAX_DEGENERATE:
+                raise DomainError(
+                    f"comparison_check: {degenerate} sampled triangles in a "
+                    f"row were degenerate in balls of radius up to "
+                    f"{_sampling_cap(space):g}")
             continue
+        degenerate = 0
         a1 = alpha * rng.random()
         a2 = alpha - a1
         zt = secant_euclid(b, c, a1, a2)
@@ -203,16 +214,6 @@ def comparison_check(space, n_trials, seed):
         done += 1
     return {"suite": "comparison", "trials": n_trials,
             "violations": violations, "min_margin": min_margin, "seed": seed}
-
-
-def convex_combination(space, x, points, weights, t=1.0):
-    """exp_x(t sum_i w_i log_x x_i), the Riemannian convex combination,
-    from one log_dist_many over the points."""
-    if not (0.0 <= t <= 1.0):
-        raise DomainError(f"convex_combination: t={t} outside [0, 1]")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    logs, _ = space.log_dist_many(x, points)
-    return space.exp(x, t * (np.asarray(weights, dtype=float) @ logs))
 
 
 def in_hull(V, q, tol):
@@ -296,8 +297,10 @@ def tethering_check(space, n_trials, t_grid, seed):
 
     Each trial draws a ball, a dataset inside it, a start x inside it and
     a step t from t_grid, applies one descent update and measures the
-    boundary margin rho - d(o, image).  On negative curvature (delta < 0)
-    the suite is exploratory: violations are only reported.
+    boundary margin rho - d(o, image).  The ball's radius is uniform up
+    to the sampling cap (r_cx where finite), raised to min(1e-6, cap).
+    On negative curvature (delta < 0) the suite is exploratory:
+    violations are only reported.
     """
     if n_trials < 1:
         raise DomainError(f"tethering_check: need n_trials >= 1, got {n_trials}")
@@ -307,9 +310,7 @@ def tethering_check(space, n_trials, t_grid, seed):
     min_margin = math.inf
     for _ in range(n_trials):
         o = space.random_point(rng)
-        rho = cap * rng.random()
-        if rho < 1e-6:
-            rho = 1e-6
+        rho = max(cap * rng.random(), min(1e-6, cap))
         n = int(rng.integers(1, 9))
         pts = [space.random_in_ball(o, rho, rng) for _ in range(n)]
         wts = rng.dirichlet(np.ones(n))

@@ -250,9 +250,6 @@ class ManifoldSpace:
                     break
         return self.exp(center, r * self.random_unit_tangent(center, rng))
 
-    def to_json(self):
-        return {"kind": self.kind, "dim": self.dim, "kappa": self.kappa}
-
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, kappa={self.kappa})"
 
@@ -286,11 +283,32 @@ class Euclidean(ManifoldSpace):
         U, nU, _ = self._tangential_many(x, P)
         return U, nU
 
+    def check_points(self, X):
+        """ManifoldSpace.check_points, and every row's norm below
+        _MAX_COORD, so that squared distances between points stay finite."""
+        X = np.asarray(X, dtype=float)
+        super().check_points(X)
+        with np.errstate(over="ignore"):
+            far = ~(_norm_rows(X) < _MAX_COORD)
+        if far.any():
+            raise DomainError(f"{self.kind}: point {X[np.argmax(far)]} has "
+                              f"norm at or above {_MAX_COORD:g}")
+
     def exp(self, x, v):
-        return np.asarray(x, dtype=float) + np.asarray(v, dtype=float)
+        y = np.asarray(x, dtype=float) + np.asarray(v, dtype=float)
+        # the norm check_points allows: squared distances stay finite
+        if not math.hypot(*y) < _MAX_COORD:
+            raise DomainError(f"{self.kind}: exp step of length "
+                              f"{math.hypot(*v)} overflows")
+        return y
 
     def exp_many(self, x, V):
-        return np.asarray(x, dtype=float) + np.asarray(V, dtype=float)
+        """Rows for which exp raises its overflow DomainError come back as
+        NaN rows, without a numpy warning."""
+        Y = np.asarray(x, dtype=float) + np.asarray(V, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            Y[~(_norm_rows(Y) < _MAX_COORD)] = math.nan
+        return Y
 
     def inner(self, x, u, v):
         return float(np.dot(u, v))
@@ -449,17 +467,6 @@ class SO3(RealProjective):
 
     def __init__(self):
         super().__init__(3, 0.25)
-
-    @staticmethod
-    def from_axis_angle(axis, angle):
-        axis = np.asarray(axis, dtype=float)
-        axis = axis / math.sqrt(axis.dot(axis))
-        h = 0.5 * angle
-        return _canonical_sign(np.concatenate(([math.cos(h)], math.sin(h) * axis)))
-
-    @staticmethod
-    def identity():
-        return np.array([1.0, 0.0, 0.0, 0.0])
 
 
 class Hyperbolic(ManifoldSpace):

@@ -216,25 +216,6 @@ def one_step(ds, p, x, t):
     return ds.space.exp(x, -t * g)
 
 
-def multistart_uniqueness(ds, cfg, n_starts, rng):
-    """Descend from n_starts uniform starts in B(o, rho); report whether
-    all runs agree on the minimizer."""
-    if n_starts < 1:
-        raise DomainError(f"multistart_uniqueness: need n_starts >= 1, "
-                          f"got {n_starts}")
-    if not ds.uniqueness_certified:
-        raise PreconditionError("multistart_uniqueness: rho exceeds r_cx")
-    sp = ds.space
-    finals = []
-    for _ in range(n_starts):
-        x0 = sp.random_in_ball(ds.ball_center, ds.ball_radius, rng)
-        finals.append(descend(ds, cfg, x0=x0).final)
-    spread = max((float(np.max(sp.dist_many(a, np.array(finals[i + 1:]))))
-                  for i, a in enumerate(finals[:-1])), default=0.0)
-    return {"all_agree": spread <= 10.0 * cfg.grad_tol, "spread": spread,
-            "finals": finals}
-
-
 def fit_tail_rate(trace):
     """Empirical contraction factor from the trace tail.
 

@@ -29,11 +29,6 @@ from .kernels import c_upper, sn
 from .frechet import check_p, uniform_hessian_bound
 
 
-def resolve_conjecture(space, rho, p):
-    """Step size 1/H_{B(o,rho),p}; equals 1 for p=2 on kappa >= 0."""
-    return 1.0 / uniform_hessian_bound(space, rho, p)
-
-
 @dataclass(frozen=True)
 class SpreadStep:
     """Resolved spread-compromise policy: any t < t_max_exclusive keeps
@@ -179,8 +174,8 @@ class StepPolicy:
                                   f"got {self.t}")
             check_p(p)
             return float(self.t)
-        if self.kind == "conjecture":
-            return resolve_conjecture(space, rho, p)
+        if self.kind == "conjecture":   # 1 for p = 2 on kappa >= 0
+            return 1.0 / uniform_hessian_bound(space, rho, p)
         if self.kind == "constant_curvature":
             cst = space.constants()
             if cst.delta < 0:

@@ -13,5 +13,14 @@ def rng():
     return np.random.Generator(np.random.Philox(12345))
 
 
-def make_rng(seed):
-    return np.random.Generator(np.random.Philox(seed))
+def space_json(space):
+    """The dataset JSON descriptor {"kind", "dim", "kappa"} of a space."""
+    return {"kind": space.kind, "dim": space.dim, "kappa": space.kappa}
+
+
+def dataset_json(ds):
+    """The dataset JSON value of a WeightedDataset, ball included."""
+    return {"space": space_json(ds.space), "points": ds.points.tolist(),
+            "weights": ds.weights.tolist(),
+            "ball": {"center": ds.ball_center.tolist(),
+                     "radius": ds.ball_radius}}

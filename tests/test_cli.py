@@ -1,18 +1,23 @@
 import contextlib
+import inspect
 import io
 import json
 import math
 import os
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import geomean
 from geomean import cli, experiments
 from geomean.errors import DomainError
 from geomean.manifolds import KINDS, Hyperbolic, Sphere, make_space
 from geomean.stepsize import POLICIES
+
+from conftest import space_json
 
 
 def _write_dataset(path, rho=0.8, n=6, seed=3):
@@ -166,6 +171,30 @@ def test_hyperbolic_far_iterate_is_an_error(tmp_path, capsys):
     assert "overflows" in err[0] and "nan" not in err[0]
 
 
+_E2 = {"kind": "euclidean", "dim": 2}
+
+
+@pytest.mark.parametrize("obj, options, error", [
+    # t > 2/H: the iterates diverge until a step passes the norm cap
+    ({"space": _E2, "points": [[0.0, 0.0], [1.0, 0.0]],
+      "ball": {"center": [0.0, 0.0], "radius": 1.0}},
+     ["--policy", "user_constant", "--t", "100"],
+     "error: euclidean: exp step of length "),
+    ({"space": _E2, "points": [[1e160, 0.0]],
+      "ball": {"center": [0.0, 0.0], "radius": 1e300}}, [],
+     "error: cannot load dataset: euclidean: point "),
+    ({"space": _E2, "points": [[1e160, 0.0], [-1e160, 0.0]]}, [],
+     "error: cannot load dataset: euclidean: point "),
+], ids=["diverging_steps", "far_point_in_ball", "far_points_no_ball"])
+def test_euclidean_overflow_is_an_error(obj, options, error, tmp_path, capsys):
+    # squared distances past the norm cap 1e150 would overflow to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _mean_with(tmp_path, obj, *options) == cli.EXIT_PARSE
+    _one_error_line(capsys, error)
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_other_errors_map_to_parse_exit(tmp_path, capsys):
     # the default --kappa 1 is not a valid hyperbolic curvature
     code = cli.main(["check", "comparison", "--space", "hyperbolic",
@@ -194,7 +223,7 @@ def test_dataset_too_wide_for_the_ball_estimate_exits_precondition(
         kind, points, tmp_path, capsys):
     # no ball given, and the points spread at least 2 r_cx
     space = make_space(kind)
-    obj = {"space": space.to_json(), "points": points}
+    obj = {"space": space_json(space), "points": points}
     assert _mean_with(tmp_path, obj, "--policy", "conjecture") == \
         cli.EXIT_PRECONDITION
     err = capsys.readouterr().err.splitlines()
@@ -208,7 +237,7 @@ def test_dataset_too_wide_for_the_ball_estimate_exits_precondition(
 ], ids=["sphere_one_point", "hyperbolic_coincident"])
 def test_zero_radius_dataset_converges_at_once(space, points, tmp_path, capsys):
     # the ball estimate is 0; the default policy resolves H = 1 there
-    obj = {"space": space.to_json(), "points": points}
+    obj = {"space": space_json(space), "points": points}
     assert _mean_with(tmp_path, obj) == cli.EXIT_OK
     summary = json.load(open(tmp_path / "summary.json"))
     assert (summary["status"], summary["iterations"]) == ("converged", 0)
@@ -491,7 +520,7 @@ def _mean_inputs(draw):
     pts = np.array([space.random_in_ball(o, draw(st.sampled_from([0.3, 1.0])),
                                          rng) for _ in range(n)])
     radius = float(np.max(space.dist_many(o, pts)))
-    obj = {"space": space.to_json(), "points": pts.tolist()}
+    obj = {"space": space_json(space), "points": pts.tolist()}
     if draw(st.booleans()):   # else the ball is estimated
         obj["ball"] = {"center": o.tolist(),
                        "radius": radius * draw(st.sampled_from([1.0, 2.5]))}
@@ -634,6 +663,19 @@ def test_comparison_on_one_dimensional_space_exits_parse(space, tmp_path,
     assert cli.main(["check", "comparison", *space, "--trials", "3",
                      "--out", str(tmp_path)]) == cli.EXIT_PARSE
     _one_error_line(capsys, "error: comparison_check: need dim >= 2, got 1")
+    assert not (tmp_path / "check_comparison.json").exists()
+
+
+@pytest.mark.parametrize("space", ["sphere", "real_projective"])
+def test_comparison_on_a_very_curved_space_exits_parse(space, tmp_path,
+                                                        capsys):
+    # r_cx ~ 1e-150 puts every side below the triangle's 1e-14 floor, so
+    # no sampled triangle has an angle to split
+    assert cli.main(["check", "comparison", "--space", space,
+                     "--kappa", "1e300", "--out", str(tmp_path)]) == \
+        cli.EXIT_PARSE
+    _one_error_line(capsys, "error: comparison_check: 1000 sampled "
+                    "triangles in a row were degenerate")
     assert not (tmp_path / "check_comparison.json").exists()
 
 
@@ -892,3 +934,36 @@ def test_stdout_is_the_written_report(argv, name, tmp_path, capsys):
     argv = [str(dsfile) if a == "DATASET" else a for a in argv]
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out == (tmp_path / name).read_text() + "\n"
+
+
+def test_every_exported_function_is_reached_by_a_cli_path(tmp_path):
+    # one small run of each subcommand (each suite of check) under a
+    # profiler: a function exported from geomean that none of them calls
+    # is library surface without a program use
+    exported = {obj.__code__: name for name, obj in vars(geomean).items()
+                if inspect.isfunction(obj)}
+    dsfile = tmp_path / "ds.json"
+    dsfile.write_text(json.dumps(   # no ball: the mean estimates one
+        {"space": {"kind": "sphere", "dim": 2, "kappa": 1.0},
+         "points": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}))
+    runs = [["mean", str(dsfile)], ["stepsize", "--rho-prime", "1.0"],
+            ["circle-example"], ["sphere-configs", "--rho-list", "0.5"],
+            ["check", "comparison", "--trials", "5"],   # secant_sphere
+            ["check", "comparison", "--space", "hyperbolic", "--kappa=-1",
+             "--trials", "5"],   # secant_by_intersection
+            ["check", "tethering", "--trials", "5"],
+            ["check", "hull", "--trials", "2"]]
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in exported:
+            called.add(exported[frame.f_code])
+
+    for argv in runs:
+        sys.setprofile(profile)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        finally:
+            sys.setprofile(None)
+    assert sorted(set(exported.values()) - called) == []

@@ -13,6 +13,8 @@ from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
                                SO3, Sphere)
 from geomean.experiments import cross_config, pair_config
 
+from conftest import dataset_json
+
 TH1, TH2 = 2 * math.pi / 5, -2 * math.pi / 5
 
 
@@ -277,12 +279,12 @@ def test_uniqueness_certificate_flag():
 
 def test_dataset_json_roundtrip(rng):
     ds = random_ds(Sphere(2), rng)
-    back = dataset_from_json(ds.to_json())
+    back = dataset_from_json(dataset_json(ds))
     assert np.allclose(back.points, ds.points)
     assert np.allclose(back.weights, ds.weights)
     assert back.ball_radius == ds.ball_radius
     # fallback path when the ball is absent
-    obj = ds.to_json()
+    obj = dataset_json(ds)
     del obj["ball"]
     with pytest.raises(DomainError):
         dataset_from_json(obj)

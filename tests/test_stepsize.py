@@ -8,20 +8,21 @@ from geomean.errors import DomainError, PreconditionError
 from geomean.kernels import c_upper, sn
 from geomean.manifolds import Euclidean, Hyperbolic, Sphere
 from geomean.stepsize import (StepPolicy, exit_time_bounds, rate_estimate,
-                              resolve_conjecture, resolve_exit_compromise,
+                              resolve_exit_compromise,
                               resolve_exit_compromise_bounds,
                               resolve_spread_compromise)
 
 C_NEG1_2PI3 = 2.1588946242718521
+CONJECTURE = StepPolicy("conjecture")
 
 
 def test_resolve_conjecture():
-    assert resolve_conjecture(Sphere(2), 0.4 * math.pi, 2) == 1.0
-    assert resolve_conjecture(Hyperbolic(2), math.pi / 3, 2) == \
+    assert CONJECTURE.resolve(Sphere(2), 0.4 * math.pi, 2) == 1.0
+    assert CONJECTURE.resolve(Hyperbolic(2), math.pi / 3, 2) == \
         pytest.approx(1 / C_NEG1_2PI3, abs=1e-12)
-    assert resolve_conjecture(Sphere(2), 0.5, 4) == pytest.approx(1 / 3)
+    assert CONJECTURE.resolve(Sphere(2), 0.5, 4) == pytest.approx(1 / 3)
     with pytest.raises(PreconditionError):
-        resolve_conjecture(Sphere(2), 2.0, 2)
+        CONJECTURE.resolve(Sphere(2), 2.0, 2)
 
 
 def test_resolve_spread_compromise():
@@ -168,11 +169,11 @@ def test_policy_monotonicity():
         prev = t
     prev = math.inf
     for rho in np.linspace(0.1, 1.2, 8):
-        t = resolve_conjecture(Hyperbolic(2), rho, 2)
+        t = CONJECTURE.resolve(Hyperbolic(2), rho, 2)
         assert t <= prev
         prev = t
-    t_weak = resolve_conjecture(Hyperbolic(2, kappa=-0.25), 0.8, 2)
-    t_strong = resolve_conjecture(Hyperbolic(2, kappa=-4.0), 0.8, 2)
+    t_weak = CONJECTURE.resolve(Hyperbolic(2, kappa=-0.25), 0.8, 2)
+    t_strong = CONJECTURE.resolve(Hyperbolic(2, kappa=-4.0), 0.8, 2)
     assert t_strong < t_weak
 
 
