@@ -112,15 +112,18 @@ def cmd_stepsize(args):
 
 
 def cmd_circle_example(args):
-    report = experiments.run_circle_example(_outdir(args))
-    print(json.dumps(report, indent=2))
+    out = _outdir(args)
+    report = experiments.run_circle_example(out)
+    print(emit.write_json(os.path.join(out, "circle_report.json"), report))
     return EXIT_OK
 
 
 def cmd_sphere_configs(args):
-    report = experiments.run_sphere_configs(args.rho_list, args.t,
-                                            _outdir(args), args.seed)
-    print(json.dumps(report, indent=2))
+    out = _outdir(args)
+    report = experiments.run_sphere_configs(args.rho_list, args.t, out,
+                                            args.seed)
+    print(emit.write_json(os.path.join(out, "sphere_configs_report.json"),
+                          report))
     return EXIT_OK
 
 

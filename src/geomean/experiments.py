@@ -80,7 +80,6 @@ def run_circle_example(out=None):
         emit.write_svg(os.path.join(out, "circle_f2.svg"), series,
                        title="f2 on the circle, two-point datasets",
                        x_label="theta", y_label="f2")
-        emit.write_json(os.path.join(out, "circle_report.json"), report)
     return report
 
 
@@ -162,8 +161,6 @@ def run_sphere_configs(rho_list=SPHERE_RHOS, t=1.0, out=None, seed=0):
         emit.write_svg(os.path.join(out, "sphere_configs.svg"), series,
                        title="distance to the center of mass per iteration",
                        x_label="k", y_label="d(x^k, xbar)", y_log=True)
-        emit.write_json(os.path.join(out, "sphere_configs_report.json"),
-                        report)
     return report
 
 

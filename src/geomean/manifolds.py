@@ -70,6 +70,7 @@ class ManifoldSpace:
         if self.dim < 1:
             raise DomainError(f"{self.kind}: need dim >= 1, got {dim}")
         self.kappa = float(kappa)
+        self.ambient_dim = self.dim + 1   # a hypersurface; R^n sets its own
 
     # -- subclass responsibilities -------------------------------------
     def project(self, x):
@@ -92,10 +93,6 @@ class ManifoldSpace:
     def exp_many(self, x, V):
         """exp over the rows of an (N, D) array V of tangent vectors at x,
         the same formulas on arrays: row i is exp(x, V[i])."""
-        raise NotImplementedError
-
-    def inner(self, x, u, v):
-        """Riemannian inner product of tangent vectors at x."""
         raise NotImplementedError
 
     def tangent_project(self, x, g):
@@ -174,9 +171,10 @@ class ManifoldSpace:
             f"{self.kind}: log at distance {float(d)} within cut-locus band "
             f"of inj={self._constants.inj}", index=index)
 
-    @property
-    def ambient_dim(self):
-        return self.dim if self.kind == "euclidean" else self.dim + 1
+    def inner(self, x, u, v):
+        """Riemannian inner product of tangent vectors at x: the ambient
+        dot product, which the hyperboloid replaces by Minkowski's."""
+        return float(np.dot(u, v))
 
     def norm(self, x, v):
         return math.sqrt(max(self.inner(x, v, v), 0.0))
@@ -259,6 +257,7 @@ class Euclidean(ManifoldSpace):
 
     def __init__(self, dim):
         super().__init__(dim, 0.0)
+        self.ambient_dim = self.dim
         self._constants = SpaceConstants(inj=math.inf, r_cx=math.inf,
                                          delta=0.0, Delta=0.0)
 
@@ -309,9 +308,6 @@ class Euclidean(ManifoldSpace):
         with np.errstate(over="ignore", invalid="ignore"):
             Y[~(_norm_rows(Y) < _MAX_COORD)] = math.nan
         return Y
-
-    def inner(self, x, u, v):
-        return float(np.dot(u, v))
 
     def tangent_project(self, x, g):
         return np.asarray(g, dtype=float)
@@ -385,9 +381,6 @@ class Sphere(ManifoldSpace):
             Y = np.cos(th) * x + np.sin(th) * (V / np.where(zero, 1.0, nV))
             Y /= _norm_rows(Y)[:, np.newaxis]
         return np.where(zero, x, Y)
-
-    def inner(self, x, u, v):
-        return float(np.dot(u, v))
 
     def tangent_project(self, x, g):
         g = np.asarray(g, dtype=float)

@@ -12,10 +12,16 @@ a step shorter than inj whose two ends lie in such a monitor ball stays
 in it throughout: the continuous-stay monitor certifies it from the
 distance of the step's end, which the next iterate's ball monitor reuses.
 Any other step is sampled: its 16 interior points lie on one geodesic, so
-the monitor evaluates them with one exp_many and one dist_many.  Each
+the monitor evaluates them with one exp_many and one dist_many, and the
+step stays in the ball when every point is finite and inside.  Each
 iterate's cost, which the monitors compare, and its gradient, which the
 next step takes, come from one log_dist_many over the data
 (frechet.cost_gradient).
+
+Every error is raised where it arises, whatever the monitor: a step whose
+exp overflows raises exp's DomainError, a distance that overflows raises
+its own, and a cost, gradient norm or step length past the float range
+raises a DomainError at its iterate, not a numpy warning.
 """
 
 import math
@@ -115,50 +121,57 @@ def descend(ds, cfg, x0=None):
             "descent_inequality": None if cfg.hessian_upper is None else True}
     ball_limit = mon_rho + _BALL_TOL * max(1.0, mon_rho)
 
-    f, g, cut = _cost_gradient(ds, cfg.p, x)
     d_o = None   # d(o, x), when the step to x computed it
-    for k in range(cfg.max_iters + 1):
-        if d_o is None:
-            d_o = sp.distance(o, x)
-        if g is None:
-            tr.records.append(IterateRecord(k, x, f, math.nan, d_o, math.nan))
-            tr.status = "cut_locus"
-            tr.cut_locus_index = cut
-            break
-        gn = sp.norm(x, g)
-        tr.records.append(IterateRecord(k, x, f, gn, d_o, t))
-        if not d_o <= ball_limit:
-            verd["stayed_in_ball"] = False
-            verd["continuously_stayed"] = False
-        if gn <= cfg.grad_tol:
-            verd["converged"] = True
-            tr.status = "converged"
-            break
-        if k == cfg.max_iters:
-            tr.status = "max_iters"
-            break
+    # numpy's overflow warnings are off in the loop: a cost, gradient
+    # norm or step length past the float range raises a DomainError
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, g, cut = _cost_gradient(ds, cfg.p, x)
+        for k in range(cfg.max_iters + 1):
+            if d_o is None:
+                d_o = sp.distance(o, x)
+            if not math.isfinite(f):
+                raise DomainError(f"{sp.kind}: f_p overflows at iteration {k}")
+            if g is None:
+                tr.records.append(
+                    IterateRecord(k, x, f, math.nan, d_o, math.nan))
+                tr.status = "cut_locus"
+                tr.cut_locus_index = cut
+                break
+            gn = sp.norm(x, g)
+            if not math.isfinite(gn):
+                raise DomainError(f"{sp.kind}: gradient of f_p overflows "
+                                  f"at iteration {k}")
+            tr.records.append(IterateRecord(k, x, f, gn, d_o, t))
+            if not d_o <= ball_limit:
+                verd["stayed_in_ball"] = False
+                verd["continuously_stayed"] = False
+            if gn <= cfg.grad_tol:
+                verd["converged"] = True
+                tr.status = "converged"
+                break
+            if k == cfg.max_iters:
+                tr.status = "max_iters"
+                break
 
-        step_vec = -t * g
-        try:
-            x_next, exp_error = sp.exp(x, step_vec), None
-        except DomainError as e:   # a sampled substep's overflow comes first
-            x_next, exp_error = None, e
-        d_next = None
-        if verd["continuously_stayed"]:
-            d_next = _end_distance(sp, o, mon_rho, d_o, t * gn, x_next)
-            if d_next is None or d_next > mon_rho:
-                verd["continuously_stayed"] = _substeps_stay(
-                    sp, x, _SUBSTEPS * step_vec, o, ball_limit)
-        if exp_error is not None:
-            raise exp_error
-        f_next, g, cut = _cost_gradient(ds, cfg.p, x_next)
-        if f_next > f + 1e-12:
-            verd["monotone_cost"] = False
-        if cfg.hessian_upper is not None:
-            bound = f - gn * gn * t * (1.0 - cfg.hessian_upper * t / 2.0)
-            if f_next > bound + 1e-10:
-                verd["descent_inequality"] = False
-        x, f, d_o = x_next, f_next, d_next
+            step_len = t * gn
+            if step_len == math.inf:
+                raise DomainError(f"{sp.kind}: exp step of length inf overflows")
+            step_vec = -t * g
+            x_next = sp.exp(x, step_vec)
+            d_next = None
+            if verd["continuously_stayed"]:
+                d_next = _end_distance(sp, o, mon_rho, d_o, step_len, x_next)
+                if d_next is None or d_next > mon_rho:
+                    verd["continuously_stayed"] = _substeps_stay(
+                        sp, x, _SUBSTEPS * step_vec, o, ball_limit)
+            f_next, g, cut = _cost_gradient(ds, cfg.p, x_next)
+            if f_next > f + 1e-12:
+                verd["monotone_cost"] = False
+            if cfg.hessian_upper is not None:
+                bound = f - gn * gn * t * (1.0 - cfg.hessian_upper * t / 2.0)
+                if f_next > bound + 1e-10:
+                    verd["descent_inequality"] = False
+            x, f, d_o = x_next, f_next, d_next
 
     tr.final = x
     tr.verdicts = verd
@@ -176,38 +189,24 @@ def _cost_gradient(ds, p, x):
 
 
 def _substeps_stay(sp, x, V, center, limit):
-    """Whether every exp(x, V[i]) lies within `limit` of center.  Rows
-    are checked in order: a row whose exp overflows (a non-finite row of
-    exp_many) raises exp's DomainError when every earlier row was inside,
-    as a per-substep loop would."""
+    """Whether every exp(x, V[i]) is finite and within `limit` of center:
+    one exp_many, whose overflowing rows are NaN, and one dist_many."""
     E = sp.exp_many(x, V)
-    finite = np.isfinite(E).all(axis=1)
-    n_ok = len(E) if finite.all() else int(np.argmin(finite))
-    if not (sp.dist_many(center, E[:n_ok]) <= limit).all():
-        return False
-    if n_ok < len(E):
-        sp.exp(x, V[n_ok])   # raises the overflow for this row
-        return False         # only if the scalar and array tests disagree
-    return True
+    return bool(np.isfinite(E).all()
+                and (sp.dist_many(center, E) <= limit).all())
 
 
 def _end_distance(sp, center, rho, d_x, step_len, y):
     """d(center, y) for the step of length step_len from x, at d_x from
     center, to y; None when the step cannot be certified by convexity
-    (ball radius rho not below r_cx, step not shorter than inj, x outside
-    the closed ball, or no y because exp raised) or the distance raises.
-    A step with d(center, y) <= rho then stays in the ball throughout:
-    its two ends lie in the strongly convex ball and, being shorter than
-    inj, it is their unique minimal geodesic.  A distance that raises is
-    left to the next iterate's record, which raises it after the cost at
-    y."""
+    (ball radius rho not below r_cx, step not shorter than inj, or x
+    outside the closed ball).  A step with d(center, y) <= rho then stays
+    in the ball throughout: its two ends lie in the strongly convex ball
+    and, being shorter than inj, it is their unique minimal geodesic."""
     c = sp.constants()
-    if not (rho < c.r_cx and step_len < c.inj and d_x <= rho and y is not None):
+    if not (rho < c.r_cx and step_len < c.inj and d_x <= rho):
         return None
-    try:
-        return sp.distance(center, y)
-    except DomainError:
-        return None
+    return sp.distance(center, y)
 
 
 def one_step(ds, p, x, t):

@@ -155,8 +155,7 @@ def test_hyperbolic_diverging_steps_are_errors(tmp_path, capsys, t, max_iters):
 
 def test_hyperbolic_overflowing_step_is_an_error(tmp_path, capsys):
     # t = 1000 makes the first step far too long for the hyperboloid
-    # coordinates: the monitor's first substep already leaves the ball, so
-    # the error is the full step's
+    # coordinates: the error is that step's own exp error
     assert _mean_far_h2(tmp_path, 1000) == cli.EXIT_PARSE
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: hyperbolic: exp step of length 750.0 overflows"]
@@ -185,9 +184,33 @@ _E2 = {"kind": "euclidean", "dim": 2}
      "error: cannot load dataset: euclidean: point "),
     ({"space": _E2, "points": [[1e160, 0.0], [-1e160, 0.0]]}, [],
      "error: cannot load dataset: euclidean: point "),
-], ids=["diverging_steps", "far_point_in_ball", "far_points_no_ball"])
+    # d^3 passes the float range once the iterates have diverged
+    ({"space": _E2, "points": [[0.0, 0.0], [1.0, 0.0]],
+      "ball": {"center": [0.0, 0.0], "radius": 1.0}},
+     ["--policy", "user_constant", "--t", "100", "--p", "3"],
+     "error: euclidean: f_p overflows at iteration 6"),
+    # d^3 is past the float range at the start
+    ({"space": _E2, "points": [[1e103, 0.0], [-1e103, 0.0]],
+      "ball": {"center": [0.0, 0.0], "radius": 1e103}}, ["--p", "3"],
+     "error: euclidean: f_p overflows at iteration 0"),
+    # t |grad f| passes the float range
+    ({"space": _E2, "points": [[0.0, 0.0], [1e100, 0.0]],
+      "ball": {"center": [0.0, 0.0], "radius": 1e100}},
+     ["--policy", "user_constant", "--t", "1e300"],
+     "error: euclidean: exp step of length inf overflows"),
+    # on S^2 too: d^998 is finite at p = 1000, the gradient's squared
+    # norm is not
+    ({"space": {"kind": "sphere", "dim": 2, "kappa": 1.0},
+      "points": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.8, 0.6, 0.0]],
+      "ball": {"center": [0.0, 1.0, 0.0], "radius": 1.6}},
+     ["--policy", "user_constant", "--t", "0.01", "--p", "1000"],
+     "error: sphere: gradient of f_p overflows at iteration 0"),
+], ids=["diverging_steps", "far_point_in_ball", "far_points_no_ball",
+        "cost", "cost_at_start", "step_length", "sphere_gradient"])
 def test_euclidean_overflow_is_an_error(obj, options, error, tmp_path, capsys):
-    # squared distances past the norm cap 1e150 would overflow to inf
+    # squared distances past the norm cap 1e150, and a cost, gradient norm
+    # or step length past the float range, are one error line: no numpy
+    # warning, and no summary with an Infinity in it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _mean_with(tmp_path, obj, *options) == cli.EXIT_PARSE
@@ -519,6 +542,9 @@ def _mean_inputs(draw):
     n = draw(st.integers(1, 4))
     pts = np.array([space.random_in_ball(o, draw(st.sampled_from([0.3, 1.0])),
                                          rng) for _ in range(n)])
+    if kind == "euclidean":   # at 1e103, d^3 passes the float range
+        scale = draw(st.sampled_from([1.0, 1e103]))
+        o, pts = scale * o, scale * pts
     radius = float(np.max(space.dist_many(o, pts)))
     obj = {"space": space_json(space), "points": pts.tolist()}
     if draw(st.booleans()):   # else the ball is estimated
@@ -548,7 +574,7 @@ def _mean_inputs(draw):
         obj = draw(st.sampled_from([[obj], obj["points"], "x",
                                     dict(obj, points=draw(_WRONG))]))
     options = ["--policy", draw(st.sampled_from(POLICIES)),
-               "--p", draw(st.sampled_from(["2", "3", "1.5"])),
+               "--p", draw(st.sampled_from(["2", "3", "1.5", "1000"])),
                "--max-iters", "3"]
     options += draw(st.sampled_from([[], ["--t", "0.5"], ["--t", "3"]]))
     options += draw(st.sampled_from([[], ["--rho-prime", "1.2"]]))
@@ -560,7 +586,8 @@ def _mean_inputs(draw):
 def test_mean_fuzz_exits_with_one_error_line(tmp_path_factory, inputs):
     # every dataset gives a documented exit code, one `error:` line at
     # most, and neither a traceback (an exception out of main) nor a
-    # numpy warning
+    # numpy warning; a summary holds no Infinity (NaN stays legal in
+    # final_grad_norm at a cut-locus stop)
     obj, options = inputs
     out = tmp_path_factory.mktemp("fuzz")
     dsfile = out / "ds.json"
@@ -572,6 +599,8 @@ def test_mean_fuzz_exits_with_one_error_line(tmp_path_factory, inputs):
         code = cli.main(["mean", str(dsfile), *options, "--out", str(out)])
     assert code in range(5)
     assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1
+    if (out / "summary.json").exists():
+        assert "Infinity" not in (out / "summary.json").read_text()
 
 
 # numbers no option accepts, and some it does; sphere-configs steps are

@@ -354,28 +354,38 @@ def test_cut_locus_record_keeps_the_cost_of_its_point():
     assert math.isnan(last.grad_norm)
 
 
+@pytest.mark.parametrize("monitor_radius", [None, 1e3])
 @pytest.mark.parametrize("t", [1000.0, 10000.0])
-def test_overflowing_substep_raises_its_own_exp_error(t):
-    # every substep before the overflowing one is inside a wide monitor
-    # ball, so the error is that substep's, as a per-substep loop gives
+def test_overflowing_step_raises_its_own_exp_error(t, monitor_radius):
+    # the first step (length 0.75 t) overflows the hyperboloid
+    # coordinates: its own exp error is the run's, whatever the monitor
+    # ball, and no sampled substep's comes first
     hy = Hyperbolic(2)
     o = np.array([1.0, 0.0, 0.0])
     e1 = np.array([0.0, 1.0, 0.0])
     ds = make_dataset(hy, [hy.exp(o, 2.0 * e1), hy.exp(o, -0.5 * e1)],
                       None, o, 2.0)
-    cfg = SolverConfig(p=2, step=t, max_iters=5, monitor_radius=1e3)
-    step_vec = -t * frechet.gradient(ds, 2, o)
-    for j in range(1, 18):
-        try:
-            y = hy.exp(o, j / 17 * step_vec)
-        except DomainError as e:
-            expected = str(e)
-            break
-        assert hy.distance(o, y) <= 1e3
+    with pytest.raises(DomainError) as expected:
+        hy.exp(o, -t * frechet.gradient(ds, 2, o))
+    cfg = SolverConfig(p=2, step=t, max_iters=5, monitor_radius=monitor_radius)
     with pytest.raises(DomainError) as err:
         descend(ds, cfg)
-    assert str(err.value) == expected
-    assert "length 750.0 " not in expected
+    assert str(err.value) == str(expected.value)
+    assert f"length {0.75 * t} " in str(err.value)
+
+
+def test_step_of_non_finite_length_is_an_error():
+    # at x0 off the axis of the data the gradient has a time component:
+    # t |grad f| and both coordinates of t grad f pass the float range,
+    # where exp could only report a step of length nan
+    hy = Hyperbolic(2)
+    o = np.array([1.0, 0.0, 0.0])
+    e1, e2 = np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    ds = make_dataset(hy, [hy.exp(o, 3.0 * e1), hy.exp(o, -3.0 * e1)],
+                      None, o, 3.0)
+    with pytest.raises(DomainError) as err:
+        descend(ds, SolverConfig(p=2, step=1e308), x0=hy.exp(o, 2.0 * e2))
+    assert str(err.value) == "hyperbolic: exp step of length inf overflows"
 
 
 def _multistart(ds, cfg, n_starts, rng):

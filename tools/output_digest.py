@@ -1,0 +1,84 @@
+"""Digest every CLI output of one benchmark workload, op by op.
+
+    python3 tools/output_digest.py --workload small-means --seed 3
+    python3 tools/output_digest.py --workload bulk-mean --seed 17 --root OTHER
+
+Builds the op list of `bench/workloads.py` (`warmup_ops`, then
+`make_ops`), runs each op in-process through `geomean.cli.main` with an
+output directory of its own, and prints one line per op: its id, its
+exit code, and the sha256 of its stdout, its stderr and each file it
+wrote.  Every op runs inside one temporary directory with relative
+paths, so no line depends on where that directory is.  Two checkouts
+give the same lines exactly when every op's exit code, stdout, stderr
+and written files are byte-identical, so a `diff` of this output
+between two checkouts is a byte-identity gate.
+
+`geomean` and the workloads are imported from `--root` (default: the
+checkout holding this script); nothing under `bench/` is written.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+import warnings
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_op(cli, op, out):
+    """One op's line: id, exit code, stdout, stderr and its files."""
+    so, se = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(so), contextlib.redirect_stderr(se), \
+            warnings.catch_warnings():
+        warnings.simplefilter("always")   # every op prints its own
+        try:
+            rc = cli.main(op["argv"] + ["--out", out])
+        except SystemExit as e:   # argparse rejected the arguments
+            rc = e.code
+    fields = [op["id"], f"rc={rc}",
+              f"stdout={_sha(so.getvalue().encode())}",
+              f"stderr={_sha(se.getvalue().encode())}"]
+    for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
+        with open(os.path.join(out, name), "rb") as f:
+            fields.append(f"{name}={_sha(f.read())}")
+    return " ".join(fields)
+
+
+def main(argv=None):
+    checkout = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True,
+                    choices=("bulk-mean", "small-means", "certify-suites"))
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--scale", type=float, default=1.0)
+    ap.add_argument("--root", default=checkout,
+                    help="checkout whose src/ and bench/ are run")
+    args = ap.parse_args(argv)
+    root = os.path.abspath(args.root)
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
+    from geomean import cli
+    import workloads
+
+    warm = workloads.warmup_ops(args.workload)
+    ops = workloads.make_ops(args.workload, args.seed, args.scale)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            workloads.write_inputs(warm, ".", prefix="warmup")
+            workloads.write_inputs(ops, ".")
+            for i, op in enumerate(warm + ops):
+                print(run_op(cli, op, os.path.join("out", f"{i:04d}")))
+        finally:
+            os.chdir(cwd)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
