@@ -17,15 +17,20 @@ Tangent vectors at x are ambient arrays orthogonal to x under the ambient
 
 Each space evaluates a pair (distance, log, log_dist, exp) with scalar
 code, and N points at once (dist_many, log_dist_many, exp_many) with the
-same formulas on an (N, D) array.  Single-pair callers such as the descent
-step itself, the ball-estimate sweep's step, the oracles and Chart use the
-first; sums over the data points and the solver's monitor substeps use the
-second, which costs more than the scalar code for one pair.  The sweep
-picks its far point with _farthest: the first maximum of dist_many, read
-off one ambient product where a rounding margin certifies the order.
-Norms are numpy's own definition of np.linalg.norm for these arguments,
-math.sqrt(u.dot(u)) for one vector and _norm_rows for the rows of an
-array, without its argument handling.
+same formulas on one point x of shape (D,) and an (N, D) array P, on
+whose (D, N) transpose they work where _along_points says so: numpy's
+inner loop then runs over the points, with the rows' operations and
+summation order, so with their bits.  einsum (_dot_rows) and the
+gradient's gemv w @ logs sum in an order that follows the layout, so
+they keep C-ordered (N, D) operands.  Single-pair callers such as the
+descent step itself, the ball-estimate sweep's step, the oracles and
+Chart use the first; sums over the data points and the solver's monitor
+substeps use the second, which costs more than the scalar code for one
+pair.  The sweep picks its far point with _farthest: the first maximum
+of dist_many, read off one ambient product where a rounding margin
+certifies the order.  Norms are numpy's own definition of
+np.linalg.norm for these arguments, math.sqrt(u.dot(u)) for one vector
+and _norm_rows for the rows of an array, without its argument handling.
 
 Angles near 0 and pi are computed via atan2 of a projected norm rather
 than arccos, so distances stay accurate right up to the cut locus (needed
@@ -48,6 +53,10 @@ _MAX_COORD = 1e150  # below this, sums of squared coordinates stay finite
 # (about 6 digits left) as an overflow; the distance, from the Minkowski
 # product alone at such a separation, keeps full precision there
 _MAX_BASE = 2.0 ** 16
+# Rows from which the array kernels run along the points (_along_points):
+# on a 2-core x86 host the transposed forms won from about 64 rows on S^2
+# and 250 on H^2, and lost up to 1.2 us a call at 6 rows
+_ALONG_POINTS = 128
 
 
 @dataclass(frozen=True)
@@ -82,9 +91,8 @@ class ManifoldSpace:
         raise NotImplementedError
 
     def _tangential_many(self, x, P):
-        """_tangential over the last axis of P, the same formulas on
-        arrays: (U, |U|, d) for points x and P whose leading axes
-        broadcast, e.g. x of shape (D,) against P of shape (N, D)."""
+        """_tangential over the rows of an (N, D) array P, the same
+        formulas on arrays: (U, |U|, d) for a point x of shape (D,)."""
         raise NotImplementedError
 
     def exp(self, x, v):
@@ -158,8 +166,7 @@ class ManifoldSpace:
         if band.any():
             i = int(np.argmax(band))
             raise self._cut_locus_error(d[i], index=i)
-        scale = np.divide(d, nU, out=np.zeros_like(d), where=d != 0.0)
-        return scale[:, np.newaxis] * U, d
+        return _scaled_rows(U, nU, d), d
 
     def _band_start(self):
         """Distance from which log refuses: the cut-locus guard band below
@@ -345,8 +352,14 @@ class Sphere(ManifoldSpace):
         return u, nu, math.atan2(nu, cosq) / self._rk
 
     def _tangential_many(self, x, P):
-        cosq = _dot_rows(P, x)
-        U = P - cosq[..., np.newaxis] * x
+        return self._tangential_cos(x, P, _dot_rows(P, x))
+
+    def _tangential_cos(self, x, P, cosq):
+        """_tangential_many from cosq = _dot_rows(P, x)."""
+        if _along_points(P):
+            U = (P.T - x[:, np.newaxis] * cosq).T
+        else:
+            U = P - cosq[:, np.newaxis] * x
         nU = _norm_rows(U)
         return U, nU, np.arctan2(nU, cosq) / self._rk
 
@@ -434,8 +447,10 @@ class RealProjective(Sphere):
         return Sphere._tangential(self, x, self._lift(x, y))
 
     def _tangential_many(self, x, P):
-        lift = np.where(_dot_rows(P, x) >= 0.0, 1.0, -1.0)
-        return Sphere._tangential_many(self, x, lift[..., np.newaxis] * P)
+        # negating a row negates its product with x exactly
+        cosq = _dot_rows(P, x)
+        lift = np.where(cosq >= 0.0, 1.0, -1.0)
+        return self._tangential_cos(x, lift[:, np.newaxis] * P, lift * cosq)
 
     def _farthest(self, x, P):
         """Sphere._farthest on the nearest lifts: the distance falls
@@ -479,15 +494,18 @@ class Hyperbolic(ManifoldSpace):
         self._time_flip[0] = -1.0
 
     def minkowski(self, u, v):
-        return float(-u[0] * v[0] + np.dot(u[1:], v[1:]))
+        return float(np.dot(u[1:], v[1:]) - u[0] * v[0])
 
     @staticmethod
     def _minkowski_rows(U, V):
-        return -U[..., 0] * V[..., 0] + _dot_rows(U[..., 1:], V[..., 1:])
+        return _dot_rows(U[..., 1:], V[..., 1:]) - U[..., 0] * V[..., 0]
 
     def project(self, x):
-        x = np.asarray(x, dtype=float).copy()
-        # recompute the time coordinate from the spatial part
+        return self._set_time(np.asarray(x, dtype=float).copy())
+
+    def _set_time(self, x):
+        """Recompute the time coordinate of x in place from its spatial
+        part."""
         x[0] = math.sqrt(self._R**2 + float(np.dot(x[1:], x[1:])))
         if not math.isfinite(x[0]):  # a non-finite or overflowing spatial part
             raise DomainError(f"{self.kind}: point {x} is not finite")
@@ -520,11 +538,17 @@ class Hyperbolic(ManifoldSpace):
         R = self._R
         with np.errstate(over="ignore", invalid="ignore"):
             m = self._minkowski_rows(x, P)
-            U = P + (m / R**2)[..., np.newaxis] * x
+            if _along_points(P):   # into C-ordered rows for _minkowski_rows
+                U = np.empty(P.shape)
+                np.add(P.T, x[:, np.newaxis] * (m / R**2), out=U.T)
+            else:
+                U = P + (m / R**2)[:, np.newaxis] * x
             nU = np.sqrt(np.maximum(self._minkowski_rows(U, U), 0.0))
             ch = -m / R**2
-            d = np.where(ch < 2.0, R * np.arcsinh(nU / R),
-                         R * np.arccosh(np.maximum(ch, 1.0)))
+            near = ch < 2.0
+            d = R * np.arcsinh(nU / R)
+            if not near.all():   # a far row, or a NaN
+                d = np.where(near, d, R * np.arccosh(np.maximum(ch, 1.0)))
         self._raise_first(~np.isfinite(d), x, P)
         return U, nU, d
 
@@ -556,17 +580,15 @@ class Hyperbolic(ManifoldSpace):
 
     def log_dist_many(self, x, P):
         U, nU, d = self._tangential_many(x, P)
-        self._raise_first(~(np.isfinite(nU) & (x[..., 0] <= _MAX_BASE * self._R)),
-                          x, P)
-        scale = np.divide(d, nU, out=np.zeros_like(d), where=d != 0.0)
-        return scale[:, np.newaxis] * U, d
+        if not x[0] <= _MAX_BASE * self._R:
+            raise self._overflow_error(x, P[0])
+        self._raise_first(~np.isfinite(nU), x, P)
+        return _scaled_rows(U, nU, d), d
 
     def _raise_first(self, bad, x, P):
-        """Raise the overflow error of the first pair of x and P marked bad."""
+        """Raise the overflow error of x and the first row of P marked bad."""
         if bad.any():
-            i = np.unravel_index(np.argmax(bad), bad.shape)
-            X, P = np.broadcast_arrays(x, P)
-            raise self._overflow_error(X[i], P[i])
+            raise self._overflow_error(x, P[int(np.argmax(bad))])
 
     def _overflow_error(self, x, y):
         """The error of a pair whose tangential part is not finite, or is
@@ -580,7 +602,9 @@ class Hyperbolic(ManifoldSpace):
         v = np.asarray(v, dtype=float)
         # a step whose length overflows leaves y[0] inf or NaN
         with np.errstate(over="ignore", invalid="ignore"):
-            nv = math.sqrt(max(self.minkowski(v, v), 0.0))
+            nv = self.minkowski(v, v)
+            # inf - inf is NaN: that step's length overflows too
+            nv = math.sqrt(max(nv, 0.0)) if math.isfinite(nv) else math.inf
             if nv == 0.0:
                 return np.asarray(x, dtype=float).copy()
             th = nv / self._R
@@ -592,7 +616,7 @@ class Hyperbolic(ManifoldSpace):
         # stays finite
         if y is None or not abs(y[0]) < _MAX_COORD:
             raise DomainError(f"{self.kind}: exp step of length {nv} overflows")
-        return self.project(y)
+        return self._set_time(y)
 
     def exp_many(self, x, V):
         """Rows for which exp raises its overflow DomainError (cosh
@@ -628,14 +652,40 @@ class Hyperbolic(ManifoldSpace):
 
 
 def _dot_rows(A, B):
-    """Inner products along the last axis, broadcasting the leading axes."""
+    """Inner products along the last axis of row-major operands (einsum
+    sums a row in an order that depends on the layout)."""
     return np.einsum("...i,...i->...", A, B)
 
 
+def _along_points(A):
+    """Whether a kernel computes on the (D, N) transpose of an (N, D)
+    array A, so that numpy's inner loop runs over the N points.  Below
+    _ALONG_POINTS rows, numpy's set-up for the transpose's mixed layouts
+    costs more than the shorter loops save.  From 8 columns on, numpy
+    sums a row pairwise, which a sum down the columns would not repeat."""
+    return len(A) >= _ALONG_POINTS and A.shape[-1] < 8
+
+
 def _norm_rows(U):
-    """Euclidean norms along the last axis: np.linalg.norm(U, axis=-1)
-    as numpy defines it, without its argument handling."""
-    return np.sqrt(np.add.reduce(U * U, axis=-1))
+    """Norms of the rows of an (N, D) array: np.linalg.norm(U, axis=-1)
+    of C-ordered rows as numpy defines it, without its argument handling.
+    numpy sums such a row of fewer than 8 terms left to right, as the
+    running sum down the columns of U.T does."""
+    if not _along_points(U):
+        return np.sqrt(np.add.reduce(U * U, axis=-1))
+    Ut = U.T
+    return np.sqrt(np.add.reduce(np.multiply(Ut, Ut, order="C"), axis=0))
+
+
+def _scaled_rows(U, nU, d):
+    """The rows (d / |U|) U of an (N, D) array U, zero where d is 0, as a
+    C-ordered array."""
+    scale = np.divide(d, nU, out=np.zeros_like(d), where=d != 0.0)
+    if not _along_points(U):
+        return scale[:, np.newaxis] * U
+    logs = np.empty(U.shape)
+    np.multiply(scale, U.T, out=logs.T)
+    return logs
 
 
 def _canonical_sign(x):

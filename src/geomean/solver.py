@@ -258,9 +258,6 @@ def trailing_rate(ds, trace, t, k_start=None):
     return rate_estimate(h, H, t, max(f_gap, 0.0))
 
 
-_PAIRS_PER_BLOCK = 1 << 20   # pairwise distances evaluated at once
-
-
 def minimal_ball_estimate(space, points):
     """Approximate geodesic 1-center of a point set.
 
@@ -276,13 +273,8 @@ def minimal_ball_estimate(space, points):
     if len(points) == 1:
         return points[0].copy(), 0.0
     r_cx = space.constants().r_cx
-    # row i: max_j d(points[i], points[j]), a block of rows at a time so
-    # that memory grows as N, not N^2
-    n = len(points)
-    rows = max(1, _PAIRS_PER_BLOCK // n)
-    row_max = np.concatenate([
-        space.dist_many(points[i:i + rows, np.newaxis], points).max(axis=1)
-        for i in range(0, n, rows)])
+    # row i: max_j d(points[i], points[j])
+    row_max = np.array([space.dist_many(p, points).max() for p in points])
     dmax = float(row_max.max())
     if dmax >= 2.0 * r_cx:
         raise PreconditionError(

@@ -6,9 +6,10 @@ import pytest
 
 from geomean.errors import CutLocusError, DomainError
 from geomean.kernels import sn
+from geomean.frechet import gradient, make_dataset
 from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
-                               SO3, Sphere, _canonical_sign_rows, make_space,
-                               space_from_json)
+                               SO3, Sphere, _canonical_sign_rows, _norm_rows,
+                               make_space, space_from_json)
 
 from conftest import space_json
 
@@ -250,6 +251,113 @@ def test_exp_many_rows_match_exp(space, rng):
         assert np.array_equal(E[30], x)   # the zero row
 
 
+# Reference kernels: the array kernels' formulas written row by row on
+# (N, D) arrays, broadcasting leading axes.  The kernels must keep their
+# bits on both sides of the row count from which they run along the
+# points (1 and 5 rows against 1000).
+def _ref_dot_rows(A, B):
+    return np.einsum("...i,...i->...", A, B)
+
+
+def _ref_norm_rows(U):
+    return np.sqrt(np.add.reduce(U * U, axis=-1))
+
+
+def _ref_minkowski_rows(U, V):
+    return -U[..., 0] * V[..., 0] + _ref_dot_rows(U[..., 1:], V[..., 1:])
+
+
+def _ref_tangential_many(space, x, P):
+    if space.kind == "euclidean":
+        U = P - x
+        return U, _ref_norm_rows(U), _ref_norm_rows(U)
+    if space.kind == "hyperbolic":
+        R = space._R
+        m = _ref_minkowski_rows(x, P)
+        U = P + (m / R**2)[..., np.newaxis] * x
+        nU = np.sqrt(np.maximum(_ref_minkowski_rows(U, U), 0.0))
+        ch = -m / R**2
+        return U, nU, np.where(ch < 2.0, R * np.arcsinh(nU / R),
+                               R * np.arccosh(np.maximum(ch, 1.0)))
+    if space.kind in ("real_projective", "so3"):
+        lift = np.where(_ref_dot_rows(P, x) >= 0.0, 1.0, -1.0)
+        P = lift[..., np.newaxis] * P
+    cosq = _ref_dot_rows(P, x)
+    U = P - cosq[..., np.newaxis] * x
+    nU = _ref_norm_rows(U)
+    return U, nU, np.arctan2(nU, cosq) / math.sqrt(space.kappa)
+
+
+def _ref_log_dist_many(space, x, P):
+    U, nU, d = _ref_tangential_many(space, x, P)
+    if space.kind == "euclidean":
+        return U, d
+    scale = np.divide(d, nU, out=np.zeros_like(d), where=d != 0.0)
+    return scale[:, np.newaxis] * U, d
+
+
+def _ref_exp_many(space, x, V):
+    if space.kind == "euclidean":
+        Y = x + V
+        Y[~(_ref_norm_rows(Y) < 1e150)] = math.nan
+        return Y
+    if space.kind == "hyperbolic":
+        R = space._R
+        nV = np.sqrt(np.maximum(_ref_minkowski_rows(V, V), 0.0))
+        zero = nV == 0.0
+        th = nV / R
+        ch = np.cosh(th)
+        coef = R * np.sinh(th) / np.where(zero, 1.0, nV)
+        Y = ch[:, np.newaxis] * x + coef[:, np.newaxis] * V
+        bad = ~(np.isfinite(ch) & np.isfinite(nV) & (np.abs(Y[:, 0]) < 1e150))
+        Y[:, 0] = np.sqrt(R**2 + _ref_dot_rows(Y[:, 1:], Y[:, 1:]))
+        Y[bad | ~np.isfinite(Y[:, 0])] = math.nan
+        return np.where(zero[:, np.newaxis], x, Y)
+    nV = _ref_norm_rows(V)[:, np.newaxis]
+    zero = nV == 0.0
+    th = math.sqrt(space.kappa) * nV
+    Y = np.cos(th) * x + np.sin(th) * (V / np.where(zero, 1.0, nV))
+    Y /= _ref_norm_rows(Y)[:, np.newaxis]
+    Y = np.where(zero, x, Y)
+    if space.kind in ("real_projective", "so3"):
+        Y = _canonical_sign_rows(Y)
+    return Y
+
+
+@pytest.mark.parametrize("n", [1, 5, 1000])
+@pytest.mark.parametrize("space", SIX_SPACES + [Sphere(10), Hyperbolic(4)],
+                         ids=lambda s: repr(s))
+def test_array_kernels_keep_the_row_wise_bits(space, n, rng):
+    x = space.random_point(rng)
+    P = np.array([space.random_point(rng) for _ in range(n)])
+    if n > 1:
+        P[-1] = x   # a zero-distance row
+        if space.kind in ("real_projective", "so3"):
+            P[::2] *= -1.0   # rows of both lifts
+    V = np.array([rng.uniform(0.0, 2.0) * space.tangent_project(x, g)
+                  for g in rng.standard_normal((n, space.ambient_dim))])
+    V[0] = 0.0
+    for got, want in zip(space._tangential_many(x, P),
+                         _ref_tangential_many(space, x, P)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(space.dist_many(x, P),
+                          _ref_tangential_many(space, x, P)[2])
+    logs, d = space.log_dist_many(x, P)
+    want_logs, want_d = _ref_log_dist_many(space, x, P)
+    assert np.array_equal(logs, want_logs) and np.array_equal(d, want_d)
+    assert logs.flags.c_contiguous   # the gemv of the gradient sums by layout
+    assert np.array_equal(space.exp_many(x, V), _ref_exp_many(space, x, V))
+    for U in (P, V, _ref_tangential_many(space, x, P)[0]):
+        assert np.array_equal(_norm_rows(U), np.linalg.norm(U, axis=-1))
+    # the ball estimate's seed: the row maxima of one dist_many per point
+    # are those of one broadcast call per block of rows
+    rows = max(1, (1 << 16) // n)
+    block = np.concatenate([
+        _ref_tangential_many(space, P[i:i + rows, np.newaxis], P)[2].max(axis=1)
+        for i in range(0, n, rows)])
+    assert np.array_equal([space.dist_many(p, P).max() for p in P], block)
+
+
 def test_canonical_sign_rows_keeps_rows_without_a_leading_coordinate():
     tiny = np.array([[-1e-10, 1e-10, 0.0], [2e-10, -1e-10, 0.0]])
     assert np.array_equal(_canonical_sign_rows(tiny), tiny)
@@ -360,6 +468,24 @@ def test_hyperbolic_exp_overflow_is_domain_error():
     with np.errstate(over="ignore"), \
             pytest.raises(DomainError, match="not finite"):
         hy.project(np.array([0.0, 1e200, 1e200]))
+
+
+def test_hyperbolic_exp_of_non_finite_minkowski_square_has_length_inf():
+    # both coordinates of the step overflow when squared, so its Minkowski
+    # square is inf - inf; data at exp(o, +-3 e1), from x = exp(o, 2 e2)
+    hy = Hyperbolic(2)
+    o = np.array([1.0, 0.0, 0.0])
+    x = hy.exp(o, np.array([0.0, 0.0, 2.0]))
+    ds = make_dataset(hy, [hy.exp(o, np.array([0.0, 3.0, 0.0])),
+                           hy.exp(o, np.array([0.0, -3.0, 0.0]))],
+                      ball_center=o, ball_radius=3.0)
+    with np.errstate(over="ignore"):
+        steps = [-1e308 * gradient(ds, 2, x),
+                 hy.tangent_project(x, [1e200, 1e200, 0.0])]
+    for v in steps:
+        with pytest.raises(DomainError) as e:
+            hy.exp(x, v)
+        assert str(e.value) == "hyperbolic: exp step of length inf overflows"
 
 
 def test_constants_table():

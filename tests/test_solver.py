@@ -464,7 +464,7 @@ def test_minimal_ball_cap_fixture(rng):
 def _array_loop_minimal_ball(space, points, iters=200):
     """Reference: minimal_ball_estimate with a full dist_many for the
     far point of every step."""
-    row_max = space.dist_many(points[:, np.newaxis], points).max(axis=1)
+    row_max = np.array([space.dist_many(p, points).max() for p in points])
     center = points[np.argmin(row_max)].copy()
     for k in range(iters):
         far = points[np.argmax(space.dist_many(center, points))]
@@ -487,9 +487,9 @@ def test_minimal_ball_matches_point_loop(space, rng):
 
 @pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
 def test_minimal_ball_dist_many_calls(space, rng, monkeypatch):
-    # the pairwise seed block and the final radius; the 200 far points
-    # come from one ambient product each, except on Euclidean space,
-    # whose dist_many is already one subtraction and a norm
+    # one per point for the pairwise seed, and the final radius; the 200
+    # far points come from one ambient product each, except on Euclidean
+    # space, whose dist_many is already one subtraction and a norm
     o = space.random_point(rng)
     pts = np.array([space.random_in_ball(o, 0.5, rng) for _ in range(8)])
     calls = []
@@ -501,7 +501,7 @@ def test_minimal_ball_dist_many_calls(space, rng, monkeypatch):
 
     monkeypatch.setattr(space, "dist_many", counted)
     minimal_ball_estimate(space, pts)
-    assert len(calls) == (202 if space.kind == "euclidean" else 2)
+    assert len(calls) == len(pts) + (201 if space.kind == "euclidean" else 1)
 
 
 @pytest.mark.parametrize("space, far", [

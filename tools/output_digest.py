@@ -1,7 +1,8 @@
-"""Digest every CLI output of one benchmark workload, op by op.
+"""Digest every CLI output of benchmark workloads, op by op.
 
     python3 tools/output_digest.py --workload small-means --seed 3
     python3 tools/output_digest.py --workload bulk-mean --seed 17 --root OTHER
+    python3 tools/output_digest.py --workload all --seed 3 --seed 17
 
 Builds the op list of `bench/workloads.py` (`warmup_ops`, then
 `make_ops`), runs each op in-process through `geomean.cli.main` with an
@@ -11,7 +12,9 @@ wrote.  Every op runs inside one temporary directory with relative
 paths, so no line depends on where that directory is.  Two checkouts
 give the same lines exactly when every op's exit code, stdout, stderr
 and written files are byte-identical, so a `diff` of this output
-between two checkouts is a byte-identity gate.
+between two checkouts is a byte-identity gate.  `--workload all` runs
+the three workloads in turn, and each `--seed` runs them again; a line
+`# WORKLOAD seed S` heads the op lines of each run.
 
 `geomean` and the workloads are imported from `--root` (default: the
 checkout holding this script); nothing under `bench/` is written.
@@ -25,6 +28,8 @@ import os
 import sys
 import tempfile
 import warnings
+
+WORKLOADS = ("bulk-mean", "small-means", "certify-suites")
 
 
 def _sha(data):
@@ -54,8 +59,9 @@ def main(argv=None):
     checkout = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True,
-                    choices=("bulk-mean", "small-means", "certify-suites"))
-    ap.add_argument("--seed", type=int, required=True)
+                    choices=WORKLOADS + ("all",))
+    ap.add_argument("--seed", type=int, required=True, action="append",
+                    help="repeat to run each seed in turn")
     ap.add_argument("--scale", type=float, default=1.0)
     ap.add_argument("--root", default=checkout,
                     help="checkout whose src/ and bench/ are run")
@@ -65,8 +71,19 @@ def main(argv=None):
     from geomean import cli
     import workloads
 
-    warm = workloads.warmup_ops(args.workload)
-    ops = workloads.make_ops(args.workload, args.seed, args.scale)
+    names = WORKLOADS if args.workload == "all" else (args.workload,)
+    for seed in args.seed:
+        for name in names:
+            print(f"# {name} seed {seed}")
+            run_workload(cli, workloads, name, seed, args.scale)
+    return 0
+
+
+def run_workload(cli, workloads, name, seed, scale):
+    """Print the line of every op of one workload at one seed, warm-ups
+    first, each run in a temporary directory of its own."""
+    warm = workloads.warmup_ops(name)
+    ops = workloads.make_ops(name, seed, scale)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -77,7 +94,6 @@ def main(argv=None):
                 print(run_op(cli, op, os.path.join("out", f"{i:04d}")))
         finally:
             os.chdir(cwd)
-    return 0
 
 
 if __name__ == "__main__":
