@@ -32,6 +32,17 @@ certifies the order.  Norms are numpy's own definition of
 np.linalg.norm for these arguments, math.sqrt(u.dot(u)) for one vector
 and _norm_rows for the rows of an array, without its argument handling.
 
+On the sphere family, the per-pair methods (exp, _tangential,
+tangent_project, and random_in_ball's last step, which draws the
+direction and takes the step in one pass) do their elementwise
+arithmetic on Python floats from x.tolist(), around
+the same ndarray.dot calls as the numpy expressions they replace, which
+saves numpy's per-call overhead on 3- and 4-vectors.  IEEE rounds a
+product, quotient or difference of two floats the same way in Python as
+in numpy, and each dot stays OpenBLAS's FMA chain, which a sum of Python
+floats cannot repeat without math.fma, so every output keeps its bits;
+test_scalar_kernels_keep_their_bits compares them with the numpy forms.
+
 Angles near 0 and pi are computed via atan2 of a projected norm rather
 than arccos, so distances stay accurate right up to the cut locus (needed
 for the cut-locus guard band of log to fire reliably).
@@ -87,7 +98,9 @@ class ManifoldSpace:
 
     def _tangential(self, x, y):
         """(u, |u|, d(x, y)): the part u of y tangential at x, its norm
-        and the distance, from one evaluation of the pair."""
+        and the distance, from one evaluation of the pair.  x and y are
+        float ndarrays of shape (D,), as are the points of the per-pair
+        methods distance, log and log_dist built on it."""
         raise NotImplementedError
 
     def _tangential_many(self, x, P):
@@ -253,7 +266,12 @@ class ManifoldSpace:
                 r = radius * rng.random()
                 if rng.random() <= (sn(self.kappa, r) / top) ** (n - 1):
                     break
-        return self.exp(center, r * self.random_unit_tangent(center, rng))
+        return self._random_step(center, r, rng)
+
+    def _random_step(self, x, r, rng):
+        """exp(x, r u) for a direction u from random_unit_tangent: the
+        last step of random_in_ball."""
+        return self.exp(x, r * self.random_unit_tangent(x, rng))
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, kappa={self.kappa})"
@@ -345,8 +363,11 @@ class Sphere(ManifoldSpace):
         return np.abs(_norm_rows(X) - 1.0)
 
     def _tangential(self, x, y):
-        cosq = float(np.dot(x, y))
-        u = y - cosq * x
+        return self._tangential_from(x, y, float(x.dot(y)))
+
+    def _tangential_from(self, x, y, cosq):
+        """_tangential from the product cosq = <x, y>."""
+        u = np.array([b - cosq * a for a, b in zip(x.tolist(), y.tolist())])
         nu = math.sqrt(u.dot(u))
         # the angle via atan2 stays stable at both 0 and pi
         return u, nu, math.atan2(nu, cosq) / self._rk
@@ -374,14 +395,23 @@ class Sphere(ManifoldSpace):
 
     def exp(self, x, v):
         v = np.asarray(v, dtype=float)
-        with np.errstate(over="ignore"):
+        return self._exp_floats(x, v, v.tolist())
+
+    def _exp_floats(self, x, v, vl):
+        """exp(x, v) for a float array v and its floats vl = v.tolist()."""
+        if math.hypot(*vl) < _MAX_COORD:   # then v.v cannot overflow
             nv = math.sqrt(v.dot(v))
+        else:   # numpy's dot warns on an overflow
+            with np.errstate(over="ignore"):
+                nv = math.sqrt(v.dot(v))
         if nv == 0.0:
             return np.asarray(x, dtype=float).copy()
         if not math.isfinite(nv):
             raise DomainError(f"{self.kind}: exp step of length {nv} overflows")
         th = self._rk * nv
-        return self.project(math.cos(th) * x + math.sin(th) * (v / nv))
+        c, s = math.cos(th), math.sin(th)
+        y = np.array([c * a + s * (b / nv) for a, b in zip(x.tolist(), vl)])
+        return y / math.sqrt(y.dot(y))
 
     def exp_many(self, x, V):
         """Rows whose step length is not finite (exp raises for them)
@@ -397,7 +427,20 @@ class Sphere(ManifoldSpace):
 
     def tangent_project(self, x, g):
         g = np.asarray(g, dtype=float)
-        return g - float(np.dot(g, x)) * x
+        gx = float(g.dot(x))
+        return np.array([b - gx * a for a, b in zip(x.tolist(), g.tolist())])
+
+    def _unit_tangent(self, x, rng):
+        """random_unit_tangent's direction as a list of floats."""
+        while True:
+            v = self.tangent_project(x, rng.standard_normal(self.ambient_dim))
+            n = math.sqrt(v.dot(v))
+            if n > 1e-8:
+                return [a / n for a in v.tolist()]
+
+    def _random_step(self, x, r, rng):
+        rv = [r * a for a in self._unit_tangent(x, rng)]
+        return self._exp_floats(x, np.array(rv), rv)
 
     def random_point(self, rng):
         return self.project(rng.standard_normal(self.ambient_dim))
@@ -439,12 +482,12 @@ class RealProjective(Sphere):
     def project(self, x):
         return _canonical_sign(super().project(x))
 
-    def _lift(self, x, y):
-        """Representative of y on the same side as x (nearest lift)."""
-        return y if float(np.dot(x, y)) >= 0.0 else -y
-
     def _tangential(self, x, y):
-        return Sphere._tangential(self, x, self._lift(x, y))
+        # on the nearest lift of y, the one on the same side as x
+        cosq = float(x.dot(y))
+        if cosq >= 0.0:
+            return self._tangential_from(x, y, cosq)
+        return Sphere._tangential(self, x, -y)
 
     def _tangential_many(self, x, P):
         # negating a row negates its product with x exactly
@@ -457,8 +500,8 @@ class RealProjective(Sphere):
         strictly as |P @ x| grows."""
         return self._farthest_by_key(x, P, np.abs(P @ x), 1e-9)
 
-    def exp(self, x, v):
-        return _canonical_sign(Sphere.exp(self, x, v))
+    def _exp_floats(self, x, v, vl):
+        return _canonical_sign(Sphere._exp_floats(self, x, v, vl))
 
     def exp_many(self, x, V):
         return _canonical_sign_rows(Sphere.exp_many(self, x, V))
@@ -487,6 +530,9 @@ class Hyperbolic(ManifoldSpace):
             raise DomainError(f"Hyperbolic: need finite kappa < 0, got {kappa}")
         super().__init__(dim, kappa)
         self._R = 1.0 / math.sqrt(-kappa)
+        if not self._R < _MAX_COORD:   # every time coordinate at exp's cap
+            raise DomainError(f"Hyperbolic: need 1/sqrt(-kappa) below "
+                              f"{_MAX_COORD:g}, got kappa = {kappa}")
         self._constants = SpaceConstants(inj=math.inf, r_cx=math.inf,
                                          delta=kappa, Delta=kappa)
         # P @ (self._time_flip * x) is the Minkowski product of each row
@@ -691,7 +737,7 @@ def _scaled_rows(U, nU, d):
 def _canonical_sign(x):
     """Fix the sign of a projective representative: first coordinate of
     magnitude above the tolerance is made positive."""
-    for c in x:
+    for c in x.tolist():
         if abs(c) > _CANON_TOL:
             return x if c > 0 else -x
     return x

@@ -423,6 +423,22 @@ def test_non_finite_kappa_exits_parse(argv, tmp_path, capsys):
     _one_error_line(capsys, "error: Sphere: need finite kappa > 0")
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "comparison", "--space", "hyperbolic", "--trials", "3"],
+    # stepsize never takes a step, but builds the space all the same
+    ["stepsize", "--space", "hyperbolic", "--rho", "0.4"],
+])
+def test_hyperbolic_kappa_at_the_coordinate_cap_exits_parse(argv, tmp_path,
+                                                            capsys):
+    # R = 1/sqrt(-kappa) = 1e150: refused by name, not as an exp overflow
+    # from the first random point
+    argv = argv + ["--out", str(tmp_path)]
+    assert cli.main(argv + ["--kappa=-1e-300"]) == cli.EXIT_PARSE
+    _one_error_line(capsys, "error: Hyperbolic: need 1/sqrt(-kappa) below "
+                            "1e+150, got kappa = -1e-300")
+    assert cli.main(argv + ["--kappa=-1e-299"]) == cli.EXIT_OK
+
+
 @pytest.mark.parametrize("argv, kind", [
     (["check", "comparison", "--dim", "0", "--trials", "3"], "sphere"),
     (["check", "tethering", "--dim", "-1", "--trials", "3"], "sphere"),

@@ -617,6 +617,20 @@ def test_non_finite_curvature_is_rejected(kappa):
             ctor()
 
 
+@pytest.mark.parametrize("kappa", [-1e-300, -5e-324])
+def test_hyperbolic_curvature_with_radius_at_the_cap_is_rejected(kappa):
+    # R = 1/sqrt(-kappa) >= 1e150 puts every time coordinate at or past
+    # exp's cap; just above, at kappa = -1e-299, the space still works
+    for ctor in (lambda: Hyperbolic(2, kappa),
+                 lambda: make_space("hyperbolic", 2, kappa)):
+        with pytest.raises(DomainError, match=f"got kappa = {kappa}"):
+            ctor()
+    hy = Hyperbolic(2, -1e-299)
+    rng = np.random.Generator(np.random.Philox(0))
+    x = hy.random_point(rng)
+    hy.check_point(hy.random_in_ball(x, 1.0, rng))
+
+
 @pytest.mark.parametrize("ctor", [Euclidean, Sphere, Hyperbolic,
                                   RealProjective], ids=lambda c: c.kind)
 @pytest.mark.parametrize("dim", [0, -1])
@@ -675,3 +689,181 @@ def test_random_in_ball_refuses_radius_before_drawing(space, radius):
     c = space.random_point(np.random.Generator(np.random.Philox(0)))
     with pytest.raises(DomainError, match="need finite radius >= 0"):
         space.random_in_ball(c, radius, _NoDraws())
+
+
+# Reference per-pair methods: the numpy expressions the scalar methods
+# replace with arithmetic on Python floats around the same ndarray.dot
+# calls.  IEEE rounds each product, quotient and difference the same way
+# on floats as in numpy, and the dots (OpenBLAS's FMA chain, which a
+# float sum cannot reproduce) are kept, so every output keeps its bits.
+def _ref_minkowski(u, v):
+    return float(np.dot(u[1:], v[1:]) - u[0] * v[0])
+
+
+def _ref_tangential(space, x, y):
+    if space.kind == "euclidean":
+        u = y - x
+        nu = math.sqrt(u.dot(u))
+        return u, nu, nu
+    if space.kind == "hyperbolic":
+        R = space._R
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = _ref_minkowski(x, y)
+            u = y + (m / R**2) * x
+            nu = math.sqrt(max(_ref_minkowski(u, u), 0.0))
+        ch = -m / R**2
+        d = R * (math.asinh(nu / R) if ch < 2.0 else math.acosh(max(ch, 1.0)))
+        if not math.isfinite(d):
+            raise DomainError("hyperbolic overflow")
+        return u, nu, d
+    if space.kind in ("real_projective", "so3") and not np.dot(x, y) >= 0.0:
+        y = -y
+    cosq = float(np.dot(x, y))
+    u = y - cosq * x
+    nu = math.sqrt(u.dot(u))
+    return u, nu, math.atan2(nu, cosq) / math.sqrt(space.kappa)
+
+
+def _ref_tangent_project(space, x, g):
+    if space.kind == "euclidean":
+        return g
+    if space.kind == "hyperbolic":
+        return g + (_ref_minkowski(g, x) / space._R**2) * x
+    return g - float(np.dot(g, x)) * x
+
+
+def _ref_exp(space, x, v):
+    if space.kind == "euclidean":
+        y = x + v
+        if not math.hypot(*y) < 1e150:
+            raise DomainError(f"euclidean: exp step of length "
+                              f"{math.hypot(*v)} overflows")
+        return y
+    if space.kind == "hyperbolic":
+        R = space._R
+        with np.errstate(over="ignore", invalid="ignore"):
+            nv = _ref_minkowski(v, v)
+            nv = math.sqrt(max(nv, 0.0)) if math.isfinite(nv) else math.inf
+            if nv == 0.0:
+                return x.copy()
+            try:
+                y = math.cosh(nv / R) * x + (R * math.sinh(nv / R) / nv) * v
+            except OverflowError:
+                y = None
+        if y is None or not abs(y[0]) < 1e150:
+            raise DomainError(f"hyperbolic: exp step of length {nv} overflows")
+        y[0] = math.sqrt(R**2 + float(np.dot(y[1:], y[1:])))
+        return y
+    with np.errstate(over="ignore"):
+        nv = math.sqrt(v.dot(v))
+    if nv == 0.0:
+        y = x.copy()
+    elif not math.isfinite(nv):
+        raise DomainError(f"{space.kind}: exp step of length {nv} overflows")
+    else:
+        th = math.sqrt(space.kappa) * nv
+        y = math.cos(th) * x + math.sin(th) * (v / nv)
+        y = y / math.sqrt(y.dot(y))
+    if space.kind in ("real_projective", "so3"):
+        lead = [c for c in y if abs(c) > 1e-9]
+        if lead and lead[0] < 0.0:
+            y = -y
+    return y
+
+
+def _ref_random_unit_tangent(space, x, rng):
+    while True:
+        v = _ref_tangent_project(space, x, rng.standard_normal(space.ambient_dim))
+        vv = _ref_minkowski(v, v) if space.kind == "hyperbolic" else np.dot(v, v)
+        n = math.sqrt(max(float(vv), 0.0))
+        if n > 1e-8:
+            return v / n
+
+
+def _ref_random_in_ball(space, center, radius, rng):
+    if radius == 0:
+        return center.copy()
+    radius = min(radius, space.constants().inj)
+    n = space.dim
+    if n == 1:
+        r = radius * rng.random()
+    else:
+        peak = (math.pi / (2.0 * math.sqrt(space.kappa)) if space.kappa > 0
+                else math.inf)
+        top = sn(space.kappa, min(radius, peak))
+        while True:
+            r = radius * rng.random()
+            if rng.random() <= (sn(space.kappa, r) / top) ** (n - 1):
+                break
+    return _ref_exp(space, center,
+                    r * _ref_random_unit_tangent(space, center, rng))
+
+
+def _outcome(call):
+    """A call's value as bytes, or its DomainError's text; a numpy warning
+    fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = call()
+        except DomainError as e:
+            return "error", str(e)
+    return [(type(a), np.asarray(a).dtype, np.asarray(a).tobytes())
+            for a in (got if isinstance(got, tuple) else (got,))]
+
+
+def _philox_state(g):
+    """A Philox Generator's state as comparable values."""
+    st = g.bit_generator.state
+    return ([v.tolist() for v in st["state"].values()], st["buffer"].tolist(),
+            st["buffer_pos"], st["has_uint32"], st["uinteger"])
+
+
+class _ZeroUniforms:
+    """An rng whose uniforms are all 0.0: random_in_ball draws r == 0."""
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.Philox(seed))
+
+    def random(self):
+        return 0.0
+
+    def standard_normal(self, size):
+        return self._rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("space", SIX_SPACES + [Sphere(10), Hyperbolic(4)],
+                         ids=lambda s: repr(s))
+def test_scalar_kernels_keep_their_bits(space, rng):
+    projective = space.kind in ("real_projective", "so3")
+    unit = 1.0 / math.sqrt(abs(space.kappa)) if space.kappa else 1.0
+    for trial in range(300):
+        x, y = space.random_point(rng), space.random_point(rng)
+        for q in (y, -y) if projective else (y,):   # both lifts
+            assert _outcome(lambda: space._tangential(x, q)) == \
+                _outcome(lambda: _ref_tangential(space, x, q))
+        g = rng.standard_normal(space.ambient_dim)
+        u = _ref_tangent_project(space, x, g)
+        assert _outcome(lambda: space.tangent_project(x, g)) == \
+            _outcome(lambda: _ref_tangent_project(space, x, g))
+        # steps of any length, none, and with a coordinate past 1e150
+        # (a finite length, and one whose square overflows)
+        for v in (rng.uniform(0.0, 4.0) * unit * u, 0.0 * u,
+                  1e150 * u / np.abs(u).max(), 1e200 * u):
+            assert _outcome(lambda: space.exp(x, v)) == \
+                _outcome(lambda: _ref_exp(space, x, v))
+        # the draws: the same values and the same Generator state after
+        radius = rng.uniform(0.0, 1.2) * min(space.constants().inj, 4.0 * unit)
+        for draw, ref in ((lambda a: space.random_unit_tangent(x, a),
+                           lambda b: _ref_random_unit_tangent(space, x, b)),
+                          (lambda a: space.random_in_ball(x, radius, a),
+                           lambda b: _ref_random_in_ball(space, x, radius, b))):
+            a, b = (np.random.Generator(np.random.Philox(trial))
+                    for _ in range(2))
+            assert _outcome(lambda: draw(a)) == _outcome(lambda: ref(b))
+            assert _philox_state(a) == _philox_state(b)
+        # an r == 0 draw returns the center (its canonical sign on RP^n)
+        a, b = _ZeroUniforms(trial), _ZeroUniforms(trial)
+        got = space.random_in_ball(-x if projective else x, radius, a)
+        assert got.tobytes() == \
+            _ref_random_in_ball(space, -x if projective else x, radius,
+                                b).tobytes()
