@@ -60,7 +60,7 @@ def write_trace_csv(path, trace):
     header = (["k"] + [f"x{i}" for i in range(len(trace.records[0].point))]
               + ["cost", "grad_norm", "dist_to_o", "dist_to_final", "step_used"])
     write_csv(path, header,
-              [(rec.k, *map(float, rec.point), rec.cost, rec.grad_norm,
+              [(rec.k, *rec.point.tolist(), rec.cost, rec.grad_norm,
                 rec.dist_to_o, dfin, rec.step_used)
                for rec, dfin in zip(trace.records, trace.dist_to_final)])
 

@@ -7,8 +7,10 @@ d^0 is taken to be 1 even at d = 0 (half of d^2 is smooth there).
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -101,13 +103,56 @@ def dataset_from_json(obj, ball_fallback=None):
 
 
 def _json_array(value, what):
-    """A JSON array of numbers, nested for points, as a float array."""
+    """A JSON array of numbers, nested for points, as a float array.  An
+    element that is not a number, a boolean among them, raises
+    DomainError, as json_float does for one value."""
     if not isinstance(value, list):
         raise DomainError(f"{what} must be an array, got {type(value).__name__}")
-    try:
+    array = _plain_numbers(value)
+    if array is not None:
+        return array
+    _refuse_non_numbers(value, what)
+    try:   # ragged or deeper rows, or numbers numpy keeps as objects
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as e:   # a non-number or a ragged row
+    except (TypeError, ValueError, OverflowError) as e:
         raise DomainError(f"{what}: {e}") from None
+
+
+def _plain_numbers(value):
+    """value as a float array when it is a list of numbers, or of rows of
+    numbers of one length, none of them a boolean; else None.  numpy
+    reads one flat list faster than rows, and the dtype it infers tells
+    numbers from other values, but for booleans, which read 0 or 1."""
+    flat, shape = value, (len(value),)
+    if value and type(value[0]) is list:
+        try:
+            if len(set(map(len, value))) != 1:
+                return None
+        except TypeError:   # a row that is a number
+            return None
+        flat = list(chain.from_iterable(value))
+        shape = (len(value), len(value[0]))
+    try:
+        array = np.array(flat)
+    except ValueError:   # rows of rows of several lengths
+        return None
+    if array.dtype.kind not in "fiu" or array.ndim != 1:
+        return None
+    maybe_bool = np.flatnonzero((array == 0) | (array == 1)).tolist()
+    if any(type(flat[i]) is bool for i in maybe_bool):
+        return None
+    return array.astype(float, copy=False).reshape(shape)
+
+
+def _refuse_non_numbers(value, what):
+    """Raise DomainError naming `what` at the first element of the nested
+    lists in value that is not a number (booleans are not)."""
+    for v in value:
+        if isinstance(v, list):
+            _refuse_non_numbers(v, what)
+        elif isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise DomainError(
+                f"{what} must hold numbers, got {type(v).__name__}")
 
 
 def check_p(p):

@@ -33,7 +33,11 @@ def sn(kappa, l):
     if kappa == 0:
         return l
     rk = math.sqrt(-kappa)
-    return math.sinh(rk * l) / rk
+    try:
+        return math.sinh(rk * l) / rk
+    except OverflowError:
+        raise DomainError(f"sn: sinh(sqrt(-kappa)*l) overflows at "
+                          f"sqrt(-kappa)*l = {rk * l}") from None
 
 
 def ct(kappa, l):

@@ -42,6 +42,12 @@ product, quotient or difference of two floats the same way in Python as
 in numpy, and each dot stays OpenBLAS's FMA chain, which a sum of Python
 floats cannot repeat without math.fma, so every output keeps its bits;
 test_scalar_kernels_keep_their_bits compares them with the numpy forms.
+On H, inner, exp, _tangential and tangent_project do the same
+around the spatial dot u[1:].dot(v[1:]) (_minkowski_floats).  Python's
+float arithmetic never warns, but numpy's dot warns on an overflow, so
+np.errstate is entered (_wide_dot) only where math.hypot of an operand
+reaches _MAX_COORD and the dot could pass the float range; there it
+gives numpy's inf or NaN, without the warning.
 
 Angles near 0 and pi are computed via atan2 of a projected norm rather
 than arccos, so distances stay accurate right up to the cut locus (needed
@@ -229,10 +235,17 @@ class ManifoldSpace:
         return np.zeros(len(X))
 
     def random_unit_tangent(self, x, rng):
-        """Uniform direction on the unit sphere of T_x."""
+        """Uniform direction on the unit sphere of T_x.  Raises DomainError
+        where a drawn vector's squared norm is not finite (x so far out
+        that its tangents overflow), which no redraw would mend."""
         while True:
             v = self.tangent_project(x, rng.standard_normal(self.ambient_dim))
-            n = self.norm(x, v)
+            vv = self.inner(x, v, v)
+            if not math.isfinite(vv):
+                raise DomainError(f"{self.kind}: a tangent at a point with "
+                                  f"coordinates up to {np.abs(x).max():.6g} "
+                                  f"has squared norm {vv}")
+            n = math.sqrt(max(vv, 0.0))
             if n > 1e-8:
                 return v / n
 
@@ -399,11 +412,9 @@ class Sphere(ManifoldSpace):
 
     def _exp_floats(self, x, v, vl):
         """exp(x, v) for a float array v and its floats vl = v.tolist()."""
-        if math.hypot(*vl) < _MAX_COORD:   # then v.v cannot overflow
-            nv = math.sqrt(v.dot(v))
-        else:   # numpy's dot warns on an overflow
-            with np.errstate(over="ignore"):
-                nv = math.sqrt(v.dot(v))
+        # below the cap v.v cannot overflow
+        nv = math.sqrt(v.dot(v) if math.hypot(*vl) < _MAX_COORD
+                       else _wide_dot(v, v))
         if nv == 0.0:
             return np.asarray(x, dtype=float).copy()
         if not math.isfinite(nv):
@@ -539,9 +550,6 @@ class Hyperbolic(ManifoldSpace):
         self._time_flip = np.ones(self.ambient_dim)
         self._time_flip[0] = -1.0
 
-    def minkowski(self, u, v):
-        return float(np.dot(u[1:], v[1:]) - u[0] * v[0])
-
     @staticmethod
     def _minkowski_rows(U, V):
         return _dot_rows(U[..., 1:], V[..., 1:]) - U[..., 0] * V[..., 0]
@@ -564,38 +572,43 @@ class Hyperbolic(ManifoldSpace):
         return np.where(X[:, 0] <= 0, math.inf, err)
 
     def _tangential(self, x, y):
-        R = self._R
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = self.minkowski(x, y)
-            u = y + (m / R**2) * x
-            nu = math.sqrt(max(self.minkowski(u, u), 0.0))
+        xl = x.tolist()
+        k, ul = self._tangent_part(x, xl, y, y.tolist())
+        u = np.array(ul)
+        nu = math.sqrt(max(_minkowski_floats(u, ul, u, ul), 0.0))
         # u has Minkowski norm R*sinh(d/R): asinh keeps full precision at
-        # small separations where arccosh would not
-        ch = -m / R**2
-        if ch < 2.0:
+        # small separations where arccosh would not; cosh(d/R) is -k
+        R = self._R
+        if k > -2.0:
             d = R * math.asinh(nu / R)
         else:
-            d = R * math.acosh(max(ch, 1.0))
+            d = R * math.acosh(max(-k, 1.0))
         if not math.isfinite(d):
             raise self._overflow_error(x, y)
         return u, nu, d
 
+    def _tangent_part(self, x, xl, y, yl):
+        """(k, the floats of y + k x) with k = <x, y> / R^2, from float
+        arrays x, y of shape (D,) and their floats xl, yl: the part of y
+        tangential at x."""
+        k = _minkowski_floats(x, xl, y, yl) / self._R**2
+        return k, [b + k * a for a, b in zip(xl, yl)]
+
     def _tangential_many(self, x, P):
         R = self._R
         with np.errstate(over="ignore", invalid="ignore"):
-            m = self._minkowski_rows(x, P)
+            k = self._minkowski_rows(x, P) / R**2   # -cosh(d/R)
             if _along_points(P):   # into C-ordered rows for _minkowski_rows
                 U = np.empty(P.shape)
-                np.add(P.T, x[:, np.newaxis] * (m / R**2), out=U.T)
+                np.add(P.T, x[:, np.newaxis] * k, out=U.T)
             else:
-                U = P + (m / R**2)[:, np.newaxis] * x
+                U = P + k[:, np.newaxis] * x
             nU = np.sqrt(np.maximum(self._minkowski_rows(U, U), 0.0))
-            ch = -m / R**2
-            near = ch < 2.0
+            near = k > -2.0
             d = R * np.arcsinh(nU / R)
             if not near.all():   # a far row, or a NaN
-                d = np.where(near, d, R * np.arccosh(np.maximum(ch, 1.0)))
-        self._raise_first(~np.isfinite(d), x, P)
+                d = np.where(near, d, R * np.arccosh(np.maximum(-k, 1.0)))
+        self._raise_first(d, x, P)
         return U, nU, d
 
     def _farthest(self, x, P):
@@ -628,13 +641,15 @@ class Hyperbolic(ManifoldSpace):
         U, nU, d = self._tangential_many(x, P)
         if not x[0] <= _MAX_BASE * self._R:
             raise self._overflow_error(x, P[0])
-        self._raise_first(~np.isfinite(nU), x, P)
+        self._raise_first(nU, x, P)
         return _scaled_rows(U, nU, d), d
 
-    def _raise_first(self, bad, x, P):
-        """Raise the overflow error of x and the first row of P marked bad."""
-        if bad.any():
-            raise self._overflow_error(x, P[int(np.argmax(bad))])
+    def _raise_first(self, values, x, P):
+        """Raise the overflow error of x and the first row of P whose
+        value is not finite, if there is one."""
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise self._overflow_error(x, P[int(np.argmin(finite))])
 
     def _overflow_error(self, x, y):
         """The error of a pair whose tangential part is not finite, or is
@@ -646,23 +661,24 @@ class Hyperbolic(ManifoldSpace):
 
     def exp(self, x, v):
         v = np.asarray(v, dtype=float)
-        # a step whose length overflows leaves y[0] inf or NaN
-        with np.errstate(over="ignore", invalid="ignore"):
-            nv = self.minkowski(v, v)
-            # inf - inf is NaN: that step's length overflows too
-            nv = math.sqrt(max(nv, 0.0)) if math.isfinite(nv) else math.inf
-            if nv == 0.0:
-                return np.asarray(x, dtype=float).copy()
-            th = nv / self._R
-            try:
-                y = math.cosh(th) * x + (self._R * math.sinh(th) / nv) * v
-            except OverflowError:
-                y = None
+        vl = v.tolist()
+        nv = _minkowski_floats(v, vl, v, vl)
+        # inf - inf is NaN: that step's length overflows too
+        nv = math.sqrt(max(nv, 0.0)) if math.isfinite(nv) else math.inf
+        if nv == 0.0:
+            return np.asarray(x, dtype=float).copy()
+        th = nv / self._R
+        try:
+            ch, sh = math.cosh(th), self._R * math.sinh(th) / nv
+        except OverflowError:   # y[0] is then inf or NaN
+            ch = sh = math.inf
+        y = [ch * a + sh * b for a, b in zip(x.tolist(), vl)]
+        # a step whose length overflows leaves y[0] inf or NaN;
         # |y_spatial| < y[0], so below the cap project's sum of squares
         # stays finite
-        if y is None or not abs(y[0]) < _MAX_COORD:
+        if not abs(y[0]) < _MAX_COORD:
             raise DomainError(f"{self.kind}: exp step of length {nv} overflows")
-        return self._set_time(y)
+        return self._set_time(np.array(y))
 
     def exp_many(self, x, V):
         """Rows for which exp raises its overflow DomainError (cosh
@@ -684,17 +700,38 @@ class Hyperbolic(ManifoldSpace):
         return np.where(zero[:, np.newaxis], x, Y)
 
     def inner(self, x, u, v):
-        return self.minkowski(u, v)
+        """The Minkowski product of float arrays u, v of shape (D,)."""
+        return _minkowski_floats(u, u.tolist(), v, v.tolist())
 
     def tangent_project(self, x, g):
         g = np.asarray(g, dtype=float)
-        return g + (self.minkowski(g, x) / self._R**2) * x
+        return np.array(self._tangent_part(x, x.tolist(), g, g.tolist())[1])
 
     def random_point(self, rng):
         origin = np.zeros(self.ambient_dim)
         origin[0] = self._R
         v = self.tangent_project(origin, rng.standard_normal(self.ambient_dim))
         return self.exp(origin, v)
+
+
+def _minkowski_floats(u, ul, v, vl):
+    """The Minkowski product of float arrays u, v of shape (D,) from
+    their floats ul, vl: the spatial ndarray.dot, and the time term on
+    floats.  numpy's dot warns on an overflow, so np.errstate is entered
+    only where math.hypot says the dot can pass the float range."""
+    if (math.hypot(*ul) < _MAX_COORD
+            and (vl is ul or math.hypot(*vl) < _MAX_COORD)):
+        s = u[1:].dot(v[1:])
+    else:
+        s = _wide_dot(u[1:], v[1:])
+    return float(s) - ul[0] * vl[0]
+
+
+def _wide_dot(a, b):
+    """a.dot(b) for operands whose products can pass the float range: inf
+    or NaN there, without numpy's warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a.dot(b)
 
 
 def _dot_rows(A, B):
@@ -726,7 +763,7 @@ def _norm_rows(U):
 def _scaled_rows(U, nU, d):
     """The rows (d / |U|) U of an (N, D) array U, zero where d is 0, as a
     C-ordered array."""
-    scale = np.divide(d, nU, out=np.zeros_like(d), where=d != 0.0)
+    scale = np.divide(d, nU, out=np.zeros(d.shape), where=d != 0.0)
     if not _along_points(U):
         return scale[:, np.newaxis] * U
     logs = np.empty(U.shape)

@@ -533,9 +533,17 @@ _EU_PAIR = {"space": {"kind": "euclidean", "dim": 2},
     dict(_S2_PAIR, weights={"w": [0.5, 0.5]}),
     dict(_S2_PAIR, weights=[math.nan, 1.0]),
     dict(_EU_PAIR, weights=[math.nan, 1.0]),
+    dict(_S2_PAIR, points=[["0", "0", "1"], ["0", "1", "0"]]),
+    dict(_S2_PAIR, weights=["0.5", "0.5"]),
+    dict(_S2_PAIR, ball={"center": ["0", "0", "1"], "radius": 0.5}),
+    dict(_S2_PAIR, points=[[True, False, False], [False, True, False]]),
+    dict(_S2_PAIR, points=[[0.0, 0.0, True], [0.1, 0.0, 0.99498743710662]]),
+    dict(_S2_PAIR, points=[[0.0, 0.0, 1.0], [0.0, 0.0, 10**400]]),
 ], ids=["list", "space-number", "kind-list", "dim-inf", "dim-fraction",
         "kappa-huge-integer", "ball-number", "radius-null", "weights-number", "weights-object",
-        "weight-nan-sphere", "weight-nan-euclidean"])
+        "weight-nan-sphere", "weight-nan-euclidean", "points-strings",
+        "weights-strings", "center-strings", "points-booleans",
+        "point-with-a-boolean", "point-huge-integer"])
 def test_malformed_dataset_exits_parse(obj, tmp_path, capsys):
     assert _mean_with(tmp_path, obj) == cli.EXIT_PARSE
     _one_error_line(capsys, "error: cannot load dataset: ")
@@ -757,6 +765,35 @@ def test_non_finite_user_step_is_a_precondition_exit(t, tmp_path, capsys):
     _one_error_line(capsys, "error: step policy: user_constant policy needs "
                             "finite t > 0")
     assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("suite, seed, error", [
+    ("tethering", "0", "hyperbolic: a tangent at a point"),
+    ("tethering", "21", "sn: sinh(sqrt(-kappa)*l) overflows"),
+    ("comparison", "0", "hyperbolic: a tangent at a point"),
+    ("hull", "0", "hyperbolic: a tangent at a point"),
+])
+def test_suites_where_hyperbolic_sampling_overflows_exit_parse(
+        suite, seed, error, tmp_path, capsys):
+    # at kappa = -1e6 random points reach x0 ~ 1e134, where a tangent's
+    # Minkowski square overflows, and the ball sampler's density sinh
+    # overflows at radii past about 0.71
+    assert cli.main(["check", suite, "--space", "hyperbolic", "--kappa=-1e6",
+                     "--trials", "3", "--seed", seed,
+                     "--out", str(tmp_path)]) == cli.EXIT_PARSE
+    _one_error_line(capsys, "error: " + error)
+    assert not (tmp_path / f"check_{suite}.json").exists()
+
+
+def test_stepsize_reports_an_overflowing_exit_profile(tmp_path, capsys):
+    assert cli.main(["stepsize", "--space", "hyperbolic", "--kappa=-1e6",
+                     "--rho", "1", "--rho-prime", "5",
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    rows = {r["policy"]: r for r in json.loads(out)}
+    assert rows["exit_compromise"]["preconditions"].startswith(
+        "sn: sinh(sqrt(-kappa)*l) overflows")
+    assert rows["conjecture"]["preconditions"] == "ok" and err == ""
 
 
 def test_stepsize_with_nan_rho_reports_every_policy(tmp_path, capsys):

@@ -26,6 +26,9 @@ def test_sn_domain_errors():
         sn(0.0, -1.0)
     with pytest.raises(DomainError):
         sn(-1.0, -1.0)
+    with pytest.raises(DomainError, match="sinh.* overflows"):
+        sn(-1e6, 1.0)   # sinh(1000)
+    assert sn(-1.0, 710.0) < math.inf   # the last finite sinh
 
 
 def test_ct_branches():

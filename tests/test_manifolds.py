@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from geomean import manifolds
 from geomean.errors import CutLocusError, DomainError
 from geomean.kernels import sn
 from geomean.frechet import gradient, make_dataset
@@ -691,6 +692,41 @@ def test_random_in_ball_refuses_radius_before_drawing(space, radius):
         space.random_in_ball(c, radius, _NoDraws())
 
 
+class _FewNormals:
+    """A Generator whose 1001st normal draw fails the test, so that a
+    sampler that never accepts a draw stops instead of running for ever."""
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.Philox(seed))
+        self._normals = 0
+
+    def random(self):
+        return self._rng.random()
+
+    def standard_normal(self, size):
+        self._normals += 1
+        assert self._normals <= 1000, "the sampler drew 1000 normals"
+        return self._rng.standard_normal(size)
+
+
+def test_sampling_where_tangents_overflow_is_domain_error():
+    # on H^2 at kappa = -1e6 a random point can lie near x0 = 1e131, where
+    # the Minkowski square of a tangent overflows to inf - inf
+    hy = Hyperbolic(2, -1e6)
+    x = hy.exp(np.array([hy._R, 0.0, 0.0]), np.array([0.0, 0.31, 0.0]))
+    assert 1e130 < x[0] < 1e132
+    with pytest.raises(RuntimeWarning):   # the numpy forms warn there
+        _outcome(lambda: _ref_random_unit_tangent(hy, x, _FewNormals(0)))
+    for draw in (lambda r: hy.random_unit_tangent(x, r),
+                 lambda r: hy.random_in_ball(x, 1e-3, r)):
+        kind, text = _outcome(lambda: draw(_FewNormals(0)))
+        assert kind == "error" and "has squared norm nan" in text, text
+    # a radius whose density overflows is refused before any direction
+    assert _outcome(lambda: hy.random_in_ball(x, 2.0, _NoDraws())) == \
+        ("error", "sn: sinh(sqrt(-kappa)*l) overflows at sqrt(-kappa)*l = "
+                  "2000.0")
+
+
 # Reference per-pair methods: the numpy expressions the scalar methods
 # replace with arithmetic on Python floats around the same ndarray.dot
 # calls.  IEEE rounds each product, quotient and difference the same way
@@ -812,6 +848,43 @@ def _outcome(call):
             for a in (got if isinstance(got, tuple) else (got,))]
 
 
+_WARNED = "the reference warned"
+
+
+def _ref_outcome(call):
+    """_outcome of a reference call, or _WARNED where numpy warns in it."""
+    try:
+        return _outcome(call)
+    except RuntimeWarning:
+        return _WARNED
+
+
+def _agree(got, ref):
+    """Whether an outcome matches the reference's: the same bytes or
+    error text, or a DomainError where the reference warned (an overflow
+    that the per-pair methods raise as one)."""
+    if ref == _WARNED:
+        return got[0] == "error"
+    return got == ref
+
+
+class _FarHyperbolic(Hyperbolic):
+    """H^2 at kappa = -1e-50 (R = 1e25) whose random points lie far out,
+    with time coordinates of 1e75 to 1e77: there (m / R^2) x passes the
+    per-pair methods' 1e150 gate, so their errstate fallback runs, while
+    the tangents at such a point stay below 1e108 and the test's 1e200
+    steps along them stay finite."""
+
+    def __init__(self):
+        super().__init__(2, -1e-50)
+
+    def random_point(self, rng):
+        origin = np.zeros(self.ambient_dim)
+        origin[0] = self._R
+        u = self.random_unit_tangent(origin, rng)
+        return self.exp(origin, rng.uniform(115.9, 120.4) * self._R * u)
+
+
 def _philox_state(g):
     """A Philox Generator's state as comparable values."""
     st = g.bit_generator.state
@@ -831,26 +904,34 @@ class _ZeroUniforms:
         return self._rng.standard_normal(size)
 
 
-@pytest.mark.parametrize("space", SIX_SPACES + [Sphere(10), Hyperbolic(4)],
+@pytest.mark.parametrize("space", SIX_SPACES + [Sphere(10), Hyperbolic(4),
+                                                 _FarHyperbolic()],
                          ids=lambda s: repr(s))
-def test_scalar_kernels_keep_their_bits(space, rng):
+def test_scalar_kernels_keep_their_bits(space, rng, monkeypatch):
+    wide = []   # the hyperbolic dots that took the errstate fallback
+    wide_dot = manifolds._wide_dot
+
+    def counted(a, b):
+        wide.append(1)
+        return wide_dot(a, b)
+    monkeypatch.setattr(manifolds, "_wide_dot", counted)
     projective = space.kind in ("real_projective", "so3")
     unit = 1.0 / math.sqrt(abs(space.kappa)) if space.kappa else 1.0
     for trial in range(300):
         x, y = space.random_point(rng), space.random_point(rng)
         for q in (y, -y) if projective else (y,):   # both lifts
-            assert _outcome(lambda: space._tangential(x, q)) == \
-                _outcome(lambda: _ref_tangential(space, x, q))
+            assert _agree(_outcome(lambda: space._tangential(x, q)),
+                          _ref_outcome(lambda: _ref_tangential(space, x, q)))
         g = rng.standard_normal(space.ambient_dim)
         u = _ref_tangent_project(space, x, g)
-        assert _outcome(lambda: space.tangent_project(x, g)) == \
-            _outcome(lambda: _ref_tangent_project(space, x, g))
+        assert _agree(_outcome(lambda: space.tangent_project(x, g)),
+                      _ref_outcome(lambda: _ref_tangent_project(space, x, g)))
         # steps of any length, none, and with a coordinate past 1e150
         # (a finite length, and one whose square overflows)
         for v in (rng.uniform(0.0, 4.0) * unit * u, 0.0 * u,
                   1e150 * u / np.abs(u).max(), 1e200 * u):
-            assert _outcome(lambda: space.exp(x, v)) == \
-                _outcome(lambda: _ref_exp(space, x, v))
+            assert _agree(_outcome(lambda: space.exp(x, v)),
+                          _ref_outcome(lambda: _ref_exp(space, x, v)))
         # the draws: the same values and the same Generator state after
         radius = rng.uniform(0.0, 1.2) * min(space.constants().inj, 4.0 * unit)
         for draw, ref in ((lambda a: space.random_unit_tangent(x, a),
@@ -859,7 +940,8 @@ def test_scalar_kernels_keep_their_bits(space, rng):
                            lambda b: _ref_random_in_ball(space, x, radius, b))):
             a, b = (np.random.Generator(np.random.Philox(trial))
                     for _ in range(2))
-            assert _outcome(lambda: draw(a)) == _outcome(lambda: ref(b))
+            assert _agree(_outcome(lambda: draw(a)),
+                          _ref_outcome(lambda: ref(b)))
             assert _philox_state(a) == _philox_state(b)
         # an r == 0 draw returns the center (its canonical sign on RP^n)
         a, b = _ZeroUniforms(trial), _ZeroUniforms(trial)
@@ -867,3 +949,5 @@ def test_scalar_kernels_keep_their_bits(space, rng):
         assert got.tobytes() == \
             _ref_random_in_ball(space, -x if projective else x, radius,
                                 b).tobytes()
+    if isinstance(space, _FarHyperbolic):
+        assert wide

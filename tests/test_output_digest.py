@@ -1,0 +1,61 @@
+import importlib.util
+import math
+import os
+import sys
+
+from geomean import emit
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "output_digest", os.path.join(_ROOT, "tools", "output_digest.py"))
+output_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(output_digest)
+
+_SCALE = "0.05"
+
+
+def _digest(capsys, monkeypatch, *argv):
+    """The lines output_digest prints for argv at a twentieth of the
+    workloads' size.  It puts the checkout's src/ and bench/ on sys.path,
+    which is restored afterwards."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert output_digest.main([*argv, "--scale", _SCALE]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_all_workloads_print_one_line_per_op(capsys, monkeypatch):
+    lines = _digest(capsys, monkeypatch, "--workload", "all", "--seed", "3")
+    workloads = sys.modules["workloads"]   # bench/, as the tool imported it
+    headers = [i for i, line in enumerate(lines) if line.startswith("# ")]
+    assert [lines[i] for i in headers] == \
+        [f"# {w} seed 3" for w in output_digest.WORKLOADS]
+    for i, (start, w) in enumerate(zip(headers, output_digest.WORKLOADS)):
+        end = headers[i + 1] if i + 1 < len(headers) else len(lines)
+        ops = (workloads.warmup_ops(w)
+               + workloads.make_ops(w, 3, float(_SCALE)))
+        assert [line.split()[0] for line in lines[start + 1:end]] == \
+            [op["id"] for op in ops]
+        assert all(" rc=" in line and " stdout=" in line
+                   for line in lines[start + 1:end])
+    # a second run prints the same lines
+    assert _digest(capsys, monkeypatch, "--workload", "all",
+                   "--seed", "3") == lines
+
+
+def test_one_ulp_in_one_output_changes_that_op_line(capsys, monkeypatch):
+    argv = ("--workload", "small-means", "--seed", "3")
+    before = _digest(capsys, monkeypatch, *argv)
+    target = os.path.join("out", "0002", "summary.json")   # the third op
+    write_json = emit.write_json
+
+    def nudged(path, obj):
+        if path == target:
+            obj = dict(obj, final_cost=math.nextafter(obj["final_cost"],
+                                                      math.inf))
+        return write_json(path, obj)
+    monkeypatch.setattr(emit, "write_json", nudged)
+    after = _digest(capsys, monkeypatch, *argv)
+    assert len(after) == len(before)
+    changed = [i for i, (a, b) in enumerate(zip(before, after)) if a != b]
+    assert changed == [3]   # the header, then ops 0, 1 and 2
+    assert after[3].split()[0] == before[3].split()[0]
