@@ -54,9 +54,11 @@ def make_dataset(space, points, weights=None, ball_center=None, ball_radius=None
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (n,):
             raise DomainError(f"got {len(weights)} weights for {n} points")
-        if not np.all((weights >= -1e-12) & (weights <= 1.0 + 1e-9)):
-            raise DomainError("weights must lie in [0, 1]")   # NaN too
-        weights = np.clip(weights, 0.0, None)
+        lo = weights.min()   # NaN if any weight is
+        if not (lo >= -1e-12 and weights.max() <= 1.0 + 1e-9):
+            raise DomainError("weights must lie in [0, 1]")
+        if not lo > 0.0:   # clip also turns -0.0 into 0.0
+            weights = np.clip(weights, 0.0, None)
         s = float(weights.sum())
         if abs(s - 1.0) > 1e-9:
             raise DomainError(f"weights sum to {s}, not 1")

@@ -6,11 +6,13 @@ curvature, Klein for negative, identity for flat): a secant read off the
 intersection of two chart lines, Monte Carlo sweeps of the secant
 comparison and of tethering, and convex-hull membership.  In a chart
 the hull test (`in_hull`) is a nonnegative least-squares feasibility
-problem, solved by the Lawson-Hanson active-set method in numpy.  The
+problem, solved by the Lawson-Hanson active-set method in numpy, unless
+a separating line through the point already proves the residual too
+large, which decides most points outside without the solve.  The
 hull-trap sweep charts each trial's vertices and records once,
 certifies a record inside when its barycentric coordinates in some
 simplex of the vertices are all positive (one stacked solve per trial),
-and runs the NNLS test only for the records that certificate does not
+and runs `in_hull` only for the records that certificate does not
 cover.
 """
 
@@ -24,7 +26,7 @@ from .errors import (CutLocusError, DegenerateSecantError, DomainError,
 from .kernels import secant_euclid, secant_sphere
 from . import frechet, solver
 
-_DEFAULT_RADIUS_CAP = 1.5  # sampling cap when r_cx is infinite
+_DEFAULT_RADIUS_CAP = 1.5  # sampling cap for an infinite r_cx (times R on H)
 _MAX_DEGENERATE = 1000    # consecutive degenerate triangles that end a sweep
 _MIN_DET = 1e-12    # smallest simplex |det| the hull certificate uses
 _MIN_DEPTH = 1e-9   # smallest barycentric coordinate it certifies
@@ -132,9 +134,14 @@ def _extend_basis(space, x, seed):
 
 
 def _sampling_cap(space):
-    """Largest radius of a sampled ball: r_cx where it is finite."""
+    """Largest radius of a sampled ball: r_cx where it is finite, else
+    _DEFAULT_RADIUS_CAP, in curvature radii 1/sqrt(-kappa) on H."""
     r_cx = space.constants().r_cx
-    return r_cx if math.isfinite(r_cx) else _DEFAULT_RADIUS_CAP
+    if math.isfinite(r_cx):
+        return r_cx
+    if space.kappa < 0:
+        return _DEFAULT_RADIUS_CAP / math.sqrt(-space.kappa)
+    return _DEFAULT_RADIUS_CAP
 
 
 def sample_triangle(space, rng, max_radius=None):
@@ -220,8 +227,34 @@ def in_hull(V, q, tol):
     """Whether the chart point q is a convex combination of the rows of
     V, solved as a nonnegative least-squares feasibility problem; for
     `Chart.forward` images (a chart at the enclosing-ball center is valid
-    for any ball radius <= r_cx) this is geodesic convex-hull membership."""
+    for any ball radius <= r_cx) this is geodesic convex-hull membership.
+
+    q is inside when the NNLS residual |A x - b| is at most tol * scale,
+    where A stacks V^T over the row scale * 1^T, b = (q, scale) and
+    scale = 1 + max |V_ij|.  A separating line decides most points
+    outside without the solve.  Let a be the unit vector along
+    q - mean(V), h = a.q and m = max_i a.v_i.  For x >= 0 with s = sum x,
+    a.(V^T x - q) <= s m - h, so |A x - b|^2 >= (h - s m)_+^2
+    + scale^2 (s - 1)^2.  When h > m that is at least
+    scale^2 (h - m)^2 / (m^2 + scale^2) for every s >= 0: where
+    h - s m >= 0 it is the squared distance from (h - m, 0) to the point
+    (s - 1) (m, -scale) of a line that passes at that distance, and
+    where h - s m < 0 the term scale^2 (s - 1)^2 alone is as large, as
+    s m > h > m puts |s - 1| >= (h - m) / |m|.  So where
+    h - m > 2 tol sqrt(m^2 + scale^2), every x >= 0, NNLS's too, leaves
+    a residual above twice the tolerance, and q is outside; for a tol far
+    above the float epsilon the factor 2 covers the rounding of a, h, m
+    and the residual.  This certifies the outside as `_certified_inside`
+    certifies the inside.
+    """
     scale = 1.0 + float(np.abs(V).max(initial=0.0))
+    c = q - V.mean(axis=0)
+    nc = math.sqrt(c.dot(c))
+    if nc > 0.0:
+        a = c / nc
+        h, m = float(a.dot(q)), float((V @ a).max())
+        if h - m > 2.0 * tol * math.hypot(m, scale):
+            return False
     # rows: chart coordinates plus a sum-to-one constraint
     A = np.vstack([V.T, scale * np.ones(len(V))])
     bvec = np.concatenate([q, [scale]])

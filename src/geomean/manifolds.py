@@ -219,16 +219,16 @@ class ManifoldSpace:
         if X.ndim != 2 or X.shape[1] != self.ambient_dim:
             raise DomainError(f"{self.kind}: point shape {X.shape[1:]}, "
                               f"expected ({self.ambient_dim},)")
-        finite = np.isfinite(X).all(axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             err = self._constraint_errors(X)
-        bad = ~(finite & (err <= 1e-12))  # also rejects a NaN error
-        if bad.any():
-            i = int(np.argmax(bad))
-            if not finite[i]:
-                raise DomainError(f"{self.kind}: non-finite coordinate in {X[i]}")
-            raise DomainError(
-                f"{self.kind}: representation violated by {err[i]:.3e}")
+        if (err <= 1e-12).all() and np.isfinite(X).all():
+            return   # the common case, in two whole-array passes
+        finite = np.isfinite(X).all(axis=1)
+        i = int(np.argmax(~(finite & (err <= 1e-12))))  # a NaN error too
+        if not finite[i]:
+            raise DomainError(f"{self.kind}: non-finite coordinate in {X[i]}")
+        raise DomainError(
+            f"{self.kind}: representation violated by {err[i]:.3e}")
 
     def _constraint_errors(self, X):
         """Representation error of each row of X."""
@@ -408,20 +408,21 @@ class Sphere(ManifoldSpace):
 
     def exp(self, x, v):
         v = np.asarray(v, dtype=float)
-        return self._exp_floats(x, v, v.tolist())
+        return self._exp_floats(x.tolist(), v, v.tolist())
 
-    def _exp_floats(self, x, v, vl):
-        """exp(x, v) for a float array v and its floats vl = v.tolist()."""
+    def _exp_floats(self, xl, v, vl):
+        """exp(x, v) from the floats xl = x.tolist(), a float array v and
+        its floats vl = v.tolist()."""
         # below the cap v.v cannot overflow
         nv = math.sqrt(v.dot(v) if math.hypot(*vl) < _MAX_COORD
                        else _wide_dot(v, v))
         if nv == 0.0:
-            return np.asarray(x, dtype=float).copy()
+            return np.array(xl, dtype=float)
         if not math.isfinite(nv):
             raise DomainError(f"{self.kind}: exp step of length {nv} overflows")
         th = self._rk * nv
         c, s = math.cos(th), math.sin(th)
-        y = np.array([c * a + s * (b / nv) for a, b in zip(x.tolist(), vl)])
+        y = np.array([c * a + s * (b / nv) for a, b in zip(xl, vl)])
         return y / math.sqrt(y.dot(y))
 
     def exp_many(self, x, V):
@@ -441,17 +442,20 @@ class Sphere(ManifoldSpace):
         gx = float(g.dot(x))
         return np.array([b - gx * a for a, b in zip(x.tolist(), g.tolist())])
 
-    def _unit_tangent(self, x, rng):
-        """random_unit_tangent's direction as a list of floats."""
+    def _random_step(self, x, r, rng):
+        """exp(x, r u) for the direction u random_unit_tangent draws, in
+        one pass on floats: the projected draw g - <g, x> x is listed
+        once, and the same ndarray.dot calls give <g, x> and its norm."""
+        xl = x.tolist()
         while True:
-            v = self.tangent_project(x, rng.standard_normal(self.ambient_dim))
+            g = rng.standard_normal(self.ambient_dim)
+            gx = float(g.dot(x))
+            vl = [b - gx * a for a, b in zip(xl, g.tolist())]
+            v = np.array(vl)
             n = math.sqrt(v.dot(v))
             if n > 1e-8:
-                return [a / n for a in v.tolist()]
-
-    def _random_step(self, x, r, rng):
-        rv = [r * a for a in self._unit_tangent(x, rng)]
-        return self._exp_floats(x, np.array(rv), rv)
+                rv = [r * (a / n) for a in vl]
+                return self._exp_floats(xl, np.array(rv), rv)
 
     def random_point(self, rng):
         return self.project(rng.standard_normal(self.ambient_dim))
@@ -511,8 +515,8 @@ class RealProjective(Sphere):
         strictly as |P @ x| grows."""
         return self._farthest_by_key(x, P, np.abs(P @ x), 1e-9)
 
-    def _exp_floats(self, x, v, vl):
-        return _canonical_sign(Sphere._exp_floats(self, x, v, vl))
+    def _exp_floats(self, xl, v, vl):
+        return _canonical_sign(Sphere._exp_floats(self, xl, v, vl))
 
     def exp_many(self, x, V):
         return _canonical_sign_rows(Sphere.exp_many(self, x, V))
@@ -708,10 +712,12 @@ class Hyperbolic(ManifoldSpace):
         return np.array(self._tangent_part(x, x.tolist(), g, g.tolist())[1])
 
     def random_point(self, rng):
+        """exp at the origin of a standard-normal tangent in units of R,
+        so that its distance in curvature radii does not depend on kappa."""
         origin = np.zeros(self.ambient_dim)
         origin[0] = self._R
         v = self.tangent_project(origin, rng.standard_normal(self.ambient_dim))
-        return self.exp(origin, v)
+        return self.exp(origin, self._R * v)
 
 
 def _minkowski_floats(u, ul, v, vl):

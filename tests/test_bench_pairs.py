@@ -26,14 +26,37 @@ def test_summary_of_canned_pairs():
     lines = bench_pairs.summarize(pairs, {"ops_per_s": "higher",
                                           "op_ms_p50": "lower"})
     # medians and inclusive quartiles per side, the median of the
-    # per-pair ratios, and the pairs the change won in each direction;
-    # a metric one side lacks is left out
+    # per-pair ratios, the pairs the change won in each direction and
+    # the verdict; a metric one side lacks is left out
     assert lines == [
         "ops_per_s (1/s): base 11 [10.5, 11.5]  change 12 [11, 12.5]  "
-        "ratio +18.2%  change won 2/3",
+        "ratio +18.2%  change won 2/3  unresolved",
         "op_ms_p50 (ms): base 100 [95, 105]  change 95 [87.5, 97.5]  "
-        "ratio -9.1%  change won 2/3",
+        "ratio -9.1%  change won 2/3  unresolved",
     ]
+
+
+_BASE = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]  # IQR 0.175
+
+
+@pytest.mark.parametrize("better, change, bound, expected", [
+    # won 10/10, and the medians differ by 0.5 > the base's IQR
+    ("higher", [b + 0.5 for b in _BASE], None, "gain"),
+    # won 9/10 is enough
+    ("higher", [b + 0.5 for b in _BASE[:9]] + [9.0], None, "gain"),
+    # won 8/10 is not
+    ("higher", [b + 0.5 for b in _BASE[:8]] + [9.0, 9.0], None, "unresolved"),
+    # won 10/10, but by less than the IQR
+    ("higher", [b + 0.1 for b in _BASE], None, "unresolved"),
+    # the same values, read as lower-is-better: 30% worse than 25%
+    ("lower", [1.3 * b for b in _BASE], 0.25, "worse than bound"),
+    ("lower", [1.2 * b for b in _BASE], 0.25, "unresolved"),
+    ("higher", [0.7 * b for b in _BASE], 0.25, "worse than bound"),
+    ("higher", [0.7 * b for b in _BASE], None, "unresolved"),  # no bound
+    ("lower", [0.7 * b for b in _BASE], 0.25, "gain"),
+])
+def test_verdict_of_paired_values(better, change, bound, expected):
+    assert bench_pairs.verdict(_BASE, change, better, bound) == expected
 
 
 def test_summary_without_a_direction_counts_no_wins():
@@ -60,14 +83,17 @@ def test_pairs_alternate_and_a_failed_run_exits_one(failed, code, tmp_path,
     change.mkdir()
     (base / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 7,
-        "end_to_end": [{"name": "ops_per_s", "better": "higher"}],
+        "end_to_end": [{"name": "ops_per_s", "better": "higher",
+                        "bound": 0.25}],
         "per_layer": []}))
     order = []
 
     def fake_run(root, workload, seed, seconds):
         order.append(os.path.basename(root))
         assert seconds == 7   # the run length BENCHMARK.json sets
-        return _line(10.0, 1.0, failed=failed if root == str(change) else 0)
+        if root == str(change):   # 30% slower, past the 25% bound
+            return _line(7.0, 1.0, failed=failed)
+        return _line(10.0, 1.0)
 
     monkeypatch.setattr(bench_pairs, "run_side", fake_run)
     assert bench_pairs.main(["--base", str(base), "--change", str(change),
@@ -75,5 +101,6 @@ def test_pairs_alternate_and_a_failed_run_exits_one(failed, code, tmp_path,
                              "--pairs", "3"]) == code
     assert order == ["base", "change", "change", "base", "base", "change"]
     out = capsys.readouterr()
-    assert "ops_per_s (1/s): base 10 [10, 10]" in out.out
+    assert ("ops_per_s (1/s): base 10 [10, 10]  change 7 [7, 7]  "
+            "ratio -30.0%  change won 0/3  worse than bound") in out.out
     assert ("failed of 40" in out.err) == bool(failed)

@@ -767,21 +767,42 @@ def test_non_finite_user_step_is_a_precondition_exit(t, tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
-@pytest.mark.parametrize("suite, seed, error", [
-    ("tethering", "0", "hyperbolic: a tangent at a point"),
-    ("tethering", "21", "sn: sinh(sqrt(-kappa)*l) overflows"),
-    ("comparison", "0", "hyperbolic: a tangent at a point"),
-    ("hull", "0", "hyperbolic: a tangent at a point"),
+@pytest.mark.parametrize("suite, seed, violations", [
+    ("tethering", "0", 0), ("tethering", "21", 0),
+    ("comparison", "0", 3), ("hull", "0", 0),
 ])
-def test_suites_where_hyperbolic_sampling_overflows_exit_parse(
-        suite, seed, error, tmp_path, capsys):
-    # at kappa = -1e6 random points reach x0 ~ 1e134, where a tangent's
-    # Minkowski square overflows, and the ball sampler's density sinh
-    # overflows at radii past about 0.71
+def test_suites_at_large_hyperbolic_curvature_report(
+        suite, seed, violations, tmp_path, capsys):
+    # the suites sample H in curvature radii R = 1/sqrt(-kappa): random
+    # points and balls of up to 1.5 R, so at kappa = -1e6 (R = 1e-3) the
+    # draws stay as far out as at kappa = -1, and the margins are in
+    # units of R; a comparison on H is exploratory, its violations only
+    # reported
     assert cli.main(["check", suite, "--space", "hyperbolic", "--kappa=-1e6",
                      "--trials", "3", "--seed", seed,
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    report = json.loads((tmp_path / f"check_{suite}.json").read_text())
+    margin = report.pop("min_margin")
+    assert report == {"suite": suite, "trials": 3, "violations": violations,
+                      "seed": int(seed)}
+    if suite == "hull":
+        assert math.isnan(margin)
+    else:
+        assert 0.0 < abs(margin) < 1.5e-3
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("suite, seed", [
+    ("tethering", "1"), ("comparison", "1"), ("hull", "0"),
+])
+def test_suites_where_hyperbolic_sampling_overflows_exit_parse(
+        suite, seed, tmp_path, capsys):
+    # at kappa = -1e-299 (R about 3.2e149) a drawn point more than about
+    # 1.82 R from the origin has a time coordinate past exp's cap of 1e150
+    assert cli.main(["check", suite, "--space", "hyperbolic",
+                     "--kappa=-1e-299", "--trials", "3", "--seed", seed,
                      "--out", str(tmp_path)]) == cli.EXIT_PARSE
-    _one_error_line(capsys, "error: " + error)
+    _one_error_line(capsys, "error: hyperbolic: exp step of length")
     assert not (tmp_path / f"check_{suite}.json").exists()
 
 

@@ -267,6 +267,36 @@ def test_dataset_validation():
     assert ds.weights[0] == 1.0
     with pytest.raises(DomainError):
         cost(ds, 1.5, o)                             # p < 2 rejected
+    # a weight of -0.0 comes back as +0.0, one of -1e-13 as 0.0
+    for w0 in (-0.0, -1e-13):
+        ds = make_dataset(sp, [p1, p2], [w0, 1.0], o, 0.5)
+        assert ds.weights.tolist() == [0.0, 1.0]
+        assert math.copysign(1.0, ds.weights[0]) == 1.0
+    # the weights are checked before the center
+    with pytest.raises(DomainError, match=r"^weights must lie in \[0, 1\]$"):
+        make_dataset(sp, [p1], [2.0], 2.0 * o, 0.5)
+    # the first bad row is reported, alone or among good ones, on both
+    # sides of the row count from which the kernels run along the points
+    nan_row, off_row = np.array([math.nan, 0.0, 1.0]), 2.0 * p1
+    nan_text = f"sphere: non-finite coordinate in {nan_row}"
+    off_text = "sphere: representation violated by 1.000e+00"
+    for n in (1, 5, 200):
+        for i in {0, n - 1}:
+            for bad, text in ((nan_row, nan_text), (off_row, off_text),
+                              (np.array([0.0, -math.inf, 0.0]),
+                               "sphere: non-finite coordinate in "
+                               f"{np.array([0.0, -math.inf, 0.0])}")):
+                pts = np.array([p1] * n)
+                pts[i] = bad
+                with pytest.raises(DomainError) as e:
+                    make_dataset(sp, pts, None, o, 0.5)
+                assert str(e.value) == text
+        if n > 1:   # an off-manifold row before a non-finite one
+            pts = np.array([p1] * n)
+            pts[0], pts[-1] = off_row, nan_row
+            with pytest.raises(DomainError) as e:
+                make_dataset(sp, pts, None, o, 0.5)
+            assert str(e.value) == off_text
 
 
 def test_uniqueness_certificate_flag():

@@ -951,3 +951,40 @@ def test_scalar_kernels_keep_their_bits(space, rng, monkeypatch):
                                 b).tobytes()
     if isinstance(space, _FarHyperbolic):
         assert wide
+
+
+class _CenterFirst:
+    """An rng whose first normal draw is the point x itself, whose
+    projection onto T_x has a norm of rounding size, below the sampler's
+    1e-8, so the direction is drawn again; every other draw, and the
+    state, is Philox's."""
+
+    def __init__(self, x, seed):
+        self._x = x
+        self._rng = np.random.Generator(np.random.Philox(seed))
+        self.bit_generator = self._rng.bit_generator
+        self.normals = 0
+
+    def random(self):
+        return self._rng.random()
+
+    def standard_normal(self, size):
+        self.normals += 1
+        if self.normals == 1:
+            return self._x.copy()
+        return self._rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("space", [Sphere(2), Circle(2.0), RealProjective(2),
+                                   SO3(), Sphere(10)],
+                         ids=lambda s: repr(s))
+def test_sampler_redraws_a_direction_too_short_to_normalise(space):
+    for trial in range(20):
+        x = space.random_point(np.random.Generator(np.random.Philox(trial)))
+        radius = 0.4 * space.constants().inj
+        a, b = _CenterFirst(x, trial), _CenterFirst(x, trial)
+        got = space.random_in_ball(x, radius, a)
+        assert a.normals == 2   # the redraw ran, once
+        assert got.tobytes() == _ref_random_in_ball(space, x, radius,
+                                                    b).tobytes()
+        assert _philox_state(a) == _philox_state(b)

@@ -3,11 +3,13 @@ length of log against the distance, symmetry of the distance (also for
 pairs far apart), the triangle inequality, the array primitives
 (dist_many, log_dist_many, exp_many) against the scalar ones, row by row,
 with the canonical sign of RP and SO(3) idempotent, the far point of
-the ball-estimate sweep against dist_many, ties included, and the hull
-sweep's simplex certificate against the NNLS membership test."""
+the ball-estimate sweep against dist_many, ties included, the hull
+sweep's simplex certificate against the NNLS membership test, and the
+hull test's separating-line certificate against NNLS alone."""
 
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -209,3 +211,48 @@ def test_hull_certificate_implies_membership(space, data):
     Q = np.vstack([(W / W.sum(axis=1, keepdims=True)) @ V, V, others])
     certified = geocheck._certified_inside(V, Q)
     assert all(geocheck.in_hull(V, q, 1e-8) for q in Q[certified])
+
+
+def _nnls_in_hull(V, q, tol):
+    """in_hull's verdict from the NNLS residual alone."""
+    scale = 1.0 + float(np.abs(V).max(initial=0.0))
+    A = np.vstack([V.T, scale * np.ones(len(V))])
+    b = np.concatenate([q, [scale]])
+    return float(np.linalg.norm(A @ geocheck._nnls(A, b) - b)) <= tol * scale
+
+
+def test_in_hull_equals_its_nnls_verdict():
+    # q lies k tol outside a face of a random hull in 1 to 3 dimensions:
+    # a point of the face (a convex combination of the dim vertices on
+    # the hyperplane a.v = 0) moved k tol along the unit normal a, with
+    # every other vertex on the side a.v < 0; the verdict must be the
+    # NNLS one whether or not the separating line decided it
+    fired = []
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def check(data):
+        dim = data.draw(st.integers(1, 3))
+        bound = data.draw(st.sampled_from([0.5, 2.0]))
+        a = _draw_array(data, dim, 1.0)
+        if not np.linalg.norm(a) > 0.1:
+            a = np.eye(dim)[0]
+        a = a / np.linalg.norm(a)
+        n = dim + data.draw(st.integers(1, 4))
+        V = _draw_array(data, (n, dim), bound)
+        V -= np.outer(V @ a, a)                       # onto a.v = 0
+        depth = 0.1 + np.abs(_draw_array(data, n - dim, bound))
+        V[dim:] -= np.outer(depth, a)                 # strictly inside
+        w = 0.05 + np.abs(_draw_array(data, dim, 1.0))
+        face = (w / w.sum()) @ V[:dim]
+        tol = data.draw(st.sampled_from([1e-9, 1e-8, 1e-6]))
+        for k in (0.5, 1.0, 2.0, 3.0, 10.0):
+            q = face + k * tol * a
+            with mock.patch.object(geocheck, "_nnls",
+                                   wraps=geocheck._nnls) as nnls:
+                got = geocheck.in_hull(V, q, tol)
+            fired.append(not nnls.called)
+            assert got == _nnls_in_hull(V, q, tol)
+
+    check()
+    assert any(fired) and not all(fired)

@@ -10,9 +10,16 @@ that runs first alternates from pair to pair, so a drift in the host's
 speed falls on both sides alike.  It prints each run's result line (the
 last stdout line of `bench/run.py`) as it arrives.  Then, for each
 metric, it prints the median and quartiles per side, the median of the
-per-pair ratios change / base, and in how many pairs the change won, in
-the direction `BENCHMARK.json` gives the metric.  Exits 1 when a run
-fails, or reports `correct: false` or `failed > 0`.  The runs write no
+per-pair ratios change / base, in how many pairs the change won, in
+the direction `BENCHMARK.json` gives the metric, and a verdict:
+
+- "gain": the change won at least 9 of 10 pairs, and its median is
+  better than the base's by more than the base's quartile spread;
+- "worse than bound": its median is worse than the base's by more than
+  the metric's `bound` in `BENCHMARK.json`, a fraction of the base's;
+- "unresolved": neither.
+
+Exits 1 when a run fails, or reports `correct: false` or `failed > 0`.  The runs write no
 Python bytecode, so nothing is written under `bench/`; run.py keeps its
 own records in `.bench_runs/` at the root of each checkout.
 """
@@ -58,10 +65,34 @@ def _quartiles(values):
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def summarize(pairs, better):
+def _sign(better):
+    return 1.0 if better == "higher" else -1.0
+
+
+def _won(base, change, better):
+    """The pairs in which the change is better than the base."""
+    return sum(_sign(better) * (c - b) > 0 for b, c in zip(base, change))
+
+
+def verdict(base, change, better, bound=None):
+    """"gain", "worse than bound" or "unresolved" for a metric's values
+    in paired runs (see the module docstring); a metric without a bound
+    is never worse than it."""
+    q1, median, q3 = _quartiles(base)
+    ahead = _sign(better) * (statistics.median(change) - median)
+    if 10 * _won(base, change, better) >= 9 * len(base) and ahead > q3 - q1:
+        return "gain"
+    if bound is not None and ahead < -bound * abs(median):
+        return "worse than bound"
+    return "unresolved"
+
+
+def summarize(pairs, better, bounds=None):
     """Report lines for (base, change) pairs of result lines.  `better`
     maps a metric name to "higher" or "lower"; a metric it does not name
-    gets no win count."""
+    gets no win count and no verdict.  `bounds` maps a metric name to the
+    fraction by which it may worsen."""
+    bounds = bounds or {}
     sides = [[json.loads(line)["metrics"] for line in side]
              for side in zip(*pairs)]
     lines = []
@@ -77,9 +108,10 @@ def summarize(pairs, better):
         if ratios:
             cells.append(f"ratio {statistics.median(ratios) - 1.0:+.1%}")
         if name in better:
-            sign = 1.0 if better[name] == "higher" else -1.0
-            won = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+            won = _won(base, change, better[name])
             cells.append(f"change won {won}/{len(pairs)}")
+            cells.append(verdict(base, change, better[name],
+                                 bounds.get(name)))
         lines.append(f"{name} ({sides[0][0][name].get('unit', '')}): "
                      + "  ".join(cells))
     return lines
@@ -99,6 +131,7 @@ def main(argv=None):
         spec = json.load(f)
     better = {m["name"]: m["better"]
               for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     pairs, bad = [], []
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -113,7 +146,7 @@ def main(argv=None):
             bad += problems(f"pair {i} {side}", got[side])
             print(f"pair {i} {side}: {got[side]}", flush=True)
         pairs.append((got["base"], got["change"]))
-    print("\n".join(summarize(pairs, better)))
+    print("\n".join(summarize(pairs, better, bounds)))
     for line in bad:
         print(line, file=sys.stderr)
     return 1 if bad else 0
