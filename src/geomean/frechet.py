@@ -42,12 +42,17 @@ def make_dataset(space, points, weights=None, ball_center=None, ball_radius=None
     renormalized exactly once; anything worse is rejected.  Points must
     lie in the closed ball (boundary allowed up to rounding, so symmetric
     configurations placed exactly on the sphere of radius rho validate).
+    The points and the center are validated in one check_points pass
+    where they pass it; otherwise the checks run in the order above, so
+    the first error raised is the same either way.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(points)
     if n < 1:
         raise DomainError("dataset needs at least one point")
-    space.check_points(points)
+    center = _checked_with_points(space, points, ball_center)
+    if center is None:
+        space.check_points(points)
     if weights is None:
         weights = np.full(n, 1.0 / n)
     else:
@@ -65,18 +70,35 @@ def make_dataset(space, points, weights=None, ball_center=None, ball_radius=None
         weights = weights / s
     if ball_center is None or ball_radius is None:
         raise DomainError("dataset needs an enclosing ball (o, rho)")
-    ball_center = space.check_point(ball_center)
+    if center is None:
+        center = space.check_point(ball_center)
     ball_radius = float(ball_radius)
     if not 0.0 <= ball_radius < math.inf:
         raise DomainError(f"ball radius must be finite and >= 0, got {ball_radius}")
     slack = 1e-9 * max(1.0, ball_radius)
-    d = space.dist_many(ball_center, points)
-    outside = d > ball_radius + slack
-    if outside.any():
-        i = int(np.argmax(outside))
+    d = space.dist_many(center, points)
+    # fmax skips NaN distances, as the elementwise test does
+    if np.fmax.reduce(d, initial=-math.inf) > ball_radius + slack:
+        i = int(np.argmax(d > ball_radius + slack))
         raise DomainError(f"point {i} at distance {float(d[i])} outside ball "
                           f"of radius {ball_radius}")
-    return WeightedDataset(space, points, weights, ball_center, ball_radius)
+    return WeightedDataset(space, points, weights, center, ball_radius)
+
+
+def _checked_with_points(space, points, ball_center):
+    """ball_center as a float array when it has the points' shape and
+    it and the points pass one check_points on the stacked rows; else
+    None, whatever failed, and make_dataset checks them one by one."""
+    if ball_center is None:
+        return None
+    try:
+        center = np.asarray(ball_center, dtype=float)
+        if points.ndim != 2 or center.shape != points.shape[1:]:
+            return None
+        space.check_points(np.concatenate((points, center[np.newaxis])))
+    except (DomainError, TypeError, ValueError, OverflowError):
+        return None
+    return center
 
 
 def dataset_from_json(obj, ball_fallback=None):

@@ -16,6 +16,7 @@ and runs `in_hull` only for the records that certificate does not
 cover.
 """
 
+import functools
 import itertools
 import math
 
@@ -145,12 +146,15 @@ def _sampling_cap(space):
 
 
 def sample_triangle(space, rng, max_radius=None):
-    """Random triangle (x, y1, y2) inside a random ball of radius <= r_cx."""
+    """(o, radius, x, y1, y2): a random ball B(o, radius), radius uniform
+    below max_radius (default the sampling cap, r_cx where finite), and
+    a triangle (x, y1, y2) inside it from one random_points_in_ball
+    call, which draws the vertices in that order."""
     cap = _sampling_cap(space) if max_radius is None else max_radius
     center = space.random_point(rng)
     radius = cap * rng.random()
-    pts = [space.random_in_ball(center, radius, rng) for _ in range(3)]
-    return center, radius, pts[0], pts[1], pts[2]
+    x, y1, y2 = space.random_points_in_ball(center, radius, 3, rng)
+    return center, radius, x, y1, y2
 
 
 def triangle_data(space, x, y1, y2):
@@ -276,7 +280,7 @@ def _certified_inside(V, Q):
     """
     n, dim = V.shape
     inside = np.zeros(len(Q), dtype=bool)
-    simplices = np.array(list(itertools.combinations(range(n), dim + 1)))
+    simplices = _simplices(n, dim)
     if not len(simplices) or not len(Q):
         return inside
     M = np.ones((len(simplices), dim + 1, dim + 1))
@@ -288,6 +292,15 @@ def _certified_inside(V, Q):
     B[:dim] = Q.T
     depth = np.linalg.solve(M, B).min(axis=1)   # (simplex, row)
     return (depth >= _MIN_DEPTH).any(axis=0)
+
+
+@functools.cache
+def _simplices(n, dim):
+    """The (dim+1)-subsets of range(n) in lexicographic order, as the
+    rows of a read-only index array (shape (0,) when there are none)."""
+    simplices = np.array(list(itertools.combinations(range(n), dim + 1)))
+    simplices.flags.writeable = False
+    return simplices
 
 
 def _nnls(A, b):
@@ -345,7 +358,7 @@ def tethering_check(space, n_trials, t_grid, seed):
         o = space.random_point(rng)
         rho = max(cap * rng.random(), min(1e-6, cap))
         n = int(rng.integers(1, 9))
-        pts = [space.random_in_ball(o, rho, rng) for _ in range(n)]
+        pts = space.random_points_in_ball(o, rho, n, rng)
         wts = rng.dirichlet(np.ones(n))
         ds = frechet.make_dataset(space, pts, wts, o, rho)
         x = space.random_in_ball(o, rho, rng)
@@ -380,7 +393,7 @@ def hull_check(space, n_trials, seed):
         o = space.random_point(rng)
         rho = cap * (0.1 + 0.9 * rng.random())
         n = int(rng.integers(3, 7))
-        pts = [space.random_in_ball(o, rho, rng) for _ in range(n)]
+        pts = space.random_points_in_ball(o, rho, n, rng)
         ds = frechet.make_dataset(space, pts, None, o, rho)
         x0 = space.random_in_ball(o, rho, rng)
         tr = solver.descend(ds, solver.SolverConfig(

@@ -33,7 +33,7 @@ np.linalg.norm for these arguments, math.sqrt(u.dot(u)) for one vector
 and _norm_rows for the rows of an array, without its argument handling.
 
 On the sphere family, the per-pair methods (exp, _tangential,
-tangent_project, and random_in_ball's last step, which draws the
+tangent_project, and the ball sampler's last step, which draws the
 direction and takes the step in one pass) do their elementwise
 arithmetic on Python floats from x.tolist(), around
 the same ndarray.dot calls as the numpy expressions they replace, which
@@ -48,6 +48,14 @@ float arithmetic never warns, but numpy's dot warns on an overflow, so
 np.errstate is entered (_wide_dot) only where math.hypot of an operand
 reaches _MAX_COORD and the dot could pass the float range; there it
 gives numpy's inf or NaN, without the warning.
+
+random_points_in_ball draws k points of one ball in one call, with the
+radius checks and the density's maximum worked out once, and gives the
+points and the Generator state of k random_in_ball calls, which is its
+one-point case.  check_points accepts all rows on the representation
+errors alone where they flag every row with a non-finite coordinate
+(_ERRORS_SEE_NON_FINITE: the sphere family and H); Euclidean space,
+whose error is 0, keeps the finiteness test.
 
 Angles near 0 and pi are computed via atan2 of a projected norm rather
 than arccos, so distances stay accurate right up to the cut locus (needed
@@ -90,6 +98,10 @@ class ManifoldSpace:
     """Base class; concrete spaces implement the embedding-specific parts."""
 
     kind = None
+    # Whether _constraint_errors is NaN or above 1e-12 on every row with
+    # a non-finite coordinate, so that check_points needs no finiteness
+    # pass to accept all rows; the subclasses that set it say why
+    _ERRORS_SEE_NON_FINITE = False
 
     def __init__(self, dim, kappa):
         self.dim = int(dim)
@@ -181,9 +193,10 @@ class ManifoldSpace:
         log_dist(x, P[i]).  The first row in the cut-locus band raises the
         CutLocusError log_dist raises for it, with `index` set to the row."""
         U, nU, d = self._tangential_many(x, P)
-        band = d >= self._band_start()
-        if band.any():
-            i = int(np.argmax(band))
+        band = self._band_start()
+        # fmax skips NaN distances, as the elementwise test does
+        if np.fmax.reduce(d, initial=-math.inf) >= band:
+            i = int(np.argmax(d >= band))
             raise self._cut_locus_error(d[i], index=i)
         return _scaled_rows(U, nU, d), d
 
@@ -198,9 +211,10 @@ class ManifoldSpace:
             f"of inj={self._constants.inj}", index=index)
 
     def inner(self, x, u, v):
-        """Riemannian inner product of tangent vectors at x: the ambient
-        dot product, which the hyperboloid replaces by Minkowski's."""
-        return float(np.dot(u, v))
+        """Riemannian inner product of tangent vectors (float arrays) at
+        x: the ambient dot product, which the hyperboloid replaces by
+        Minkowski's."""
+        return float(u.dot(v))
 
     def norm(self, x, v):
         return math.sqrt(max(self.inner(x, v, v), 0.0))
@@ -221,8 +235,9 @@ class ManifoldSpace:
                               f"expected ({self.ambient_dim},)")
         with np.errstate(over="ignore", invalid="ignore"):
             err = self._constraint_errors(X)
-        if (err <= 1e-12).all() and np.isfinite(X).all():
-            return   # the common case, in two whole-array passes
+        if (err <= 1e-12).all() and (self._ERRORS_SEE_NON_FINITE
+                                     or np.isfinite(X).all()):
+            return   # the common case, in whole-array passes
         finite = np.isfinite(X).all(axis=1)
         i = int(np.argmax(~(finite & (err <= 1e-12))))  # a NaN error too
         if not finite[i]:
@@ -250,40 +265,51 @@ class ManifoldSpace:
                 return v / n
 
     def random_in_ball(self, center, radius, rng):
-        """Uniform sample from the geodesic ball B(center, radius).
+        """One uniform sample from the geodesic ball B(center, radius):
+        random_points_in_ball with count 1."""
+        return self.random_points_in_ball(center, radius, 1, rng)[0]
+
+    def random_points_in_ball(self, center, radius, count, rng):
+        """A list of `count` uniform samples from the geodesic ball
+        B(center, radius), drawn one after another.
 
         Direction is uniform on the tangent sphere; the radius is drawn by
         rejection against the volume density sn(r)^(n-1) (Jacobi sine of
         the geometric curvature, so flat means density r^(n-1)), scaled
         by its maximum on [0, radius]: sn rises up to pi/(2 sqrt(kappa))
         on the sphere family.  A radius past inj, the diameter there, is
-        the whole space and draws as inj.  The draw order (scalar
-        uniforms for r and the acceptance test, then the direction) is
-        part of the output: the Monte Carlo suites report results
-        determined by their seed.
+        the whole space and draws as inj.  The draw order (for each point
+        in turn, scalar uniforms for r and the acceptance test, then the
+        direction) is part of the output: the Monte Carlo suites report
+        results determined by their seed.  The radius checks and the
+        density's maximum are worked out once per call, so the points
+        are those of `count` calls of random_in_ball.
         """
         if not 0 <= radius < math.inf:   # a NaN or infinite one never accepts
             raise DomainError(
                 f"random_in_ball: need finite radius >= 0, got {radius}")
         if radius == 0:
-            return center.copy()
+            return [center.copy() for _ in range(count)]
         radius = min(radius, self._constants.inj)
         n = self.dim
         if n == 1:
-            r = radius * rng.random()
-        else:
-            peak = (math.pi / (2.0 * math.sqrt(self.kappa)) if self.kappa > 0
-                    else math.inf)
-            top = sn(self.kappa, min(radius, peak))
+            return [self._random_step(center, radius * rng.random(), rng)
+                    for _ in range(count)]
+        kappa = self.kappa
+        peak = math.pi / (2.0 * math.sqrt(kappa)) if kappa > 0 else math.inf
+        top = sn(kappa, min(radius, peak))
+        points = []
+        for _ in range(count):
             while True:
                 r = radius * rng.random()
-                if rng.random() <= (sn(self.kappa, r) / top) ** (n - 1):
+                if rng.random() <= (sn(kappa, r) / top) ** (n - 1):
                     break
-        return self._random_step(center, r, rng)
+            points.append(self._random_step(center, r, rng))
+        return points
 
     def _random_step(self, x, r, rng):
         """exp(x, r u) for a direction u from random_unit_tangent: the
-        last step of random_in_ball."""
+        last step of random_points_in_ball."""
         return self.exp(x, r * self.random_unit_tangent(x, rng))
 
     def __repr__(self):
@@ -358,6 +384,10 @@ class Sphere(ManifoldSpace):
     """Round sphere of curvature kappa > 0, radius 1/sqrt(kappa) in effect."""
 
     kind = "sphere"
+    # A row with an inf coordinate has an inf square, so an inf sum of
+    # squares (the others are >= 0 or NaN) and | |x| - 1 | = inf, or NaN
+    # with a NaN coordinate: no such row passes err <= 1e-12
+    _ERRORS_SEE_NON_FINITE = True
 
     def __init__(self, dim, kappa=1.0):
         if not 0 < kappa < math.inf:
@@ -539,6 +569,13 @@ class Hyperbolic(ManifoldSpace):
     """Hyperboloid model of curvature kappa < 0, time coordinate first."""
 
     kind = "hyperbolic"
+    # A row with a non-finite coordinate fails err <= 1e-12: x0 <= 0
+    # (-inf) gives inf; a NaN anywhere makes the Minkowski square NaN,
+    # and NaN <= 0 is False, so err is NaN; x0 = +inf gives an inf or
+    # NaN numerator over the inf 1 + x0^2, so NaN; an inf spatial
+    # coordinate with a finite x0 > 0 gives an inf numerator, over a
+    # finite or inf denominator, so inf or NaN
+    _ERRORS_SEE_NON_FINITE = True
 
     def __init__(self, dim, kappa=-1.0):
         if not -math.inf < kappa < 0:

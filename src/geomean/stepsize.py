@@ -192,6 +192,9 @@ class StepPolicy:
         if self.kind == "exit_compromise":
             if self.rho_prime is None:
                 raise DomainError("exit_compromise policy needs rho_prime")
+            if not math.isfinite(self.rho_prime):
+                raise DomainError(f"exit_compromise policy needs a finite "
+                                  f"rho_prime, got {self.rho_prime}")
             if p != 2:
                 raise PreconditionError("exit_compromise policy is p=2 only")
             return resolve_exit_compromise(space, rho, self.rho_prime)

@@ -817,6 +817,34 @@ def test_stepsize_reports_an_overflowing_exit_profile(tmp_path, capsys):
     assert rows["conjecture"]["preconditions"] == "ok" and err == ""
 
 
+@pytest.mark.parametrize("obj", [
+    _H2_PAIR,
+    {"space": {"kind": "euclidean", "dim": 2},
+     "points": [[0.0, 0.0], [1.0, 0.0]],
+     "ball": {"center": [0.5, 0.0], "radius": 0.5}},
+], ids=["hyperbolic", "euclidean"])
+def test_exit_compromise_with_infinite_rho_prime_is_a_precondition_exit(
+        obj, tmp_path, capsys):
+    assert _mean_with(tmp_path, obj, "--policy", "exit_compromise",
+                      "--rho-prime", "inf") == cli.EXIT_PRECONDITION
+    _one_error_line(capsys, "error: step policy: exit_compromise policy "
+                            "needs a finite rho_prime, got inf")
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_stepsize_reports_an_infinite_rho_prime(tmp_path, capsys):
+    assert cli.main(["stepsize", "--space", "hyperbolic", "--kappa=-1",
+                     "--rho", "0.5", "--rho-prime", "inf",
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    rows = {r["policy"]: r for r in json.loads(out)}
+    row = rows["exit_compromise"]
+    assert math.isnan(row["resolved_t"])
+    assert row["preconditions"] == \
+        "exit_compromise policy needs a finite rho_prime, got inf"
+    assert rows["conjecture"]["preconditions"] == "ok" and err == ""
+
+
 def test_stepsize_with_nan_rho_reports_every_policy(tmp_path, capsys):
     assert cli.main(["stepsize", "--rho", "nan", "--rho-prime", "1.2",
                      "--out", str(tmp_path)]) == cli.EXIT_OK

@@ -297,6 +297,60 @@ def test_dataset_validation():
             with pytest.raises(DomainError) as e:
                 make_dataset(sp, pts, None, o, 0.5)
             assert str(e.value) == off_text
+    # the points and the center are checked in one pass where both pass,
+    # and one at a time, points, weights, ball, center, where one fails:
+    # the first error and its text are the same either way
+    hy, eu = Hyperbolic(2), Euclidean(2)
+    h0 = np.array([1.0, 0.0, 0.0])
+    for args, error, text in (
+            ((sp, [p1], None, nan_row, 0.5), DomainError, nan_text),
+            ((sp, [p1], None, 2.0 * o, 0.5), DomainError, off_text),
+            ((sp, [p1], None, [0.0, 1.0], 0.5), DomainError,
+             "sphere: point shape (2,), expected (3,)"),
+            ((sp, [p1], None, [o], 0.5), DomainError,
+             "sphere: point shape (1, 3), expected (3,)"),
+            ((sp, [p1], None, "abc", 0.5), ValueError,
+             "could not convert string to float: 'abc'"),
+            ((sp, [p1], None, {"a": 1}, 0.5), TypeError,
+             "float() argument must be a string or a real number, not 'dict'"),
+            ((sp, [p1], None, [10 ** 400, 0, 1], 0.5), OverflowError,
+             "int too large to convert to float"),
+            ((sp, [p1], [2.0], nan_row, 0.5), DomainError,
+             "weights must lie in [0, 1]"),
+            ((sp, [p1], [2.0], "abc", 0.5), DomainError,
+             "weights must lie in [0, 1]"),
+            ((sp, [p1], None, nan_row, None), DomainError,
+             "dataset needs an enclosing ball (o, rho)"),
+            ((sp, [p1, off_row], None, nan_row, 0.5), DomainError, off_text),
+            ((sp, [nan_row], None, [0.0, 1.0], 0.5), DomainError, nan_text),
+            ((eu, [[0.0, 0.0]], None, [1e200, 0.0], 0.5), DomainError,
+             f"euclidean: point {np.array([1e200, 0.0])} has norm at or "
+             "above 1e+150"),
+            ((hy, [h0], None, -h0, 0.5), DomainError,
+             "hyperbolic: representation violated by inf"),
+            ((hy, [h0], None, [math.inf, 0.0, 0.0], 0.5), DomainError,
+             f"hyperbolic: non-finite coordinate in {np.array([math.inf, 0.0, 0.0])}")):
+        with pytest.raises(error) as e:
+            make_dataset(*args)
+        assert str(e.value) == text, args
+
+
+@pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
+def test_dataset_is_validated_in_one_pass(space, rng, monkeypatch):
+    o = space.random_point(rng)
+    pts = np.array(space.random_points_in_ball(o, 0.5, 5, rng))
+    calls = []
+    check_points = space.check_points
+
+    def spy(X):
+        calls.append(np.array(X))
+        return check_points(X)
+    monkeypatch.setattr(space, "check_points", spy)
+    ds = make_dataset(space, pts, None, list(o), 0.5)
+    assert len(calls) == 1
+    assert calls[0].tobytes() == np.vstack([pts, o]).tobytes()
+    assert ds.ball_center.dtype == float and ds.ball_center.tolist() == \
+        o.tolist()
 
 
 def test_uniqueness_certificate_flag():

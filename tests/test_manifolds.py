@@ -988,3 +988,36 @@ def test_sampler_redraws_a_direction_too_short_to_normalise(space):
         assert got.tobytes() == _ref_random_in_ball(space, x, radius,
                                                     b).tobytes()
         assert _philox_state(a) == _philox_state(b)
+
+
+@pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
+def test_random_points_in_ball_are_successive_single_draws(space):
+    # one call for k points draws what k calls of random_in_ball, and of
+    # the numpy reference, draw, and leaves the Generator where they do;
+    # the circle (dim 1) takes the sampler's uniform-radius branch
+    inj = space.constants().inj
+    past_inj = 1.5 * inj if math.isfinite(inj) else 4.0
+    c = space.random_point(np.random.Generator(np.random.Philox(7)))
+    for radius in (0.0, 0.4 * min(inj, 2.0), past_inj):
+        for k in (0, 1, 3, 8):
+            a, b, r = (np.random.Generator(np.random.Philox(k))
+                       for _ in range(3))
+            got = space.random_points_in_ball(c, radius, k, a)
+            singles = [space.random_in_ball(c, radius, b) for _ in range(k)]
+            refs = [_ref_random_in_ball(space, c, radius, r)
+                    for _ in range(k)]
+            assert isinstance(got, list) and len(got) == k
+            assert [p.tobytes() for p in got] == \
+                [p.tobytes() for p in singles] == [p.tobytes() for p in refs]
+            assert _philox_state(a) == _philox_state(b) == _philox_state(r)
+    # a zero radius gives copies of the center, and no point none, without
+    # a draw; a NaN or infinite radius is refused as random_in_ball does
+    got = space.random_points_in_ball(c, 0.0, 3, _NoDraws())
+    assert all(p is not c and p.tobytes() == c.tobytes() for p in got)
+    assert space.random_points_in_ball(c, 0.5, 0, _NoDraws()) == []
+    for radius in (math.nan, math.inf):
+        for k in (0, 3):
+            with pytest.raises(DomainError) as e:
+                space.random_points_in_ball(c, radius, k, _NoDraws())
+            assert str(e.value) == \
+                f"random_in_ball: need finite radius >= 0, got {radius}"

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import os
+import shutil
 import sys
 
 from geomean import emit
@@ -59,3 +60,27 @@ def test_one_ulp_in_one_output_changes_that_op_line(capsys, monkeypatch):
     changed = [i for i, (a, b) in enumerate(zip(before, after)) if a != b]
     assert changed == [3]   # the header, then ops 0, 1 and 2
     assert after[3].split()[0] == before[3].split()[0]
+
+
+def test_against_prints_only_the_lines_that_differ(capsys, monkeypatch,
+                                                   tmp_path):
+    # this checkout against itself: nothing printed, exit 0
+    argv = ("--workload", "certify-suites", "--seed", "3", "--scale", _SCALE)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert output_digest.main([*argv, "--against", _ROOT]) == 0
+    assert capsys.readouterr().out == ""
+    # against a copy whose step-size table ends each row with a space: the
+    # table op's line alone, under its header, and exit 1
+    copy = tmp_path / "copy"
+    for part in ("src", "bench"):
+        shutil.copytree(os.path.join(_ROOT, part), copy / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    cli_py = copy / "src" / "geomean" / "cli.py"
+    text = cli_py.read_text()
+    assert text.count("abs_error={r['abs_error']:.2e}") == 1
+    cli_py.write_text(text.replace("abs_error={r['abs_error']:.2e}",
+                                   "abs_error={r['abs_error']:.2e} "))
+    assert output_digest.main([*argv, "--against", str(copy)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# certify-suites seed 3"
+    assert [line[:7] for line in lines[1:]] == ["-table ", "+table "]

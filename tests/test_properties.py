@@ -9,6 +9,7 @@ hull test's separating-line certificate against NNLS alone."""
 
 import functools
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from geomean import geocheck
-from geomean.errors import CutLocusError
+from geomean.errors import CutLocusError, DomainError
 from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
                                SO3, Sphere, _canonical_sign,
                                _canonical_sign_rows)
@@ -256,3 +257,53 @@ def test_in_hull_equals_its_nnls_verdict():
 
     check()
     assert any(fired) and not all(fired)
+
+
+# the classes whose representation error stands in for a finiteness pass
+SKIP_FINITENESS = [s for s in SIX_SPACES + [Sphere(3), Hyperbolic(3, -0.5)]
+                   if s._ERRORS_SEE_NON_FINITE]
+_SPOILERS = st.sampled_from([math.inf, -math.inf, math.nan, 1e200, -1e200,
+                             1e160, sys.float_info.max, -sys.float_info.max])
+
+
+def _two_test_check(space, X):
+    """The DomainError text check_points raised with both whole-array
+    tests, the representation errors and finiteness, or None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = space._constraint_errors(X)
+    if (err <= 1e-12).all() and np.isfinite(X).all():
+        return None
+    finite = np.isfinite(X).all(axis=1)
+    i = int(np.argmax(~(finite & (err <= 1e-12))))
+    if not finite[i]:
+        return f"{space.kind}: non-finite coordinate in {X[i]}"
+    return f"{space.kind}: representation violated by {err[i]:.3e}"
+
+
+@pytest.mark.parametrize("space", SKIP_FINITENESS, ids=lambda s: repr(s))
+@FEW
+@given(data=st.data())
+def test_representation_error_flags_every_non_finite_row(space, data):
+    # valid rows, some of them spoiled by infinite, NaN or huge finite
+    # coordinates: each row with a non-finite coordinate has an error
+    # above 1e-12 or NaN, so check_points, which skips the finiteness
+    # pass here, raises what the two tests raise
+    assert SKIP_FINITENESS and not Euclidean(3)._ERRORS_SEE_NON_FINITE
+    n = data.draw(st.integers(1, 6))
+    X = _draw_points(data, space, n)
+    D = space.ambient_dim
+    for i in data.draw(st.lists(st.integers(0, n - 1), unique=True)):
+        for j in data.draw(st.lists(st.integers(0, D - 1), min_size=1,
+                                    unique=True)):
+            X[i, j] = data.draw(_SPOILERS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = space._constraint_errors(X)
+    for e in err[~np.isfinite(X).all(axis=1)].tolist():
+        assert e > 1e-12 or math.isnan(e)
+    expected = _two_test_check(space, X)
+    if expected is None:
+        space.check_points(X)
+    else:
+        with pytest.raises(DomainError) as e:
+            space.check_points(X)
+        assert str(e.value) == expected

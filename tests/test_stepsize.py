@@ -207,6 +207,19 @@ def test_step_policy_resolution():
         StepPolicy("nonsense").resolve(sp, 0.3, 2)
 
 
+@pytest.mark.parametrize("space", [Euclidean(2), Hyperbolic(2), Sphere(2)],
+                         ids=lambda s: s.kind)
+@pytest.mark.parametrize("rho_prime", [math.inf, -math.inf, math.nan])
+def test_exit_compromise_refuses_a_non_finite_rho_prime(space, rho_prime):
+    # the exit-time scan on an annulus out to inf runs on inf and NaN:
+    # H^2 resolved 1/c_delta(inf) = 0.0 there, and E^2 1.0
+    with pytest.raises(DomainError) as e:
+        StepPolicy("exit_compromise", rho_prime=rho_prime).resolve(
+            space, 0.5, 2)
+    assert str(e.value) == \
+        f"exit_compromise policy needs a finite rho_prime, got {rho_prime}"
+
+
 def _bisect_200(f, rho_prime):
     """The largest-rho bisection without the early stop: 200 steps."""
     lo, hi = 1e-9 * rho_prime, rho_prime * (1.0 - 1e-9)

@@ -3,6 +3,7 @@
     python3 tools/output_digest.py --workload small-means --seed 3
     python3 tools/output_digest.py --workload bulk-mean --seed 17 --root OTHER
     python3 tools/output_digest.py --workload all --seed 3 --seed 17
+    python3 tools/output_digest.py --workload all --seed 3 --against OTHER
 
 Builds the op list of `bench/workloads.py` (`warmup_ops`, then
 `make_ops`), runs each op in-process through `geomean.cli.main` with an
@@ -18,13 +19,21 @@ the three workloads in turn, and each `--seed` runs them again; a line
 
 `geomean` and the workloads are imported from `--root` (default: the
 checkout holding this script); nothing under `bench/` is written.
+
+`--against OTHER` makes that comparison one command: the same digest
+runs for OTHER in a subprocess (this script with `--root OTHER`), and
+only the lines that differ are printed, OTHER's prefixed `-` and this
+run's `+`, each after the header of its run.  The exit code is then 1
+when any line differs, else 0.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -65,6 +74,9 @@ def main(argv=None):
     ap.add_argument("--scale", type=float, default=1.0)
     ap.add_argument("--root", default=checkout,
                     help="checkout whose src/ and bench/ are run")
+    ap.add_argument("--against", default=None, metavar="OTHER",
+                    help="print only the lines that differ from OTHER's; "
+                         "exit 1 if any does")
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
@@ -72,16 +84,45 @@ def main(argv=None):
     import workloads
 
     names = WORKLOADS if args.workload == "all" else (args.workload,)
+    lines = []
     for seed in args.seed:
         for name in names:
-            print(f"# {name} seed {seed}")
-            run_workload(cli, workloads, name, seed, args.scale)
-    return 0
+            lines.append(f"# {name} seed {seed}")
+            lines += run_workload(cli, workloads, name, seed, args.scale)
+    if args.against is None:
+        print("\n".join(lines))
+        return 0
+    other = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--workload",
+         args.workload, *(f"--seed={s}" for s in args.seed),
+         "--scale", repr(args.scale), "--root", args.against],
+        stdout=subprocess.PIPE, text=True, check=True).stdout.splitlines()
+    return print_differences(other, lines)
+
+
+def print_differences(other, ours):
+    """Print the lines where two digests differ, OTHER's as `-` and ours
+    as `+`, each after the header of its run; 1 if any does, else 0."""
+    differ = 0
+    header = None
+    for theirs, mine in itertools.zip_longest(other, ours):
+        if mine is not None and mine.startswith("# "):
+            header = mine
+        if theirs == mine:
+            continue
+        if header is not None:
+            print(header)
+            header = None
+        for sign, line in (("-", theirs), ("+", mine)):
+            if line is not None:
+                print(f"{sign}{line}")
+        differ = 1
+    return differ
 
 
 def run_workload(cli, workloads, name, seed, scale):
-    """Print the line of every op of one workload at one seed, warm-ups
-    first, each run in a temporary directory of its own."""
+    """The line of every op of one workload at one seed, warm-ups first,
+    each run in a temporary directory of its own."""
     warm = workloads.warmup_ops(name)
     ops = workloads.make_ops(name, seed, scale)
     cwd = os.getcwd()
@@ -90,8 +131,8 @@ def run_workload(cli, workloads, name, seed, scale):
         try:
             workloads.write_inputs(warm, ".", prefix="warmup")
             workloads.write_inputs(ops, ".")
-            for i, op in enumerate(warm + ops):
-                print(run_op(cli, op, os.path.join("out", f"{i:04d}")))
+            return [run_op(cli, op, os.path.join("out", f"{i:04d}"))
+                    for i, op in enumerate(warm + ops)]
         finally:
             os.chdir(cwd)
 
