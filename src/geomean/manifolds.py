@@ -20,9 +20,15 @@ code, and N points at once (dist_many, log_dist_many, exp_many) with the
 same formulas on one point x of shape (D,) and an (N, D) array P, on
 whose (D, N) transpose they work where _along_points says so: numpy's
 inner loop then runs over the points, with the rows' operations and
-summation order, so with their bits.  einsum (_dot_rows) and the
-gradient's gemv w @ logs sum in an order that follows the layout, so
-they keep C-ordered (N, D) operands.  Single-pair callers such as the
+summation order, so with their bits.  There the sphere family's and H's
+_tangential_many take one C-contiguous (D, N) copy of P, and every
+elementwise step and sum over D runs on its rows.  Their inner products
+are _dot_columns, which writes out einsum's order for a row of fewer
+than 8 terms (two lanes: the even and the odd terms, each left to
+right, then even + odd); below _ALONG_POINTS rows they stay einsum
+(_dot_rows) on the (N, D) rows.  The gradient's gemv w @ logs sums in an
+order that follows the layout, so the logs stay C-ordered (N, D)
+rows.  Single-pair callers such as the
 descent step itself, the ball-estimate sweep's step, the oracles and
 Chart use the first; sums over the data points and the solver's monitor
 substeps use the second, which costs more than the scalar code for one
@@ -79,8 +85,8 @@ _MAX_COORD = 1e150  # below this, sums of squared coordinates stay finite
 # product alone at such a separation, keeps full precision there
 _MAX_BASE = 2.0 ** 16
 # Rows from which the array kernels run along the points (_along_points):
-# on a 2-core x86 host the transposed forms won from about 64 rows on S^2
-# and 250 on H^2, and lost up to 1.2 us a call at 6 rows
+# on a 2-core x86 host cost_gradient broke even there at about 96-128 rows
+# on S^2 and H^2, and lost 1-2 us a call at 16 rows
 _ALONG_POINTS = 128
 
 
@@ -416,16 +422,25 @@ class Sphere(ManifoldSpace):
         return u, nu, math.atan2(nu, cosq) / self._rk
 
     def _tangential_many(self, x, P):
+        if _along_points(P):
+            PT = P.T.copy()
+            cosq = _dot_columns(PT, x[:, np.newaxis])
+            return self._tangential_columns(x, PT, cosq)
         return self._tangential_cos(x, P, _dot_rows(P, x))
 
     def _tangential_cos(self, x, P, cosq):
-        """_tangential_many from cosq = _dot_rows(P, x)."""
-        if _along_points(P):
-            U = (P.T - x[:, np.newaxis] * cosq).T
-        else:
-            U = P - cosq[:, np.newaxis] * x
+        """_tangential_many on the rows of P, from cosq = _dot_rows(P, x)."""
+        U = P - cosq[:, np.newaxis] * x
         nU = _norm_rows(U)
         return U, nU, np.arctan2(nU, cosq) / self._rk
+
+    def _tangential_columns(self, x, PT, cosq):
+        """_tangential_many along the points: PT is a C-contiguous (D, N)
+        copy of P, which becomes U.T, and cosq = _dot_columns(PT, x); U
+        comes back as the (N, D) view PT.T."""
+        PT -= x[:, np.newaxis] * cosq
+        nU = _norm_rows(PT.T)
+        return PT.T, nU, np.arctan2(nU, cosq) / self._rk
 
     def _farthest(self, x, P):
         """The distance is the angle arccos<x, p>, which falls strictly
@@ -536,6 +551,12 @@ class RealProjective(Sphere):
 
     def _tangential_many(self, x, P):
         # negating a row negates its product with x exactly
+        if _along_points(P):
+            PT = P.T.copy()
+            cosq = _dot_columns(PT, x[:, np.newaxis])
+            lift = np.where(cosq >= 0.0, 1.0, -1.0)
+            PT *= lift
+            return self._tangential_columns(x, PT, lift * cosq)
         cosq = _dot_rows(P, x)
         lift = np.where(cosq >= 0.0, 1.0, -1.0)
         return self._tangential_cos(x, lift[:, np.newaxis] * P, lift * cosq)
@@ -595,6 +616,12 @@ class Hyperbolic(ManifoldSpace):
     def _minkowski_rows(U, V):
         return _dot_rows(U[..., 1:], V[..., 1:]) - U[..., 0] * V[..., 0]
 
+    @staticmethod
+    def _minkowski_columns(UT, VT):
+        """_minkowski_rows(UT.T, VT.T) along the points, for C-contiguous
+        (D, N) operands (a (D, 1) column broadcasts)."""
+        return _dot_columns(UT[1:], VT[1:]) - UT[0] * VT[0]
+
     def project(self, x):
         return self._set_time(np.asarray(x, dtype=float).copy())
 
@@ -638,13 +665,19 @@ class Hyperbolic(ManifoldSpace):
     def _tangential_many(self, x, P):
         R = self._R
         with np.errstate(over="ignore", invalid="ignore"):
-            k = self._minkowski_rows(x, P) / R**2   # -cosh(d/R)
-            if _along_points(P):   # into C-ordered rows for _minkowski_rows
-                U = np.empty(P.shape)
-                np.add(P.T, x[:, np.newaxis] * k, out=U.T)
+            # k = -cosh(d/R); along the points, on a C-contiguous (D, N)
+            # copy of P, which becomes U.T
+            if _along_points(P):
+                UT = P.T.copy()
+                xT = x[:, np.newaxis]
+                k = self._minkowski_columns(xT, UT) / R**2
+                UT += xT * k
+                U, mU = UT.T, self._minkowski_columns(UT, UT)
             else:
+                k = self._minkowski_rows(x, P) / R**2
                 U = P + k[:, np.newaxis] * x
-            nU = np.sqrt(np.maximum(self._minkowski_rows(U, U), 0.0))
+                mU = self._minkowski_rows(U, U)
+            nU = np.sqrt(np.maximum(mU, 0.0))
             near = k > -2.0
             d = R * np.arcsinh(nU / R)
             if not near.all():   # a far row, or a NaN
@@ -783,11 +816,33 @@ def _dot_rows(A, B):
     return np.einsum("...i,...i->...", A, B)
 
 
+def _dot_columns(AT, BT):
+    """_dot_rows(AT.T, BT.T), bit for bit, for a (D, N) array AT with
+    D < 8 and a BT of its shape or a (D, 1) column: the sums over D run
+    down the columns, in the order einsum sums a row of D < 8 terms.
+    That is two lanes, each started at +0.0, the even terms left to
+    right and the odd terms left to right, then even + odd: (0 + 2) + 1
+    at D = 3.  test_dot_columns_sums_in_einsums_lane_order pins it."""
+    prod = AT * BT
+    n = len(prod)
+    # einsum's +0.0 start turns a sum of -0.0 terms into +0.0; one start
+    # is enough, since even + odd is -0.0 only where both lanes are
+    even = prod[0] + 0.0
+    for i in range(2, n, 2):
+        even += prod[i]
+    if n > 1:
+        odd = prod[1]
+        for i in range(3, n, 2):
+            odd += prod[i]
+        even += odd
+    return even
+
+
 def _along_points(A):
     """Whether a kernel computes on the (D, N) transpose of an (N, D)
     array A, so that numpy's inner loop runs over the N points.  Below
-    _ALONG_POINTS rows, numpy's set-up for the transpose's mixed layouts
-    costs more than the shorter loops save.  From 8 columns on, numpy
+    _ALONG_POINTS rows, the transposed copy or mixed layouts and the
+    extra numpy calls cost more than the shorter loops save.  From 8 columns on, numpy
     sums a row pairwise, which a sum down the columns would not repeat."""
     return len(A) >= _ALONG_POINTS and A.shape[-1] < 8
 

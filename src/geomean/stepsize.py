@@ -168,6 +168,8 @@ class StepPolicy:
     def resolve(self, space, rho, p):
         if not math.isfinite(rho):
             raise DomainError(f"step policy needs a finite rho, got {rho}")
+        if rho < 0:
+            raise DomainError(f"step policy needs rho >= 0, got {rho}")
         if self.kind == "user_constant":
             if self.t is None or not 0 < self.t < math.inf:
                 raise DomainError(f"user_constant policy needs finite t > 0, "

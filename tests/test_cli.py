@@ -854,6 +854,19 @@ def test_stepsize_with_nan_rho_reports_every_policy(tmp_path, capsys):
                for r in rows)
 
 
+def test_stepsize_with_negative_rho_reports_every_policy(tmp_path, capsys):
+    # constant_curvature printed resolved_t 1.0 and "ok" for this rho
+    assert cli.main(["stepsize", "--rho", "-0.5", "--rho-prime", "1.2",
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["policy"] for r in rows] == [
+        "conjecture", "constant_curvature", "spread_compromise",
+        "exit_compromise"]
+    for r in rows:
+        assert r["preconditions"] == "step policy needs rho >= 0, got -0.5"
+        assert math.isnan(r["resolved_t"]) and math.isnan(r["stay_ball"])
+
+
 def test_circle_f2_piecewise():
     # wrap-around branches place the minima at the converged angles
     f = experiments.circle_f2

@@ -325,9 +325,11 @@ def _ref_exp_many(space, x, V):
     return Y
 
 
-@pytest.mark.parametrize("n", [1, 5, 1000])
-@pytest.mark.parametrize("space", SIX_SPACES + [Sphere(10), Hyperbolic(4)],
-                         ids=lambda s: repr(s))
+@pytest.mark.parametrize("n", [1, 5, manifolds._ALONG_POINTS - 1,
+                               manifolds._ALONG_POINTS, 1000])
+@pytest.mark.parametrize("space", SIX_SPACES + [
+    Sphere(10), Hyperbolic(4), Sphere(5), Sphere(6), Hyperbolic(5),
+    Hyperbolic(6)], ids=lambda s: repr(s))   # D = 7 is the widest along
 def test_array_kernels_keep_the_row_wise_bits(space, n, rng):
     x = space.random_point(rng)
     P = np.array([space.random_point(rng) for _ in range(n)])
@@ -335,6 +337,13 @@ def test_array_kernels_keep_the_row_wise_bits(space, n, rng):
         P[-1] = x   # a zero-distance row
         if space.kind in ("real_projective", "so3"):
             P[::2] *= -1.0   # rows of both lifts
+    if space.kind == "hyperbolic" and n > 2:
+        # rows either side of cosh(d/R) = 2, where asinh gives way to acosh
+        u = space.random_unit_tangent(x, rng)
+        for i, s in enumerate((-1e-3, 1e-3)):
+            P[i] = space.exp(x, (math.acosh(2.0) + s) * space._R * u)
+        cosh = [-space.inner(x, x, p) / space._R**2 for p in P[:2]]
+        assert cosh[0] < 2.0 < cosh[1]
     V = np.array([rng.uniform(0.0, 2.0) * space.tangent_project(x, g)
                   for g in rng.standard_normal((n, space.ambient_dim))])
     V[0] = 0.0
@@ -357,6 +366,37 @@ def test_array_kernels_keep_the_row_wise_bits(space, n, rng):
         _ref_tangential_many(space, P[i:i + rows, np.newaxis], P)[2].max(axis=1)
         for i in range(0, n, rows)])
     assert np.array_equal([space.dist_many(p, P).max() for p in P], block)
+
+
+@pytest.mark.parametrize("n", [1, 5, 127, 128, 1000])
+@pytest.mark.parametrize("D", range(1, 8))
+def test_dot_columns_sums_in_einsums_lane_order(D, n, rng):
+    # einsum sums a row of fewer than 8 products in two lanes, (0 + 2) + 1
+    # at D = 3; _dot_columns writes that order out down the columns.  If
+    # a numpy changes einsum's order, this fails before the output bytes
+    # move.  Coordinates spread over e^+-20, with signed zeros and infs.
+    for trial in range(20):
+        A = (rng.standard_normal((n, D + 1))
+             * np.exp(rng.uniform(-20.0, 20.0, (n, D + 1))))
+        A[rng.random(A.shape) < 0.1] = 0.0
+        A[rng.random(A.shape) < 0.1] = -0.0
+        if trial == 0:
+            A[rng.random(A.shape) < 0.05] = -math.inf
+        b = A[n // 2].copy()
+        # C-ordered rows, and the [:, 1:] slices that the Minkowski
+        # product takes; against one point and against the rows themselves
+        for rows, v in ((np.ascontiguousarray(A[:, :D]), b[:D]),
+                        (A[:, 1:], b[1:])):
+            with np.errstate(invalid="ignore"):
+                for got, want in (
+                        (manifolds._dot_columns(rows.T.copy(), v[:, None]),
+                         np.einsum("...i,...i->...", rows, v)),
+                        (manifolds._dot_columns(rows.T.copy(), rows.T.copy()),
+                         np.einsum("...i,...i->...", rows, rows))):
+                    # the sign bit too, where the value is not NaN
+                    assert np.array_equal(got, want, equal_nan=True)
+                    assert np.array_equal(np.signbit(got[~np.isnan(got)]),
+                                          np.signbit(want[~np.isnan(want)]))
 
 
 def test_canonical_sign_rows_keeps_rows_without_a_leading_coordinate():

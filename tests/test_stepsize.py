@@ -220,6 +220,20 @@ def test_exit_compromise_refuses_a_non_finite_rho_prime(space, rho_prime):
         f"exit_compromise policy needs a finite rho_prime, got {rho_prime}"
 
 
+@pytest.mark.parametrize("policy", [
+    StepPolicy("user_constant", t=0.7), CONJECTURE,
+    StepPolicy("constant_curvature"), StepPolicy("spread_compromise"),
+    StepPolicy("exit_compromise", rho_prime=math.pi / 2)],
+    ids=lambda p: p.kind)
+@pytest.mark.parametrize("rho", [-0.5, -1e-300, -math.pi / 6])
+def test_every_policy_refuses_a_negative_rho(policy, rho):
+    # one message for every policy: constant_curvature and user_constant
+    # resolved such a rho, and spread_compromise named 2 rho in its refusal
+    with pytest.raises(DomainError) as e:
+        policy.resolve(Sphere(2), rho, 2)
+    assert str(e.value) == f"step policy needs rho >= 0, got {rho}"
+
+
 def _bisect_200(f, rho_prime):
     """The largest-rho bisection without the early stop: 200 steps."""
     lo, hi = 1e-9 * rho_prime, rho_prime * (1.0 - 1e-9)
