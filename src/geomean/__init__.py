@@ -12,15 +12,14 @@ from .manifolds import (Circle, Euclidean, Hyperbolic, ManifoldSpace,
                         RealProjective, SO3, SpaceConstants, Sphere,
                         make_space, space_from_json)
 from .frechet import (WeightedDataset, cost, dataset_from_json,
-                      fd_hessian_quadratic_form, gradient,
-                      hessian_radial_bounds, make_dataset,
-                      uniform_hessian_bound)
+                      fd_hessian_quadratic_form, hessian_radial_bounds,
+                      make_dataset, uniform_hessian_bound)
 from .stepsize import (RateEstimate, SpreadStep, StepPolicy, exit_time_bounds,
                        rate_estimate, resolve_exit_compromise,
                        resolve_exit_compromise_bounds,
                        resolve_spread_compromise)
 from .solver import (SolverConfig, Trace, descend, fit_tail_rate,
-                     minimal_ball_estimate, one_step, trailing_rate)
+                     minimal_ball_estimate, trailing_rate)
 from .geocheck import (Chart, comparison_check, hull_check, in_hull,
                        secant_by_intersection, tethering_check)
 

@@ -14,8 +14,12 @@ certifies a record inside when its barycentric coordinates in some
 simplex of the vertices are all positive (one stacked solve per trial),
 and runs `in_hull` only for the records that certificate does not
 cover.
+
+The tethering sweep draws a block of trials one at a time, in Philox
+order, then checks the block in array passes (`tethering_check`).
 """
 
+import contextlib
 import functools
 import itertools
 import math
@@ -31,6 +35,7 @@ _DEFAULT_RADIUS_CAP = 1.5  # sampling cap for an infinite r_cx (times R on H)
 _MAX_DEGENERATE = 1000    # consecutive degenerate triangles that end a sweep
 _MIN_DET = 1e-12    # smallest simplex |det| the hull certificate uses
 _MIN_DEPTH = 1e-9   # smallest barycentric coordinate it certifies
+_TETHER_BLOCK = 512  # tethering trials drawn, then checked, together
 
 
 class Chart:
@@ -347,6 +352,12 @@ def tethering_check(space, n_trials, t_grid, seed):
     to the sampling cap (r_cx where finite), raised to min(1e-6, cap).
     On negative curvature (delta < 0) the suite is exploratory:
     violations are only reported.
+
+    Trials run in blocks of _TETHER_BLOCK, in flat memory: the draws,
+    trial by trial, then the geometry (_tethering_margins).  Report,
+    Generator state and first error are, bit for bit, those of one trial
+    at a time through make_dataset and one_step (skipping a cut-locus
+    refusal), so a failed draw raises after any error of those before.
     """
     if n_trials < 1:
         raise DomainError(f"tethering_check: need n_trials >= 1, got {n_trials}")
@@ -354,25 +365,65 @@ def tethering_check(space, n_trials, t_grid, seed):
     cap = _sampling_cap(space)
     violations = 0
     min_margin = math.inf
-    for _ in range(n_trials):
-        o = space.random_point(rng)
-        rho = max(cap * rng.random(), min(1e-6, cap))
-        n = int(rng.integers(1, 9))
-        pts = space.random_points_in_ball(o, rho, n, rng)
-        wts = rng.dirichlet(np.ones(n))
-        ds = frechet.make_dataset(space, pts, wts, o, rho)
-        x = space.random_in_ball(o, rho, rng)
-        t = t_grid[int(rng.integers(len(t_grid)))]
-        try:
-            y = solver.one_step(ds, 2.0, x, t)
-        except CutLocusError:
-            continue  # only possible in exploratory mode
-        margin = rho - space.distance(o, y)
-        min_margin = min(min_margin, margin)
-        if margin < -1e-9:
-            violations += 1
+    for start in range(0, n_trials, _TETHER_BLOCK):
+        trials = []
+        for _ in range(min(_TETHER_BLOCK, n_trials - start)):
+            wts = None
+            try:
+                o = space.random_point(rng)
+                rho = max(cap * rng.random(), min(1e-6, cap))
+                n = int(rng.integers(1, 9))
+                pts = space.random_points_in_ball(o, rho, n, rng)
+                wts = rng.dirichlet(np.ones(n))
+                x = space.random_in_ball(o, rho, rng)
+                t = t_grid[int(rng.integers(len(t_grid)))]
+            except Exception:   # earlier trials, then its make_dataset, first
+                if trials:
+                    _tethering_margins(space, trials)
+                if wts is not None:
+                    frechet.make_dataset(space, pts, wts, o, rho)
+                raise
+            trials.append((o, rho, pts, wts, x, t))
+        for margin in _tethering_margins(space, trials):
+            min_margin = min(min_margin, margin)
+            if margin < -1e-9:
+                violations += 1
     return {"suite": "tethering", "trials": n_trials,
             "violations": violations, "min_margin": min_margin, "seed": seed}
+
+
+def _tethering_margins(space, trials):
+    """The margins rho - d(o, y) of a block of trials (o, rho, points,
+    weights, x, t): one check_points, one dist_many and one log_dist_many
+    with a base point per row, then per trial one_step's own gemv
+    -(w @ logs), exp and distance.  A block they refuse is replayed."""
+    o, rho, pts, wts, x, t = zip(*trials)
+    counts = [len(p) for p in pts]
+    P = np.array([p for trial in pts for p in trial])
+    R = np.repeat(rho, counts)
+    try:
+        space.check_points(np.concatenate((P, o)))
+        inside = (space.dist_many(np.repeat(o, counts, axis=0), P)
+                  <= R + 1e-9 * np.maximum(1.0, R))
+        logs = space.log_dist_many(np.repeat(x, counts, axis=0), P)[0]
+    except GeomeanError:
+        inside = None
+    # a Dirichlet draw and a drawn rho pass make_dataset's other checks,
+    # and leave it the weights w / float(w.sum())
+    if inside is None or not inside.all():   # replay the block
+        margins = []
+        for oi, ri, pi, wi, xi, ti in trials:
+            ds = frechet.make_dataset(space, pi, wi, oi, ri)
+            with contextlib.suppress(CutLocusError):   # only exploratory
+                y = solver.one_step(ds, 2.0, xi, ti)
+                margins.append(ri - space.distance(oi, y))
+        return margins
+    margins, end = [], 0
+    for oi, ri, wi, xi, ti, n in zip(o, rho, wts, x, t, counts):
+        g = -((wi / float(wi.sum())) @ logs[end:end + n])
+        end += n
+        margins.append(ri - space.distance(oi, space.exp(xi, -ti * g)))
+    return margins
 
 
 def hull_check(space, n_trials, seed):

@@ -28,7 +28,10 @@ than 8 terms (two lanes: the even and the odd terms, each left to
 right, then even + odd); below _ALONG_POINTS rows they stay einsum
 (_dot_rows) on the (N, D) rows.  The gradient's gemv w @ logs sums in an
 order that follows the layout, so the logs stay C-ordered (N, D)
-rows.  Single-pair callers such as the
+rows.  With x of shape (N, D), a base point per row, _tangential_many,
+dist_many and log_dist_many give row i the bits of the one-point call
+on x[i]: the along path reads x.T (_column) for x[:, np.newaxis].
+Single-pair callers such as the
 descent step itself, the ball-estimate sweep's step, the oracles and
 Chart use the first; sums over the data points and the solver's monitor
 substeps use the second, which costs more than the scalar code for one
@@ -129,7 +132,8 @@ class ManifoldSpace:
 
     def _tangential_many(self, x, P):
         """_tangential over the rows of an (N, D) array P, the same
-        formulas on arrays: (U, |U|, d) for a point x of shape (D,)."""
+        formulas on arrays: (U, |U|, d) for a point x of shape (D,) or
+        a base point per row, x of shape (N, D)."""
         raise NotImplementedError
 
     def exp(self, x, v):
@@ -168,7 +172,7 @@ class ManifoldSpace:
         return (d / nu) * u, d
 
     def dist_many(self, x, P):
-        """Distances d(x, P[i]) over the rows of P, as one array."""
+        """Distances d(x, P[i]) over the rows of P (x[i] per row)."""
         return self._tangential_many(x, P)[2]
 
     def _farthest(self, x, P):
@@ -196,8 +200,9 @@ class ManifoldSpace:
 
     def log_dist_many(self, x, P):
         """(logs, d) over the rows of an (N, D) array P: row i is
-        log_dist(x, P[i]).  The first row in the cut-locus band raises the
-        CutLocusError log_dist raises for it, with `index` set to the row."""
+        log_dist(x, P[i]), or log_dist(x[i], P[i]).  The first row in the
+        cut-locus band raises the CutLocusError log_dist raises for it,
+        with `index` set to the row."""
         U, nU, d = self._tangential_many(x, P)
         band = self._band_start()
         # fmax skips NaN distances, as the elementwise test does
@@ -424,7 +429,7 @@ class Sphere(ManifoldSpace):
     def _tangential_many(self, x, P):
         if _along_points(P):
             PT = P.T.copy()
-            cosq = _dot_columns(PT, x[:, np.newaxis])
+            cosq = _dot_columns(PT, _column(x))
             return self._tangential_columns(x, PT, cosq)
         return self._tangential_cos(x, P, _dot_rows(P, x))
 
@@ -438,7 +443,7 @@ class Sphere(ManifoldSpace):
         """_tangential_many along the points: PT is a C-contiguous (D, N)
         copy of P, which becomes U.T, and cosq = _dot_columns(PT, x); U
         comes back as the (N, D) view PT.T."""
-        PT -= x[:, np.newaxis] * cosq
+        PT -= _column(x) * cosq
         nU = _norm_rows(PT.T)
         return PT.T, nU, np.arctan2(nU, cosq) / self._rk
 
@@ -553,7 +558,7 @@ class RealProjective(Sphere):
         # negating a row negates its product with x exactly
         if _along_points(P):
             PT = P.T.copy()
-            cosq = _dot_columns(PT, x[:, np.newaxis])
+            cosq = _dot_columns(PT, _column(x))
             lift = np.where(cosq >= 0.0, 1.0, -1.0)
             PT *= lift
             return self._tangential_columns(x, PT, lift * cosq)
@@ -669,7 +674,7 @@ class Hyperbolic(ManifoldSpace):
             # copy of P, which becomes U.T
             if _along_points(P):
                 UT = P.T.copy()
-                xT = x[:, np.newaxis]
+                xT = _column(x)
                 k = self._minkowski_columns(xT, UT) / R**2
                 UT += xT * k
                 U, mU = UT.T, self._minkowski_columns(UT, UT)
@@ -682,7 +687,7 @@ class Hyperbolic(ManifoldSpace):
             d = R * np.arcsinh(nU / R)
             if not near.all():   # a far row, or a NaN
                 d = np.where(near, d, R * np.arccosh(np.maximum(-k, 1.0)))
-        self._raise_first(d, x, P)
+        self._raise_first(np.isfinite(d), x, P)
         return U, nU, d
 
     def _farthest(self, x, P):
@@ -713,17 +718,16 @@ class Hyperbolic(ManifoldSpace):
 
     def log_dist_many(self, x, P):
         U, nU, d = self._tangential_many(x, P)
-        if not x[0] <= _MAX_BASE * self._R:
-            raise self._overflow_error(x, P[0])
-        self._raise_first(nU, x, P)
+        self._raise_first((x[..., 0] <= _MAX_BASE * self._R)
+                          & np.isfinite(nU), x, P)
         return _scaled_rows(U, nU, d), d
 
-    def _raise_first(self, values, x, P):
-        """Raise the overflow error of x and the first row of P whose
-        value is not finite, if there is one."""
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise self._overflow_error(x, P[int(np.argmin(finite))])
+    def _raise_first(self, ok, x, P):
+        """Raise the overflow error of the first row of P where ok is
+        False, if there is one, with its base: x, or its row of x."""
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise self._overflow_error(x if x.ndim == 1 else x[i], P[i])
 
     def _overflow_error(self, x, y):
         """The error of a pair whose tangential part is not finite, or is
@@ -836,6 +840,11 @@ def _dot_columns(AT, BT):
             odd += prod[i]
         even += odd
     return even
+
+
+def _column(x):
+    """The along path's base: x[:, np.newaxis] or, per row, x.T."""
+    return x[:, np.newaxis] if x.ndim == 1 else x.T
 
 
 def _along_points(A):

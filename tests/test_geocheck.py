@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -8,12 +9,15 @@ import pytest
 
 import geomean
 from geomean import geocheck
-from geomean.errors import DomainError
+from geomean.errors import CutLocusError, DomainError
+from geomean.frechet import make_dataset
 from geomean.geocheck import (Chart, comparison_check, in_hull,
                               sample_triangle, secant_by_intersection,
                               tethering_check, triangle_data)
 from geomean.kernels import secant_euclid, secant_sphere
-from geomean.manifolds import Euclidean, Hyperbolic, RealProjective, SO3, Sphere
+from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
+                               SO3, Sphere)
+from geomean.solver import one_step
 
 
 def test_secant_oracle_trivial_alpha1_zero(rng):
@@ -426,19 +430,203 @@ def test_tethering_check_spaces():
 @pytest.mark.parametrize("kappa", [1e14, 1e300])
 def test_tethering_balls_stay_within_r_cx(kappa, monkeypatch):
     # r_cx < 1e-6 here: the floor on a trial's ball radius is r_cx itself,
-    # so every ball checked is one the tethering result covers
+    # so every ball checked is one the tethering result covers.  A trial
+    # samples its points and its x from one ball, (o, rho), at the sampler
     sp = Sphere(2, kappa=kappa)
     r_cx = sp.constants().r_cx
-    radii, make_dataset = [], geocheck.frechet.make_dataset
+    balls, sample = set(), sp.random_points_in_ball
 
-    def spy(space, pts, wts, o, rho):
-        radii.append(rho)
-        return make_dataset(space, pts, wts, o, rho)
+    def spy(center, radius, count, rng):
+        balls.add((center.tobytes(), radius))
+        return sample(center, radius, count, rng)
 
-    monkeypatch.setattr(geocheck.frechet, "make_dataset", spy)
+    monkeypatch.setattr(sp, "random_points_in_ball", spy)
     rep = tethering_check(sp, 50, (0.25, 0.5, 1.0), seed=0)
+    radii = [radius for _, radius in balls]
     assert len(radii) == 50 and max(radii) <= r_cx
     assert rep["violations"] == 0 and rep["min_margin"] <= r_cx
+
+
+def _tethering_one_at_a_time(space, n_trials, t_grid, seed, points=None):
+    """Reference: the tethering suite one trial at a time through
+    make_dataset, one_step and distance, skipping a trial one_step
+    refuses at the cut locus.  Returns (report, the Generator's state
+    afterwards, the margins of the trials not skipped, the number
+    skipped); appends each trial's points to `points` where given."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    cap = geocheck._sampling_cap(space)
+    violations, min_margin, margins, skipped = 0, math.inf, [], 0
+    for _ in range(n_trials):
+        o = space.random_point(rng)
+        rho = max(cap * rng.random(), min(1e-6, cap))
+        n = int(rng.integers(1, 9))
+        pts = space.random_points_in_ball(o, rho, n, rng)
+        if points is not None:
+            points.append(pts)
+        wts = rng.dirichlet(np.ones(n))
+        ds = make_dataset(space, pts, wts, o, rho)
+        x = space.random_in_ball(o, rho, rng)
+        t = t_grid[int(rng.integers(len(t_grid)))]
+        try:
+            y = one_step(ds, 2.0, x, t)
+        except CutLocusError:
+            skipped += 1
+            continue
+        margin = rho - space.distance(o, y)
+        margins.append(margin)
+        min_margin = min(min_margin, margin)
+        if margin < -1e-9:
+            violations += 1
+    report = {"suite": "tethering", "trials": n_trials,
+              "violations": violations, "min_margin": min_margin,
+              "seed": seed}
+    return report, _philox_state(rng), margins, skipped
+
+
+def _philox_state(rng):
+    """A Generator's bit_generator state as JSON text (it holds arrays)."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist,
+                      sort_keys=True)
+
+
+def _tethering_observed(monkeypatch, space, n_trials, t_grid, seed):
+    """tethering_check's report, its Generator's state afterwards, and
+    the margins its blocks gave, in order."""
+    made, margins, Generator = [], [], np.random.Generator
+    tethering_margins = geocheck._tethering_margins
+
+    def generator(bit_generator):
+        made.append(Generator(bit_generator))
+        return made[-1]
+
+    def spy(space, trials):
+        block = tethering_margins(space, trials)
+        margins.extend(block)
+        return block
+
+    with monkeypatch.context() as m:
+        m.setattr(geocheck.np.random, "Generator", generator)
+        m.setattr(geocheck, "_tethering_margins", spy)
+        report = tethering_check(space, n_trials, t_grid, seed)
+    assert len(made) == 1
+    return report, _philox_state(made[0]), margins
+
+
+_TETHERING_SPACES = [Euclidean(2), Sphere(2), Circle(1.0), Hyperbolic(2),
+                     RealProjective(2), SO3(), Sphere(3)]
+
+
+@pytest.mark.parametrize("t_grid", [(1.0,), (0.25, 0.5, 0.75, 1.0)])
+@pytest.mark.parametrize("seed", [0, 7, 21])
+@pytest.mark.parametrize("space", _TETHERING_SPACES, ids=lambda s: repr(s))
+def test_tethering_equals_one_trial_at_a_time(space, seed, t_grid,
+                                              monkeypatch):
+    # blocks of 7 trials: 40 trials span six blocks, the last one short
+    monkeypatch.setattr(geocheck, "_TETHER_BLOCK", 7)
+    want = _tethering_one_at_a_time(space, 40, t_grid, seed)
+    assert want[3] == 0
+    assert _tethering_observed(monkeypatch, space, 40, t_grid,
+                               seed) == want[:3]
+
+
+@pytest.mark.parametrize("space", _TETHERING_SPACES, ids=lambda s: repr(s))
+def test_tethering_blocks_along_the_points_equal_one_trial_at_a_time(
+        space, monkeypatch):
+    # at the block size in use, a block's rows reach the kernels' along
+    # path (manifolds._ALONG_POINTS), and 600 trials end on a short block
+    grid = (0.25, 0.5, 0.75, 1.0)
+    want = _tethering_one_at_a_time(space, 600, grid, 3)
+    assert _tethering_observed(monkeypatch, space, 600, grid, 3) == want[:3]
+
+
+@pytest.mark.parametrize("space", [Sphere(2), SO3()], ids=lambda s: s.kind)
+def test_tethering_skips_the_trials_one_step_refuses(space, monkeypatch):
+    # a cut-locus band from distance 1: one_step refuses some trials,
+    # which the suite skips as one trial at a time does
+    monkeypatch.setattr(geocheck, "_TETHER_BLOCK", 7)
+    monkeypatch.setattr(Sphere, "_band_start", lambda self: 1.0)
+    grid = (0.25, 0.5, 1.0)
+    want = _tethering_one_at_a_time(space, 60, grid, 5)
+    assert 0 < want[3] < 60
+    assert _tethering_observed(monkeypatch, space, 60, grid, 5) == want[:3]
+
+
+@pytest.mark.parametrize("seed, drawn_before", [(0, 2), (12, 6)])
+def test_tethering_raises_the_sampler_overflow_of_one_trial_at_a_time(
+        seed, drawn_before, monkeypatch):
+    # on H with R = 1/sqrt(1e-299) a sampled step overflows within a few
+    # trials: the same error, in blocks of 2 trials, in the first block
+    # (seed 0) and in the fourth (seed 12)
+    monkeypatch.setattr(geocheck, "_TETHER_BLOCK", 2)
+    space, drawn = Hyperbolic(2, kappa=-1e-299), []
+    with pytest.raises(DomainError) as want:
+        _tethering_one_at_a_time(space, 2000, (1.0,), seed, points=drawn)
+    assert len(drawn) == drawn_before
+    with pytest.raises(DomainError) as got:
+        tethering_check(space, 2000, (1.0,), seed)
+    assert str(got.value) == str(want.value)
+    assert "overflows" in str(got.value)
+
+
+def _inject(monkeypatch, space, refused, outside, x_draw_fails):
+    """Make space.check_points refuse an array holding a row of `refused`
+    (point bytes -> label), space.dist_many give 10.0 for the rows of
+    `outside`, and space.random_in_ball fail on call `x_draw_fails`."""
+    check_points, dist_many = space.check_points, space.dist_many
+    random_in_ball, calls = space.random_in_ball, []
+
+    def refusing_check_points(X):
+        for row in np.asarray(X):
+            if row.tobytes() in refused:
+                raise DomainError(f"refused {refused[row.tobytes()]}")
+        return check_points(X)
+
+    def far_dist_many(x, P):
+        d = dist_many(x, P)
+        d[[row.tobytes() in outside for row in P]] = 10.0
+        return d
+
+    def failing_random_in_ball(center, radius, rng):
+        calls.append(None)
+        if len(calls) - 1 == x_draw_fails:
+            raise DomainError("x draw failed")
+        return random_in_ball(center, radius, rng)
+
+    monkeypatch.setattr(space, "check_points", refusing_check_points)
+    monkeypatch.setattr(space, "dist_many", far_dist_many)
+    monkeypatch.setattr(space, "random_in_ball", failing_random_in_ball)
+
+
+_OUTSIDE = "point 0 at distance 10.0 outside ball of radius .*"
+
+
+@pytest.mark.parametrize("refuse, outside, x_draw_fails, error", [
+    ((10,), (), None, "refused trial 10"),
+    ((12, 10), (), None, "refused trial 10"),
+    ((12,), (10,), None, _OUTSIDE),
+    ((), (10,), 12, _OUTSIDE),
+    ((10,), (), 12, "refused trial 10"),   # the draw after it fails
+    ((12,), (), 12, "refused trial 12"),   # its own x draw fails
+    ((12,), (), 10, "x draw failed"),
+    ((), (), 3, "x draw failed"),
+])
+def test_tethering_raises_the_first_error_of_one_trial_at_a_time(
+        refuse, outside, x_draw_fails, error, monkeypatch):
+    # errors injected past the first block of 7 trials: make_dataset's
+    # (check_points refusing the first point of a trial, or that point
+    # outside the ball) and a draw's (the x of a trial), which the suite
+    # raises in one-trial-at-a-time order
+    monkeypatch.setattr(geocheck, "_TETHER_BLOCK", 7)
+    space, points, grid = Sphere(2), [], (0.5, 1.0)
+    _tethering_one_at_a_time(space, 20, grid, 11, points=points)
+    refused = {points[k][0].tobytes(): f"trial {k}" for k in refuse}
+    far = {points[k][0].tobytes() for k in outside}
+    for run in (lambda: _tethering_one_at_a_time(space, 20, grid, 11),
+                lambda: tethering_check(space, 20, grid, 11)):
+        with monkeypatch.context() as m:
+            _inject(m, space, refused, far, x_draw_fails)
+            with pytest.raises(DomainError, match=f"^{error}$"):
+                run()
 
 
 def test_tethering_t0_identity(rng):

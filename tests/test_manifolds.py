@@ -366,6 +366,28 @@ def test_array_kernels_keep_the_row_wise_bits(space, n, rng):
         _ref_tangential_many(space, P[i:i + rows, np.newaxis], P)[2].max(axis=1)
         for i in range(0, n, rows)])
     assert np.array_equal([space.dist_many(p, P).max() for p in P], block)
+    # a base point per row, X of shape (n, D): row i of each kernel is its
+    # one-point call on X[i], as the tethering suite made it trial by trial
+    X = np.array([space.random_point(rng) for _ in range(n)])
+    Q = np.array([space.random_point(rng) for _ in range(n)])
+    if n > 1:
+        Q[-1] = X[-1]   # a zero-distance row
+        if space.kind in ("real_projective", "so3"):
+            Q[::2] *= -1.0   # rows of both lifts
+    if space.kind == "hyperbolic" and n > 2:
+        for i, s in enumerate((-1e-3, 1e-3)):   # either side of cosh = 2
+            u = space.random_unit_tangent(X[i], rng)
+            Q[i] = space.exp(X[i], (math.acosh(2.0) + s) * space._R * u)
+    for kernel in (space._tangential_many, space.dist_many,
+                   space.log_dist_many):
+        rows = kernel(X, Q)
+        for i in range(n):
+            one = kernel(X[i], Q[i:i + 1])
+            if kernel == space.dist_many:
+                assert np.array_equal(rows[i], one[0])
+            else:
+                assert all(np.array_equal(a[i], b[0])
+                           for a, b in zip(rows, one))
 
 
 @pytest.mark.parametrize("n", [1, 5, 127, 128, 1000])

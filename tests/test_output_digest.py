@@ -43,6 +43,27 @@ def test_all_workloads_print_one_line_per_op(capsys, monkeypatch):
                    "--seed", "3") == lines
 
 
+def test_suites_print_one_line_per_suite_op(capsys, monkeypatch):
+    # not a benchmark workload: each suite on each of the six spaces, but
+    # comparison not on the circle (dim 1), at the run's seed
+    lines = _digest(capsys, monkeypatch, "--workload", "suites",
+                    "--seed", "3", "--seed", "17")
+    ops = output_digest.suite_ops(3, float(_SCALE))
+    ids = [op["id"] for op in ops]
+    assert len(set(ids)) == 17 and "comparison-circle" not in ids
+    for op in ops:
+        suite, space = op["id"].split("-")
+        assert op["argv"][:4] == ["check", suite, "--space", space]
+        assert ("--kappa=-1" in op["argv"]) == (space == "hyperbolic")
+        assert op["argv"][-2:] == ["--seed", "3"]
+    assert lines[0] == "# suites seed 3" and lines[18] == "# suites seed 17"
+    for block in (lines[1:18], lines[19:]):
+        assert [line.split()[:2] for line in block] == [
+            [op["id"], "rc=0"] for op in ops]
+    # `all` stays the three benchmark workloads
+    assert "suites" not in output_digest.WORKLOADS
+
+
 def test_one_ulp_in_one_output_changes_that_op_line(capsys, monkeypatch):
     argv = ("--workload", "small-means", "--seed", "3")
     before = _digest(capsys, monkeypatch, *argv)

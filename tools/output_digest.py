@@ -4,6 +4,7 @@
     python3 tools/output_digest.py --workload bulk-mean --seed 17 --root OTHER
     python3 tools/output_digest.py --workload all --seed 3 --seed 17
     python3 tools/output_digest.py --workload all --seed 3 --against OTHER
+    python3 tools/output_digest.py --workload suites --seed 3 --against OTHER
 
 Builds the op list of `bench/workloads.py` (`warmup_ops`, then
 `make_ops`), runs each op in-process through `geomean.cli.main` with an
@@ -16,6 +17,12 @@ and written files are byte-identical, so a `diff` of this output
 between two checkouts is a byte-identity gate.  `--workload all` runs
 the three workloads in turn, and each `--seed` runs them again; a line
 `# WORKLOAD seed S` heads the op lines of each run.
+
+`--workload suites` is not a benchmark workload but an op list kept
+here (`suite_ops`): the three Monte Carlo suites on all six spaces at
+50 trials, seeded by `--seed`.  certify-suites runs tethering only on
+the sphere, SO(3) and the circle, and comparison and hull on three
+spaces each, so these ops widen the gate to every suite and space.
 
 `geomean` and the workloads are imported from `--root` (default: the
 checkout holding this script); nothing under `bench/` is written.
@@ -39,6 +46,9 @@ import tempfile
 import warnings
 
 WORKLOADS = ("bulk-mean", "small-means", "certify-suites")
+SUITE_SPACES = ("euclidean", "sphere", "circle", "hyperbolic",
+                "real_projective", "so3")
+SUITE_TRIALS = 50
 
 
 def _sha(data):
@@ -68,7 +78,7 @@ def main(argv=None):
     checkout = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True,
-                    choices=WORKLOADS + ("all",))
+                    choices=WORKLOADS + ("all", "suites"))
     ap.add_argument("--seed", type=int, required=True, action="append",
                     help="repeat to run each seed in turn")
     ap.add_argument("--scale", type=float, default=1.0)
@@ -120,11 +130,30 @@ def print_differences(other, ours):
     return differ
 
 
+def suite_ops(seed, scale):
+    """The ops of `--workload suites`: `check` of each suite on each of
+    SUITE_SPACES at SUITE_TRIALS trials (times scale, at least 2) and
+    the given seed.  comparison needs dim >= 2, which the circle alone
+    lacks; H takes kappa = -1, as the CLI's default is outside its
+    domain."""
+    trials = str(max(2, int(round(SUITE_TRIALS * scale))))
+    return [{"id": f"{suite}-{space}", "kind": suite,
+             "argv": ["check", suite, "--space", space,
+                      *(["--kappa=-1"] if space == "hyperbolic" else []),
+                      "--trials", trials, "--seed", str(seed)]}
+            for suite in ("tethering", "comparison", "hull")
+            for space in SUITE_SPACES
+            if not (suite == "comparison" and space == "circle")]
+
+
 def run_workload(cli, workloads, name, seed, scale):
     """The line of every op of one workload at one seed, warm-ups first,
     each run in a temporary directory of its own."""
-    warm = workloads.warmup_ops(name)
-    ops = workloads.make_ops(name, seed, scale)
+    if name == "suites":
+        warm, ops = [], suite_ops(seed, scale)
+    else:
+        warm = workloads.warmup_ops(name)
+        ops = workloads.make_ops(name, seed, scale)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
