@@ -15,8 +15,14 @@ simplex of the vertices are all positive (one stacked solve per trial),
 and runs `in_hull` only for the records that certificate does not
 cover.
 
-The tethering sweep draws a block of trials one at a time, in Philox
-order, then checks the block in array passes (`tethering_check`).
+The three Monte Carlo sweeps sample in two phases (manifolds.Draws):
+a block of trials makes its Generator calls in the order of one trial
+at a time, then its points are made in array passes; comparison reads
+the block's triangles in arrays too, and hull runs a block's descents
+after drawing it.  Where phase 2 refuses a block, the Generator
+goes back to its start and the block is drawn again one trial at a
+time (`_in_blocks`), so the Philox stream and the first error are those
+of one trial at a time.
 """
 
 import contextlib
@@ -29,13 +35,13 @@ import numpy as np
 from .errors import (CutLocusError, DegenerateSecantError, DomainError,
                      GeomeanError)
 from .kernels import secant_euclid, secant_sphere
-from . import frechet, solver
+from . import frechet, manifolds, solver
 
 _DEFAULT_RADIUS_CAP = 1.5  # sampling cap for an infinite r_cx (times R on H)
 _MAX_DEGENERATE = 1000    # consecutive degenerate triangles that end a sweep
 _MIN_DET = 1e-12    # smallest simplex |det| the hull certificate uses
 _MIN_DEPTH = 1e-9   # smallest barycentric coordinate it certifies
-_TETHER_BLOCK = 512  # tethering trials drawn, then checked, together
+_BLOCK = 128  # Monte Carlo trials drawn, then checked, together
 
 
 class Chart:
@@ -150,18 +156,6 @@ def _sampling_cap(space):
     return _DEFAULT_RADIUS_CAP
 
 
-def sample_triangle(space, rng, max_radius=None):
-    """(o, radius, x, y1, y2): a random ball B(o, radius), radius uniform
-    below max_radius (default the sampling cap, r_cx where finite), and
-    a triangle (x, y1, y2) inside it from one random_points_in_ball
-    call, which draws the vertices in that order."""
-    cap = _sampling_cap(space) if max_radius is None else max_radius
-    center = space.random_point(rng)
-    radius = cap * rng.random()
-    x, y1, y2 = space.random_points_in_ball(center, radius, 3, rng)
-    return center, radius, x, y1, y2
-
-
 def triangle_data(space, x, y1, y2):
     """Side lengths (b, c) and the vertex angle alpha at x."""
     return _triangle(space, x, y1, y2)[:3]
@@ -195,6 +189,14 @@ def comparison_check(space, n_trials, seed):
     with no angle at x strictly inside (1e-9, pi - 1e-9) is drawn again;
     _MAX_DEGENERATE such draws in a row raise DomainError (on a very
     curved space every side falls below _triangle's 1e-14 floor).
+
+    Trials run in blocks of up to _BLOCK (_comparison_draws), their
+    sides and angles in array passes (_triangles).  A degenerate
+    triangle draws no alpha1, so each trial keeps the Generator state
+    before that draw, and the first degenerate one sends the Generator
+    back there; the next block starts after it, with about twice as many
+    trials as the last one kept, so runs of degenerate triangles draw
+    little ahead.
     """
     if n_trials < 1:
         raise DomainError(f"comparison_check: need n_trials >= 1, got {n_trials}")
@@ -204,32 +206,78 @@ def comparison_check(space, n_trials, seed):
     violations = 0
     min_margin = math.inf
     done = degenerate = 0
-    while done < n_trials:
-        _, _, x, y1, y2 = sample_triangle(space, rng)
-        b, c, alpha = triangle_data(space, x, y1, y2)
-        if alpha <= 1e-9 or alpha >= math.pi - 1e-9:
-            degenerate += 1
-            if degenerate == _MAX_DEGENERATE:
-                raise DomainError(
-                    f"comparison_check: {degenerate} sampled triangles in a "
-                    f"row were degenerate in balls of radius up to "
-                    f"{_sampling_cap(space):g}")
-            continue
-        degenerate = 0
-        a1 = alpha * rng.random()
-        a2 = alpha - a1
-        zt = secant_euclid(b, c, a1, a2)
-        if space.kappa > 0:
-            z = secant_sphere(b, c, a1, a2, space.kappa)
-        else:
-            z = secant_by_intersection(space, x, y1, y2, a1)
-        margin = z - zt
-        min_margin = min(min_margin, margin)
-        if margin < -1e-12:
-            violations += 1
-        done += 1
+    size = _BLOCK
+    draw = functools.partial(_comparison_draws, space, rng)
+    for trials in _in_blocks(rng, draw,
+                             iter(lambda: min(size, n_trials - done), 0)):
+        size = min(_BLOCK, 2 * len(trials))   # twice the trials kept
+        for i, ((x, y1, y2), b, c, alpha, before, u) in enumerate(trials):
+            if alpha <= 1e-9 or alpha >= math.pi - 1e-9:
+                rng.bit_generator.state = before   # no alpha1 drawn
+                size = min(_BLOCK, 2 * i + 1)
+                degenerate += 1
+                if degenerate == _MAX_DEGENERATE:
+                    raise DomainError(
+                        f"comparison_check: {degenerate} sampled triangles "
+                        f"in a row were degenerate in balls of radius up to "
+                        f"{_sampling_cap(space):g}")
+                break
+            degenerate = 0
+            a1 = alpha * u
+            a2 = alpha - a1
+            zt = secant_euclid(b, c, a1, a2)
+            if space.kappa > 0:
+                z = secant_sphere(b, c, a1, a2, space.kappa)
+            else:
+                z = secant_by_intersection(space, x, y1, y2, a1)
+            margin = z - zt
+            min_margin = min(min_margin, margin)
+            if margin < -1e-12:
+                violations += 1
+            done += 1
     return {"suite": "comparison", "trials": n_trials,
             "violations": violations, "min_margin": min_margin, "seed": seed}
+
+
+def _comparison_draws(space, rng, count, careful):
+    """`count` comparison trials drawn in Philox order, as
+    ((x, y1, y2), b, c, alpha, the Generator state before the uniform
+    alpha1 is drawn from, that uniform), after phase 2 and _triangles;
+    None where either refuses."""
+    cap = _sampling_cap(space)
+    draws, drawn = manifolds.Draws(space, rng, careful), []
+    for _ in range(count):
+        tri = draws.ball(draws.point(), cap * rng.random(), 3)
+        state = rng.bit_generator.state
+        drawn.append((tri, state, rng.random()))
+    if not draws.finish():
+        return None
+    T = np.array([tri for tri, _, _ in drawn])
+    try:
+        sides = _triangles(space, T[:, 0], T[:, 1], T[:, 2])
+    except GeomeanError:
+        if careful:
+            raise
+        return None
+    return [(tri, b, c, alpha, state, u) for (tri, state, u), b, c, alpha
+            in zip(drawn, *(a.tolist() for a in sides))]
+
+
+def _triangles(space, X, Y1, Y2):
+    """triangle_data over the rows of X, Y1 and Y2, in array passes:
+    arrays b, c and alpha, alpha 0 where b or c is below 1e-14."""
+    V1 = space.log_dist_many(X, Y1)[0]
+    V2 = space.log_dist_many(X, Y2)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = np.sqrt(np.maximum(space._inner_rows(V1, V1), 0.0))
+        c = np.sqrt(np.maximum(space._inner_rows(V2, V2), 0.0))
+        E1 = V1 / b[:, np.newaxis]
+        along = space._inner_rows(V2, E1)
+        W = V2 - along[:, np.newaxis] * E1
+        nw = np.sqrt(np.maximum(space._inner_rows(W, W), 0.0))
+        alpha = np.arctan2(nw, c * np.clip(along / c, -1.0, 1.0))
+    alpha[(b < 1e-14) | (c < 1e-14)] = 0.0
+    return b, c, alpha
 
 
 def in_hull(V, q, tol):
@@ -353,43 +401,69 @@ def tethering_check(space, n_trials, t_grid, seed):
     On negative curvature (delta < 0) the suite is exploratory:
     violations are only reported.
 
-    Trials run in blocks of _TETHER_BLOCK, in flat memory: the draws,
-    trial by trial, then the geometry (_tethering_margins).  Report,
-    Generator state and first error are, bit for bit, those of one trial
-    at a time through make_dataset and one_step (skipping a cut-locus
-    refusal), so a failed draw raises after any error of those before.
+    Trials run in blocks of _BLOCK, in flat memory: the draws, then the
+    points in array passes (_dataset_trials), then the geometry
+    (_tethering_margins).  Report, Generator state and first error are
+    those of one trial at a time through make_dataset and one_step
+    (skipping a cut-locus refusal).
     """
     if n_trials < 1:
         raise DomainError(f"tethering_check: need n_trials >= 1, got {n_trials}")
     rng = np.random.Generator(np.random.Philox(seed))
-    cap = _sampling_cap(space)
     violations = 0
     min_margin = math.inf
-    for start in range(0, n_trials, _TETHER_BLOCK):
-        trials = []
-        for _ in range(min(_TETHER_BLOCK, n_trials - start)):
-            wts = None
-            try:
-                o = space.random_point(rng)
-                rho = max(cap * rng.random(), min(1e-6, cap))
-                n = int(rng.integers(1, 9))
-                pts = space.random_points_in_ball(o, rho, n, rng)
-                wts = rng.dirichlet(np.ones(n))
-                x = space.random_in_ball(o, rho, rng)
-                t = t_grid[int(rng.integers(len(t_grid)))]
-            except Exception:   # earlier trials, then its make_dataset, first
-                if trials:
-                    _tethering_margins(space, trials)
-                if wts is not None:
-                    frechet.make_dataset(space, pts, wts, o, rho)
-                raise
-            trials.append((o, rho, pts, wts, x, t))
+    for trials in _dataset_trials(space, rng, n_trials, t_grid):
         for margin in _tethering_margins(space, trials):
             min_margin = min(min_margin, margin)
             if margin < -1e-9:
                 violations += 1
     return {"suite": "tethering", "trials": n_trials,
             "violations": violations, "min_margin": min_margin, "seed": seed}
+
+
+def _in_blocks(rng, draw, sizes):
+    """The blocks of trials draw(count, careful) gives, one for each
+    count in `sizes`, each yielded before the next count is read.  Where
+    it refuses a block (None), the Generator goes back to the block's
+    start and the block is drawn again one careful trial at a time, so
+    the first error raises where one trial at a time raises it."""
+    for count in sizes:
+        state = rng.bit_generator.state
+        trials = draw(count, False)
+        if trials is not None:
+            yield trials
+            continue
+        rng.bit_generator.state = state
+        for _ in range(count):
+            yield draw(1, True)
+
+
+def _dataset_trials(space, rng, n_trials, t_grid):
+    """The tethering trials (o, rho, points, weights, x, t), or the hull
+    trials where t_grid is None (no weights, no t), in blocks of _BLOCK:
+    drawn in Philox order, then filled in by phase 2.  Careful, a trial's
+    make_dataset runs before its x draw, as one trial at a time runs it."""
+    cap = _sampling_cap(space)
+
+    def draw(count, careful):
+        draws, trials = manifolds.Draws(space, rng, careful), []
+        for _ in range(count):
+            o = draws.point()
+            u = rng.random()
+            if t_grid is None:
+                rho, n = cap * (0.1 + 0.9 * u), int(rng.integers(3, 7))
+            else:
+                rho, n = max(cap * u, min(1e-6, cap)), int(rng.integers(1, 9))
+            pts = draws.ball(o, rho, n)
+            wts = None if t_grid is None else rng.dirichlet(np.ones(n))
+            if careful:
+                frechet.make_dataset(space, pts, wts, o, rho)
+            x = draws.ball(o, rho, 1)[0]
+            t = None if t_grid is None else t_grid[int(rng.integers(len(t_grid)))]
+            trials.append((o, rho, pts, wts, x, t))
+        return trials if draws.finish() else None
+    sizes = (min(_BLOCK, n_trials - s) for s in range(0, n_trials, _BLOCK))
+    return _in_blocks(rng, draw, sizes)
 
 
 def _tethering_margins(space, trials):
@@ -399,7 +473,7 @@ def _tethering_margins(space, trials):
     -(w @ logs), exp and distance.  A block they refuse is replayed."""
     o, rho, pts, wts, x, t = zip(*trials)
     counts = [len(p) for p in pts]
-    P = np.array([p for trial in pts for p in trial])
+    P = np.concatenate(pts)
     R = np.repeat(rho, counts)
     try:
         space.check_points(np.concatenate((P, o)))
@@ -430,42 +504,45 @@ def hull_check(space, n_trials, seed):
     """Hull-trap sweep: once a descent iterate enters the convex hull of
     the data, later iterates must stay inside.
 
-    A record's verdict is the simplex certificate (`_certified_inside`)
-    or else `in_hull`.  The records are charted ahead of the sweep, but
-    a record the chart refuses raises only if the sweep, which stops at
-    the first violation, reaches it.
+    The trials are drawn in blocks (_dataset_trials); their descents
+    draw nothing.  A record's verdict is the simplex certificate
+    (`_certified_inside`) or else `in_hull`.  The records are charted
+    ahead of the sweep, but a record the chart refuses raises only if
+    the sweep, which stops at the first violation, reaches it.
     """
     if n_trials < 1:
         raise DomainError(f"hull_check: need n_trials >= 1, got {n_trials}")
     rng = np.random.Generator(np.random.Philox(seed))
-    cap = _sampling_cap(space)
     violations = 0
-    for _ in range(n_trials):
-        o = space.random_point(rng)
-        rho = cap * (0.1 + 0.9 * rng.random())
-        n = int(rng.integers(3, 7))
-        pts = space.random_points_in_ball(o, rho, n, rng)
-        ds = frechet.make_dataset(space, pts, None, o, rho)
-        x0 = space.random_in_ball(o, rho, rng)
-        tr = solver.descend(ds, solver.SolverConfig(
-            p=2.0, step=1.0, grad_tol=1e-9, max_iters=60), x0=x0)
-        chart = Chart(space, o)
-        V = np.array([chart.forward(p) for p in pts])
-        Q = []
-        for rec in tr.records:
-            try:
-                Q.append(chart.forward(rec.point))
-            except GeomeanError:
-                break
-        certified = _certified_inside(V, np.reshape(Q, (len(Q), space.dim)))
-        entered = False
-        for i, rec in enumerate(tr.records):
-            if i == len(Q):   # the sweep reached a record forward refused
-                chart.forward(rec.point)
-            inside = certified[i] or in_hull(V, Q[i], 1e-8)
-            if entered and not inside:
-                violations += 1
-                break
-            entered = entered or inside
+    for trials in _dataset_trials(space, rng, n_trials, None):
+        for o, rho, pts, _, x0, _ in trials:
+            ds = frechet.make_dataset(space, pts, None, o, rho)
+            violations += _hull_trap_violated(ds, x0)
     return {"suite": "hull", "trials": n_trials, "violations": violations,
             "min_margin": math.nan, "seed": seed}
+
+
+def _hull_trap_violated(ds, x0):
+    """Whether the descent from x0 leaves the hull of ds's points after
+    entering it."""
+    space = ds.space
+    tr = solver.descend(ds, solver.SolverConfig(
+        p=2.0, step=1.0, grad_tol=1e-9, max_iters=60), x0=x0)
+    chart = Chart(space, ds.ball_center)
+    V = np.array([chart.forward(p) for p in ds.points])
+    Q = []
+    for rec in tr.records:
+        try:
+            Q.append(chart.forward(rec.point))
+        except GeomeanError:
+            break
+    certified = _certified_inside(V, np.reshape(Q, (len(Q), space.dim)))
+    entered = False
+    for i, rec in enumerate(tr.records):
+        if i == len(Q):   # the sweep reached a record forward refused
+            chart.forward(rec.point)
+        inside = certified[i] or in_hull(V, Q[i], 1e-8)
+        if entered and not inside:
+            return True
+        entered = entered or inside
+    return False

@@ -41,10 +41,9 @@ certifies the order.  Norms are numpy's own definition of
 np.linalg.norm for these arguments, math.sqrt(u.dot(u)) for one vector
 and _norm_rows for the rows of an array, without its argument handling.
 
-On the sphere family, the per-pair methods (exp, _tangential,
-tangent_project, and the ball sampler's last step, which draws the
-direction and takes the step in one pass) do their elementwise
-arithmetic on Python floats from x.tolist(), around
+On the sphere family, the per-pair methods (exp, _tangential and
+tangent_project) do their elementwise arithmetic on Python floats from
+x.tolist(), around
 the same ndarray.dot calls as the numpy expressions they replace, which
 saves numpy's per-call overhead on 3- and 4-vectors.  IEEE rounds a
 product, quotient or difference of two floats the same way in Python as
@@ -58,10 +57,16 @@ np.errstate is entered (_wide_dot) only where math.hypot of an operand
 reaches _MAX_COORD and the dot could pass the float range; there it
 gives numpy's inf or NaN, without the warning.
 
-random_points_in_ball draws k points of one ball in one call, with the
-radius checks and the density's maximum worked out once, and gives the
-points and the Generator state of k random_in_ball calls, which is its
-one-point case.  check_points accepts all rows on the representation
+Random points and ball samples are drawn in two phases (Draws): phase 1
+makes only the Generator calls, in the order of one point at a time,
+and phase 2 makes the points from the draws in array passes, with a
+center per row (_random_points, _ball_points: the tangent part of each
+normal, normalised, then exp_many).  Those passes move points by
+rounding from the per-pair forms, but not the draws.  random_point and
+random_points_in_ball (random_in_ball is its one-point case) finish
+each point at its draw.
+
+check_points accepts all rows on the representation
 errors alone where they flag every row with a non-finite coordinate
 (_ERRORS_SEE_NON_FINITE: the sphere family and H); Euclidean space,
 whose error is 0, keeps the finiteness test.
@@ -77,7 +82,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CutLocusError, DomainError
+from .errors import CutLocusError, DomainError, GeomeanError
 from .kernels import sn
 
 _CANON_TOL = 1e-9  # first coordinate of magnitude above this fixes the sign
@@ -141,7 +146,8 @@ class ManifoldSpace:
 
     def exp_many(self, x, V):
         """exp over the rows of an (N, D) array V of tangent vectors at x,
-        the same formulas on arrays: row i is exp(x, V[i])."""
+        the same formulas on arrays: row i is exp(x, V[i]), or exp(x[i],
+        V[i]) for x of shape (N, D), a base point per row."""
         raise NotImplementedError
 
     def tangent_project(self, x, g):
@@ -152,7 +158,18 @@ class ManifoldSpace:
         """The SpaceConstants built once at construction."""
         return self._constants
 
+    def _tangent_rows(self, C, G):
+        """tangent_project over the rows of G, at C or C[i] per row."""
+        raise NotImplementedError
+
     def random_point(self, rng):
+        """A random point: _random_points of one standard normal draw."""
+        g = rng.standard_normal(self.ambient_dim)
+        return self._random_points(g[np.newaxis])[0]
+
+    def _random_points(self, G):
+        """The random points made of (N, D) standard normal draws G, one
+        point a row."""
         raise NotImplementedError
 
     # -- shared plumbing -----------------------------------------------
@@ -260,21 +277,6 @@ class ManifoldSpace:
         """Representation error of each row of X."""
         return np.zeros(len(X))
 
-    def random_unit_tangent(self, x, rng):
-        """Uniform direction on the unit sphere of T_x.  Raises DomainError
-        where a drawn vector's squared norm is not finite (x so far out
-        that its tangents overflow), which no redraw would mend."""
-        while True:
-            v = self.tangent_project(x, rng.standard_normal(self.ambient_dim))
-            vv = self.inner(x, v, v)
-            if not math.isfinite(vv):
-                raise DomainError(f"{self.kind}: a tangent at a point with "
-                                  f"coordinates up to {np.abs(x).max():.6g} "
-                                  f"has squared norm {vv}")
-            n = math.sqrt(max(vv, 0.0))
-            if n > 1e-8:
-                return v / n
-
     def random_in_ball(self, center, radius, rng):
         """One uniform sample from the geodesic ball B(center, radius):
         random_points_in_ball with count 1."""
@@ -282,46 +284,42 @@ class ManifoldSpace:
 
     def random_points_in_ball(self, center, radius, count, rng):
         """A list of `count` uniform samples from the geodesic ball
-        B(center, radius), drawn one after another.
+        B(center, radius), drawn one after another (careful Draws)."""
+        return list(Draws(self, rng, careful=True).ball(center, radius,
+                                                        count))
 
-        Direction is uniform on the tangent sphere; the radius is drawn by
-        rejection against the volume density sn(r)^(n-1) (Jacobi sine of
-        the geometric curvature, so flat means density r^(n-1)), scaled
-        by its maximum on [0, radius]: sn rises up to pi/(2 sqrt(kappa))
-        on the sphere family.  A radius past inj, the diameter there, is
-        the whole space and draws as inj.  The draw order (for each point
-        in turn, scalar uniforms for r and the acceptance test, then the
-        direction) is part of the output: the Monte Carlo suites report
-        results determined by their seed.  The radius checks and the
-        density's maximum are worked out once per call, so the points
-        are those of `count` calls of random_in_ball.
-        """
-        if not 0 <= radius < math.inf:   # a NaN or infinite one never accepts
-            raise DomainError(
-                f"random_in_ball: need finite radius >= 0, got {radius}")
-        if radius == 0:
-            return [center.copy() for _ in range(count)]
-        radius = min(radius, self._constants.inj)
-        n = self.dim
-        if n == 1:
-            return [self._random_step(center, radius * rng.random(), rng)
-                    for _ in range(count)]
-        kappa = self.kappa
-        peak = math.pi / (2.0 * math.sqrt(kappa)) if kappa > 0 else math.inf
-        top = sn(kappa, min(radius, peak))
-        points = []
-        for _ in range(count):
-            while True:
-                r = radius * rng.random()
-                if rng.random() <= (sn(kappa, r) / top) ** (n - 1):
-                    break
-            points.append(self._random_step(center, r, rng))
-        return points
+    def _ball_points(self, C, r, G):
+        """Phase 2 of the ball sampler: the points exp(C[i], r[i] u_i), u_i
+        the unit vector along the part of the standard normal G[i]
+        tangent at C[i].  None where a direction is too short to
+        normalise (1e-8); a squared norm that is not finite (C[i] so far
+        out that its tangents overflow, which no redraw would mend)
+        raises DomainError, as an overflowing step raises exp's."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            V = self._tangent_rows(C, G)
+            vv = self._inner_rows(V, V)
+            n = np.sqrt(np.maximum(vv, 0.0))
+        ok = np.isfinite(vv) & (n > 1e-8)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            if not math.isfinite(vv[i]):
+                raise DomainError(f"{self.kind}: a tangent at a point with "
+                                  f"coordinates up to {np.abs(C[i]).max():.6g}"
+                                  f" has squared norm {vv[i]}")
+            return None
+        return self._exp_rows(C, r[:, np.newaxis] * (V / n[:, np.newaxis]))
 
-    def _random_step(self, x, r, rng):
-        """exp(x, r u) for a direction u from random_unit_tangent: the
-        last step of random_points_in_ball."""
-        return self.exp(x, r * self.random_unit_tangent(x, rng))
+    def _exp_rows(self, x, V):
+        """exp_many(x, V), raising exp's error for the first row that
+        exp_many refuses (a NaN row)."""
+        P = self.exp_many(x, V)
+        for i in np.flatnonzero(np.isnan(P[:, 0])):
+            P[i] = self.exp(x if x.ndim == 1 else x[i], V[i])
+        return P
+
+    def _inner_rows(self, U, V):
+        """inner over the rows of (N, D) tangent arrays U and V."""
+        return _dot_rows(U, V)
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, kappa={self.kappa})"
@@ -387,8 +385,11 @@ class Euclidean(ManifoldSpace):
     def tangent_project(self, x, g):
         return np.asarray(g, dtype=float)
 
-    def random_point(self, rng):
-        return rng.standard_normal(self.dim)
+    def _tangent_rows(self, C, G):
+        return G
+
+    def _random_points(self, G):
+        return G
 
 
 class Sphere(ManifoldSpace):
@@ -458,11 +459,7 @@ class Sphere(ManifoldSpace):
 
     def exp(self, x, v):
         v = np.asarray(v, dtype=float)
-        return self._exp_floats(x.tolist(), v, v.tolist())
-
-    def _exp_floats(self, xl, v, vl):
-        """exp(x, v) from the floats xl = x.tolist(), a float array v and
-        its floats vl = v.tolist()."""
+        xl, vl = x.tolist(), v.tolist()
         # below the cap v.v cannot overflow
         nv = math.sqrt(v.dot(v) if math.hypot(*vl) < _MAX_COORD
                        else _wide_dot(v, v))
@@ -492,23 +489,11 @@ class Sphere(ManifoldSpace):
         gx = float(g.dot(x))
         return np.array([b - gx * a for a, b in zip(x.tolist(), g.tolist())])
 
-    def _random_step(self, x, r, rng):
-        """exp(x, r u) for the direction u random_unit_tangent draws, in
-        one pass on floats: the projected draw g - <g, x> x is listed
-        once, and the same ndarray.dot calls give <g, x> and its norm."""
-        xl = x.tolist()
-        while True:
-            g = rng.standard_normal(self.ambient_dim)
-            gx = float(g.dot(x))
-            vl = [b - gx * a for a, b in zip(xl, g.tolist())]
-            v = np.array(vl)
-            n = math.sqrt(v.dot(v))
-            if n > 1e-8:
-                rv = [r * (a / n) for a in vl]
-                return self._exp_floats(xl, np.array(rv), rv)
+    def _tangent_rows(self, C, G):
+        return G - _dot_rows(G, C)[:, np.newaxis] * C
 
-    def random_point(self, rng):
-        return self.project(rng.standard_normal(self.ambient_dim))
+    def _random_points(self, G):
+        return G / _norm_rows(G)[:, np.newaxis]
 
 
 class Circle(Sphere):
@@ -571,11 +556,14 @@ class RealProjective(Sphere):
         strictly as |P @ x| grows."""
         return self._farthest_by_key(x, P, np.abs(P @ x), 1e-9)
 
-    def _exp_floats(self, xl, v, vl):
-        return _canonical_sign(Sphere._exp_floats(self, xl, v, vl))
+    def exp(self, x, v):
+        return _canonical_sign(Sphere.exp(self, x, v))
 
     def exp_many(self, x, V):
         return _canonical_sign_rows(Sphere.exp_many(self, x, V))
+
+    def _random_points(self, G):
+        return _canonical_sign_rows(Sphere._random_points(self, G))
 
 
 class SO3(RealProjective):
@@ -785,13 +773,19 @@ class Hyperbolic(ManifoldSpace):
         g = np.asarray(g, dtype=float)
         return np.array(self._tangent_part(x, x.tolist(), g, g.tolist())[1])
 
-    def random_point(self, rng):
-        """exp at the origin of a standard-normal tangent in units of R,
-        so that its distance in curvature radii does not depend on kappa."""
+    def _tangent_rows(self, C, G):
+        return G + (self._minkowski_rows(C, G) / self._R**2)[:, np.newaxis] * C
+
+    def _inner_rows(self, U, V):
+        return self._minkowski_rows(U, V)
+
+    def _random_points(self, G):
+        """exp at the origin of the standard-normal tangents G in units of
+        R, so that their distance in curvature radii does not depend on
+        kappa."""
         origin = np.zeros(self.ambient_dim)
         origin[0] = self._R
-        v = self.tangent_project(origin, rng.standard_normal(self.ambient_dim))
-        return self.exp(origin, self._R * v)
+        return self._exp_rows(origin, self._R * self._tangent_rows(origin, G))
 
 
 def _minkowski_floats(u, ul, v, vl):
@@ -893,6 +887,97 @@ def _canonical_sign_rows(X):
     big = np.abs(X) > _CANON_TOL
     lead = np.take_along_axis(X, np.argmax(big, axis=-1)[:, np.newaxis], -1)
     return np.where(big.any(axis=-1)[:, np.newaxis] & (lead < 0.0), -X, X)
+
+
+class Draws:
+    """The sampler in two phases.  Phase 1, point() and ball(), makes
+    only the Generator calls, in the order of one point at a time, and
+    returns arrays that phase 2, finish(), fills in with one array pass
+    per kind.  A sample of B(center, radius) draws its radius r by
+    rejection against the volume density sn(r)^(n-1) (flat: r^(n-1)),
+    scaled by its maximum on [0, radius], then its direction's standard
+    normal; a radius past inj, the diameter there, draws as inj.  The
+    draw order is part of the output: the Monte Carlo suites report
+    results determined by their seed.  Careful draws finish each point
+    at its draw, as drawing one point after another does: a direction
+    too short to normalise is drawn again, and an error raises at once.
+    """
+
+    def __init__(self, space, rng, careful=False):
+        self.space, self.rng, self.careful = space, rng, careful
+        self._refused = False
+        self._points, self._normals = [], []   # point(): out, its draw
+        self._balls, self._radii, self._directions = [], [], []   # ball()
+
+    def point(self):
+        """A random point (random_point), an array of shape (D,)."""
+        if self.careful:
+            return self.space.random_point(self.rng)
+        self._normals.append(self.rng.standard_normal(self.space.ambient_dim))
+        self._points.append(np.empty(self.space.ambient_dim))
+        return self._points[-1]
+
+    def ball(self, center, radius, count):
+        """`count` uniform samples of B(center, radius), the rows of a
+        (count, D) array; center may be an array point() returned.  A
+        NaN, infinite or negative radius is refused before any draw;
+        radius 0 draws nothing (copies of the center, which a fast
+        finish() refuses, as it knows no center before)."""
+        sp, rng, D = self.space, self.rng, self.space.ambient_dim
+        if not 0 <= radius < math.inf:   # a NaN or infinite one never accepts
+            raise DomainError(
+                f"random_in_ball: need finite radius >= 0, got {radius}")
+        if radius == 0:
+            self._refused |= not self.careful
+            return np.repeat(center[np.newaxis], count, axis=0)
+        radius = min(radius, sp._constants.inj)
+        n, kappa = sp.dim, sp.kappa
+        if n > 1:
+            peak = math.pi / (2.0 * math.sqrt(kappa)) if kappa > 0 else math.inf
+            top = sn(kappa, min(radius, peak))
+        out = np.empty((count, D))
+        for i in range(count):
+            while True:
+                r = radius * rng.random()
+                if n == 1 or rng.random() <= (sn(kappa, r) / top) ** (n - 1):
+                    break
+            if not self.careful:
+                self._radii.append(r)
+                self._directions.append(rng.standard_normal(D))
+                continue
+            p = None
+            while p is None:   # a direction too short to normalise: again
+                p = sp._ball_points(center[np.newaxis], np.array([r]),
+                                    rng.standard_normal(D)[np.newaxis])
+            out[i] = p[0]
+        if not self.careful:
+            self._balls.append((out, center))
+        return out
+
+    def finish(self):
+        """Phase 2: fill in the arrays phase 1 returned, the points first;
+        False, leaving them unfilled, where a pass refuses or raises, for
+        the caller to replay the draws carefully."""
+        sp, samples = self.space, np.empty((0, self.space.ambient_dim))
+        try:
+            if self._normals:
+                P = sp._random_points(np.array(self._normals))
+                for out, p in zip(self._points, P):
+                    out[:] = p
+            if self._radii:
+                C = np.repeat([c for _, c in self._balls],
+                              [len(out) for out, _ in self._balls], axis=0)
+                samples = sp._ball_points(C, np.array(self._radii),
+                                          np.array(self._directions))
+        except GeomeanError:
+            return False
+        if self._refused or samples is None:
+            return False
+        end = 0
+        for out, _ in self._balls:
+            out[:] = samples[end:end + len(out)]
+            end += len(out)
+        return True
 
 
 # space kind -> constructor(dim, kappa); also the CLI's --space choices

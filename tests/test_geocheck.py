@@ -8,16 +8,19 @@ import numpy as np
 import pytest
 
 import geomean
-from geomean import geocheck
+from geomean import geocheck, manifolds
 from geomean.errors import CutLocusError, DomainError
 from geomean.frechet import make_dataset
 from geomean.geocheck import (Chart, comparison_check, in_hull,
-                              sample_triangle, secant_by_intersection,
-                              tethering_check, triangle_data)
+                              secant_by_intersection, tethering_check,
+                              triangle_data)
 from geomean.kernels import secant_euclid, secant_sphere
 from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
                                SO3, Sphere)
 from geomean.solver import one_step
+
+from conftest import (ref_random_in_ball, ref_random_point,
+                      sample_triangle)
 
 
 def test_secant_oracle_trivial_alpha1_zero(rng):
@@ -366,27 +369,50 @@ def test_hull_check_charts_records_as_the_sweep_reaches_them(monkeypatch):
     assert geocheck.hull_check(Sphere(2), 1, seed=5)["violations"] == 1
 
 
-# Reports and a sum over the hull sweep's sampled inputs, recorded when
-# the scalar draws called Generator.uniform(); Generator.random() reads
-# the same stream and returns the same values
+# The Generator's Philox state after each suite (its counter and buffer
+# position, after comparison, tethering and hull), its reports' integer
+# fields, and their floats: comparison's and tethering's min_margin and
+# a sum over the hull sweep's sampled inputs and finals.  The floats were
+# recorded when the sampler took one point at a time on Python floats;
+# they are compared within the 1e-12 bound.
 _PINNED_DRAWS = {
-    "sphere": (2.1026270958721116e-10, 0, 0.0009853447162428669,
-               -3.7769618740643214),
-    "hyperbolic": (-0.24622127067187594, 200, 0.005027656000494702,
-                   327.8053170732187),
+    "sphere": ((([1253, 0, 0, 0], 3), ([2427, 0, 0, 0], 2),
+                ([208, 0, 0, 0], 2)),
+               0, (2.1026270958721116e-10, 0.0009853447162428669,
+                   -3.7769618740643214)),
+    "hyperbolic": ((([1368, 0, 0, 0], 3), ([2507, 0, 0, 0], 1),
+                    ([221, 0, 0, 0], 2)),
+                   200, (-0.24622127067187594, 0.005027656000494702,
+                         327.8053170732187)),
 }
+
+
+def _within_bound(got, pin):
+    """Whether got is pin, or within 1e-12 * max(1, |pin|) of it (the
+    bound of the benchmark and of tools/output_digest.py --tol)."""
+    return (got == pin or abs(got - pin) <= 1e-12 * max(1.0, abs(pin))
+            or math.isnan(got) and math.isnan(pin))
 
 
 @pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2)],
                          ids=lambda s: s.kind)
 def test_suites_keep_their_draw_order(space, monkeypatch):
-    margin, violations, tether_margin, total = _PINNED_DRAWS[space.kind]
-    assert comparison_check(space, 200, seed=21) == {
-        "suite": "comparison", "trials": 200, "violations": violations,
-        "min_margin": margin, "seed": 21}
-    assert tethering_check(space, 200, (0.25, 0.5, 1.0), seed=21) == {
-        "suite": "tethering", "trials": 200, "violations": 0,
-        "min_margin": tether_margin, "seed": 21}
+    states, violations, floats = _PINNED_DRAWS[space.kind]
+    made, Generator = [], np.random.Generator
+
+    def generator(bit_generator):
+        made.append(Generator(bit_generator))
+        return made[-1]
+
+    def position():
+        st = made[-1].bit_generator.state
+        return st["state"]["counter"].tolist(), st["buffer_pos"]
+
+    monkeypatch.setattr(geocheck.np.random, "Generator", generator)
+    reports = [comparison_check(space, 200, seed=21)]
+    positions = [position()]
+    reports.append(tethering_check(space, 200, (0.25, 0.5, 1.0), seed=21))
+    positions.append(position())
     sums, descend = [], geocheck.solver.descend
 
     def spy_descend(ds, cfg, x0=None):
@@ -395,10 +421,18 @@ def test_suites_keep_their_draw_order(space, monkeypatch):
         return tr
 
     monkeypatch.setattr(geocheck.solver, "descend", spy_descend)
-    rep = geocheck.hull_check(space, 20, seed=21)
-    assert math.isnan(rep.pop("min_margin"))
-    assert rep == {"suite": "hull", "trials": 20, "violations": 0, "seed": 21}
-    assert sum(sums) == total
+    reports.append(geocheck.hull_check(space, 20, seed=21))
+    positions.append(position())
+    assert positions == [tuple(p) for p in states]
+    margins = [rep.pop("min_margin") for rep in reports]
+    assert reports == [
+        {"suite": "comparison", "trials": 200, "violations": violations,
+         "seed": 21},
+        {"suite": "tethering", "trials": 200, "violations": 0, "seed": 21},
+        {"suite": "hull", "trials": 20, "violations": 0, "seed": 21}]
+    assert math.isnan(margins[2]) and len(sums) == 20
+    assert all(_within_bound(got, pin) for got, pin in
+               zip([margins[0], margins[1], sum(sums)], floats))
 
 
 def test_hull_contains_l2_mean(rng):
@@ -431,16 +465,17 @@ def test_tethering_check_spaces():
 def test_tethering_balls_stay_within_r_cx(kappa, monkeypatch):
     # r_cx < 1e-6 here: the floor on a trial's ball radius is r_cx itself,
     # so every ball checked is one the tethering result covers.  A trial
-    # samples its points and its x from one ball, (o, rho), at the sampler
+    # samples its points and its x from one ball, (o, rho), in phase 1,
+    # where o is the array phase 2 fills in
     sp = Sphere(2, kappa=kappa)
     r_cx = sp.constants().r_cx
-    balls, sample = set(), sp.random_points_in_ball
+    balls, sample = set(), geocheck.manifolds.Draws.ball
 
-    def spy(center, radius, count, rng):
-        balls.add((center.tobytes(), radius))
-        return sample(center, radius, count, rng)
+    def spy(self, center, radius, count):
+        balls.add((id(center), radius))
+        return sample(self, center, radius, count)
 
-    monkeypatch.setattr(sp, "random_points_in_ball", spy)
+    monkeypatch.setattr(geocheck.manifolds.Draws, "ball", spy)
     rep = tethering_check(sp, 50, (0.25, 0.5, 1.0), seed=0)
     radii = [radius for _, radius in balls]
     assert len(radii) == 50 and max(radii) <= r_cx
@@ -452,7 +487,7 @@ def _tethering_one_at_a_time(space, n_trials, t_grid, seed, points=None):
     make_dataset, one_step and distance, skipping a trial one_step
     refuses at the cut locus.  Returns (report, the Generator's state
     afterwards, the margins of the trials not skipped, the number
-    skipped); appends each trial's points to `points` where given."""
+    skipped); appends each trial's (points, x) to `points` where given."""
     rng = np.random.Generator(np.random.Philox(seed))
     cap = geocheck._sampling_cap(space)
     violations, min_margin, margins, skipped = 0, math.inf, [], 0
@@ -462,10 +497,12 @@ def _tethering_one_at_a_time(space, n_trials, t_grid, seed, points=None):
         n = int(rng.integers(1, 9))
         pts = space.random_points_in_ball(o, rho, n, rng)
         if points is not None:
-            points.append(pts)
+            points.append((pts, None))
         wts = rng.dirichlet(np.ones(n))
         ds = make_dataset(space, pts, wts, o, rho)
         x = space.random_in_ball(o, rho, rng)
+        if points is not None:
+            points[-1] = (pts, x)
         t = t_grid[int(rng.integers(len(t_grid)))]
         try:
             y = one_step(ds, 2.0, x, t)
@@ -489,27 +526,62 @@ def _philox_state(rng):
                       sort_keys=True)
 
 
-def _tethering_observed(monkeypatch, space, n_trials, t_grid, seed):
-    """tethering_check's report, its Generator's state afterwards, and
-    the margins its blocks gave, in order."""
-    made, margins, Generator = [], [], np.random.Generator
-    tethering_margins = geocheck._tethering_margins
+def _observed(monkeypatch, run, spied, spy):
+    """run()'s report and its Generator's state afterwards, with the
+    geocheck function named `spied` wrapped: spy(result, *args) sees each
+    call's arguments and result.  The state is also that at an error
+    run() raises, which is then re-raised as (error, state)."""
+    made, Generator, wrapped = [], np.random.Generator, getattr(geocheck,
+                                                                  spied)
 
     def generator(bit_generator):
         made.append(Generator(bit_generator))
         return made[-1]
 
-    def spy(space, trials):
-        block = tethering_margins(space, trials)
-        margins.extend(block)
-        return block
+    def spying(*args):
+        result = wrapped(*args)
+        spy(result, *args)
+        return result
 
     with monkeypatch.context() as m:
         m.setattr(geocheck.np.random, "Generator", generator)
-        m.setattr(geocheck, "_tethering_margins", spy)
-        report = tethering_check(space, n_trials, t_grid, seed)
+        m.setattr(geocheck, spied, spying)
+        try:
+            report = run()
+        except DomainError as e:
+            return e, _philox_state(made[0])
     assert len(made) == 1
-    return report, _philox_state(made[0]), margins
+    return report, _philox_state(made[0])
+
+
+def _tethering_observed(monkeypatch, space, n_trials, t_grid, seed):
+    """tethering_check's report, its Generator's state afterwards, and
+    the margins its blocks gave, in order."""
+    margins = []
+    return _observed(
+        monkeypatch, lambda: tethering_check(space, n_trials, t_grid, seed),
+        "_tethering_margins",
+        lambda block, space, trials: margins.extend(block)) + (margins,)
+
+
+def _assert_same_run(got, want, counts=True):
+    """A suite's (report, Generator state, margins) against a one trial
+    at a time reference's: every field but the floats equal, and
+    min_margin and each margin within the 1e-12 bound (phase 2 computes
+    the sampled points in arrays, whose sums round another way).  With
+    counts False, the violations are not compared."""
+    (report, state, margins), (want_report, want_state, want_margins) = \
+        got, want[:3]
+    report, want_report = dict(report), dict(want_report)
+    margin = report.pop("min_margin")
+    want_margin = want_report.pop("min_margin")
+    if not counts:
+        del report["violations"], want_report["violations"]
+    assert report == want_report and state == want_state
+    assert len(margins) == len(want_margins)
+    assert all(_within_bound(a, b) for a, b in zip(
+        [margin] + list(margins), [want_margin] + list(want_margins))), \
+        (got, want)
 
 
 _TETHERING_SPACES = [Euclidean(2), Sphere(2), Circle(1.0), Hyperbolic(2),
@@ -522,11 +594,11 @@ _TETHERING_SPACES = [Euclidean(2), Sphere(2), Circle(1.0), Hyperbolic(2),
 def test_tethering_equals_one_trial_at_a_time(space, seed, t_grid,
                                               monkeypatch):
     # blocks of 7 trials: 40 trials span six blocks, the last one short
-    monkeypatch.setattr(geocheck, "_TETHER_BLOCK", 7)
+    monkeypatch.setattr(geocheck, "_BLOCK", 7)
     want = _tethering_one_at_a_time(space, 40, t_grid, seed)
     assert want[3] == 0
-    assert _tethering_observed(monkeypatch, space, 40, t_grid,
-                               seed) == want[:3]
+    _assert_same_run(_tethering_observed(monkeypatch, space, 40, t_grid,
+                                         seed), want)
 
 
 @pytest.mark.parametrize("space", _TETHERING_SPACES, ids=lambda s: repr(s))
@@ -536,19 +608,21 @@ def test_tethering_blocks_along_the_points_equal_one_trial_at_a_time(
     # path (manifolds._ALONG_POINTS), and 600 trials end on a short block
     grid = (0.25, 0.5, 0.75, 1.0)
     want = _tethering_one_at_a_time(space, 600, grid, 3)
-    assert _tethering_observed(monkeypatch, space, 600, grid, 3) == want[:3]
+    _assert_same_run(_tethering_observed(monkeypatch, space, 600, grid, 3),
+                     want)
 
 
 @pytest.mark.parametrize("space", [Sphere(2), SO3()], ids=lambda s: s.kind)
 def test_tethering_skips_the_trials_one_step_refuses(space, monkeypatch):
     # a cut-locus band from distance 1: one_step refuses some trials,
     # which the suite skips as one trial at a time does
-    monkeypatch.setattr(geocheck, "_TETHER_BLOCK", 7)
+    monkeypatch.setattr(geocheck, "_BLOCK", 7)
     monkeypatch.setattr(Sphere, "_band_start", lambda self: 1.0)
     grid = (0.25, 0.5, 1.0)
     want = _tethering_one_at_a_time(space, 60, grid, 5)
     assert 0 < want[3] < 60
-    assert _tethering_observed(monkeypatch, space, 60, grid, 5) == want[:3]
+    _assert_same_run(_tethering_observed(monkeypatch, space, 60, grid, 5),
+                     want)
 
 
 @pytest.mark.parametrize("seed, drawn_before", [(0, 2), (12, 6)])
@@ -557,7 +631,7 @@ def test_tethering_raises_the_sampler_overflow_of_one_trial_at_a_time(
     # on H with R = 1/sqrt(1e-299) a sampled step overflows within a few
     # trials: the same error, in blocks of 2 trials, in the first block
     # (seed 0) and in the fourth (seed 12)
-    monkeypatch.setattr(geocheck, "_TETHER_BLOCK", 2)
+    monkeypatch.setattr(geocheck, "_BLOCK", 2)
     space, drawn = Hyperbolic(2, kappa=-1e-299), []
     with pytest.raises(DomainError) as want:
         _tethering_one_at_a_time(space, 2000, (1.0,), seed, points=drawn)
@@ -568,12 +642,14 @@ def test_tethering_raises_the_sampler_overflow_of_one_trial_at_a_time(
     assert "overflows" in str(got.value)
 
 
-def _inject(monkeypatch, space, refused, outside, x_draw_fails):
+def _inject(monkeypatch, space, refused, outside, x_fails):
     """Make space.check_points refuse an array holding a row of `refused`
     (point bytes -> label), space.dist_many give 10.0 for the rows of
-    `outside`, and space.random_in_ball fail on call `x_draw_fails`."""
+    `outside`, and the sampler's phase 2 (space._ball_points) raise on a
+    pass that gives the point of bytes `x_fails`: the x of a trial, in a
+    block's pass, a careful one-point pass or random_in_ball's."""
     check_points, dist_many = space.check_points, space.dist_many
-    random_in_ball, calls = space.random_in_ball, []
+    ball_points = space._ball_points
 
     def refusing_check_points(X):
         for row in np.asarray(X):
@@ -586,15 +662,15 @@ def _inject(monkeypatch, space, refused, outside, x_draw_fails):
         d[[row.tobytes() in outside for row in P]] = 10.0
         return d
 
-    def failing_random_in_ball(center, radius, rng):
-        calls.append(None)
-        if len(calls) - 1 == x_draw_fails:
+    def failing_ball_points(C, r, G):
+        P = ball_points(C, r, G)
+        if P is not None and any(row.tobytes() == x_fails for row in P):
             raise DomainError("x draw failed")
-        return random_in_ball(center, radius, rng)
+        return P
 
     monkeypatch.setattr(space, "check_points", refusing_check_points)
     monkeypatch.setattr(space, "dist_many", far_dist_many)
-    monkeypatch.setattr(space, "random_in_ball", failing_random_in_ball)
+    monkeypatch.setattr(space, "_ball_points", failing_ball_points)
 
 
 _OUTSIDE = "point 0 at distance 10.0 outside ball of radius .*"
@@ -614,19 +690,176 @@ def test_tethering_raises_the_first_error_of_one_trial_at_a_time(
         refuse, outside, x_draw_fails, error, monkeypatch):
     # errors injected past the first block of 7 trials: make_dataset's
     # (check_points refusing the first point of a trial, or that point
-    # outside the ball) and a draw's (the x of a trial), which the suite
-    # raises in one-trial-at-a-time order
-    monkeypatch.setattr(geocheck, "_TETHER_BLOCK", 7)
-    space, points, grid = Sphere(2), [], (0.5, 1.0)
-    _tethering_one_at_a_time(space, 20, grid, 11, points=points)
-    refused = {points[k][0].tobytes(): f"trial {k}" for k in refuse}
-    far = {points[k][0].tobytes() for k in outside}
+    # outside the ball) and a draw's (the x of a trial, which the
+    # sampler's phase 2 refuses), which the suite raises in
+    # one-trial-at-a-time order
+    monkeypatch.setattr(geocheck, "_BLOCK", 7)
+    space, drawn, grid = Sphere(2), [], (0.5, 1.0)
+    _tethering_one_at_a_time(space, 20, grid, 11, points=drawn)
+    refused = {drawn[k][0][0].tobytes(): f"trial {k}" for k in refuse}
+    far = {drawn[k][0][0].tobytes() for k in outside}
+    x_fails = None if x_draw_fails is None else \
+        drawn[x_draw_fails][1].tobytes()
     for run in (lambda: _tethering_one_at_a_time(space, 20, grid, 11),
                 lambda: tethering_check(space, 20, grid, 11)):
         with monkeypatch.context() as m:
-            _inject(m, space, refused, far, x_draw_fails)
+            _inject(m, space, refused, far, x_fails)
             with pytest.raises(DomainError, match=f"^{error}$"):
                 run()
+
+
+def _comparison_one_at_a_time(space, n_trials, seed, rngs):
+    """Reference: comparison_check one trial at a time on the numpy
+    reference sampler and the per-pair triangle_data.  Returns (report,
+    the Generator's state afterwards, []); appends its Generator to
+    `rngs`, whose state is also that at a DomainError raised."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    rngs.append(rng)
+    cap = geocheck._sampling_cap(space)
+    violations, min_margin, done, degenerate = 0, math.inf, 0, 0
+    while done < n_trials:
+        o = ref_random_point(space, rng)
+        radius = cap * rng.random()
+        x, y1, y2 = (ref_random_in_ball(space, o, radius, rng)
+                     for _ in range(3))
+        b, c, alpha = triangle_data(space, x, y1, y2)
+        if alpha <= 1e-9 or alpha >= math.pi - 1e-9:
+            degenerate += 1
+            if degenerate == 1000:
+                raise DomainError("1000 degenerate")
+            continue
+        degenerate = 0
+        a1 = alpha * rng.random()
+        zt = secant_euclid(b, c, a1, alpha - a1)
+        if space.kappa > 0:
+            z = secant_sphere(b, c, a1, alpha - a1, space.kappa)
+        else:
+            z = secant_by_intersection(space, x, y1, y2, a1)
+        min_margin = min(min_margin, z - zt)
+        violations += z - zt < -1e-12
+        done += 1
+    report = {"suite": "comparison", "trials": n_trials,
+              "violations": violations, "min_margin": min_margin,
+              "seed": seed}
+    return report, _philox_state(rng), []
+
+
+def _comparison_observed(monkeypatch, space, n_trials, seed):
+    return _observed(monkeypatch,
+                     lambda: comparison_check(space, n_trials, seed),
+                     "_triangles", lambda *args: None) + ([],)
+
+
+_SIX_SPACES = [Euclidean(2), Sphere(2), Circle(1.0), Hyperbolic(2),
+               RealProjective(2), SO3()]
+
+
+@pytest.mark.parametrize("block, n_trials", [(7, 40), (geocheck._BLOCK, 600)])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("space", _SIX_SPACES, ids=lambda s: repr(s))
+def test_comparison_equals_one_trial_at_a_time(space, seed, block, n_trials,
+                                               monkeypatch):
+    # blocks of 7 (40 trials end on a short one), and 600 trials at the
+    # block size in use, whose array passes reach the kernels' along path
+    # (manifolds._ALONG_POINTS rows) and end on a short block;
+    # the circle (dim 1) has no angle to split, and both refuse it.  On
+    # flat space z = z_euclid exactly, so a margin is the two formulas'
+    # rounding, which a thin triangle amplifies past 1e-12: the
+    # violations there count rounding and are not compared
+    monkeypatch.setattr(geocheck, "_BLOCK", block)
+    if space.dim < 2:
+        with pytest.raises(DomainError, match="need dim >= 2"):
+            comparison_check(space, n_trials, seed)
+        return
+    want = _comparison_one_at_a_time(space, n_trials, seed, [])
+    _assert_same_run(_comparison_observed(monkeypatch, space, n_trials,
+                                          seed), want,
+                     counts=space.kappa != 0)
+
+
+@pytest.mark.parametrize("block", [7, geocheck._BLOCK])
+def test_comparison_redraws_degenerate_triangles_as_one_trial_at_a_time(
+        block, monkeypatch):
+    # at kappa = 1e28 most triangles have a side below 1e-14: each draws
+    # no alpha1 and sends the Generator back to its state before that
+    # draw; at kappa = 1e300 every one does, and the 1000th in a row
+    # raises with the Generator where one trial at a time leaves it
+    monkeypatch.setattr(geocheck, "_BLOCK", block)
+    space, degenerate = Sphere(2, kappa=1e28), []
+    triangles = geocheck._triangles
+
+    def count(*args):
+        b, c, alpha = triangles(*args)
+        degenerate.append(int(np.sum((alpha <= 1e-9)
+                                     | (alpha >= math.pi - 1e-9))))
+        return b, c, alpha
+    monkeypatch.setattr(geocheck, "_triangles", count)
+    want = _comparison_one_at_a_time(space, 20, 0, [])
+    _assert_same_run(_comparison_observed(monkeypatch, space, 20, 0), want)
+    assert sum(degenerate) > 20
+    rngs = []
+    with pytest.raises(DomainError, match="1000 degenerate"):
+        _comparison_one_at_a_time(Sphere(2, kappa=1e300), 20, 0, rngs)
+    error, state = _observed(
+        monkeypatch, lambda: comparison_check(Sphere(2, kappa=1e300), 20, 0),
+        "_triangles", lambda *args: None)
+    assert "1000 sampled triangles in a row" in str(error)
+    assert state == _philox_state(rngs[0])
+
+
+def _hull_one_at_a_time(space, n_trials, seed):
+    """Reference: hull_check one trial at a time on the numpy reference
+    sampler, each trial's points and x0 drawn, then its descent.
+    Returns (report, the Generator's state afterwards, each trial's
+    points and x0 as one flat array)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    cap = geocheck._sampling_cap(space)
+    violations, inputs = 0, []
+    for _ in range(n_trials):
+        o = ref_random_point(space, rng)
+        rho = cap * (0.1 + 0.9 * rng.random())
+        n = int(rng.integers(3, 7))
+        pts = [ref_random_in_ball(space, o, rho, rng) for _ in range(n)]
+        ds = make_dataset(space, pts, None, o, rho)
+        x0 = ref_random_in_ball(space, o, rho, rng)
+        inputs.append(np.concatenate([ds.points.ravel(), x0]))
+        violations += geocheck._hull_trap_violated(ds, x0)
+    report = {"suite": "hull", "trials": n_trials, "violations": violations,
+              "min_margin": math.nan, "seed": seed}
+    return report, _philox_state(rng), inputs
+
+
+@pytest.mark.parametrize("block", [7, geocheck._BLOCK])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("space", _SIX_SPACES, ids=lambda s: repr(s))
+def test_hull_equals_one_trial_at_a_time(space, seed, block, monkeypatch):
+    # the suite draws a block of trials, then runs their descents, which
+    # draw nothing: the same Generator state and verdicts, and the same
+    # sampled inputs within the 1e-12 bound; 30 trials in blocks of 7
+    # are five blocks, the last a short one, each drawn once (a trial
+    # draws one random point, its center)
+    monkeypatch.setattr(geocheck, "_BLOCK", block)
+    inputs, blocks = [], []
+    finish = manifolds.Draws.finish
+
+    def counted(draws):
+        if not draws.careful:
+            blocks.append(len(draws._points))
+        return finish(draws)
+    monkeypatch.setattr(manifolds.Draws, "finish", counted)
+    report, state = _observed(
+        monkeypatch, lambda: geocheck.hull_check(space, 30, seed),
+        "_hull_trap_violated", lambda result, ds, x0: inputs.append(
+            np.concatenate([ds.points.ravel(), x0])))
+    assert blocks == [min(block, 30 - s) for s in range(0, 30, block)]
+    want_report, want_state, want_inputs = _hull_one_at_a_time(space, 30,
+                                                               seed)
+    assert math.isnan(report.pop("min_margin"))
+    assert math.isnan(want_report.pop("min_margin"))
+    assert report == want_report and state == want_state
+    assert [len(a) for a in inputs] == [len(a) for a in want_inputs]
+    assert all(_within_bound(a, b) for got, want in zip(inputs, want_inputs)
+               for a, b in zip(got.tolist(), want.tolist()))
 
 
 def test_tethering_t0_identity(rng):

@@ -1,8 +1,11 @@
 import importlib.util
+import json
 import math
 import os
 import shutil
 import sys
+
+import pytest
 
 from geomean import emit
 
@@ -105,3 +108,108 @@ def test_against_prints_only_the_lines_that_differ(capsys, monkeypatch,
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "# certify-suites seed 3"
     assert [line[:7] for line in lines[1:]] == ["-table ", "+table "]
+
+
+def _op(**changes):
+    """An op's raw outputs (run_op's record), with some fields changed."""
+    rec = {"id": "mean-00", "rc": 0, "stdout": '{\n  "iterations": 7\n}\n',
+           "stderr": "", "files": {
+               "summary.json": json.dumps({"iterations": 7, "status": "ok",
+                                           "final": [0.25, -3.5e6],
+                                           "empirical_q": None,
+                                           "certified": True,
+                                           "min_margin": math.nan}),
+               "trace.csv": "k,x0,cost\n0,0.5,1.25\n1,0.25,0\n"}}
+    rec.update(changes)
+    return rec
+
+
+def _summary(**changes):
+    obj = json.loads(_op()["files"]["summary.json"])
+    obj.update(changes)
+    return _op(files=dict(_op()["files"], **{"summary.json":
+                                             json.dumps(obj)}))
+
+
+def test_tol_passes_a_float_within_the_bound():
+    # 1e-13 relative on a float of summary.json is a tenth of the bound
+    # 1e-12 * max(1, |b|); a NaN matches a NaN
+    b = _op()
+    a = _summary(final=[0.25, -3.5e6 * (1 + 1e-13)])
+    dev = output_digest.compare_op(a, b, 1e-12)
+    assert 0.05 < dev < 0.2
+    assert output_digest.compare_op(b, b, 1e-12) == 0.0
+    csv = "k,x0,cost\n0,0.5,1.25\n1,0.25,1e-17\n"   # 0 against 1e-17
+    assert output_digest.compare_op(
+        _op(files=dict(b["files"], **{"trace.csv": csv})), b, 1e-12) < 1e-4
+
+
+def test_tol_fails_a_float_past_the_bound():
+    b = _op()
+    a = _summary(final=[0.25 + 1e-11, -3.5e6])
+    assert output_digest.compare_op(a, b, 1e-12) > 1.0
+    csv = "k,x0,cost\n0,0.5,1.25\n1,0.25000000001,0\n"
+    assert output_digest.compare_op(
+        _op(files=dict(b["files"], **{"trace.csv": csv})), b, 1e-12) > 1.0
+
+
+@pytest.mark.parametrize("changed", [
+    lambda: _summary(iterations=8),               # an integer
+    lambda: _summary(iterations=7.0),             # an integer's type
+    lambda: _summary(extra=1),                    # another key
+    lambda: _summary(status="failed"),            # a string
+    lambda: _summary(certified=False),            # a boolean
+    lambda: _summary(empirical_q=0.0),            # a null
+    lambda: _summary(min_margin=0.0),             # a NaN
+    lambda: _summary(final=[0.25]),               # a length
+    lambda: _op(rc=1),                            # the exit code
+    lambda: _op(stderr="warning\n"),              # stderr
+    lambda: _op(stdout='{\n  "iterations": 8\n}\n'),
+    lambda: _op(files={"summary.json": _op()["files"]["summary.json"]}),
+    lambda: _op(files=dict(_op()["files"], **{   # another row
+        "trace.csv": "k,x0,cost\n0,0.5,1.25\n1,0.25,0\n2,0.25,0\n"})),
+], ids=["integer", "integer-type", "extra-key", "string", "boolean", "null",
+        "nan", "length", "rc", "stderr", "stdout", "file", "csv-row"])
+def test_tol_fails_any_structural_difference(changed):
+    a, b = changed(), _op()
+    try:
+        dev = output_digest.compare_op(a, b, 1e-12)
+    except output_digest.Mismatch:
+        return
+    assert dev > 1.0   # a changed integer in text is a breach
+
+
+def test_tol_and_bytes_pass_the_unchanged_tree_against_itself(capsys,
+                                                              monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for seed in ("3", "17"):
+        argv = ("--workload", "certify-suites", "--seed", seed,
+                "--scale", _SCALE, "--against", _ROOT)
+        assert output_digest.main(argv) == 0
+        assert capsys.readouterr().out == ""
+        assert output_digest.main([*argv, "--tol", "1e-12"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"# certify-suites seed {seed}"
+        assert all(line.endswith(" dev=0") for line in lines[1:])
+
+
+@pytest.mark.parametrize("nudge, code", [(1e-13, 0), (1e-11, 1)])
+def test_tol_against_a_moved_summary(nudge, code, capsys, monkeypatch):
+    # one float of one op's summary.json moved in this run only: --tol
+    # passes a tenth of the bound and fails ten times it, on that op
+    target = os.path.join("out", "0002", "summary.json")   # the third op
+    write_json = emit.write_json
+
+    def nudged(path, obj):
+        if path == target:
+            obj = dict(obj, final_cost=obj["final_cost"] * (1.0 + nudge))
+        return write_json(path, obj)
+    monkeypatch.setattr(emit, "write_json", nudged)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert output_digest.main(["--workload", "small-means", "--seed", "3",
+                               "--scale", _SCALE, "--against", _ROOT,
+                               "--tol", "1e-12"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    moved = [line for line in lines[1:] if not line.endswith(" dev=0")]
+    assert len(moved) == 1 and moved[0] == lines[3]
+    assert moved[0].endswith(" BREACH") == bool(code)

@@ -12,6 +12,8 @@ from geomean.stepsize import (StepPolicy, exit_time_bounds, rate_estimate,
                               resolve_exit_compromise_bounds,
                               resolve_spread_compromise)
 
+from conftest import random_unit_tangent
+
 C_NEG1_2PI3 = 2.1588946242718521
 CONJECTURE = StepPolicy("conjecture")
 
@@ -131,7 +133,7 @@ def test_exit_profile_scalar_reduction(rng):
     rho, rho_prime = math.pi / 6, math.pi / 2
     for _ in range(200):
         r = rho + (rho_prime - rho) * rng.uniform()
-        y = sp.exp(o, r * sp.random_unit_tangent(o, rng))
+        y = sp.exp(o, r * random_unit_tangent(sp, o, rng))
         ry = sp.distance(y, o)
         t1 = (2.0 / c_upper(1.0, rho_prime)) * ry * (ry - rho) \
             * sn(1.0, ry - rho) / sn(1.0, ry + rho)
@@ -148,7 +150,7 @@ def test_angle_bound_ingredient(rng):
     for _ in range(500):
         o = sp.random_point(rng)
         r = rho + (rho_prime - rho) * 0.98 * rng.uniform() + 1e-3
-        y = sp.exp(o, r * sp.random_unit_tangent(o, rng))
+        y = sp.exp(o, r * random_unit_tangent(sp, o, rng))
         xi = sp.random_in_ball(o, rho, rng)
         vo = sp.log(y, o)
         vx = sp.log(y, xi)

@@ -32,6 +32,18 @@ runs for OTHER in a subprocess (this script with `--root OTHER`), and
 only the lines that differ are printed, OTHER's prefixed `-` and this
 run's `+`, each after the header of its run.  The exit code is then 1
 when any line differs, else 0.
+
+`--against OTHER --tol 1e-12` compares values instead of bytes, for a
+change that may move outputs by rounding.  OTHER's subprocess sends its
+raw outputs (`--raw`), and each op's stdout and files are parsed: JSON
+where they parse as JSON, else text split into numbers and the text
+between them.  Exit codes, stderr, file names, keys, lengths, strings,
+integers, booleans and nulls must be equal, and the text between
+numbers too (so row and column counts); NaN must match NaN.  Every
+other number must lie within tol * max(1, |b|) of OTHER's b, the bound
+of `bench/worker.py`'s `_close`.  One line per op gives its largest
+deviation in units of that bound (`dev=`), or where it first differs
+in structure; the exit code is 1 on any breach or difference, else 0.
 """
 
 import argparse
@@ -39,7 +51,10 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -56,7 +71,8 @@ def _sha(data):
 
 
 def run_op(cli, op, out):
-    """One op's line: id, exit code, stdout, stderr and its files."""
+    """One op's raw outputs: {"id", "rc", "stdout", "stderr", "files"},
+    files mapping each name written to its text."""
     so, se = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(so), contextlib.redirect_stderr(se), \
             warnings.catch_warnings():
@@ -65,13 +81,22 @@ def run_op(cli, op, out):
             rc = cli.main(op["argv"] + ["--out", out])
         except SystemExit as e:   # argparse rejected the arguments
             rc = e.code
-    fields = [op["id"], f"rc={rc}",
-              f"stdout={_sha(so.getvalue().encode())}",
-              f"stderr={_sha(se.getvalue().encode())}"]
+    files = {}
     for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
         with open(os.path.join(out, name), "rb") as f:
-            fields.append(f"{name}={_sha(f.read())}")
-    return " ".join(fields)
+            files[name] = f.read().decode()
+    return {"id": op["id"], "rc": rc, "stdout": so.getvalue(),
+            "stderr": se.getvalue(), "files": files}
+
+
+def digest_line(rec):
+    """An op's line: id, exit code and the sha256 of its stdout, its
+    stderr and each file it wrote."""
+    return " ".join([rec["id"], f"rc={rec['rc']}",
+                     f"stdout={_sha(rec['stdout'].encode())}",
+                     f"stderr={_sha(rec['stderr'].encode())}"]
+                    + [f"{name}={_sha(text.encode())}"
+                       for name, text in rec["files"].items()])
 
 
 def main(argv=None):
@@ -87,27 +112,39 @@ def main(argv=None):
     ap.add_argument("--against", default=None, metavar="OTHER",
                     help="print only the lines that differ from OTHER's; "
                          "exit 1 if any does")
+    ap.add_argument("--tol", type=float, default=None,
+                    help="with --against: compare values within tol * "
+                         "max(1, |b|) instead of bytes")
+    ap.add_argument("--raw", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.tol is not None and args.against is None:
+        ap.error("--tol needs --against")
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
     from geomean import cli
     import workloads
 
     names = WORKLOADS if args.workload == "all" else (args.workload,)
-    lines = []
-    for seed in args.seed:
-        for name in names:
-            lines.append(f"# {name} seed {seed}")
-            lines += run_workload(cli, workloads, name, seed, args.scale)
+    runs = [(f"# {name} seed {seed}",
+             run_workload(cli, workloads, name, seed, args.scale))
+            for seed in args.seed for name in names]
+    if args.raw:
+        print(json.dumps(runs))
+        return 0
+    lines = [line for header, recs in runs
+             for line in [header] + [digest_line(r) for r in recs]]
     if args.against is None:
         print("\n".join(lines))
         return 0
     other = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--workload",
          args.workload, *(f"--seed={s}" for s in args.seed),
-         "--scale", repr(args.scale), "--root", args.against],
-        stdout=subprocess.PIPE, text=True, check=True).stdout.splitlines()
-    return print_differences(other, lines)
+         "--scale", repr(args.scale), "--root", args.against,
+         *(["--raw"] if args.tol is not None else [])],
+        stdout=subprocess.PIPE, text=True, check=True).stdout
+    if args.tol is None:
+        return print_differences(other.splitlines(), lines)
+    return print_deviations(json.loads(other), runs, args.tol)
 
 
 def print_differences(other, ours):
@@ -130,6 +167,100 @@ def print_differences(other, ours):
     return differ
 
 
+def print_deviations(other, ours, tol):
+    """Print each op's largest deviation from OTHER's (compare_op), under
+    the header of its run; 1 if any op breaches or differs, else 0."""
+    bad = 0
+    for (theirs_header, theirs), (header, mine) in itertools.zip_longest(
+            other, ours, fillvalue=(None, None)):
+        print(header if header is not None else theirs_header)
+        if theirs_header != header or len(theirs) != len(mine):
+            print(f"DIFFERS runs: {theirs_header!r} with {len(theirs or [])} "
+                  f"ops against {header!r} with {len(mine or [])}")
+            bad = 1
+            continue
+        for a, b in zip(mine, theirs):
+            try:
+                dev = compare_op(a, b, tol)
+            except Mismatch as e:
+                print(f"{a['id']} DIFFERS {e}")
+                bad = 1
+                continue
+            print(f"{a['id']} dev={dev:.3g}" + (" BREACH" if dev > 1 else ""))
+            bad |= dev > 1
+    return int(bad)
+
+
+class Mismatch(Exception):
+    """A structural difference between two ops' outputs: where, and what."""
+
+
+# a number in text: decimal or exponent notation, or a NaN or infinity
+_NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                     r"|nan|NaN|inf|Infinity))")
+
+
+def compare_op(a, b, tol):
+    """The largest deviation of op a's outputs from op b's, in units of
+    tol * max(1, |b|); raises Mismatch where they differ in structure
+    (another id, exit code, stderr, file name, key, length, type or
+    string)."""
+    for key in ("id", "rc", "stderr"):
+        if a[key] != b[key]:
+            raise Mismatch(f"{key}: {a[key]!r} against {b[key]!r}")
+    if list(a["files"]) != list(b["files"]):
+        raise Mismatch(f"files: {list(a['files'])} against {list(b['files'])}")
+    texts = [("stdout", a["stdout"], b["stdout"])] + [
+        (name, a["files"][name], b["files"][name]) for name in a["files"]]
+    return max([_text_deviation(*t, tol) for t in texts])
+
+
+def _text_deviation(where, a, b, tol):
+    """deviation() of two texts, parsed as JSON where both are JSON,
+    else as numbers and the text between them."""
+    try:
+        return deviation(json.loads(a), json.loads(b), tol, where)
+    except ValueError:   # not JSON (json.JSONDecodeError)
+        pass
+    parts_a, parts_b = _NUMBER.split(a), _NUMBER.split(b)
+    if len(parts_a) != len(parts_b):
+        raise Mismatch(f"{where}: {len(parts_a) // 2} numbers against "
+                       f"{len(parts_b) // 2}")
+    dev = 0.0
+    for i, (pa, pb) in enumerate(zip(parts_a, parts_b)):
+        if i % 2 == 0:
+            if pa != pb:
+                raise Mismatch(f"{where}: text {pa!r} against {pb!r}")
+        elif pa != pb:
+            dev = max(dev, deviation(float(pa), float(pb), tol,
+                                     f"{where} number {i // 2}"))
+    return dev
+
+
+def deviation(a, b, tol, where):
+    """The largest |a - b| / (tol * max(1, |b|)) over the floats of two
+    parsed JSON values of the same structure, 0 where they are equal;
+    raises Mismatch where the structure, a type, a string, an integer, a
+    boolean or a null differs, or a NaN or infinity has no equal."""
+    if type(a) is not type(b):
+        raise Mismatch(f"{where}: {a!r} against {b!r}")
+    if isinstance(a, dict):
+        if list(a) != list(b):
+            raise Mismatch(f"{where}: keys {list(a)} against {list(b)}")
+        return max([deviation(a[k], b[k], tol, f"{where}:{k}") for k in a],
+                   default=0.0)
+    if isinstance(a, list):
+        if len(a) != len(b):
+            raise Mismatch(f"{where}: {len(a)} items against {len(b)}")
+        return max([deviation(x, y, tol, f"{where}[{i}]")
+                    for i, (x, y) in enumerate(zip(a, b))], default=0.0)
+    if a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not isinstance(a, float) or not math.isfinite(a - b):
+        raise Mismatch(f"{where}: {a!r} against {b!r}")
+    return abs(a - b) / (tol * max(1.0, abs(b)))
+
+
 def suite_ops(seed, scale):
     """The ops of `--workload suites`: `check` of each suite on each of
     SUITE_SPACES at SUITE_TRIALS trials (times scale, at least 2) and
@@ -147,8 +278,8 @@ def suite_ops(seed, scale):
 
 
 def run_workload(cli, workloads, name, seed, scale):
-    """The line of every op of one workload at one seed, warm-ups first,
-    each run in a temporary directory of its own."""
+    """The raw outputs of every op of one workload at one seed (run_op),
+    warm-ups first, each run in a temporary directory of its own."""
     if name == "suites":
         warm, ops = [], suite_ops(seed, scale)
     else:
