@@ -20,7 +20,7 @@ from .stepsize import (RateEstimate, SpreadStep, StepPolicy, exit_time_bounds,
                        resolve_spread_compromise)
 from .solver import (SolverConfig, Trace, descend, fit_tail_rate,
                      minimal_ball_estimate, trailing_rate)
-from .geocheck import (Chart, comparison_check, hull_check, in_hull,
+from .geocheck import (Chart, comparison_check, hull_check, hull_membership,
                        secant_by_intersection, tethering_check)
 
 __version__ = "0.1.0"

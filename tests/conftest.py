@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -151,3 +152,71 @@ def ref_random_point(space, rng):
         if lead and lead[0] < 0.0:
             y = -y
     return y
+
+
+def nnls(A, b):
+    """Lawson-Hanson active-set solution of min |A x - b| over x >= 0
+    (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23): the
+    reference for geocheck.hull_membership.
+
+    Each inner step moves at least one index out of the passive set, so
+    the inner loop ends within n + 1 solves with x >= 0; the outer loop
+    is capped at 3n steps, the usual bound.
+    """
+    m, n = A.shape
+    tol = 10.0 * max(m, n) * np.finfo(float).eps * float(np.abs(A).max())
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        w = A.T @ (b - A @ x)  # the negative gradient of |A x - b|^2 / 2
+        if not (w > tol)[~passive].any():
+            break
+        passive[np.argmax(np.where(passive, -np.inf, w))] = True
+        for _ in range(n + 1):
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+            neg = passive & (s < 0.0)
+            if not neg.any():
+                break
+            # step from x toward s until the first passive weight hits 0
+            ratio = np.full(n, np.inf)
+            ratio[neg] = x[neg] / (x[neg] - s[neg])
+            j = int(np.argmin(ratio))
+            x += ratio[j] * (s - x)
+            x[j] = 0.0
+            passive &= x > 0.0
+        x = s
+    return x
+
+
+def _hull_lsq(V, q):
+    """(A, b, scale) of hull membership: A stacks V^T over the row
+    scale * 1^T, b = (q, scale) and scale = 1 + max |V_ij|."""
+    scale = 1.0 + float(np.abs(V).max(initial=0.0))
+    A = np.vstack([V.T, scale * np.ones(len(V))])
+    return A, np.concatenate([q, [scale]]), scale
+
+
+def nnls_in_hull(V, q, tol):
+    """Whether the chart point q is within tol of the convex hull of the
+    rows of V by the NNLS residual: |A x - b| <= tol * scale at the NNLS
+    solution x (_hull_lsq)."""
+    A, b, scale = _hull_lsq(V, q)
+    return float(np.linalg.norm(A @ nnls(A, b) - b)) <= tol * scale
+
+
+def face_in_hull(V, q, tol):
+    """Whether some face of 1 to dim+1 rows of V has a least-squares
+    solution x >= 0 with |A_F x - b| <= tol * scale (_hull_lsq): a
+    witness that q is within tol of the hull.  Lawson-Hanson misses one
+    where a vertex lies within about 1e-7 of a face (or another vertex)
+    that its solution rests on, as the gradient w that would add it is
+    then below the float noise of w, about eps * scale^2."""
+    A, b, scale = _hull_lsq(V, q)
+    for k in range(1, min(len(V), V.shape[1] + 1) + 1):
+        for face in itertools.combinations(range(len(V)), k):
+            x = np.linalg.lstsq(A[:, face], b, rcond=None)[0]
+            if ((x >= 0.0).all()
+                    and np.linalg.norm(A[:, face] @ x - b) <= tol * scale):
+                return True
+    return False

@@ -11,7 +11,7 @@ import geomean
 from geomean import geocheck, manifolds
 from geomean.errors import CutLocusError, DomainError
 from geomean.frechet import make_dataset
-from geomean.geocheck import (Chart, comparison_check, in_hull,
+from geomean.geocheck import (Chart, comparison_check, hull_membership,
                               secant_by_intersection, tethering_check,
                               triangle_data)
 from geomean.kernels import secant_euclid, secant_sphere
@@ -19,8 +19,8 @@ from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
                                SO3, Sphere)
 from geomean.solver import one_step
 
-from conftest import (ref_random_in_ball, ref_random_point,
-                      sample_triangle)
+from conftest import (nnls, nnls_in_hull, ref_random_in_ball,
+                      ref_random_point, sample_triangle)
 
 
 def test_secant_oracle_trivial_alpha1_zero(rng):
@@ -221,7 +221,7 @@ def test_hull_membership(rng):
     verts = [sp.exp(o, 0.5 * u) for u in dirs]
     chart = Chart(sp, o)
     V = np.array([chart.forward(v) for v in verts])
-    inside = lambda q: in_hull(V, chart.forward(q), 1e-9)
+    inside = lambda q: hull_membership(V, [chart.forward(q)], 1e-9)[0]
     assert inside(verts[0])
     assert inside(o)
     mid = sp.exp(verts[0], 0.5 * sp.log(verts[0], verts[2]))
@@ -236,7 +236,7 @@ def test_hull_membership_hand_built():
 
     def inside(verts, q):
         V = np.array([chart.forward(np.array(v)) for v in verts])
-        return in_hull(V, chart.forward(np.array(q)), 1e-9)
+        return hull_membership(V, [chart.forward(np.array(q))], 1e-9)[0]
     tri = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     for verts in (tri, tri + tri[:2]):   # also with duplicate vertices
         assert inside(verts, [1.0, 0.0])          # a vertex
@@ -251,6 +251,16 @@ def test_hull_membership_hand_built():
     assert not inside(line, [2.0 + 1e-6, 2.0 + 1e-6])
 
 
+def test_hull_membership_tiny_hull():
+    # a triangle 1e-7 across: the point inside it lies more than tol
+    # from every edge, so only the triangle's own face holds it
+    tri = 1e-7 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    Q = 1e-7 * np.array([[0.2, 0.3], [0.6, 0.5], [-0.1, 0.5]])
+    offset = np.array([0.3, -0.2])
+    got = hull_membership(tri + offset, Q + offset, 1e-9)
+    assert got.tolist() == [True, False, False]
+
+
 def test_hull_membership_so3_triangle():
     # three vertices span only a plane of the 3-D chart
     so3 = SO3()
@@ -261,7 +271,7 @@ def test_hull_membership_so3_triangle():
     mid = so3.exp(verts[0], 0.5 * so3.log(verts[0], verts[1]))
     chart = Chart(so3, o)
     V = np.array([chart.forward(v) for v in verts])
-    inside = lambda q: in_hull(V, chart.forward(q), 1e-9)
+    inside = lambda q: hull_membership(V, [chart.forward(q)], 1e-9)[0]
     for q in (verts[2], mid, o):
         assert inside(q)
     for h in (1e-6, 1e-3):   # e3 is normal to the plane at o and at mid
@@ -280,7 +290,7 @@ def test_nnls_kkt(rng):
         if trial % 4 == 0 and n > 1:
             A[:, -1] = A[:, 0]                  # a duplicate column
         b = 3.0 * rng.standard_normal(m)
-        x = geocheck._nnls(A, b)
+        x = nnls(A, b)
         w = A.T @ (b - A @ x)
         tol = 1e-9 * (1.0 + np.abs(A).max()) ** 2 * (1.0 + np.abs(b).max())
         assert (x >= 0.0).all()
@@ -291,47 +301,37 @@ def test_nnls_kkt(rng):
 @pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2), SO3()],
                          ids=lambda s: s.kind)
 def test_hull_check_matches_membership_loop(space, monkeypatch):
-    # hull_check charts each trial once and takes each record's verdict
-    # from the simplex certificate or else from in_hull; the verdicts
-    # equal one in_hull call per record in the chart at the ball center
-    trials, certificates, nnls = [], [], []
-    descend = geocheck.solver.descend
-    certified_inside = geocheck._certified_inside
+    # hull_check charts each trial once and takes its records' verdicts
+    # from one hull_membership call; each verdict equals the NNLS
+    # reference's in the chart at the ball center
+    trials, verdicts = [], []
+    descend, membership = geocheck.solver.descend, geocheck.hull_membership
 
     def spy_descend(ds, cfg, x0=None):
         trials.append((ds, descend(ds, cfg, x0=x0)))
         return trials[-1][1]
 
-    def spy_certified_inside(V, Q):
-        certificates.append(certified_inside(V, Q))
-        return certificates[-1]
-
-    def spy_in_hull(V, q, tol):
-        nnls.append(in_hull(V, q, tol))
-        return nnls[-1]
+    def spy_membership(V, Q, tol):
+        verdicts.append(membership(V, Q, tol))
+        return verdicts[-1]
 
     monkeypatch.setattr(geocheck.solver, "descend", spy_descend)
-    monkeypatch.setattr(geocheck, "_certified_inside", spy_certified_inside)
-    monkeypatch.setattr(geocheck, "in_hull", spy_in_hull)
+    monkeypatch.setattr(geocheck, "hull_membership", spy_membership)
     rep = geocheck.hull_check(space, 30, seed=5)
     monkeypatch.undo()
     flags, expected, violations = [], [], 0
-    nnls_verdicts = iter(nnls)
-    for (ds, tr), certified in zip(trials, certificates):
+    for (ds, tr), got in zip(trials, verdicts):
         chart = Chart(space, ds.ball_center)
         V = np.array([chart.forward(p) for p in ds.points])
-        entered = False
-        for rec, cert in zip(tr.records, certified):
-            flags.append(bool(cert) or next(nnls_verdicts))
-            inside = in_hull(V, chart.forward(rec.point), 1e-8)
+        flags += got.tolist()
+        entered = violated = False
+        for rec in tr.records[:len(got)]:
+            inside = nnls_in_hull(V, chart.forward(rec.point), 1e-8)
             expected.append(inside)
-            if entered and not inside:
-                violations += 1
-                break
+            violated = violated or entered and not inside
             entered = entered or inside
-    assert len(trials) == len(certificates) == 30
-    assert next(nnls_verdicts, None) is None   # every in_hull call used
-    assert any(certified.any() for certified in certificates) and nnls
+        violations += violated
+    assert len(trials) == len(verdicts) == 30
     assert flags == expected and any(flags) and not all(flags)
     assert rep["violations"] == violations
 
@@ -355,16 +355,18 @@ def test_hull_check_charts_records_as_the_sweep_reaches_them(monkeypatch):
         return forward_refusing
 
     monkeypatch.setattr(geocheck.solver, "descend", spy_descend)
-    monkeypatch.setattr(geocheck, "_certified_inside",
-                        lambda V, Q: np.zeros(len(Q), dtype=bool))
     monkeypatch.setattr(Chart, "forward", refuse(1))
     with pytest.raises(DomainError, match="^chart: refused$"):
         geocheck.hull_check(Sphere(2), 1, seed=5)
     assert len(trials[-1].records) > 2
+
     # record 0 enters the hull and record 1 leaves it: record 2 is never
     # reached, so its chart is never asked for
-    verdicts = iter([True, False])
-    monkeypatch.setattr(geocheck, "in_hull", lambda V, q, tol: next(verdicts))
+    def membership(V, Q, tol):
+        assert len(Q) == 2   # the records charted before record 2
+        return np.array([True, False])
+
+    monkeypatch.setattr(geocheck, "hull_membership", membership)
     monkeypatch.setattr(Chart, "forward", refuse(2))
     assert geocheck.hull_check(Sphere(2), 1, seed=5)["violations"] == 1
 
@@ -450,7 +452,7 @@ def test_hull_contains_l2_mean(rng):
         if np.all(w > 0.02):
             chart = Chart(sp, o)
             V = np.array([chart.forward(p) for p in pts])
-            assert in_hull(V, chart.forward(tr.final), 1e-7)
+            assert hull_membership(V, [chart.forward(tr.final)], 1e-7)[0]
 
 
 def test_tethering_check_spaces():

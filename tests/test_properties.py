@@ -3,14 +3,12 @@ length of log against the distance, symmetry of the distance (also for
 pairs far apart), the triangle inequality, the array primitives
 (dist_many, log_dist_many, exp_many) against the scalar ones, row by row,
 with the canonical sign of RP and SO(3) idempotent, the far point of
-the ball-estimate sweep against dist_many, ties included, the hull
-sweep's simplex certificate against the NNLS membership test, and the
-hull test's separating-line certificate against NNLS alone."""
+the ball-estimate sweep against dist_many, ties included, and the hull
+membership test against the NNLS reference."""
 
 import functools
 import math
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +20,8 @@ from geomean.errors import CutLocusError, DomainError
 from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
                                SO3, Sphere, _canonical_sign,
                                _canonical_sign_rows)
+
+from conftest import face_in_hull, nnls_in_hull
 
 SIX_SPACES = [Euclidean(3), Sphere(2), Circle(1.0), Hyperbolic(2),
               RealProjective(2), SO3()]
@@ -181,27 +181,24 @@ def test_farthest_is_the_first_maximum_of_dist_many(space, data):
     assert space._farthest(x, P) == int(np.argmax(space.dist_many(x, P)))
 
 
-@pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
-@settings(max_examples=20)
-@given(data=st.data())
-def test_hull_certificate_implies_membership(space, data):
-    # every chart point the simplex certificate marks inside is inside by
-    # in_hull too; the vertex sets have 1 to 6 points (so also fewer than
-    # dim + 1), copies, or lie in a hyperplane through the chart center,
-    # and the points include vertices, points on edges and points outside
+def _chart_hull(data, space, how):
+    """Chart vertices V of 1 to 6 points and chart points Q in the chart
+    at a drawn point o: V drawn, about a frame at o (so that most sets
+    span), with a copy, or in a hyperplane through o (every simplex
+    degenerate); Q holds convex combinations (the first on a face, if
+    any, or a single vertex), the vertices and two more points."""
     (o,) = _draw_points(data, space, 1)
     n = 7 - data.draw(st.integers(1, 6))   # Hypothesis favours the low end
     # n vertices, two more points and a normal, all inside r_cx
     *T, p1, p2, w = _draw_tangents(data, space, o, n + 3, 0.45)
     chart = geocheck.Chart(space, o)
-    how = data.draw(st.sampled_from(["drawn", "frame", "copy", "flat"]))
-    if how != "drawn":   # about a frame at o, so that most sets span
+    if how != "drawn":
         T = 0.5 * np.array(T) + [
             (-1) ** (i // space.dim) * 0.2 * _reach(space)
             * chart.basis[i % space.dim] for i in range(n)]
     if how == "copy":
         T[data.draw(st.integers(0, n - 1))] = T[0]
-    elif how == "flat" and space.inner(o, w, w) > 0.0:   # all degenerate
+    elif how == "flat" and space.inner(o, w, w) > 0.0:
         T = T - np.outer([space.inner(o, t, w) for t in T], w) \
             / space.inner(o, w, w)
     V = np.array([chart.forward(space.exp(o, t)) for t in (*T, p1, p2)])
@@ -209,54 +206,52 @@ def test_hull_certificate_implies_membership(space, data):
     W = 0.05 + np.abs(_draw_array(data, (4, n), 1.0))
     W[0, data.draw(st.integers(0, n - 1))] = 0.0   # on a face, if any
     W[0, 0] += W[0].sum() == 0.0                   # a single vertex
-    Q = np.vstack([(W / W.sum(axis=1, keepdims=True)) @ V, V, others])
-    certified = geocheck._certified_inside(V, Q)
-    assert all(geocheck.in_hull(V, q, 1e-8) for q in Q[certified])
+    return V, np.vstack([(W / W.sum(axis=1, keepdims=True)) @ V, V, others])
 
 
-def _nnls_in_hull(V, q, tol):
-    """in_hull's verdict from the NNLS residual alone."""
-    scale = 1.0 + float(np.abs(V).max(initial=0.0))
-    A = np.vstack([V.T, scale * np.ones(len(V))])
-    b = np.concatenate([q, [scale]])
-    return float(np.linalg.norm(A @ geocheck._nnls(A, b) - b)) <= tol * scale
+def _near_face(data, dim):
+    """Vertices V of a random hull in R^dim with a face on the hyperplane
+    a.v = 0 (a a unit normal, every other vertex on the side a.v < 0),
+    and the points k tol * scale outside it, the residual k times the
+    tolerance: a point of the face (a convex combination of its dim
+    vertices) moved that far along a, for k in 0.5, 0.9, 1.1, 2 and 10;
+    returns (V, Q, tol)."""
+    bound = data.draw(st.sampled_from([0.5, 2.0]))
+    a = _draw_array(data, dim, 1.0)
+    if not np.linalg.norm(a) > 0.1:
+        a = np.eye(dim)[0]
+    a = a / np.linalg.norm(a)
+    n = dim + data.draw(st.integers(1, 4))
+    V = _draw_array(data, (n, dim), bound)
+    V -= np.outer(V @ a, a)                       # onto a.v = 0
+    depth = 0.1 + np.abs(_draw_array(data, n - dim, bound))
+    V[dim:] -= np.outer(depth, a)                 # strictly inside
+    w = 0.05 + np.abs(_draw_array(data, dim, 1.0))
+    face = (w / w.sum()) @ V[:dim]
+    tol = data.draw(st.sampled_from([1e-9, 1e-8, 1e-6]))
+    scale = 1.0 + float(np.abs(V).max())
+    k = np.array([0.5, 0.9, 1.1, 2.0, 10.0])
+    return V, face + np.outer(k * tol * scale, a), tol
 
 
-def test_in_hull_equals_its_nnls_verdict():
-    # q lies k tol outside a face of a random hull in 1 to 3 dimensions:
-    # a point of the face (a convex combination of the dim vertices on
-    # the hyperplane a.v = 0) moved k tol along the unit normal a, with
-    # every other vertex on the side a.v < 0; the verdict must be the
-    # NNLS one whether or not the separating line decided it
-    fired = []
-
-    @settings(max_examples=60)
-    @given(data=st.data())
-    def check(data):
-        dim = data.draw(st.integers(1, 3))
-        bound = data.draw(st.sampled_from([0.5, 2.0]))
-        a = _draw_array(data, dim, 1.0)
-        if not np.linalg.norm(a) > 0.1:
-            a = np.eye(dim)[0]
-        a = a / np.linalg.norm(a)
-        n = dim + data.draw(st.integers(1, 4))
-        V = _draw_array(data, (n, dim), bound)
-        V -= np.outer(V @ a, a)                       # onto a.v = 0
-        depth = 0.1 + np.abs(_draw_array(data, n - dim, bound))
-        V[dim:] -= np.outer(depth, a)                 # strictly inside
-        w = 0.05 + np.abs(_draw_array(data, dim, 1.0))
-        face = (w / w.sum()) @ V[:dim]
-        tol = data.draw(st.sampled_from([1e-9, 1e-8, 1e-6]))
-        for k in (0.5, 1.0, 2.0, 3.0, 10.0):
-            q = face + k * tol * a
-            with mock.patch.object(geocheck, "_nnls",
-                                   wraps=geocheck._nnls) as nnls:
-                got = geocheck.in_hull(V, q, tol)
-            fired.append(not nnls.called)
-            assert got == _nnls_in_hull(V, q, tol)
-
-    check()
-    assert any(fired) and not all(fired)
+@pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
+@FEW
+@given(data=st.data())
+def test_hull_membership_equals_nnls(space, data):
+    # hull_membership's verdicts are the NNLS reference's, or inside
+    # where a face's own least-squares solution holds a point that
+    # Lawson-Hanson stops short of (face_in_hull): on chart vertex sets
+    # of 1 to 6 points (so also fewer than dim + 1) drawn, about a
+    # frame, with a copy or flat, at hull_check's tolerance; and k tol
+    # outside a face of a hull in the space's chart dimension
+    how = data.draw(st.sampled_from(["drawn", "frame", "copy", "flat",
+                                     "near_face"]))
+    if how == "near_face":
+        V, Q, tol = _near_face(data, space.dim)
+    else:
+        (V, Q), tol = _chart_hull(data, space, how), 1e-8
+    ref = [nnls_in_hull(V, q, tol) or face_in_hull(V, q, tol) for q in Q]
+    assert geocheck.hull_membership(V, Q, tol).tolist() == ref
 
 
 # the classes whose representation error stands in for a finiteness pass
