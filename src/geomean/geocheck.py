@@ -8,9 +8,9 @@ comparison and of tethering, and convex-hull membership.  In a chart a
 point lies in the hull of the vertices exactly when some face of 1 to
 dim+1 affinely independent vertices holds it (Caratheodory), so
 `hull_membership` decides it from one batched least-squares solve over
-every face of the vertices and every point.  The hull-trap sweep charts
-each trial's vertices and records once and takes every record's verdict
-from that one call.
+every face of the vertices and every point, for a whole block of hulls
+at once.  The hull-trap sweep charts each trial's vertices and records
+once and takes the verdicts of a block's records from one call.
 
 The three Monte Carlo sweeps sample in two phases (manifolds.Draws):
 a block of trials makes its Generator calls in the order of one trial
@@ -276,11 +276,13 @@ def _triangles(space, X, Y1, Y2):
     return b, c, alpha
 
 
-def hull_membership(V, Q, tol):
-    """Whether each chart point (row of Q) is a convex combination of the
-    rows of V, to within tol; for `Chart.forward` images (a chart at the
-    enclosing-ball center is valid for any ball radius <= r_cx) this is
-    geodesic convex-hull membership.
+def hull_membership(hulls, tol):
+    """Whether each chart point is a convex combination of a hull's
+    vertices, to within tol: for each (V, Q) of `hulls`, an array with
+    one verdict per row of Q on the hull of the rows of V.  For
+    `Chart.forward` images (a chart at the enclosing-ball center is
+    valid for any ball radius <= r_cx) this is geodesic convex-hull
+    membership.
 
     With scale = 1 + max |V_ij|, q is inside when some x >= 0 leaves
     |A x - b| <= tol * scale, where A stacks V^T over the row scale * 1^T
@@ -288,31 +290,63 @@ def hull_membership(V, Q, tol):
     residual on the face of x's support, whose columns of A are linearly
     independent (Caratheodory), so q is inside exactly when some face of
     1 to dim+1 vertices (`_faces`) has a least-squares solution x >= 0
-    with that residual.  One batched QR factorization solves every face
-    at every row of Q, by QR rather than the normal equations so that
-    small or thin faces keep their accuracy.  A face with a pivot below
-    scale * _MIN_PIVOT has nearly dependent columns and is left out: a
-    smaller face holds what it would.  The residual is taken from the
-    solution itself, so a face that passes proves its point within tol.
+    with that residual.  The hulls are decided in groups of one shape
+    of V: one batched QR factorization of every face of every hull in
+    the group, by QR rather than the normal equations so that small or
+    thin faces keep their accuracy, then every (face, point) pair of a
+    hull solved at once by back-substitution on the face's triangle.  A
+    face with a pivot below scale * _MIN_PIVOT has nearly dependent
+    columns and is left out: a smaller face holds what it would.  The
+    residual is taken from the solution itself, so a face that passes
+    proves its point within tol.
     """
-    n, dim = V.shape
-    scale = 1.0 + float(np.abs(V).max(initial=0.0))
+    verdicts = [None] * len(hulls)
+    groups = {}
+    for i, (V, _) in enumerate(hulls):
+        groups.setdefault(np.shape(V), []).append(i)
+    for (n, dim), members in groups.items():
+        Qs = [np.reshape(hulls[i][1], (-1, dim)) for i in members]
+        inside = _hull_group(np.array([hulls[i][0] for i in members],
+                                      dtype=float), Qs, tol)
+        for i, Q, row in zip(members, Qs, inside):
+            verdicts[i] = row[:len(Q)]
+    return verdicts
+
+
+def _hull_group(V, Qs, tol):
+    """hull_membership's verdicts for hulls of one shape, V of shape
+    (hull, n, dim), with the points Qs[h] of hull h: a (hull, point)
+    array, the rows padded past each hull's own points."""
+    count, n, dim = V.shape
+    scale = 1.0 + np.abs(V).max(axis=(1, 2), initial=0.0)
     faces, pad = _faces(n, dim)
     # column n is zero: a face's padded slots add nothing to A x
-    Vs = np.zeros((dim + 1, n + 1))
-    Vs[:dim, :n] = V.T
-    Vs[dim, :n] = scale
-    A = Vs[:, faces].transpose(1, 0, 2)          # (face, dim+1, slot)
+    Vs = np.zeros((count, dim + 1, n + 1))
+    Vs[:, :dim, :n] = V.transpose(0, 2, 1)
+    Vs[:, dim, :n] = scale[:, np.newaxis]
+    A = Vs[:, :, faces].transpose(0, 2, 1, 3)    # (hull, face, dim+1, slot)
     # the identity below a face's padded slots fits their weights to 0
-    U, T = np.linalg.qr(np.concatenate([A, pad], axis=1))
-    keep = (np.abs(np.diagonal(T, axis1=1, axis2=2)).min(axis=1)
-            >= scale * _MIN_PIVOT)
-    B = np.vstack([np.transpose(Q), np.full((1, len(Q)), scale)])
-    X = np.linalg.solve(T[keep], U[keep, :dim + 1].transpose(0, 2, 1) @ B)
-    R = A[keep] @ X - B                          # (face, dim+1, row)
-    fits = (X >= 0.0).all(axis=1) & (
-        np.einsum("fir,fir->fr", R, R) <= (tol * scale) ** 2)
-    return fits.any(axis=0)
+    U, T = np.linalg.qr(np.concatenate(
+        [A, np.broadcast_to(pad, (count,) + pad.shape)], axis=2))
+    keep = (np.abs(np.diagonal(T, axis1=2, axis2=3)).min(axis=2)
+            >= scale[:, np.newaxis] * _MIN_PIVOT)
+    # a face left out solves on the identity, and its verdicts are dropped
+    T = np.where(keep[..., np.newaxis, np.newaxis], T, np.eye(dim + 1))
+    B = np.zeros((count, 1, dim + 1, max(map(len, Qs))))
+    B[:, 0, dim] = scale[:, np.newaxis]
+    for b, Q in zip(B, Qs):
+        b[0, :dim, :len(Q)] = Q.T
+    X = U[..., :dim + 1, :].swapaxes(2, 3) @ B   # (hull, face, slot, point)
+    for j in range(dim, -1, -1):                 # back-substitution in place
+        X[..., j, :] -= np.einsum("hfs,hfsr->hfr", T[..., j, j + 1:],
+                                  X[..., j + 1:, :])
+        X[..., j, :] /= T[..., j, j, np.newaxis]
+    R = A @ X
+    R -= B
+    fits = keep[..., np.newaxis] & (X >= 0.0).all(axis=2) & (
+        np.einsum("hfir,hfir->hfr", R, R)
+        <= ((tol * scale) ** 2)[:, np.newaxis, np.newaxis])
+    return fits.any(axis=1)
 
 
 @functools.cache
@@ -394,7 +428,7 @@ def _dataset_trials(space, rng, n_trials, t_grid):
             else:
                 rho, n = max(cap * u, min(1e-6, cap)), int(rng.integers(1, 9))
             pts = draws.ball(o, rho, n)
-            wts = None if t_grid is None else rng.dirichlet(np.ones(n))
+            wts = None if t_grid is None else _flat_dirichlet(rng, n)
             if careful:
                 frechet.make_dataset(space, pts, wts, o, rho)
             x = draws.ball(o, rho, 1)[0]
@@ -403,6 +437,19 @@ def _dataset_trials(space, rng, n_trials, t_grid):
         return trials if draws.finish() else None
     sizes = (min(_BLOCK, n_trials - s) for s in range(0, n_trials, _BLOCK))
     return _in_blocks(rng, draw, sizes)
+
+
+def _flat_dirichlet(rng, n):
+    """rng.dirichlet(np.ones(n)), bit for bit and in its Philox draws,
+    at about a third of its cost: numpy draws it as n standard
+    exponentials times the inverse of their sum, summed left to right
+    (not builtin sum, which compensates from Python 3.12 on, nor
+    np.sum, which sums pairwise from 8 terms)."""
+    e = rng.standard_exponential(n)
+    acc = 0.0
+    for v in e.tolist():
+        acc += v
+    return e * (1.0 / acc)
 
 
 def _tethering_margins(space, trials):
@@ -444,47 +491,62 @@ def hull_check(space, n_trials, seed):
     the data, later iterates must stay inside.
 
     The trials are drawn in blocks (_dataset_trials); their descents
-    draw nothing.  Each trial's records get their verdicts from one
-    `hull_membership` call in the chart at the ball center.  The records
-    are charted ahead of the sweep, but a record the chart refuses raises
-    only if the sweep, which stops at the first violation, reaches it.
-    The report's min_margin is NaN: a margin (how deep the records stay
-    inside) would change the report, and the benchmark's recorded
-    reference outputs hold NaN there, so it waits for a change that may
-    record them again.
+    draw nothing.  A block's trials are descended and charted in the
+    chart at their ball centers, then one `hull_membership` call gives
+    every record of the block its verdict, and the block is swept trial
+    by trial.  The records are charted ahead of the sweep, but a record
+    the chart refuses raises only if the sweep, which stops a trial at
+    its first violation, reaches it.  Where a trial's dataset, descent
+    or chart raises, the trials before it are decided and swept first,
+    so the first error is that of one trial at a time.  The report's
+    min_margin is NaN: a margin (how deep the records stay inside) would
+    change the report, and the benchmark's recorded reference outputs
+    hold NaN there, so it waits for a change that may record them again.
     """
     if n_trials < 1:
         raise DomainError(f"hull_check: need n_trials >= 1, got {n_trials}")
     rng = np.random.Generator(np.random.Philox(seed))
     violations = 0
     for trials in _dataset_trials(space, rng, n_trials, None):
-        for o, rho, pts, _, x0, _ in trials:
-            ds = frechet.make_dataset(space, pts, None, o, rho)
-            violations += _hull_trap_violated(ds, x0)
+        problems = []
+        try:
+            for trial in trials:
+                problems.append(_hull_problem(space, trial))
+        finally:   # also where a trial raises: the trials before it first
+            violations += _hull_violations(problems)
     return {"suite": "hull", "trials": n_trials, "violations": violations,
             "min_margin": math.nan, "seed": seed}
 
 
-def _hull_trap_violated(ds, x0):
-    """Whether the descent from x0 leaves the hull of ds's points after
-    entering it."""
-    space = ds.space
+def _hull_problem(space, trial):
+    """A hull trial's points and descent records in the chart at its ball
+    center, the records up to the first one the chart refuses, and that
+    refusal (None where the chart takes every record)."""
+    o, rho, pts, _, x0, _ = trial
+    ds = frechet.make_dataset(space, pts, None, o, rho)
     tr = solver.descend(ds, solver.SolverConfig(
         p=2.0, step=1.0, grad_tol=1e-9, max_iters=60), x0=x0)
     chart = Chart(space, ds.ball_center)
     V = np.array([chart.forward(p) for p in ds.points])
-    Q = []
+    Q, refused = [], None
     for rec in tr.records:
         try:
             Q.append(chart.forward(rec.point))
-        except GeomeanError:
+        except GeomeanError as e:
+            refused = e
             break
-    verdicts = hull_membership(V, np.reshape(Q, (len(Q), space.dim)), 1e-8)
-    entered = False
-    for i, rec in enumerate(tr.records):
-        if i == len(Q):   # the sweep reached a record forward refused
-            chart.forward(rec.point)
-        if entered and not verdicts[i]:
-            return True
-        entered = entered or verdicts[i]
-    return False
+    return V, np.reshape(Q, (len(Q), space.dim)), refused
+
+
+def _hull_violations(problems):
+    """How many of the _hull_problem trials leave the hull after
+    entering it, from one hull_membership call; a trial's refused record
+    raises where the sweep, which stops at a violation, reaches it."""
+    verdicts = hull_membership([(V, Q) for V, Q, _ in problems], 1e-8)
+    violations = 0
+    for (_, _, refused), inside in zip(problems, verdicts):
+        if inside.any() and not inside[inside.argmax():].all():
+            violations += 1   # a record after the first inside one is not
+        elif refused is not None:
+            raise refused
+    return violations

@@ -221,7 +221,7 @@ def test_hull_membership(rng):
     verts = [sp.exp(o, 0.5 * u) for u in dirs]
     chart = Chart(sp, o)
     V = np.array([chart.forward(v) for v in verts])
-    inside = lambda q: hull_membership(V, [chart.forward(q)], 1e-9)[0]
+    inside = lambda q: hull_membership([(V, [chart.forward(q)])], 1e-9)[0][0]
     assert inside(verts[0])
     assert inside(o)
     mid = sp.exp(verts[0], 0.5 * sp.log(verts[0], verts[2]))
@@ -236,7 +236,7 @@ def test_hull_membership_hand_built():
 
     def inside(verts, q):
         V = np.array([chart.forward(np.array(v)) for v in verts])
-        return hull_membership(V, [chart.forward(np.array(q))], 1e-9)[0]
+        return hull_membership([(V, [chart.forward(np.array(q))])], 1e-9)[0][0]
     tri = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     for verts in (tri, tri + tri[:2]):   # also with duplicate vertices
         assert inside(verts, [1.0, 0.0])          # a vertex
@@ -257,7 +257,7 @@ def test_hull_membership_tiny_hull():
     tri = 1e-7 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     Q = 1e-7 * np.array([[0.2, 0.3], [0.6, 0.5], [-0.1, 0.5]])
     offset = np.array([0.3, -0.2])
-    got = hull_membership(tri + offset, Q + offset, 1e-9)
+    (got,) = hull_membership([(tri + offset, Q + offset)], 1e-9)
     assert got.tolist() == [True, False, False]
 
 
@@ -271,7 +271,7 @@ def test_hull_membership_so3_triangle():
     mid = so3.exp(verts[0], 0.5 * so3.log(verts[0], verts[1]))
     chart = Chart(so3, o)
     V = np.array([chart.forward(v) for v in verts])
-    inside = lambda q: hull_membership(V, [chart.forward(q)], 1e-9)[0]
+    inside = lambda q: hull_membership([(V, [chart.forward(q)])], 1e-9)[0][0]
     for q in (verts[2], mid, o):
         assert inside(q)
     for h in (1e-6, 1e-3):   # e3 is normal to the plane at o and at mid
@@ -301,19 +301,21 @@ def test_nnls_kkt(rng):
 @pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2), SO3()],
                          ids=lambda s: s.kind)
 def test_hull_check_matches_membership_loop(space, monkeypatch):
-    # hull_check charts each trial once and takes its records' verdicts
-    # from one hull_membership call; each verdict equals the NNLS
-    # reference's in the chart at the ball center
-    trials, verdicts = [], []
+    # hull_check charts each trial once and takes the verdicts of a
+    # block's records from one hull_membership call; each verdict equals
+    # the NNLS reference's in the chart at the ball center
+    monkeypatch.setattr(geocheck, "_BLOCK", 8)
+    trials, verdicts, calls = [], [], []
     descend, membership = geocheck.solver.descend, geocheck.hull_membership
 
     def spy_descend(ds, cfg, x0=None):
         trials.append((ds, descend(ds, cfg, x0=x0)))
         return trials[-1][1]
 
-    def spy_membership(V, Q, tol):
-        verdicts.append(membership(V, Q, tol))
-        return verdicts[-1]
+    def spy_membership(hulls, tol):
+        calls.append(len(hulls))
+        verdicts.extend(membership(hulls, tol))
+        return verdicts[-len(hulls):]
 
     monkeypatch.setattr(geocheck.solver, "descend", spy_descend)
     monkeypatch.setattr(geocheck, "hull_membership", spy_membership)
@@ -331,9 +333,35 @@ def test_hull_check_matches_membership_loop(space, monkeypatch):
             violated = violated or entered and not inside
             entered = entered or inside
         violations += violated
+    assert calls == [8, 8, 8, 6]   # one call a block
     assert len(trials) == len(verdicts) == 30
     assert flags == expected and any(flags) and not all(flags)
     assert rep["violations"] == violations
+
+
+def _refusing(trials, k):
+    """Chart.forward refusing record k of the first descent in
+    `trials`, the descents seen so far."""
+    forward = Chart.forward
+
+    def forward_refusing(chart, point):
+        if trials and point is trials[0].records[k].point:
+            raise DomainError("chart: refused")
+        return forward(chart, point)
+    return forward_refusing
+
+
+def _spying_descend(trials, fail_at=None):
+    """solver.descend appending each trace to `trials`, raising
+    DomainError at call number fail_at (0 based) where given."""
+    descend = geocheck.solver.descend
+
+    def spy_descend(ds, cfg, x0=None):
+        if len(trials) == fail_at:
+            raise DomainError("descend: refused")
+        trials.append(descend(ds, cfg, x0=x0))
+        return trials[-1]
+    return spy_descend
 
 
 def test_hull_check_charts_records_as_the_sweep_reaches_them(monkeypatch):
@@ -341,34 +369,40 @@ def test_hull_check_charts_records_as_the_sweep_reaches_them(monkeypatch):
     # refuses raises only where the sweep, which stops at the first
     # violation, reaches it
     trials = []
-    descend, forward = geocheck.solver.descend, Chart.forward
-
-    def spy_descend(ds, cfg, x0=None):
-        trials.append(descend(ds, cfg, x0=x0))
-        return trials[-1]
-
-    def refuse(k):
-        def forward_refusing(chart, point):
-            if trials and point is trials[-1].records[k].point:
-                raise DomainError("chart: refused")
-            return forward(chart, point)
-        return forward_refusing
-
-    monkeypatch.setattr(geocheck.solver, "descend", spy_descend)
-    monkeypatch.setattr(Chart, "forward", refuse(1))
+    monkeypatch.setattr(geocheck.solver, "descend", _spying_descend(trials))
+    monkeypatch.setattr(Chart, "forward", _refusing(trials, 1))
     with pytest.raises(DomainError, match="^chart: refused$"):
-        geocheck.hull_check(Sphere(2), 1, seed=5)
-    assert len(trials[-1].records) > 2
+        geocheck.hull_check(Sphere(2), 3, seed=5)
+    assert len(trials) == 3 and len(trials[0].records) > 2
 
     # record 0 enters the hull and record 1 leaves it: record 2 is never
     # reached, so its chart is never asked for
-    def membership(V, Q, tol):
-        assert len(Q) == 2   # the records charted before record 2
-        return np.array([True, False])
+    def membership(hulls, tol):
+        assert [len(Q) for _, Q in hulls] == [2]   # records 0 and 1
+        return [np.array([True, False])]
 
+    monkeypatch.undo()
+    trials.clear()
+    monkeypatch.setattr(geocheck.solver, "descend", _spying_descend(trials))
     monkeypatch.setattr(geocheck, "hull_membership", membership)
-    monkeypatch.setattr(Chart, "forward", refuse(2))
+    monkeypatch.setattr(Chart, "forward", _refusing(trials, 2))
     assert geocheck.hull_check(Sphere(2), 1, seed=5)["violations"] == 1
+
+
+def test_hull_check_raises_the_first_trials_error_first(monkeypatch):
+    # a block's trials are descended before any is swept, yet where
+    # trial 0's sweep reaches a record the chart refuses and trial 2's
+    # descent raises, trial 0's error raises, as one trial at a time
+    trials = []
+    monkeypatch.setattr(geocheck.solver, "descend",
+                        _spying_descend(trials, fail_at=2))
+    with pytest.raises(DomainError, match="^descend: refused$"):
+        geocheck.hull_check(Sphere(2), 5, seed=5)
+    trials.clear()
+    monkeypatch.setattr(Chart, "forward", _refusing(trials, 1))
+    with pytest.raises(DomainError, match="^chart: refused$"):
+        geocheck.hull_check(Sphere(2), 5, seed=5)
+    assert len(trials) == 2
 
 
 # The Generator's Philox state after each suite (its counter and buffer
@@ -452,7 +486,9 @@ def test_hull_contains_l2_mean(rng):
         if np.all(w > 0.02):
             chart = Chart(sp, o)
             V = np.array([chart.forward(p) for p in pts])
-            assert hull_membership(V, [chart.forward(tr.final)], 1e-7)[0]
+            (inside,) = hull_membership([(V, [chart.forward(tr.final)])],
+                                        1e-7)[0]
+            assert inside
 
 
 def test_tethering_check_spaces():
@@ -482,6 +518,20 @@ def test_tethering_balls_stay_within_r_cx(kappa, monkeypatch):
     radii = [radius for _, radius in balls]
     assert len(radii) == 50 and max(radii) <= r_cx
     assert rep["violations"] == 0 and rep["min_margin"] <= r_cx
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_flat_dirichlet_is_numpys_dirichlet(n):
+    # the tethering weights are numpy's Dirichlet(1, ..., 1) draws, bit
+    # for bit, with the Generator left in the same state; a numpy that
+    # draws Dirichlet otherwise fails here
+    for seed in range(20):
+        want = np.random.Generator(np.random.Philox(seed))
+        got = np.random.Generator(np.random.Philox(seed))
+        for _ in range(20):
+            assert (geocheck._flat_dirichlet(got, n).tobytes()
+                    == want.dirichlet(np.ones(n)).tobytes())
+        assert _philox_state(got) == _philox_state(want)
 
 
 def _tethering_one_at_a_time(space, n_trials, t_grid, seed, points=None):
@@ -809,6 +859,24 @@ def test_comparison_redraws_degenerate_triangles_as_one_trial_at_a_time(
     assert state == _philox_state(rngs[0])
 
 
+def _hull_trap_violated(ds, x0):
+    """Reference: whether the descent from x0 leaves the hull of ds's
+    points after entering it, one trial by itself, every record charted
+    as the sweep reaches it."""
+    tr = geocheck.solver.descend(ds, geocheck.solver.SolverConfig(
+        p=2.0, step=1.0, grad_tol=1e-9, max_iters=60), x0=x0)
+    chart = Chart(ds.space, ds.ball_center)
+    V = np.array([chart.forward(p) for p in ds.points])
+    entered = False
+    for rec in tr.records:
+        (inside,) = hull_membership([(V, [chart.forward(rec.point)])],
+                                    1e-8)[0]
+        if entered and not inside:
+            return True
+        entered = entered or inside
+    return False
+
+
 def _hull_one_at_a_time(space, n_trials, seed):
     """Reference: hull_check one trial at a time on the numpy reference
     sampler, each trial's points and x0 drawn, then its descent.
@@ -825,7 +893,7 @@ def _hull_one_at_a_time(space, n_trials, seed):
         ds = make_dataset(space, pts, None, o, rho)
         x0 = ref_random_in_ball(space, o, rho, rng)
         inputs.append(np.concatenate([ds.points.ravel(), x0]))
-        violations += geocheck._hull_trap_violated(ds, x0)
+        violations += _hull_trap_violated(ds, x0)
     report = {"suite": "hull", "trials": n_trials, "violations": violations,
               "min_margin": math.nan, "seed": seed}
     return report, _philox_state(rng), inputs
@@ -851,8 +919,8 @@ def test_hull_equals_one_trial_at_a_time(space, seed, block, monkeypatch):
     monkeypatch.setattr(manifolds.Draws, "finish", counted)
     report, state = _observed(
         monkeypatch, lambda: geocheck.hull_check(space, 30, seed),
-        "_hull_trap_violated", lambda result, ds, x0: inputs.append(
-            np.concatenate([ds.points.ravel(), x0])))
+        "_hull_problem", lambda result, space, trial: inputs.append(
+            np.concatenate([np.ravel(trial[2]), trial[4]])))
     assert blocks == [min(block, 30 - s) for s in range(0, 30, block)]
     want_report, want_state, want_inputs = _hull_one_at_a_time(space, 30,
                                                                seed)

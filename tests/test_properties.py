@@ -4,7 +4,8 @@ pairs far apart), the triangle inequality, the array primitives
 (dist_many, log_dist_many, exp_many) against the scalar ones, row by row,
 with the canonical sign of RP and SO(3) idempotent, the far point of
 the ball-estimate sweep against dist_many, ties included, and the hull
-membership test against the NNLS reference."""
+membership test against the NNLS reference, one hull and a block of
+them."""
 
 import functools
 import math
@@ -251,7 +252,52 @@ def test_hull_membership_equals_nnls(space, data):
     else:
         (V, Q), tol = _chart_hull(data, space, how), 1e-8
     ref = [nnls_in_hull(V, q, tol) or face_in_hull(V, q, tol) for q in Q]
-    assert geocheck.hull_membership(V, Q, tol).tolist() == ref
+    assert geocheck.hull_membership([(V, Q)], tol)[0].tolist() == ref
+
+
+def _block_hull(data, shape):
+    """A hull of the given (n, dim) shape, drawn, with a duplicate vertex
+    or collinear, 1 or 1e-7 across (test_hull_membership_tiny_hull's
+    size) about a drawn offset, and 0 to 4 points (no point: the chart
+    refused a trial's first record) among convex combinations of the
+    vertices, the vertices and drawn points."""
+    n, dim = shape
+    how = data.draw(st.sampled_from(["drawn", "copy", "collinear"]))
+    V = _draw_array(data, (n, dim), 1.0)
+    if how == "copy":
+        V[data.draw(st.integers(0, n - 1))] = V[0]
+    elif how == "collinear":
+        V = np.outer(_draw_array(data, n, 1.0), _draw_array(data, dim, 1.0))
+    W = 0.05 + np.abs(_draw_array(data, (2, n), 1.0))
+    P = np.vstack([(W / W.sum(axis=1, keepdims=True)) @ V, V,
+                   _draw_array(data, (2, dim), 1.5)])
+    Q = P[data.draw(st.lists(st.integers(0, len(P) - 1), max_size=4))]
+    size = data.draw(st.sampled_from([1.0, 1e-7]))
+    offset = _draw_array(data, dim, 1.0)
+    return size * V + offset, size * Q + offset
+
+
+@FEW
+@given(data=st.data())
+def test_hull_membership_block_equals_one_by_one(data):
+    # one call on a block of hulls of mixed shapes (1 to 7 vertices in
+    # dims 1 to 3, often a shape twice in a row) gives each hull the
+    # verdicts of a call on that hull alone, and those are the NNLS
+    # reference's, or inside where face_in_hull finds a face holding
+    # the point (test_hull_membership_equals_nnls)
+    hulls, shape = [], None
+    for _ in range(data.draw(st.integers(1, 8))):
+        if shape is None or data.draw(st.booleans()):
+            shape = (data.draw(st.integers(1, 7)),
+                     data.draw(st.integers(1, 3)))
+        hulls.append(_block_hull(data, shape))
+    tol = data.draw(st.sampled_from([1e-9, 1e-8]))
+    got = geocheck.hull_membership(hulls, tol)
+    assert len(got) == len(hulls)
+    for (V, Q), verdicts in zip(hulls, got):
+        (alone,) = geocheck.hull_membership([(V, Q)], tol)
+        ref = [nnls_in_hull(V, q, tol) or face_in_hull(V, q, tol) for q in Q]
+        assert verdicts.tolist() == alone.tolist() == ref
 
 
 # the classes whose representation error stands in for a finiteness pass
