@@ -3,7 +3,9 @@
 f_p(x) = (1/p) sum_i w_i d(x, x_i)^p  for  2 <= p < infinity.
 
 The gradient is -sum_i w_i d(x,x_i)^(p-2) log_x(x_i); for p = 2 the factor
-d^0 is taken to be 1 even at d = 0 (half of d^2 is smooth there).
+d^0 is taken to be 1 even at d = 0 (half of d^2 is smooth there).  With
+log_x(x_i) = s_i u_i, u_i the part of x_i tangential at x and
+s_i = d(x,x_i)/|u_i|, it is one weighted sum of the u_i.
 """
 
 import math
@@ -192,20 +194,20 @@ def cost(ds, p, x):
 
 
 def cost_gradient(ds, p, x):
-    """(f_p(x), grad f_p(x)) from one log_dist_many over the data: the
-    values of cost and gradient, bit for bit.
+    """(f_p(x), grad f_p(x)) from one _log_scales over the data: cost's
+    value, bit for bit, and the gradient as one product -((w s) @ U).
 
     Raises CutLocusError with the offending data index if x sits in the
     cut-locus band of some x_i (cost alone is still defined there).
     """
     p = check_p(p)
     try:
-        logs, d = ds.space.log_dist_many(x, ds.points)
+        U, s, d = ds.space._log_scales(x, ds.points)
     except CutLocusError as e:
         raise CutLocusError(f"gradient: data point {e.index} at cut locus: {e}",
                             index=e.index) from None
     w = ds.weights if p == 2.0 else ds.weights * d ** (p - 2.0)
-    return float(ds.weights @ d ** p) / p, -(w @ logs)
+    return float(ds.weights @ d ** p) / p, -((w * s) @ U)
 
 
 def gradient(ds, p, x):

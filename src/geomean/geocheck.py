@@ -262,8 +262,12 @@ def _comparison_draws(space, rng, count, careful):
 def _triangles(space, X, Y1, Y2):
     """triangle_data over the rows of X, Y1 and Y2, in array passes:
     arrays b, c and alpha, alpha 0 where b or c is below 1e-14."""
-    V1 = space.log_dist_many(X, Y1)[0]
-    V2 = space.log_dist_many(X, Y2)[0]
+    U1, s1, _ = space._log_scales(X, Y1)
+    U2, s2, _ = space._log_scales(X, Y2)
+    # the logs as C-ordered rows: einsum (_inner_rows) sums a row in an
+    # order that follows the layout
+    V1 = np.multiply(s1[:, np.newaxis], U1, order="C")
+    V2 = np.multiply(s2[:, np.newaxis], U2, order="C")
     with np.errstate(divide="ignore", invalid="ignore"):
         b = np.sqrt(np.maximum(space._inner_rows(V1, V1), 0.0))
         c = np.sqrt(np.maximum(space._inner_rows(V2, V2), 0.0))
@@ -454,9 +458,10 @@ def _flat_dirichlet(rng, n):
 
 def _tethering_margins(space, trials):
     """The margins rho - d(o, y) of a block of trials (o, rho, points,
-    weights, x, t): one check_points, one dist_many and one log_dist_many
-    with a base point per row, then per trial one_step's own gemv
-    -(w @ logs), exp and distance.  A block they refuse is replayed."""
+    weights, x, t): one check_points, one dist_many and one _log_scales
+    with a base point per row, then per trial the gradient -((w s) @ U)
+    on its rows, which matches one_step's within 1e-12, its exp and
+    distance.  A block they refuse is replayed."""
     o, rho, pts, wts, x, t = zip(*trials)
     counts = [len(p) for p in pts]
     P = np.concatenate(pts)
@@ -465,7 +470,7 @@ def _tethering_margins(space, trials):
         space.check_points(np.concatenate((P, o)))
         inside = (space.dist_many(np.repeat(o, counts, axis=0), P)
                   <= R + 1e-9 * np.maximum(1.0, R))
-        logs = space.log_dist_many(np.repeat(x, counts, axis=0), P)[0]
+        U, s, _ = space._log_scales(np.repeat(x, counts, axis=0), P)
     except GeomeanError:
         inside = None
     # a Dirichlet draw and a drawn rho pass make_dataset's other checks,
@@ -480,7 +485,7 @@ def _tethering_margins(space, trials):
         return margins
     margins, end = [], 0
     for oi, ri, wi, xi, ti, n in zip(o, rho, wts, x, t, counts):
-        g = -((wi / float(wi.sum())) @ logs[end:end + n])
+        g = -(((wi / float(wi.sum())) * s[end:end + n]) @ U[end:end + n])
         end += n
         margins.append(ri - space.distance(oi, space.exp(xi, -ti * g)))
     return margins

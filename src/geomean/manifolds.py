@@ -16,7 +16,7 @@ Tangent vectors at x are ambient arrays orthogonal to x under the ambient
 (or Minkowski) inner product; their stored norm equals the geodesic speed.
 
 Each space evaluates a pair (distance, log, log_dist, exp) with scalar
-code, and N points at once (dist_many, log_dist_many, exp_many) with the
+code, and N points at once (dist_many, _log_scales, exp_many) with the
 same formulas on one point x of shape (D,) and an (N, D) array P, on
 whose (D, N) transpose they work where _along_points says so: numpy's
 inner loop then runs over the points, with the rows' operations and
@@ -26,11 +26,13 @@ elementwise step and sum over D runs on its rows.  Their inner products
 are _dot_columns, which writes out einsum's order for a row of fewer
 than 8 terms (two lanes: the even and the odd terms, each left to
 right, then even + odd); below _ALONG_POINTS rows they stay einsum
-(_dot_rows) on the (N, D) rows.  The gradient's gemv w @ logs sums in an
-order that follows the layout, so the logs stay C-ordered (N, D)
-rows.  With x of shape (N, D), a base point per row, _tangential_many,
-dist_many and log_dist_many give row i the bits of the one-point call
-on x[i]: the along path reads x.T (_column) for x[:, np.newaxis].
+(_dot_rows) on the (N, D) rows.  _log_scales gives the logs as
+tangential parts U and scales s: row i of s[:, np.newaxis] * U is the
+log, and a weighted sum of logs is one product (w * s) @ U, which
+rounds apart from the sum of the scaled rows.  With x of shape (N, D),
+a base point per row, _tangential_many, dist_many and _log_scales give
+row i the bits of the one-point call on x[i]: the along path reads x.T
+(_column) for x[:, np.newaxis].
 Single-pair callers such as the
 descent step itself, the ball-estimate sweep's step, the oracles and
 Chart use the first; sums over the data points and the solver's monitor
@@ -65,11 +67,6 @@ normal, normalised, then exp_many).  Those passes move points by
 rounding from the per-pair forms, but not the draws.  random_point and
 random_points_in_ball (random_in_ball is its one-point case) finish
 each point at its draw.
-
-check_points accepts all rows on the representation
-errors alone where they flag every row with a non-finite coordinate
-(_ERRORS_SEE_NON_FINITE: the sphere family and H); Euclidean space,
-whose error is 0, keeps the finiteness test.
 
 Angles near 0 and pi are computed via atan2 of a projected norm rather
 than arccos, so distances stay accurate right up to the cut locus (needed
@@ -112,10 +109,6 @@ class ManifoldSpace:
     """Base class; concrete spaces implement the embedding-specific parts."""
 
     kind = None
-    # Whether _constraint_errors is NaN or above 1e-12 on every row with
-    # a non-finite coordinate, so that check_points needs no finiteness
-    # pass to accept all rows; the subclasses that set it say why
-    _ERRORS_SEE_NON_FINITE = False
 
     def __init__(self, dim, kappa):
         self.dim = int(dim)
@@ -215,18 +208,24 @@ class ManifoldSpace:
                 return k.index(lo)
         return ManifoldSpace._farthest(self, x, P)
 
-    def log_dist_many(self, x, P):
-        """(logs, d) over the rows of an (N, D) array P: row i is
-        log_dist(x, P[i]), or log_dist(x[i], P[i]).  The first row in the
-        cut-locus band raises the CutLocusError log_dist raises for it,
-        with `index` set to the row."""
+    def _log_scales(self, x, P):
+        """(U, s, d) over the rows of an (N, D) array P, from x or a base
+        point x[i] per row: the tangential parts U and the distances d of
+        _tangential_many, and s = d / |U|, 0 where d is 0, so that row i
+        of s[:, np.newaxis] * U is log_dist(x, P[i]).  Raises the error
+        log_dist raises for the first row it refuses (_refuse_logs)."""
         U, nU, d = self._tangential_many(x, P)
+        self._refuse_logs(x, P, nU, d)
+        return U, np.divide(d, nU, out=np.zeros(d.shape), where=d != 0.0), d
+
+    def _refuse_logs(self, x, P, nU, d):
+        """Raise the CutLocusError of the first row in the cut-locus band,
+        with `index` set to the row."""
         band = self._band_start()
         # fmax skips NaN distances, as the elementwise test does
         if np.fmax.reduce(d, initial=-math.inf) >= band:
             i = int(np.argmax(d >= band))
             raise self._cut_locus_error(d[i], index=i)
-        return _scaled_rows(U, nU, d), d
 
     def _band_start(self):
         """Distance from which log refuses: the cut-locus guard band below
@@ -263,8 +262,7 @@ class ManifoldSpace:
                               f"expected ({self.ambient_dim},)")
         with np.errstate(over="ignore", invalid="ignore"):
             err = self._constraint_errors(X)
-        if (err <= 1e-12).all() and (self._ERRORS_SEE_NON_FINITE
-                                     or np.isfinite(X).all()):
+        if (err <= 1e-12).all() and np.isfinite(X).all():
             return   # the common case, in whole-array passes
         finite = np.isfinite(X).all(axis=1)
         i = int(np.argmax(~(finite & (err <= 1e-12))))  # a NaN error too
@@ -351,10 +349,6 @@ class Euclidean(ManifoldSpace):
         u, nu, _ = self._tangential(x, y)
         return u, nu
 
-    def log_dist_many(self, x, P):
-        U, nU, _ = self._tangential_many(x, P)
-        return U, nU
-
     def check_points(self, X):
         """ManifoldSpace.check_points, and every row's norm below
         _MAX_COORD, so that squared distances between points stay finite."""
@@ -396,10 +390,6 @@ class Sphere(ManifoldSpace):
     """Round sphere of curvature kappa > 0, radius 1/sqrt(kappa) in effect."""
 
     kind = "sphere"
-    # A row with an inf coordinate has an inf square, so an inf sum of
-    # squares (the others are >= 0 or NaN) and | |x| - 1 | = inf, or NaN
-    # with a NaN coordinate: no such row passes err <= 1e-12
-    _ERRORS_SEE_NON_FINITE = True
 
     def __init__(self, dim, kappa=1.0):
         if not 0 < kappa < math.inf:
@@ -583,13 +573,6 @@ class Hyperbolic(ManifoldSpace):
     """Hyperboloid model of curvature kappa < 0, time coordinate first."""
 
     kind = "hyperbolic"
-    # A row with a non-finite coordinate fails err <= 1e-12: x0 <= 0
-    # (-inf) gives inf; a NaN anywhere makes the Minkowski square NaN,
-    # and NaN <= 0 is False, so err is NaN; x0 = +inf gives an inf or
-    # NaN numerator over the inf 1 + x0^2, so NaN; an inf spatial
-    # coordinate with a finite x0 > 0 gives an inf numerator, over a
-    # finite or inf denominator, so inf or NaN
-    _ERRORS_SEE_NON_FINITE = True
 
     def __init__(self, dim, kappa=-1.0):
         if not -math.inf < kappa < 0:
@@ -704,11 +687,11 @@ class Hyperbolic(ManifoldSpace):
             return np.zeros_like(u), d
         return (d / nu) * u, d
 
-    def log_dist_many(self, x, P):
-        U, nU, d = self._tangential_many(x, P)
+    def _refuse_logs(self, x, P, nU, d):
+        """Raise log_dist's overflow error for the first row whose base
+        is past _MAX_BASE R or whose |U| is not finite."""
         self._raise_first((x[..., 0] <= _MAX_BASE * self._R)
                           & np.isfinite(nU), x, P)
-        return _scaled_rows(U, nU, d), d
 
     def _raise_first(self, ok, x, P):
         """Raise the overflow error of the first row of P where ok is
@@ -859,17 +842,6 @@ def _norm_rows(U):
         return np.sqrt(np.add.reduce(U * U, axis=-1))
     Ut = U.T
     return np.sqrt(np.add.reduce(np.multiply(Ut, Ut, order="C"), axis=0))
-
-
-def _scaled_rows(U, nU, d):
-    """The rows (d / |U|) U of an (N, D) array U, zero where d is 0, as a
-    C-ordered array."""
-    scale = np.divide(d, nU, out=np.zeros(d.shape), where=d != 0.0)
-    if not _along_points(U):
-        return scale[:, np.newaxis] * U
-    logs = np.empty(U.shape)
-    np.multiply(scale, U.T, out=logs.T)
-    return logs
 
 
 def _canonical_sign(x):

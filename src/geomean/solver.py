@@ -15,8 +15,9 @@ Any other step is sampled: its 16 interior points lie on one geodesic, so
 the monitor evaluates them with one exp_many and one dist_many, and the
 step stays in the ball when every point is finite and inside.  Each
 iterate's cost, which the monitors compare, and its gradient, which the
-next step takes, come from one log_dist_many over the data
-(frechet.cost_gradient).
+next step takes, come from one _log_scales over the data
+(frechet.cost_gradient): the gradient is one product of its scales and
+tangential parts, not a sum of scaled logs.
 
 Every error is raised where it arises, whatever the monitor: a step whose
 exp overflows raises exp's DomainError, a distance that overflows raises

@@ -116,8 +116,8 @@ def test_comparison_check_skips_degenerate_triangles():
 
 def convex_combination(space, x, points, weights, t):
     """exp_x(t sum_i w_i log_x x_i), the Riemannian convex combination."""
-    logs, _ = space.log_dist_many(x, np.asarray(points, dtype=float))
-    return space.exp(x, t * (np.asarray(weights, dtype=float) @ logs))
+    U, s, _ = space._log_scales(x, np.asarray(points, dtype=float))
+    return space.exp(x, t * ((np.asarray(weights, dtype=float) * s) @ U))
 
 
 def test_convex_combination(rng):

@@ -124,7 +124,8 @@ def test_batched_rows_match_per_pair(space, rng):
     for _ in range(20):
         x = space.random_point(rng)
         P = _batch_rows(space, x, rng)
-        logs, d = space.log_dist_many(x, P)
+        U, s, d = space._log_scales(x, P)
+        logs = s[:, np.newaxis] * U
         assert np.array_equal(space.dist_many(x, P), d)
         for i, y in enumerate(P):
             v, dy = space.log_dist(x, y)
@@ -138,9 +139,10 @@ def test_batched_zero_distance_row_is_zero_vector(space):
     # a base point whose self-distance rounds to exactly 0
     x = np.zeros(space.ambient_dim)
     x[0] = 1.0
-    logs, d = space.log_dist_many(x, np.array([x, x]))
-    assert np.array_equal(d, [0.0, 0.0])
-    assert np.array_equal(logs, np.zeros((2, space.ambient_dim)))
+    U, s, d = space._log_scales(x, np.array([x, x]))
+    assert np.array_equal(d, [0.0, 0.0]) and np.array_equal(s, [0.0, 0.0])
+    assert np.array_equal(s[:, np.newaxis] * U,
+                          np.zeros((2, space.ambient_dim)))
 
 
 @pytest.mark.parametrize("space", [s for s in SIX_SPACES
@@ -155,7 +157,7 @@ def test_batched_cut_band_raises_first_row(space, rng):
     with pytest.raises(CutLocusError) as per_pair:
         space.log_dist(x, P[2])
     with pytest.raises(CutLocusError) as batched:
-        space.log_dist_many(x, P)
+        space._log_scales(x, P)
     assert batched.value.index == 2
     assert str(batched.value) == str(per_pair.value)
     assert np.isfinite(space.dist_many(x, P)).all()
@@ -291,12 +293,9 @@ def _ref_tangential_many(space, x, P):
     return U, nU, np.arctan2(nU, cosq) / math.sqrt(space.kappa)
 
 
-def _ref_log_dist_many(space, x, P):
+def _ref_log_scales(space, x, P):
     U, nU, d = _ref_tangential_many(space, x, P)
-    if space.kind == "euclidean":
-        return U, d
-    scale = np.divide(d, nU, out=np.zeros_like(d), where=d != 0.0)
-    return scale[:, np.newaxis] * U, d
+    return U, np.divide(d, nU, out=np.zeros_like(d), where=d != 0.0), d
 
 
 def ref_exp_many(space, x, V):
@@ -354,10 +353,12 @@ def test_array_kernels_keep_the_row_wise_bits(space, n, rng):
         assert np.array_equal(got, want)
     assert np.array_equal(space.dist_many(x, P),
                           _ref_tangential_many(space, x, P)[2])
-    logs, d = space.log_dist_many(x, P)
-    want_logs, want_d = _ref_log_dist_many(space, x, P)
-    assert np.array_equal(logs, want_logs) and np.array_equal(d, want_d)
-    assert logs.flags.c_contiguous   # the gemv of the gradient sums by layout
+    for got, want in zip(space._log_scales(x, P),
+                         _ref_log_scales(space, x, P)):
+        assert np.array_equal(got, want)
+    if space.kind == "euclidean":   # s = d / |U| is 1 but at d = 0
+        s, d = space._log_scales(x, P)[1:]
+        assert np.array_equal(s, np.where(d == 0.0, 0.0, 1.0))
     assert np.array_equal(space.exp_many(x, V), ref_exp_many(space, x, V))
     for U in (P, V, _ref_tangential_many(space, x, P)[0]):
         assert np.array_equal(_norm_rows(U), np.linalg.norm(U, axis=-1))
@@ -381,7 +382,7 @@ def test_array_kernels_keep_the_row_wise_bits(space, n, rng):
             u = random_unit_tangent(space, X[i], rng)
             Q[i] = space.exp(X[i], (math.acosh(2.0) + s) * space._R * u)
     for kernel in (space._tangential_many, space.dist_many,
-                   space.log_dist_many):
+                   space._log_scales):
         rows = kernel(X, Q)
         for i in range(n):
             one = kernel(X[i], Q[i:i + 1])
@@ -482,7 +483,7 @@ def test_hyperbolic_far_pair_is_domain_error():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for call in (lambda: hy.log_dist(far, near),
-                         lambda: hy.log_dist_many(far, np.array([o, near]))):
+                         lambda: hy._log_scales(far, np.array([o, near]))):
                 with pytest.raises(DomainError, match="overflows") as e:
                     call()
                 assert "nan" not in str(e.value)
@@ -509,7 +510,7 @@ def test_hyperbolic_far_base_point_is_domain_error():
         for r in (18.0, 24.0):
             x = hy.exp(o, r * u)
             for call in (lambda: hy.log_dist(x, y),
-                         lambda: hy.log_dist_many(x, np.array([y]))):
+                         lambda: hy._log_scales(x, np.array([y]))):
                 with pytest.raises(DomainError, match="overflows"):
                     call()
             # the distance alone stays accurate from that base
@@ -519,8 +520,8 @@ def test_hyperbolic_far_base_point_is_domain_error():
         x = hy.exp(o, 10.0 * u)
         v, d = hy.log_dist(x, y)
         assert abs(hy.norm(x, v) / d - 1.0) <= 1e-7
-        V, D = hy.log_dist_many(x, np.array([y]))
-        assert abs(hy.norm(x, V[0]) / D[0] - 1.0) <= 1e-7
+        U, S, D = hy._log_scales(x, np.array([y]))
+        assert abs(hy.norm(x, S[0] * U[0]) / D[0] - 1.0) <= 1e-7
 
 
 def test_hyperbolic_exp_overflow_is_domain_error():

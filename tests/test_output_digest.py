@@ -153,6 +153,25 @@ def test_tol_fails_a_float_past_the_bound():
         _op(files=dict(b["files"], **{"trace.csv": csv})), b, 1e-12) > 1.0
 
 
+def test_tol_breach_lists_each_value_past_the_bound(capsys):
+    # two floats past the bound, one within it: the op's line names the
+    # two, where they are and their deviations, before BREACH; an op
+    # within the bound lists none
+    b = _op()
+    a = _summary(final=[0.25 + 3e-12, -3.5e6 * (1 + 1e-13)])
+    a["files"]["trace.csv"] = "k,x0,cost\n0,0.5,1.25\n1,0.25000000002,0\n"
+    past = []
+    assert output_digest.compare_op(a, b, 1e-12, past) == pytest.approx(20.0)
+    assert [where for where, _ in past] == ["summary.json:final[0]",
+                                            "trace.csv#5"]
+    ours, theirs = [("# run", [a, b])], [("# run", [b, b])]
+    assert output_digest.print_deviations(theirs, ours, 1e-12) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "# run",
+        "mean-00 dev=20 summary.json:final[0]=3 trace.csv#5=20 BREACH",
+        "mean-00 dev=0"]
+
+
 @pytest.mark.parametrize("changed", [
     lambda: _summary(iterations=8),               # an integer
     lambda: _summary(iterations=7.0),             # an integer's type

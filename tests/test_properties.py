@@ -1,7 +1,7 @@
 """Hypothesis properties of the six spaces: the exp/log round trip, the
 length of log against the distance, symmetry of the distance (also for
 pairs far apart), the triangle inequality, the array primitives
-(dist_many, log_dist_many, exp_many) against the scalar ones, row by row,
+(dist_many, _log_scales, exp_many) against the scalar ones, row by row,
 with the canonical sign of RP and SO(3) idempotent, the far point of
 the ball-estimate sweep against dist_many, ties included, and the hull
 membership test against the NNLS reference, one hull and a block of
@@ -139,11 +139,12 @@ def test_array_rows_equal_per_pair_results(space, data):
             break
     if len(pairs) < n:   # the first refused row is the one reported
         with pytest.raises(CutLocusError) as e:
-            space.log_dist_many(x, P)
+            space._log_scales(x, P)
         assert e.value.index == len(pairs)
     else:
-        logs, d = space.log_dist_many(x, P)
-        np.testing.assert_allclose(logs, [v for v, _ in pairs], **ROW_TOL)
+        U, s, d = space._log_scales(x, P)
+        np.testing.assert_allclose(s[:, np.newaxis] * U,
+                                   [v for v, _ in pairs], **ROW_TOL)
         np.testing.assert_allclose(d, [dy for _, dy in pairs], **ROW_TOL)
     V = _draw_tangents(data, space, x, n, 1.5)
     Y = space.exp_many(x, V)
@@ -300,9 +301,9 @@ def test_hull_membership_block_equals_one_by_one(data):
         assert verdicts.tolist() == alone.tolist() == ref
 
 
-# the classes whose representation error stands in for a finiteness pass
-SKIP_FINITENESS = [s for s in SIX_SPACES + [Sphere(3), Hyperbolic(3, -0.5)]
-                   if s._ERRORS_SEE_NON_FINITE]
+# the spaces whose representation error is never 0
+CURVED = [s for s in SIX_SPACES + [Sphere(3), Hyperbolic(3, -0.5)]
+          if s.kind != "euclidean"]
 _SPOILERS = st.sampled_from([math.inf, -math.inf, math.nan, 1e200, -1e200,
                              1e160, sys.float_info.max, -sys.float_info.max])
 
@@ -321,15 +322,13 @@ def _two_test_check(space, X):
     return f"{space.kind}: representation violated by {err[i]:.3e}"
 
 
-@pytest.mark.parametrize("space", SKIP_FINITENESS, ids=lambda s: repr(s))
+@pytest.mark.parametrize("space", CURVED, ids=lambda s: repr(s))
 @FEW
 @given(data=st.data())
 def test_representation_error_flags_every_non_finite_row(space, data):
     # valid rows, some of them spoiled by infinite, NaN or huge finite
     # coordinates: each row with a non-finite coordinate has an error
-    # above 1e-12 or NaN, so check_points, which skips the finiteness
-    # pass here, raises what the two tests raise
-    assert SKIP_FINITENESS and not Euclidean(3)._ERRORS_SEE_NON_FINITE
+    # above 1e-12 or NaN, and check_points raises what the two tests raise
     n = data.draw(st.integers(1, 6))
     X = _draw_points(data, space, n)
     D = space.ambient_dim

@@ -227,7 +227,7 @@ def _descend_counting(monkeypatch, **cfg):
     sp = ds.space
     x0 = sp.exp(ds.ball_center, np.array([0.5, -0.4, 0.0]))
     calls = dict.fromkeys(
-        ("exp", "distance", "log_dist_many", "exp_many", "dist_many"), 0)
+        ("exp", "distance", "_log_scales", "exp_many", "dist_many"), 0)
     for name in calls:
         def counted(x, y, name=name, method=getattr(sp, name)):
             calls[name] += 1
@@ -243,11 +243,11 @@ def test_descend_per_pair_calls(monkeypatch):
     # one exp per step; one distance per iterate for the record and the
     # ball monitor together (the step to an iterate computes it for the
     # convexity certificate), and one more for dist_to_final; one
-    # log_dist_many per iterate for its cost and gradient together; no
+    # _log_scales per iterate for its cost and gradient together; no
     # sampled substeps, since every step is certified
     tr, calls = _descend_counting(monkeypatch)
     assert calls == {"exp": tr.n_iters, "distance": 2 * len(tr.records),
-                     "log_dist_many": len(tr.records),
+                     "_log_scales": len(tr.records),
                      "exp_many": 0, "dist_many": 0}
 
 
@@ -257,7 +257,7 @@ def test_descend_per_pair_calls_on_a_ball_of_radius_r_cx(monkeypatch):
     # exp_many and one dist_many
     tr, calls = _descend_counting(monkeypatch, monitor_radius=math.pi / 2)
     assert calls == {"exp": tr.n_iters, "distance": 2 * len(tr.records),
-                     "log_dist_many": len(tr.records),
+                     "_log_scales": len(tr.records),
                      "exp_many": tr.n_iters, "dist_many": tr.n_iters}
 
 

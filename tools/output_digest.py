@@ -43,7 +43,9 @@ numbers too (so row and column counts); NaN must match NaN.  Every
 other number must lie within tol * max(1, |b|) of OTHER's b, the bound
 of `bench/worker.py`'s `_close`.  One line per op gives its largest
 deviation in units of that bound (`dev=`), or where it first differs
-in structure; the exit code is 1 on any breach or difference, else 0.
+in structure; an op past the bound lists each value past it, where it
+is and its deviation (`summary.json:final_cost=3.1`), before `BREACH`.
+The exit code is 1 on any breach or difference, else 0.
 """
 
 import argparse
@@ -180,13 +182,16 @@ def print_deviations(other, ours, tol):
             bad = 1
             continue
         for a, b in zip(mine, theirs):
+            past = []
             try:
-                dev = compare_op(a, b, tol)
+                dev = compare_op(a, b, tol, past)
             except Mismatch as e:
                 print(f"{a['id']} DIFFERS {e}")
                 bad = 1
                 continue
-            print(f"{a['id']} dev={dev:.3g}" + (" BREACH" if dev > 1 else ""))
+            print(" ".join([f"{a['id']} dev={dev:.3g}"]
+                           + [f"{where}={d:.3g}" for where, d in past]
+                           + (["BREACH"] if dev > 1 else [])))
             bad |= dev > 1
     return int(bad)
 
@@ -200,11 +205,12 @@ _NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                      r"|nan|NaN|inf|Infinity))")
 
 
-def compare_op(a, b, tol):
+def compare_op(a, b, tol, past=None):
     """The largest deviation of op a's outputs from op b's, in units of
     tol * max(1, |b|); raises Mismatch where they differ in structure
     (another id, exit code, stderr, file name, key, length, type or
-    string)."""
+    string).  Each value past the bound is appended to the list `past`,
+    if given, as (where, deviation)."""
     for key in ("id", "rc", "stderr"):
         if a[key] != b[key]:
             raise Mismatch(f"{key}: {a[key]!r} against {b[key]!r}")
@@ -212,14 +218,14 @@ def compare_op(a, b, tol):
         raise Mismatch(f"files: {list(a['files'])} against {list(b['files'])}")
     texts = [("stdout", a["stdout"], b["stdout"])] + [
         (name, a["files"][name], b["files"][name]) for name in a["files"]]
-    return max([_text_deviation(*t, tol) for t in texts])
+    return max([_text_deviation(*t, tol, past) for t in texts])
 
 
-def _text_deviation(where, a, b, tol):
+def _text_deviation(where, a, b, tol, past):
     """deviation() of two texts, parsed as JSON where both are JSON,
-    else as numbers and the text between them."""
+    else as numbers and the text between them (number i at where#i)."""
     try:
-        return deviation(json.loads(a), json.loads(b), tol, where)
+        return deviation(json.loads(a), json.loads(b), tol, where, past)
     except ValueError:   # not JSON (json.JSONDecodeError)
         pass
     parts_a, parts_b = _NUMBER.split(a), _NUMBER.split(b)
@@ -233,32 +239,37 @@ def _text_deviation(where, a, b, tol):
                 raise Mismatch(f"{where}: text {pa!r} against {pb!r}")
         elif pa != pb:
             dev = max(dev, deviation(float(pa), float(pb), tol,
-                                     f"{where} number {i // 2}"))
+                                     f"{where}#{i // 2}", past))
     return dev
 
 
-def deviation(a, b, tol, where):
+def deviation(a, b, tol, where, past=None):
     """The largest |a - b| / (tol * max(1, |b|)) over the floats of two
     parsed JSON values of the same structure, 0 where they are equal;
     raises Mismatch where the structure, a type, a string, an integer, a
-    boolean or a null differs, or a NaN or infinity has no equal."""
+    boolean or a null differs, or a NaN or infinity has no equal.  Each
+    float past the bound is appended to `past`, if given, as (where,
+    its deviation)."""
     if type(a) is not type(b):
         raise Mismatch(f"{where}: {a!r} against {b!r}")
     if isinstance(a, dict):
         if list(a) != list(b):
             raise Mismatch(f"{where}: keys {list(a)} against {list(b)}")
-        return max([deviation(a[k], b[k], tol, f"{where}:{k}") for k in a],
-                   default=0.0)
+        return max([deviation(a[k], b[k], tol, f"{where}:{k}", past)
+                    for k in a], default=0.0)
     if isinstance(a, list):
         if len(a) != len(b):
             raise Mismatch(f"{where}: {len(a)} items against {len(b)}")
-        return max([deviation(x, y, tol, f"{where}[{i}]")
+        return max([deviation(x, y, tol, f"{where}[{i}]", past)
                     for i, (x, y) in enumerate(zip(a, b))], default=0.0)
     if a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b)):
         return 0.0
     if not isinstance(a, float) or not math.isfinite(a - b):
         raise Mismatch(f"{where}: {a!r} against {b!r}")
-    return abs(a - b) / (tol * max(1.0, abs(b)))
+    dev = abs(a - b) / (tol * max(1.0, abs(b)))
+    if dev > 1 and past is not None:
+        past.append((where, dev))
+    return dev
 
 
 def suite_ops(seed, scale):
