@@ -210,12 +210,6 @@ def cost_gradient(ds, p, x):
     return float(ds.weights @ d ** p) / p, -((w * s) @ U)
 
 
-def gradient(ds, p, x):
-    """Riemannian gradient of f_p at x (ambient tangent array); raises
-    cost_gradient's CutLocusError."""
-    return cost_gradient(ds, p, x)[1]
-
-
 def hessian_radial_bounds(space, d_xy):
     """Eigenvalue bounds {lower, upper} of the Hessian of x -> d(x,y)^2/2
     at distance d_xy, from the space's curvature bounds (delta, Delta)."""

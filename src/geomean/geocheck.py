@@ -10,7 +10,8 @@ dim+1 affinely independent vertices holds it (Caratheodory), so
 `hull_membership` decides it from one batched least-squares solve over
 every face of the vertices and every point, for a whole block of hulls
 at once.  The hull-trap sweep charts each trial's vertices and records
-once and takes the verdicts of a block's records from one call.
+in one Chart.forward and takes the verdicts of a block's records from
+one call.
 
 The three Monte Carlo sweeps sample in two phases (manifolds.Draws):
 a block of trials makes its Generator calls in the order of one trial
@@ -56,26 +57,41 @@ class Chart:
         self.center = np.asarray(center, dtype=float)
         self.basis = _extend_basis(space, self.center, basis)
 
-    def forward(self, point):
-        """Chart coordinates of a point inside the chart domain."""
-        sp = self.space
-        v = sp.log(self.center, point)
-        d = sp.norm(self.center, v)
-        if d == 0.0:
-            return np.zeros(sp.dim)
-        k = sp.kappa
-        if k > 0:
-            x = math.sqrt(k) * d
-            if x >= math.pi / 2.0 - 1e-12:
-                raise DomainError(f"chart: point at distance {d} outside gnomonic domain")
-            scale = math.tan(x) / (math.sqrt(k) * d)
-        elif k < 0:
-            x = math.sqrt(-k) * d
-            scale = math.tanh(x) / (math.sqrt(-k) * d)
-        else:
-            scale = 1.0
-        w = scale * v
-        return np.array([sp.inner(self.center, w, b) for b in self.basis])
+    def forward(self, P):
+        """Chart coordinates of the rows of an (N, D) array P, as a pair:
+        an (n, dim) array of the coordinates of the rows before the first
+        row the chart refuses, and that refusal (None where it takes
+        every row).  The logs, the radial scale and the frame products
+        run over the rows; the refusal is the per-pair log's own error
+        for the row, or else the gnomonic DomainError."""
+        sp, k = self.space, self.space.kappa
+        try:
+            U, s, d = sp._log_scales(self.center, P)
+        except GeomeanError:   # the rows before the first per-pair log refuses
+            n = 0
+            with contextlib.suppress(GeomeanError):
+                for p in P:
+                    sp.log(self.center, p)
+                    n += 1
+            U, s, d = sp._log_scales(self.center, P[:n])
+        x = math.sqrt(abs(k)) * d
+        if k > 0:   # and before the first outside the gnomonic domain
+            far = np.flatnonzero(x >= math.pi / 2.0 - 1e-12)
+            x = x[:far[0]] if len(far) else x
+        n = len(x)
+        # tan(x) / x or tanh(x) / x, and 1 where x is 0 (on flat spaces)
+        scale = np.divide(np.tan(x) if k > 0 else np.tanh(x), x,
+                          out=np.ones(n), where=x != 0.0)
+        W = scale[:, np.newaxis] * (s[:n, np.newaxis] * U[:n])
+        Y = sp._inner_rows(W[:, np.newaxis], np.array(self.basis))
+        if n == len(P):
+            return Y, None
+        try:
+            v = sp.log(self.center, P[n])
+        except GeomeanError as e:
+            return Y, e
+        return Y, DomainError(f"chart: point at distance {sp.norm(self.center, v)}"
+                              " outside gnomonic domain")
 
     def radial_distance(self, r):
         """Distance from the center of the points that forward sends to
@@ -100,20 +116,30 @@ def secant_by_intersection(space, x, y1, y2, alpha1):
     pi/(2 sqrt(kappa)) or more from x; `comparison_check` uses
     `secant_sphere` there.
     """
-    b, c, alpha, frame = _triangle(space, x, y1, y2)
-    if not frame:
+    rows = np.array((x, y1, y2), dtype=float)[:, np.newaxis]
+    return _secant(space, x, y1, y2, alpha1,
+                   *(a[0] for a in _triangles(space, *rows)))
+
+
+def _secant(space, x, y1, y2, alpha1, b, c, alpha, e1, e2):
+    """secant_by_intersection on the triangle's row (b, c, alpha, e1, e2)
+    of _triangles."""
+    if math.isnan(e1[0]):
         return 0.0
     if alpha1 < 0 or alpha1 > alpha + 1e-12:
         raise DomainError(f"secant: alpha1={alpha1} outside [0, alpha={alpha}]")
     if alpha1 <= 1e-14:
-        return b
+        return float(b)
     if alpha - alpha1 <= 1e-14:
-        return c
-    if len(frame) < 2:
+        return float(c)
+    if math.isnan(e2[0]):
         raise DegenerateSecantError("secant: x, y1, y2 are collinear")
 
-    chart = Chart(space, x, basis=frame)
-    p1, p2 = chart.forward(y1), chart.forward(y2)
+    chart = Chart(space, x, basis=(e1, e2))
+    P, refusal = chart.forward(np.array((y1, y2)))
+    if refusal is not None:
+        raise refusal
+    p1, p2 = P
     # the side of the ray, linear along the segment: < 0 at p1, > 0 at p2
     s1 = math.cos(alpha1) * p1[1] - math.sin(alpha1) * p1[0]
     s2 = math.cos(alpha1) * p2[1] - math.sin(alpha1) * p2[0]
@@ -153,27 +179,10 @@ def _sampling_cap(space):
 
 
 def triangle_data(space, x, y1, y2):
-    """Side lengths (b, c) and the vertex angle alpha at x."""
-    return _triangle(space, x, y1, y2)[:3]
-
-
-def _triangle(space, x, y1, y2):
-    """Sides b = |log_x y1| and c = |log_x y2|, the angle alpha at x (by
-    atan2, accurate on thin triangles) and the frame [e1, e2] at x: e1
-    along log_x y1, e2 along the part w of log_x y2 normal to e1.  The
-    frame is empty (alpha 0) if b or c < 1e-14, and has no e2 if |w| is."""
-    v1 = space.log(x, y1)
-    v2 = space.log(x, y2)
-    b = space.norm(x, v1)
-    c = space.norm(x, v2)
-    if b < 1e-14 or c < 1e-14:
-        return b, c, 0.0, []
-    e1 = v1 / b
-    along = space.inner(x, v2, e1)
-    w = v2 - along * e1
-    nw = space.norm(x, w)
-    alpha = math.atan2(nw, c * min(1.0, max(-1.0, along / c)))
-    return b, c, alpha, [e1] if nw < 1e-14 else [e1, w / nw]
+    """Side lengths (b, c) and the vertex angle alpha at x: _triangles
+    of one triangle."""
+    rows = np.array((x, y1, y2), dtype=float)[:, np.newaxis]
+    return tuple(float(a[0]) for a in _triangles(space, *rows)[:3])
 
 
 def comparison_check(space, n_trials, seed):
@@ -184,10 +193,11 @@ def comparison_check(space, n_trials, seed):
     the intersection oracle and violations are only reported.  A triangle
     with no angle at x strictly inside (1e-9, pi - 1e-9) is drawn again;
     _MAX_DEGENERATE such draws in a row raise DomainError (on a very
-    curved space every side falls below _triangle's 1e-14 floor).
+    curved space every side falls below _triangles' 1e-14 floor).
 
     Trials run in blocks of up to _BLOCK (_comparison_draws), their
-    sides and angles in array passes (_triangles).  A degenerate
+    triangles read in array passes (_triangles); a kappa <= 0 trial's
+    secant takes its row of that reading.  A degenerate
     triangle draws no alpha1, so each trial keeps the Generator state
     before that draw, and the first degenerate one sends the Generator
     back there; the next block starts after it, with about twice as many
@@ -207,7 +217,7 @@ def comparison_check(space, n_trials, seed):
     for trials in _in_blocks(rng, draw,
                              iter(lambda: min(size, n_trials - done), 0)):
         size = min(_BLOCK, 2 * len(trials))   # twice the trials kept
-        for i, ((x, y1, y2), b, c, alpha, before, u) in enumerate(trials):
+        for i, (tri, (b, c, alpha, *frame), before, u) in enumerate(trials):
             if alpha <= 1e-9 or alpha >= math.pi - 1e-9:
                 rng.bit_generator.state = before   # no alpha1 drawn
                 size = min(_BLOCK, 2 * i + 1)
@@ -225,7 +235,7 @@ def comparison_check(space, n_trials, seed):
             if space.kappa > 0:
                 z = secant_sphere(b, c, a1, a2, space.kappa)
             else:
-                z = secant_by_intersection(space, x, y1, y2, a1)
+                z = _secant(space, *tri, a1, b, c, alpha, *frame)
             margin = z - zt
             min_margin = min(min_margin, margin)
             if margin < -1e-12:
@@ -236,10 +246,10 @@ def comparison_check(space, n_trials, seed):
 
 
 def _comparison_draws(space, rng, count, careful):
-    """`count` comparison trials drawn in Philox order, as
-    ((x, y1, y2), b, c, alpha, the Generator state before the uniform
-    alpha1 is drawn from, that uniform), after phase 2 and _triangles;
-    None where either refuses."""
+    """`count` comparison trials drawn in Philox order, as ((x, y1, y2),
+    its row (b, c, alpha, e1, e2) of _triangles, the Generator state
+    before the uniform alpha1 is drawn from, that uniform), after phase 2
+    and _triangles; None where either refuses."""
     cap = _sampling_cap(space)
     draws, drawn = manifolds.Draws(space, rng, careful), []
     for _ in range(count):
@@ -250,18 +260,23 @@ def _comparison_draws(space, rng, count, careful):
         return None
     T = np.array([tri for tri, _, _ in drawn])
     try:
-        sides = _triangles(space, T[:, 0], T[:, 1], T[:, 2])
+        b, c, alpha, E1, E2 = _triangles(space, T[:, 0], T[:, 1], T[:, 2])
     except GeomeanError:
         if careful:
             raise
         return None
-    return [(tri, b, c, alpha, state, u) for (tri, state, u), b, c, alpha
-            in zip(drawn, *(a.tolist() for a in sides))]
+    return [(tri, reading, state, u) for (tri, state, u), *reading
+            in zip(drawn, b.tolist(), c.tolist(), alpha.tolist(), E1, E2)]
 
 
 def _triangles(space, X, Y1, Y2):
-    """triangle_data over the rows of X, Y1 and Y2, in array passes:
-    arrays b, c and alpha, alpha 0 where b or c is below 1e-14."""
+    """Sides b = |log_x y1| and c = |log_x y2|, the angle alpha at x (by
+    atan2, accurate on thin triangles) and the frame (e1, e2) at x, over
+    the rows of X, Y1 and Y2 in array passes: arrays b, c and alpha, and
+    (N, D) arrays E1 and E2.  e1 lies along log_x y1 and e2 along the
+    part w of log_x y2 normal to e1.  Where b or c is below 1e-14 alpha
+    is 0 and the row has no frame, and where |w| is, no e2; a frame
+    vector a row lacks is a NaN row."""
     U1, s1, _ = space._log_scales(X, Y1)
     U2, s2, _ = space._log_scales(X, Y2)
     # the logs as C-ordered rows: einsum (_inner_rows) sums a row in an
@@ -276,8 +291,11 @@ def _triangles(space, X, Y1, Y2):
         W = V2 - along[:, np.newaxis] * E1
         nw = np.sqrt(np.maximum(space._inner_rows(W, W), 0.0))
         alpha = np.arctan2(nw, c * np.clip(along / c, -1.0, 1.0))
-    alpha[(b < 1e-14) | (c < 1e-14)] = 0.0
-    return b, c, alpha
+        E2 = W / nw[:, np.newaxis]
+    flat = (b < 1e-14) | (c < 1e-14)
+    alpha[flat] = 0.0
+    E1[flat] = E2[flat | (nw < 1e-14)] = math.nan
+    return b, c, alpha, E1, E2
 
 
 def hull_membership(hulls, tol):
@@ -381,11 +399,14 @@ def tethering_check(space, n_trials, t_grid, seed):
     Trials run in blocks of _BLOCK, in flat memory: the draws, then the
     points in array passes (_dataset_trials), then the geometry
     (_tethering_margins).  Report, Generator state and first error are
-    those of one trial at a time through make_dataset and one_step
-    (skipping a cut-locus refusal).
+    those of one trial at a time through make_dataset and the step
+    (skipping a cut-locus refusal).  An empty t_grid, or one with a step
+    that is not finite and > 0, is refused before any draw.
     """
     if n_trials < 1:
         raise DomainError(f"tethering_check: need n_trials >= 1, got {n_trials}")
+    if not (len(t_grid) and all(0 < t < math.inf for t in t_grid)):
+        raise DomainError(f"tethering_check: need finite steps t > 0, got {t_grid}")
     rng = np.random.Generator(np.random.Philox(seed))
     violations = 0
     min_margin = math.inf
@@ -458,31 +479,37 @@ def _flat_dirichlet(rng, n):
 
 def _tethering_margins(space, trials):
     """The margins rho - d(o, y) of a block of trials (o, rho, points,
-    weights, x, t): one check_points, one dist_many and one _log_scales
-    with a base point per row, then per trial the gradient -((w s) @ U)
-    on its rows, which matches one_step's within 1e-12, its exp and
-    distance.  A block they refuse is replayed."""
+    weights, x, t), y = exp_x(-t grad f_2(x)), from _step_margins.  A
+    block it raises on is replayed trial by trial: make_dataset, then
+    _step_margins on a block of the one trial, skipping a trial it
+    refuses at the cut locus."""
+    with contextlib.suppress(GeomeanError):
+        return _step_margins(space, trials)
+    margins = []
+    for o, rho, pts, wts, x, t in trials:
+        frechet.make_dataset(space, pts, wts, o, rho)
+        with contextlib.suppress(CutLocusError):   # only exploratory
+            margins += _step_margins(space, [(o, rho, pts, wts, x, t)])
+    return margins
+
+
+def _step_margins(space, trials):
+    """The margins of a block of tethering trials: one check_points, one
+    dist_many and one _log_scales with a base point per row, then per
+    trial the gradient -((w s) @ U) on its rows, its exp and distance.
+    Raises DomainError where a point lies outside its ball by
+    make_dataset's test, which make_dataset then names."""
     o, rho, pts, wts, x, t = zip(*trials)
     counts = [len(p) for p in pts]
     P = np.concatenate(pts)
     R = np.repeat(rho, counts)
-    try:
-        space.check_points(np.concatenate((P, o)))
-        inside = (space.dist_many(np.repeat(o, counts, axis=0), P)
-                  <= R + 1e-9 * np.maximum(1.0, R))
-        U, s, _ = space._log_scales(np.repeat(x, counts, axis=0), P)
-    except GeomeanError:
-        inside = None
+    space.check_points(np.concatenate((P, o)))
+    if not (space.dist_many(np.repeat(o, counts, axis=0), P)
+            <= R + 1e-9 * np.maximum(1.0, R)).all():
+        raise DomainError("tethering: a point lies outside its ball")
+    U, s, _ = space._log_scales(np.repeat(x, counts, axis=0), P)
     # a Dirichlet draw and a drawn rho pass make_dataset's other checks,
     # and leave it the weights w / float(w.sum())
-    if inside is None or not inside.all():   # replay the block
-        margins = []
-        for oi, ri, pi, wi, xi, ti in trials:
-            ds = frechet.make_dataset(space, pi, wi, oi, ri)
-            with contextlib.suppress(CutLocusError):   # only exploratory
-                y = solver.one_step(ds, 2.0, xi, ti)
-                margins.append(ri - space.distance(oi, y))
-        return margins
     margins, end = [], 0
     for oi, ri, wi, xi, ti, n in zip(o, rho, wts, x, t, counts):
         g = -(((wi / float(wi.sum())) * s[end:end + n]) @ U[end:end + n])
@@ -525,22 +552,19 @@ def hull_check(space, n_trials, seed):
 
 def _hull_problem(space, trial):
     """A hull trial's points and descent records in the chart at its ball
-    center, the records up to the first one the chart refuses, and that
-    refusal (None where the chart takes every record)."""
+    center, from one Chart.forward: the records up to the first one the
+    chart refuses, and that refusal (None where the chart takes every
+    record)."""
     o, rho, pts, _, x0, _ = trial
     ds = frechet.make_dataset(space, pts, None, o, rho)
     tr = solver.descend(ds, solver.SolverConfig(
         p=2.0, step=1.0, grad_tol=1e-9, max_iters=60), x0=x0)
-    chart = Chart(space, ds.ball_center)
-    V = np.array([chart.forward(p) for p in ds.points])
-    Q, refused = [], None
-    for rec in tr.records:
-        try:
-            Q.append(chart.forward(rec.point))
-        except GeomeanError as e:
-            refused = e
-            break
-    return V, np.reshape(Q, (len(Q), space.dim)), refused
+    P = np.concatenate((ds.points, [rec.point for rec in tr.records]))
+    Y, refusal = Chart(space, ds.ball_center).forward(P)
+    n = len(ds.points)
+    if len(Y) < n:
+        raise refusal
+    return Y[:n], Y[n:], refusal
 
 
 def _hull_violations(problems):

@@ -33,15 +33,18 @@ rounds apart from the sum of the scaled rows.  With x of shape (N, D),
 a base point per row, _tangential_many, dist_many and _log_scales give
 row i the bits of the one-point call on x[i]: the along path reads x.T
 (_column) for x[:, np.newaxis].
-Single-pair callers such as the
-descent step itself, the ball-estimate sweep's step, the oracles and
-Chart use the first; sums over the data points and the solver's monitor
-substeps use the second, which costs more than the scalar code for one
-pair.  The sweep picks its far point with _farthest: the first maximum
-of dist_many, read off one ambient product where a rounding margin
-certifies the order.  Norms are numpy's own definition of
-np.linalg.norm for these arguments, math.sqrt(u.dot(u)) for one vector
-and _norm_rows for the rows of an array, without its argument handling.
+Single-pair callers such as the descent step itself, the ball-estimate
+sweep's step and the chart frame use the first, and so do the errors
+that name one pair: geocheck's chart runs the per-pair log again on the
+first row it refuses, as _exp_rows runs exp.  Sums over the data points,
+the solver's monitor substeps and the oracles' geometry (geocheck's
+triangle reading and Chart.forward, over rows) use the second, which
+costs more than the scalar code for one pair.  The sweep picks its far
+point with _farthest: the first maximum of dist_many, read off one
+ambient product where a rounding margin certifies the order.  Norms are
+numpy's own definition of np.linalg.norm for these arguments,
+math.sqrt(u.dot(u)) for one vector and _norm_rows for the rows of an
+array, without its argument handling.
 
 On the sphere family, the per-pair methods (exp, _tangential and
 tangent_project) do their elementwise arithmetic on Python floats from

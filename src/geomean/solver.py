@@ -210,12 +210,6 @@ def _end_distance(sp, center, rho, d_x, step_len, y):
     return sp.distance(center, y)
 
 
-def one_step(ds, p, x, t):
-    """A single descent update from x; raises CutLocusError at cut points."""
-    g = frechet.gradient(ds, p, x)
-    return ds.space.exp(x, -t * g)
-
-
 def fit_tail_rate(trace):
     """Empirical contraction factor from the trace tail.
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from geomean import geocheck
+from geomean import frechet, geocheck
 from geomean.errors import DomainError
 from geomean.kernels import sn
 
@@ -44,6 +44,40 @@ def sample_triangle(space, rng, max_radius=None):
     radius = cap * rng.random()
     x, y1, y2 = space.random_points_in_ball(center, radius, 3, rng)
     return center, radius, x, y1, y2
+
+
+def one_step(ds, p, x, t):
+    """One descent update exp_x(-t grad f_p(x)); raises cost_gradient's
+    CutLocusError at cut points."""
+    return ds.space.exp(x, -t * frechet.cost_gradient(ds, p, x)[1])
+
+
+def chart_points(chart, points):
+    """chart.forward of the points, raising its refusal."""
+    Y, refusal = chart.forward(np.array(points, dtype=float))
+    if refusal is not None:
+        raise refusal
+    return Y
+
+
+def ref_triangle(space, x, y1, y2):
+    """Reference per-pair triangle reading for geocheck._triangles: sides
+    b = |log_x y1| and c = |log_x y2|, the angle alpha at x (by atan2,
+    accurate on thin triangles) and the frame [e1, e2] at x: e1 along
+    log_x y1, e2 along the part w of log_x y2 normal to e1.  The frame
+    is empty (alpha 0) if b or c < 1e-14, and has no e2 if |w| is."""
+    v1 = space.log(x, y1)
+    v2 = space.log(x, y2)
+    b = space.norm(x, v1)
+    c = space.norm(x, v2)
+    if b < 1e-14 or c < 1e-14:
+        return b, c, 0.0, []
+    e1 = v1 / b
+    along = space.inner(x, v2, e1)
+    w = v2 - along * e1
+    nw = space.norm(x, w)
+    alpha = math.atan2(nw, c * min(1.0, max(-1.0, along / c)))
+    return b, c, alpha, [e1] if nw < 1e-14 else [e1, w / nw]
 
 
 # Reference per-pair geometry in numpy expressions, the forms of the

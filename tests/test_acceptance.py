@@ -18,9 +18,9 @@ from geomean.frechet import (cost, fd_hessian_quadratic_form, make_dataset)
 from geomean.kernels import b_lower, c_upper, secant_sphere
 from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
                                SO3, Sphere)
-from geomean.solver import SolverConfig, descend, one_step
+from geomean.solver import SolverConfig, descend
 
-from conftest import random_unit_tangent, sample_triangle
+from conftest import one_step, random_unit_tangent, sample_triangle
 
 
 _REPORTER = None
@@ -59,7 +59,7 @@ def test_criterion_1_circle_exactness():
     ok &= abs(ci.angle(y) - (-3 * math.pi / 5)) <= 1e-12
     ok &= finals["w09_t25_18"]["status"] == "cut_locus"
     try:
-        frechet.gradient(ds, 2, y)
+        frechet.cost_gradient(ds, 2, y)
         ok = False
     except CutLocusError:
         pass

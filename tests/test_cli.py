@@ -1094,7 +1094,7 @@ def test_every_exported_function_is_reached_by_a_cli_path(tmp_path):
             ["circle-example"], ["sphere-configs", "--rho-list", "0.5"],
             ["check", "comparison", "--trials", "5"],   # secant_sphere
             ["check", "comparison", "--space", "hyperbolic", "--kappa=-1",
-             "--trials", "5"],   # secant_by_intersection
+             "--trials", "5"],   # the intersection oracle
             ["check", "tethering", "--trials", "5"],
             ["check", "hull", "--trials", "2"]]
     called = set()

@@ -17,10 +17,9 @@ from geomean.geocheck import (Chart, comparison_check, hull_membership,
 from geomean.kernels import secant_euclid, secant_sphere
 from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
                                SO3, Sphere)
-from geomean.solver import one_step
-
-from conftest import (nnls, nnls_in_hull, ref_random_in_ball,
-                      ref_random_point, sample_triangle)
+from conftest import (chart_points, nnls, nnls_in_hull, one_step,
+                      random_unit_tangent, ref_random_in_ball,
+                      ref_random_point, ref_triangle, sample_triangle)
 
 
 def test_secant_oracle_trivial_alpha1_zero(rng):
@@ -90,6 +89,92 @@ def test_thin_triangle_angle(space, x, rng):
         assert a_read == pytest.approx(alpha, rel=1e-9)
         # the oracle reads the same angle, so the full angle is side x y2
         assert secant_by_intersection(space, x, y1, y2, a_read) == c_read
+
+
+@pytest.mark.parametrize("space", [
+    Euclidean(2), Euclidean(3), Sphere(2), Sphere(3), Hyperbolic(2),
+    Hyperbolic(3, kappa=-0.5), RealProjective(2), SO3()], ids=repr)
+def test_triangles_match_the_per_pair_reading(space, rng):
+    # each row of the array reading against the per-pair reference, with
+    # degenerate rows last: a side of 0 or 1e-15 (no frame), and y2 on
+    # the geodesic through x and y1, on either side of x (no e2).  The
+    # balls lie about a point with coordinates of order 1, the origin
+    # off the sphere family: on H a frame vector's coordinates, and
+    # their rounding, grow with the point's
+    o = (space.random_point(rng) if space.kappa > 0
+         else space.project(np.zeros(space.ambient_dim)))
+    cap = geocheck._sampling_cap(space)
+    rows = [space.random_points_in_ball(o, cap * rng.random(), 3, rng)
+            for _ in range(40)]
+    x, y1, _ = rows[0]
+    v = space.log(x, y1)
+    near = space.exp(x, 1e-15 * random_unit_tangent(space, x, rng))
+    rows += [(x, x, y1), (x, y1, x), (x, near, y1),
+             (x, y1, space.exp(x, 0.5 * v)), (x, y1, space.exp(x, -0.5 * v))]
+    reading = geocheck._triangles(space, *map(np.array, zip(*rows)))
+    sizes = []
+    for row, (b, c, alpha, e1, e2) in zip(rows, zip(*reading)):
+        want_b, want_c, want_alpha, frame = ref_triangle(space, *row)
+        assert abs(b - want_b) <= 1e-12 and abs(c - want_c) <= 1e-12
+        assert abs(alpha - want_alpha) <= 1e-12
+        got = [e for e in (e1, e2) if not np.isnan(e).any()]
+        assert len(got) == len(frame)
+        assert all(np.abs(g - e).max() <= 1e-12 for g, e in zip(got, frame))
+        sizes.append(len(frame))
+    assert sizes[-5:] == [0, 0, 0, 1, 1] and set(sizes[:-5]) == {2}
+
+
+def _forward_one(chart, point):
+    """Reference: the chart of one point, per pair: its log, the log's
+    norm and one inner product per frame vector."""
+    sp, k = chart.space, chart.space.kappa
+    v = sp.log(chart.center, point)
+    d = sp.norm(chart.center, v)
+    if d == 0.0:
+        return np.zeros(sp.dim)
+    x = math.sqrt(abs(k)) * d
+    if k > 0 and x >= math.pi / 2.0 - 1e-12:
+        raise DomainError(f"chart: point at distance {d} outside gnomonic domain")
+    scale = math.tan(x) / x if k > 0 else math.tanh(x) / x if k < 0 else 1.0
+    return np.array([sp.inner(chart.center, scale * v, e) for e in chart.basis])
+
+
+@pytest.mark.parametrize("space", [
+    Euclidean(2), Sphere(2), Circle(1.0), Hyperbolic(2), RealProjective(2),
+    SO3()], ids=repr)
+def test_chart_forward_equals_the_per_point_chart(space, rng):
+    o = space.random_point(rng)
+    chart = Chart(space, o)
+    radius = 0.9 * min(geocheck._sampling_cap(space), 1.2)
+    P = np.array([o] + space.random_points_in_ball(o, radius, 30, rng))
+    Y, refusal = chart.forward(P)
+    assert refusal is None and Y.shape == (31, space.dim)
+    assert np.abs(Y - [_forward_one(chart, p) for p in P]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("space, far, error", [
+    (Sphere(2), 2.0, DomainError),
+    (RealProjective(2), 0.5 * math.pi * (1.0 - 1e-10), CutLocusError)],
+    ids=["sphere", "real_projective"])
+def test_chart_forward_returns_the_first_refusal_of_the_per_point_chart(
+        space, far, error, rng):
+    # at distance 2 the sphere's gnomonic bound refuses; on RP^2 the
+    # cut-locus band starts at pi/2 (1 - 1e-9), before the bound, so the
+    # per-pair log refuses first.  The rows before the first refused one
+    # are charted
+    o = space.random_point(rng)
+    chart = Chart(space, o)
+    bad = space.exp(o, far * random_unit_tangent(space, o, rng))
+    with pytest.raises(error) as want:
+        _forward_one(chart, bad)
+    good = space.random_points_in_ball(o, 1.0, 6, rng)
+    for P, n in (([bad] + good, 0), (good[:4] + [bad] + good[4:] + [bad], 4)):
+        Y, refusal = chart.forward(np.array(P))
+        assert type(refusal) is error and str(refusal) == str(want.value)
+        assert Y.shape == (n, space.dim)
+        want_Y = np.reshape([_forward_one(chart, p) for p in P[:n]],
+                            (n, space.dim))
+        assert np.abs(Y - want_Y).max(initial=0.0) <= 1e-12
 
 
 def test_comparison_check_sphere():
@@ -205,7 +290,7 @@ def test_chart_sends_geodesics_to_lines(rng):
             a = space.random_in_ball(o, 0.9 * cap, rng)
             b = space.random_in_ball(o, 0.9 * cap, rng)
             mid = space.exp(a, 0.5 * space.log(a, b))
-            pa, pb, pm = (chart.forward(q) for q in (a, b, mid))
+            pa, pb, pm = chart_points(chart, (a, b, mid))
             # pm lies on the segment [pa, pb]
             seg = pb - pa
             lam = float(np.dot(pm - pa, seg) / max(np.dot(seg, seg), 1e-30))
@@ -220,8 +305,9 @@ def test_hull_membership(rng):
             np.array([0, 1.0, 0]), np.array([0, -1.0, 0])]
     verts = [sp.exp(o, 0.5 * u) for u in dirs]
     chart = Chart(sp, o)
-    V = np.array([chart.forward(v) for v in verts])
-    inside = lambda q: hull_membership([(V, [chart.forward(q)])], 1e-9)[0][0]
+    V = chart_points(chart, verts)
+    inside = lambda q: hull_membership([(V, chart_points(chart, [q]))],
+                                       1e-9)[0][0]
     assert inside(verts[0])
     assert inside(o)
     mid = sp.exp(verts[0], 0.5 * sp.log(verts[0], verts[2]))
@@ -235,8 +321,8 @@ def test_hull_membership_hand_built():
     chart = Chart(eu, np.zeros(2))
 
     def inside(verts, q):
-        V = np.array([chart.forward(np.array(v)) for v in verts])
-        return hull_membership([(V, [chart.forward(np.array(q))])], 1e-9)[0][0]
+        V = chart_points(chart, verts)
+        return hull_membership([(V, chart_points(chart, [q]))], 1e-9)[0][0]
     tri = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     for verts in (tri, tri + tri[:2]):   # also with duplicate vertices
         assert inside(verts, [1.0, 0.0])          # a vertex
@@ -270,8 +356,9 @@ def test_hull_membership_so3_triangle():
              so3.exp(o, -0.4 * e1 - 0.4 * e2)]
     mid = so3.exp(verts[0], 0.5 * so3.log(verts[0], verts[1]))
     chart = Chart(so3, o)
-    V = np.array([chart.forward(v) for v in verts])
-    inside = lambda q: hull_membership([(V, [chart.forward(q)])], 1e-9)[0][0]
+    V = chart_points(chart, verts)
+    inside = lambda q: hull_membership([(V, chart_points(chart, [q]))],
+                                       1e-9)[0][0]
     for q in (verts[2], mid, o):
         assert inside(q)
     for h in (1e-6, 1e-3):   # e3 is normal to the plane at o and at mid
@@ -324,11 +411,11 @@ def test_hull_check_matches_membership_loop(space, monkeypatch):
     flags, expected, violations = [], [], 0
     for (ds, tr), got in zip(trials, verdicts):
         chart = Chart(space, ds.ball_center)
-        V = np.array([chart.forward(p) for p in ds.points])
+        V = chart_points(chart, ds.points)
         flags += got.tolist()
         entered = violated = False
         for rec in tr.records[:len(got)]:
-            inside = nnls_in_hull(V, chart.forward(rec.point), 1e-8)
+            inside = nnls_in_hull(V, chart_points(chart, [rec.point])[0], 1e-8)
             expected.append(inside)
             violated = violated or entered and not inside
             entered = entered or inside
@@ -340,14 +427,17 @@ def test_hull_check_matches_membership_loop(space, monkeypatch):
 
 
 def _refusing(trials, k):
-    """Chart.forward refusing record k of the first descent in
-    `trials`, the descents seen so far."""
+    """Chart.forward refusing the rows equal to record k of the first
+    descent in `trials`, the descents seen so far."""
     forward = Chart.forward
 
-    def forward_refusing(chart, point):
-        if trials and point is trials[0].records[k].point:
-            raise DomainError("chart: refused")
-        return forward(chart, point)
+    def forward_refusing(chart, P):
+        Y, refusal = forward(chart, P)
+        if trials:
+            hit = np.flatnonzero((P == trials[0].records[k].point).all(axis=1))
+            if len(hit) and hit[0] <= len(Y):
+                return Y[:hit[0]], DomainError("chart: refused")
+        return Y, refusal
     return forward_refusing
 
 
@@ -485,8 +575,8 @@ def test_hull_contains_l2_mean(rng):
                                       max_iters=300))
         if np.all(w > 0.02):
             chart = Chart(sp, o)
-            V = np.array([chart.forward(p) for p in pts])
-            (inside,) = hull_membership([(V, [chart.forward(tr.final)])],
+            (inside,) = hull_membership([(chart_points(chart, pts),
+                                          chart_points(chart, [tr.final]))],
                                         1e-7)[0]
             assert inside
 
@@ -497,6 +587,17 @@ def test_tethering_check_spaces():
         assert rep["violations"] == 0
     rep = tethering_check(Hyperbolic(2), 400, (1.0,), seed=8)
     assert rep["trials"] == 400  # delta < 0: exploratory, report-only mode
+
+
+@pytest.mark.parametrize("t_grid", [(), (math.nan,), (-1.0,), (0.0,),
+                                    (0.5, math.inf)])
+def test_tethering_refuses_a_bad_t_grid_before_any_draw(t_grid, monkeypatch):
+    # unchecked, an empty grid reaches numpy's raw ValueError, a NaN step
+    # exp's overflow error, and a negative step counts trials as
+    # violations; any draw here would raise TypeError
+    monkeypatch.setattr(geocheck, "_dataset_trials", None)
+    with pytest.raises(DomainError, match=r"need finite steps t > 0, got \("):
+        tethering_check(Sphere(2), 50, t_grid, seed=0)
 
 
 @pytest.mark.parametrize("kappa", [1e14, 1e300])
@@ -536,7 +637,7 @@ def test_flat_dirichlet_is_numpys_dirichlet(n):
 
 def _tethering_one_at_a_time(space, n_trials, t_grid, seed, points=None):
     """Reference: the tethering suite one trial at a time through
-    make_dataset, one_step and distance, skipping a trial one_step
+    make_dataset, one_step (conftest) and distance, skipping a trial it
     refuses at the cut locus.  Returns (report, the Generator's state
     afterwards, the margins of the trials not skipped, the number
     skipped); appends each trial's (points, x) to `points` where given."""
@@ -666,7 +767,7 @@ def test_tethering_blocks_along_the_points_equal_one_trial_at_a_time(
 
 @pytest.mark.parametrize("space", [Sphere(2), SO3()], ids=lambda s: s.kind)
 def test_tethering_skips_the_trials_one_step_refuses(space, monkeypatch):
-    # a cut-locus band from distance 1: one_step refuses some trials,
+    # a cut-locus band from distance 1: the step refuses some trials,
     # which the suite skips as one trial at a time does
     monkeypatch.setattr(geocheck, "_BLOCK", 7)
     monkeypatch.setattr(Sphere, "_band_start", lambda self: 1.0)
@@ -762,7 +863,7 @@ def test_tethering_raises_the_first_error_of_one_trial_at_a_time(
 
 def _comparison_one_at_a_time(space, n_trials, seed, rngs):
     """Reference: comparison_check one trial at a time on the numpy
-    reference sampler and the per-pair triangle_data.  Returns (report,
+    reference sampler and the per-pair ref_triangle.  Returns (report,
     the Generator's state afterwards, []); appends its Generator to
     `rngs`, whose state is also that at a DomainError raised."""
     rng = np.random.Generator(np.random.Philox(seed))
@@ -774,7 +875,7 @@ def _comparison_one_at_a_time(space, n_trials, seed, rngs):
         radius = cap * rng.random()
         x, y1, y2 = (ref_random_in_ball(space, o, radius, rng)
                      for _ in range(3))
-        b, c, alpha = triangle_data(space, x, y1, y2)
+        b, c, alpha, _ = ref_triangle(space, x, y1, y2)
         if alpha <= 1e-9 or alpha >= math.pi - 1e-9:
             degenerate += 1
             if degenerate == 1000:
@@ -841,10 +942,11 @@ def test_comparison_redraws_degenerate_triangles_as_one_trial_at_a_time(
     triangles = geocheck._triangles
 
     def count(*args):
-        b, c, alpha = triangles(*args)
+        reading = triangles(*args)
+        alpha = reading[2]
         degenerate.append(int(np.sum((alpha <= 1e-9)
                                      | (alpha >= math.pi - 1e-9))))
-        return b, c, alpha
+        return reading
     monkeypatch.setattr(geocheck, "_triangles", count)
     want = _comparison_one_at_a_time(space, 20, 0, [])
     _assert_same_run(_comparison_observed(monkeypatch, space, 20, 0), want)
@@ -866,10 +968,10 @@ def _hull_trap_violated(ds, x0):
     tr = geocheck.solver.descend(ds, geocheck.solver.SolverConfig(
         p=2.0, step=1.0, grad_tol=1e-9, max_iters=60), x0=x0)
     chart = Chart(ds.space, ds.ball_center)
-    V = np.array([chart.forward(p) for p in ds.points])
+    V = chart_points(chart, ds.points)
     entered = False
     for rec in tr.records:
-        (inside,) = hull_membership([(V, [chart.forward(rec.point)])],
+        (inside,) = hull_membership([(V, chart_points(chart, [rec.point]))],
                                     1e-8)[0]
         if entered and not inside:
             return True
@@ -933,8 +1035,6 @@ def test_hull_equals_one_trial_at_a_time(space, seed, block, monkeypatch):
 
 
 def test_tethering_t0_identity(rng):
-    from geomean.frechet import make_dataset
-    from geomean.solver import one_step
     sp = Sphere(2)
     o = sp.random_point(rng)
     pts = [sp.random_in_ball(o, 0.5, rng) for _ in range(3)]

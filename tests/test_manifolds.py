@@ -7,7 +7,7 @@ import pytest
 from geomean import manifolds
 from geomean.errors import CutLocusError, DomainError
 from geomean.kernels import sn
-from geomean.frechet import gradient, make_dataset
+from geomean.frechet import cost_gradient, make_dataset
 from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
                                SO3, Sphere, _canonical_sign_rows, _norm_rows,
                                make_space, space_from_json)
@@ -546,7 +546,7 @@ def test_hyperbolic_exp_of_non_finite_minkowski_square_has_length_inf():
                            hy.exp(o, np.array([0.0, -3.0, 0.0]))],
                       ball_center=o, ball_radius=3.0)
     with np.errstate(over="ignore"):
-        steps = [-1e308 * gradient(ds, 2, x),
+        steps = [-1e308 * cost_gradient(ds, 2, x)[1],
                  hy.tangent_project(x, [1e200, 1e200, 0.0])]
     for v in steps:
         with pytest.raises(DomainError) as e:

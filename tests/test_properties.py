@@ -22,7 +22,7 @@ from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
                                SO3, Sphere, _canonical_sign,
                                _canonical_sign_rows)
 
-from conftest import face_in_hull, nnls_in_hull
+from conftest import chart_points, face_in_hull, nnls_in_hull
 
 SIX_SPACES = [Euclidean(3), Sphere(2), Circle(1.0), Hyperbolic(2),
               RealProjective(2), SO3()]
@@ -203,7 +203,7 @@ def _chart_hull(data, space, how):
     elif how == "flat" and space.inner(o, w, w) > 0.0:
         T = T - np.outer([space.inner(o, t, w) for t in T], w) \
             / space.inner(o, w, w)
-    V = np.array([chart.forward(space.exp(o, t)) for t in (*T, p1, p2)])
+    V = chart_points(chart, [space.exp(o, t) for t in (*T, p1, p2)])
     V, others = V[:n], V[n:]
     W = 0.05 + np.abs(_draw_array(data, (4, n), 1.0))
     W[0, data.draw(st.integers(0, n - 1))] = 0.0   # on a face, if any
