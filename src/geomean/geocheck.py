@@ -10,17 +10,26 @@ dim+1 affinely independent vertices holds it (Caratheodory), so
 `hull_membership` decides it from one batched least-squares solve over
 every face of the vertices and every point, for a whole block of hulls
 at once.  The hull-trap sweep charts each trial's vertices and records
-in one Chart.forward and takes the verdicts of a block's records from
-one call.
+in one Chart.forward, a chart per trial, and takes the verdicts of a
+block's records from one call.
 
 The three Monte Carlo sweeps sample in two phases (manifolds.Draws):
 a block of trials makes its Generator calls in the order of one trial
-at a time, then its points are made in array passes; comparison reads
-the block's triangles in arrays too, and hull runs a block's descents
-after drawing it.  Where phase 2 refuses a block, the Generator
-goes back to its start and the block is drawn again one trial at a
-time (`_in_blocks`), so the Philox stream and the first error are those
-of one trial at a time.
+at a time, then its points are made in array passes.  Where phase 2
+refuses a block, the Generator goes back to its start and the block is
+drawn again one trial at a time (`_in_blocks`), so the Philox stream
+and the first error are those of one trial at a time.  Comparison then
+reads the block's triangles in arrays, and its intersection oracle
+takes a trial's chart images from its row of that reading.  Tethering
+and hull run a block's descent steps in lockstep, x <- exp_x(-t grad
+f_2(x)) with a base point per row (`_gradients`), after validating the
+block's points as make_dataset would in one pass (`_block`): tethering
+takes one step, and hull each trial's records of
+descend(p=2, step=1, grad_tol=1e-9, max_iters=60) (`_descents`).  Where
+such a pass raises, the block is replayed one trial at a time through
+the same code on a block of one, validated by make_dataset
+(`_replayed`), so the first error is again that of one trial at a
+time.
 """
 
 import contextlib
@@ -33,12 +42,15 @@ import numpy as np
 from .errors import (CutLocusError, DegenerateSecantError, DomainError,
                      GeomeanError)
 from .kernels import secant_euclid, secant_sphere
-from . import frechet, manifolds, solver
+from . import frechet, manifolds
 
 _DEFAULT_RADIUS_CAP = 1.5  # sampling cap for an infinite r_cx (times R on H)
 _MAX_DEGENERATE = 1000    # consecutive degenerate triangles that end a sweep
 _MIN_PIVOT = 1e-12  # smallest face pivot / scale hull_membership solves on
 _BLOCK = 128  # Monte Carlo trials drawn, then checked, together
+_HULL_ITERS = 60      # the hull descents' max_iters
+_HULL_GRAD_TOL = 1e-9  # and their grad_tol
+_GNOMONIC = math.pi / 2.0 - 1e-12  # sqrt(kappa) d the gnomonic chart refuses
 
 
 class Chart:
@@ -50,12 +62,12 @@ class Chart:
     flat spaces.
     """
 
-    def __init__(self, space, center, basis=()):
-        """`basis`: leading orthonormal frame vectors at center; the
-        frame is completed from the ambient coordinate axes."""
+    def __init__(self, space, center):
+        """The frame at center is built from the ambient coordinate
+        axes (_extend_basis)."""
         self.space = space
         self.center = np.asarray(center, dtype=float)
-        self.basis = _extend_basis(space, self.center, basis)
+        self.basis = _extend_basis(space, self.center)
 
     def forward(self, P):
         """Chart coordinates of the rows of an (N, D) array P, as a pair:
@@ -76,7 +88,7 @@ class Chart:
             U, s, d = sp._log_scales(self.center, P[:n])
         x = math.sqrt(abs(k)) * d
         if k > 0:   # and before the first outside the gnomonic domain
-            far = np.flatnonzero(x >= math.pi / 2.0 - 1e-12)
+            far = np.flatnonzero(x >= _GNOMONIC)
             x = x[:far[0]] if len(far) else x
         n = len(x)
         # tan(x) / x or tanh(x) / x, and 1 where x is 0 (on flat spaces)
@@ -93,35 +105,26 @@ class Chart:
         return Y, DomainError(f"chart: point at distance {sp.norm(self.center, v)}"
                               " outside gnomonic domain")
 
-    def radial_distance(self, r):
-        """Distance from the center of the points that forward sends to
-        Euclidean radius r: the inverse of forward's radial law."""
-        k = self.space.kappa
-        if k > 0:
-            return math.atan(math.sqrt(k) * r) / math.sqrt(k)
-        if k < 0:
-            return math.atanh(math.sqrt(-k) * r) / math.sqrt(-k)
-        return r
-
 
 def secant_by_intersection(space, x, y1, y2, alpha1):
     """Secant length by explicit geodesic intersection (oracle).
 
     Launches the geodesic from x at angle alpha1 off side x y1 (rotating
     toward y2) and returns d(x, m) for the point m where it meets the
-    minimal geodesic y1 y2.  In the geodesics-to-lines chart at x both
-    are straight: the ray at angle alpha1 from the origin and the segment
-    between the images of y1 and y2, so m is their intersection.  On
-    kappa > 0 the gnomonic chart refuses (DomainError) a y1 or y2 at
-    pi/(2 sqrt(kappa)) or more from x; `comparison_check` uses
-    `secant_sphere` there.
+    minimal geodesic y1 y2.  In the geodesics-to-lines chart at x, with
+    the triangle's frame (e1, e2) of _triangles, both are straight: the
+    ray at angle alpha1 from the origin and the segment between the
+    images of y1 and y2, so m is their intersection.  The images follow
+    from the logs under the chart's radial law (_radial_law): y1's lies
+    on e1 and y2's at angle alpha off it.  On kappa > 0 the
+    gnomonic chart refuses (DomainError) a y1 or y2 at pi/(2 sqrt(kappa))
+    or more from x; `comparison_check` uses `secant_sphere` there.
     """
     rows = np.array((x, y1, y2), dtype=float)[:, np.newaxis]
-    return _secant(space, x, y1, y2, alpha1,
-                   *(a[0] for a in _triangles(space, *rows)))
+    return _secant(space, alpha1, *(a[0] for a in _triangles(space, *rows)))
 
 
-def _secant(space, x, y1, y2, alpha1, b, c, alpha, e1, e2):
+def _secant(space, alpha1, b, c, alpha, e1, e2):
     """secant_by_intersection on the triangle's row (b, c, alpha, e1, e2)
     of _triangles."""
     if math.isnan(e1[0]):
@@ -134,23 +137,36 @@ def _secant(space, x, y1, y2, alpha1, b, c, alpha, e1, e2):
         return float(c)
     if math.isnan(e2[0]):
         raise DegenerateSecantError("secant: x, y1, y2 are collinear")
+    for d in (b, c):   # Chart.forward's refusal
+        if space.kappa > 0 and d * math.sqrt(space.kappa) >= _GNOMONIC:
+            raise DomainError(f"chart: point at distance {d} outside "
+                              "gnomonic domain")
+    law, inverse = _radial_law(space)
+    # log_x y1 = b e1 and log_x y2 = c (cos alpha e1 + sin alpha e2), so
+    # y1's image lies on e1 at radius law(b), and y2's at angle alpha off
+    # it at radius law(c).  On the line through them 1/r is linear in the
+    # cosine and sine of the angle, which gives r at alpha1
+    return inverse(math.sin(alpha) / (math.sin(alpha - alpha1) / law(b)
+                                      + math.sin(alpha1) / law(c)))
 
-    chart = Chart(space, x, basis=(e1, e2))
-    P, refusal = chart.forward(np.array((y1, y2)))
-    if refusal is not None:
-        raise refusal
-    p1, p2 = P
-    # the side of the ray, linear along the segment: < 0 at p1, > 0 at p2
-    s1 = math.cos(alpha1) * p1[1] - math.sin(alpha1) * p1[0]
-    s2 = math.cos(alpha1) * p2[1] - math.sin(alpha1) * p2[0]
-    m = p1 + s1 / (s1 - s2) * (p2 - p1)
-    return chart.radial_distance(math.sqrt(m.dot(m)))
+
+def _radial_law(space):
+    """Chart.forward's radial law and its inverse: the norm law(d) of
+    the image of a point at distance d from the center, tan(sqrt(k) d)
+    / sqrt(k) for kappa = k > 0, tanh(sqrt(-k) d) / sqrt(-k) for k < 0,
+    and d on flat space."""
+    k = space.kappa
+    if k == 0:
+        return float, float
+    rk = math.sqrt(abs(k))
+    law, inverse = (math.tan, math.atan) if k > 0 else (math.tanh, math.atanh)
+    return (lambda d: law(rk * d) / rk), (lambda r: inverse(rk * r) / rk)
 
 
-def _extend_basis(space, x, seed):
-    """Complete an orthonormal tangent frame starting from seed vectors;
-    raises DomainError when no full frame is found."""
-    basis = list(seed)
+def _extend_basis(space, x):
+    """An orthonormal tangent frame at x from the projected ambient
+    coordinate axes; raises DomainError when no full frame is found."""
+    basis = []
     for i in range(space.ambient_dim):
         if len(basis) == space.dim:
             break
@@ -197,7 +213,8 @@ def comparison_check(space, n_trials, seed):
 
     Trials run in blocks of up to _BLOCK (_comparison_draws), their
     triangles read in array passes (_triangles); a kappa <= 0 trial's
-    secant takes its row of that reading.  A degenerate
+    secant is read off its row of that reading (_secant), with no
+    second log.  A degenerate
     triangle draws no alpha1, so each trial keeps the Generator state
     before that draw, and the first degenerate one sends the Generator
     back there; the next block starts after it, with about twice as many
@@ -217,7 +234,7 @@ def comparison_check(space, n_trials, seed):
     for trials in _in_blocks(rng, draw,
                              iter(lambda: min(size, n_trials - done), 0)):
         size = min(_BLOCK, 2 * len(trials))   # twice the trials kept
-        for i, (tri, (b, c, alpha, *frame), before, u) in enumerate(trials):
+        for i, ((b, c, alpha, *frame), before, u) in enumerate(trials):
             if alpha <= 1e-9 or alpha >= math.pi - 1e-9:
                 rng.bit_generator.state = before   # no alpha1 drawn
                 size = min(_BLOCK, 2 * i + 1)
@@ -235,7 +252,7 @@ def comparison_check(space, n_trials, seed):
             if space.kappa > 0:
                 z = secant_sphere(b, c, a1, a2, space.kappa)
             else:
-                z = _secant(space, *tri, a1, b, c, alpha, *frame)
+                z = _secant(space, a1, b, c, alpha, *frame)
             margin = z - zt
             min_margin = min(min_margin, margin)
             if margin < -1e-12:
@@ -246,10 +263,10 @@ def comparison_check(space, n_trials, seed):
 
 
 def _comparison_draws(space, rng, count, careful):
-    """`count` comparison trials drawn in Philox order, as ((x, y1, y2),
-    its row (b, c, alpha, e1, e2) of _triangles, the Generator state
-    before the uniform alpha1 is drawn from, that uniform), after phase 2
-    and _triangles; None where either refuses."""
+    """`count` comparison trials drawn in Philox order, as (the row (b, c,
+    alpha, e1, e2) of _triangles of its triangle (x, y1, y2), the
+    Generator state before the uniform alpha1 is drawn from, that
+    uniform), after phase 2 and _triangles; None where either refuses."""
     cap = _sampling_cap(space)
     draws, drawn = manifolds.Draws(space, rng, careful), []
     for _ in range(count):
@@ -265,7 +282,7 @@ def _comparison_draws(space, rng, count, careful):
         if careful:
             raise
         return None
-    return [(tri, reading, state, u) for (tri, state, u), *reading
+    return [(reading, state, u) for (_, state, u), *reading
             in zip(drawn, b.tolist(), c.tolist(), alpha.tolist(), E1, E2)]
 
 
@@ -397,10 +414,12 @@ def tethering_check(space, n_trials, t_grid, seed):
     violations are only reported.
 
     Trials run in blocks of _BLOCK, in flat memory: the draws, then the
-    points in array passes (_dataset_trials), then the geometry
-    (_tethering_margins).  Report, Generator state and first error are
-    those of one trial at a time through make_dataset and the step
-    (skipping a cut-locus refusal).  An empty t_grid, or one with a step
+    points in array passes (_dataset_trials), then the block's steps in
+    one lockstep pass (_step_margins), replayed one trial at a time
+    where it raises (_replayed).  Report, Generator state and first
+    error are those of one trial at a time through make_dataset and the
+    step, skipping a trial whose x lies in a point's cut-locus band,
+    where the step is not defined.  An empty t_grid, or one with a step
     that is not finite and > 0, is refused before any draw.
     """
     if n_trials < 1:
@@ -438,9 +457,10 @@ def _in_blocks(rng, draw, sizes):
 
 def _dataset_trials(space, rng, n_trials, t_grid):
     """The tethering trials (o, rho, points, weights, x, t), or the hull
-    trials where t_grid is None (no weights, no t), in blocks of _BLOCK:
-    drawn in Philox order, then filled in by phase 2.  Careful, a trial's
-    make_dataset runs before its x draw, as one trial at a time runs it."""
+    trials where t_grid is None (no weights, and descend's step t = 1),
+    in blocks of _BLOCK: drawn in Philox order, then filled in by phase
+    2.  Careful, a trial's make_dataset runs before its x draw, as one
+    trial at a time runs it."""
     cap = _sampling_cap(space)
 
     def draw(count, careful):
@@ -457,7 +477,7 @@ def _dataset_trials(space, rng, n_trials, t_grid):
             if careful:
                 frechet.make_dataset(space, pts, wts, o, rho)
             x = draws.ball(o, rho, 1)[0]
-            t = None if t_grid is None else t_grid[int(rng.integers(len(t_grid)))]
+            t = 1.0 if t_grid is None else t_grid[int(rng.integers(len(t_grid)))]
             trials.append((o, rho, pts, wts, x, t))
         return trials if draws.finish() else None
     sizes = (min(_BLOCK, n_trials - s) for s in range(0, n_trials, _BLOCK))
@@ -477,45 +497,107 @@ def _flat_dirichlet(rng, n):
     return e * (1.0 / acc)
 
 
+def _replayed(space, trials, run):
+    """The results of run(space, trials), one per trial.  Where it
+    raises, the block is replayed one trial at a time, run on a block of
+    the one trial, which _block validates by make_dataset: lazily, a
+    trial run as the one before it is taken, so the first error raises
+    where one trial at a time raises it."""
+    try:
+        return run(space, trials)
+    except GeomeanError:
+        return (run(space, [trial])[0] for trial in trials)
+
+
+def _block(space, trials):
+    """A block of trials (o, rho, points, weights, x, t) as arrays,
+    validated as make_dataset validates them: in one check_points and
+    one dist_many ball test (a DomainError where any point fails, which
+    make_dataset then names), or a block of one trial by make_dataset
+    itself.  Returns (O, rho, X, T, counts, P, w), one row of
+    O, rho, X, T and counts a trial, and the trials' points P and
+    make_dataset's weights w (1/n where a trial has none, else w over
+    their sum), one row a point, a trial's rows after the last trial's."""
+    o, rho, pts, wts, x, t = zip(*trials)
+    counts = np.array([len(p) for p in pts])
+    P, O, R = np.concatenate(pts), np.array(o), np.array(rho)
+    if len(trials) == 1:
+        frechet.make_dataset(space, pts[0], wts[0], o[0], rho[0])
+    else:
+        space.check_points(np.concatenate((P, O)))
+        if not (space.dist_many(np.repeat(O, counts, axis=0), P)
+                <= np.repeat(R + 1e-9 * np.maximum(1.0, R), counts)).all():
+            raise DomainError("a point lies outside its ball")
+    if wts[0] is None:
+        w = np.repeat(1.0 / counts, counts)
+    else:
+        w = np.concatenate(wts)
+        for _, r in _by_count(counts):
+            w[r] /= w[r].sum(axis=1, keepdims=True)
+    return O, R, np.array(x), np.array(t), counts, P, w
+
+
+def _by_count(counts):
+    """For each count n of points in a block of trials with `counts`, the
+    trials with n points and their rows, an (trials, n) index array.  On
+    such rows numpy's sums and products run as on one trial's own
+    arrays, so a trial keeps the bits of make_dataset's weights and of
+    the gradient's product."""
+    starts = np.cumsum(counts) - counts
+    for n in sorted(set(counts.tolist())):
+        i = np.flatnonzero(counts == n)
+        yield i, starts[i, np.newaxis] + np.arange(n)
+
+
+def _gradients(space, X, P, w, counts, k):
+    """(G, gn, cut): grad f_2 at each row of X over its trial's points
+    and weights, the rows of P and w by `counts`, its norm, and whether
+    a point lies in the row's cut-locus band, where descend stops the
+    trial (its G and gn are then meaningless).  One _tangential_many over
+    every point with a base point per row, then the gradient of each
+    trial as cost_gradient's product -((w s) @ U), bit for bit, and the
+    norms by _inner_rows.  Raises the error of descend's iteration k
+    for a cost or a gradient norm that overflows, and _log_scales' for
+    a log refused other than in the band."""
+    Xr = np.repeat(X, counts, axis=0)
+    starts = np.cumsum(counts) - counts
+    G = np.empty(X.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        U, nU, d = space._tangential_many(Xr, P)
+        with contextlib.suppress(CutLocusError):   # the band stops a trial
+            space._refuse_logs(Xr, P, nU, d)
+        if not np.isfinite(np.add.reduceat(w * d * d, starts)).all():
+            raise DomainError(f"{space.kind}: f_p overflows at iteration {k}")
+        cut = np.logical_or.reduceat(d >= space._band_start(), starts)
+        ws = w * np.divide(d, nU, out=np.zeros(d.shape), where=d != 0.0)
+        U = np.ascontiguousarray(U)   # as cost_gradient's U, for its bits
+        for i, r in _by_count(counts):
+            G[i] = -(ws[r][:, np.newaxis] @ U[r])[:, 0]
+        gn = np.sqrt(np.maximum(space._inner_rows(G, G), 0.0))
+    if not np.isfinite(gn[~cut]).all():
+        raise DomainError(f"{space.kind}: gradient of f_p overflows "
+                          f"at iteration {k}")
+    return G, gn, cut
+
+
 def _tethering_margins(space, trials):
-    """The margins rho - d(o, y) of a block of trials (o, rho, points,
-    weights, x, t), y = exp_x(-t grad f_2(x)), from _step_margins.  A
-    block it raises on is replayed trial by trial: make_dataset, then
-    _step_margins on a block of the one trial, skipping a trial it
-    refuses at the cut locus."""
-    with contextlib.suppress(GeomeanError):
-        return _step_margins(space, trials)
-    margins = []
-    for o, rho, pts, wts, x, t in trials:
-        frechet.make_dataset(space, pts, wts, o, rho)
-        with contextlib.suppress(CutLocusError):   # only exploratory
-            margins += _step_margins(space, [(o, rho, pts, wts, x, t)])
-    return margins
+    """The margins of a block of tethering trials (_step_margins),
+    skipping a trial whose step is not defined."""
+    return [margin for margin in _replayed(space, trials, _step_margins)
+            if margin is not None]
 
 
 def _step_margins(space, trials):
-    """The margins of a block of tethering trials: one check_points, one
-    dist_many and one _log_scales with a base point per row, then per
-    trial the gradient -((w s) @ U) on its rows, its exp and distance.
-    Raises DomainError where a point lies outside its ball by
-    make_dataset's test, which make_dataset then names."""
-    o, rho, pts, wts, x, t = zip(*trials)
-    counts = [len(p) for p in pts]
-    P = np.concatenate(pts)
-    R = np.repeat(rho, counts)
-    space.check_points(np.concatenate((P, o)))
-    if not (space.dist_many(np.repeat(o, counts, axis=0), P)
-            <= R + 1e-9 * np.maximum(1.0, R)).all():
-        raise DomainError("tethering: a point lies outside its ball")
-    U, s, _ = space._log_scales(np.repeat(x, counts, axis=0), P)
-    # a Dirichlet draw and a drawn rho pass make_dataset's other checks,
-    # and leave it the weights w / float(w.sum())
-    margins, end = [], 0
-    for oi, ri, wi, xi, ti, n in zip(o, rho, wts, x, t, counts):
-        g = -(((wi / float(wi.sum())) * s[end:end + n]) @ U[end:end + n])
-        end += n
-        margins.append(ri - space.distance(oi, space.exp(xi, -ti * g)))
-    return margins
+    """The margins rho - d(o, y) of a block of tethering trials, y =
+    exp_x(-t grad f_2(x)), from one _gradients and one exp_many over the
+    block, and None for a trial whose x lies in a point's cut-locus
+    band.  Raises where _block or _gradients raises."""
+    O, R, X, T, counts, P, w = _block(space, trials)
+    G, _, cut = _gradients(space, X, P, w, counts, 0)
+    go = ~cut
+    Y = space._exp_rows(X[go], -T[go, np.newaxis] * G[go])
+    margins = iter((R[go] - space.dist_many(O[go], Y)).tolist())
+    return [None if c else next(margins) for c in cut.tolist()]
 
 
 def hull_check(space, n_trials, seed):
@@ -523,17 +605,19 @@ def hull_check(space, n_trials, seed):
     the data, later iterates must stay inside.
 
     The trials are drawn in blocks (_dataset_trials); their descents
-    draw nothing.  A block's trials are descended and charted in the
-    chart at their ball centers, then one `hull_membership` call gives
-    every record of the block its verdict, and the block is swept trial
-    by trial.  The records are charted ahead of the sweep, but a record
-    the chart refuses raises only if the sweep, which stops a trial at
-    its first violation, reaches it.  Where a trial's dataset, descent
-    or chart raises, the trials before it are decided and swept first,
-    so the first error is that of one trial at a time.  The report's
-    min_margin is NaN: a margin (how deep the records stay inside) would
-    change the report, and the benchmark's recorded reference outputs
-    hold NaN there, so it waits for a change that may record them again.
+    draw nothing.  A block's descents run in lockstep (_descents, where
+    it raises one trial at a time by _replayed), each trial is charted
+    in the chart at its ball center, then one `hull_membership` call
+    gives every record of the block its verdict, and the block is swept
+    trial by trial.  The records are charted ahead of the sweep, but a
+    record the chart refuses raises only if the sweep, which stops a
+    trial at its first violation, reaches it.  Where a trial's dataset,
+    descent or chart raises, the trials before it are decided and swept
+    first, so the first error is that of one trial at a time.  The
+    report's min_margin is NaN: a margin (how deep the records stay
+    inside) would change the report, and the benchmark's recorded
+    reference outputs hold NaN there, so it waits for a change that may
+    record them again.
     """
     if n_trials < 1:
         raise DomainError(f"hull_check: need n_trials >= 1, got {n_trials}")
@@ -542,26 +626,51 @@ def hull_check(space, n_trials, seed):
     for trials in _dataset_trials(space, rng, n_trials, None):
         problems = []
         try:
-            for trial in trials:
-                problems.append(_hull_problem(space, trial))
+            for trial, records in zip(trials,
+                                      _replayed(space, trials, _descents)):
+                problems.append(_hull_problem(space, trial, records))
         finally:   # also where a trial raises: the trials before it first
             violations += _hull_violations(problems)
     return {"suite": "hull", "trials": n_trials, "violations": violations,
             "min_margin": math.nan, "seed": seed}
 
 
-def _hull_problem(space, trial):
+def _descents(space, trials):
+    """The records of a block of hull trials' descents, in lockstep: for
+    each trial, the points that descend(p=2, step=t, grad_tol=
+    _HULL_GRAD_TOL, max_iters=_HULL_ITERS) records from x (projected, as
+    descend projects it) over its points, as a (records, D) array.  Each
+    iteration takes _gradients over the trials still running and one
+    exp_many for those that step; a trial stops where descend stops it:
+    at grad_tol, at max_iters, or with a point in its iterate's
+    cut-locus band, that iterate recorded.  It raises descend's errors
+    for an overflowing cost, gradient norm or step, but computes none of
+    the monitors, whose distances from the ball center the sweep does
+    not read."""
+    _, _, X, T, counts, P, w = _block(space, trials)
+    X = np.array([space.project(x) for x in X])   # descend's start
+    records = np.full((len(X), _HULL_ITERS + 1, X.shape[1]), math.nan)
+    live = np.ones(len(X), dtype=bool)
+    for k in range(_HULL_ITERS + 1):
+        rows = np.repeat(live, counts)
+        G, gn, cut = _gradients(space, X, P[rows], w[rows], counts[live], k)
+        records[live, k] = X
+        go = ~cut & (gn > _HULL_GRAD_TOL)
+        if k == _HULL_ITERS or not go.any():
+            break
+        live[live] = go
+        X = space._exp_rows(X[go], -T[live, np.newaxis] * G[go])
+    return [r[~np.isnan(r[:, 0])] for r in records]
+
+
+def _hull_problem(space, trial, records):
     """A hull trial's points and descent records in the chart at its ball
     center, from one Chart.forward: the records up to the first one the
     chart refuses, and that refusal (None where the chart takes every
     record)."""
-    o, rho, pts, _, x0, _ = trial
-    ds = frechet.make_dataset(space, pts, None, o, rho)
-    tr = solver.descend(ds, solver.SolverConfig(
-        p=2.0, step=1.0, grad_tol=1e-9, max_iters=60), x0=x0)
-    P = np.concatenate((ds.points, [rec.point for rec in tr.records]))
-    Y, refusal = Chart(space, ds.ball_center).forward(P)
-    n = len(ds.points)
+    o, _, pts, _, _, _ = trial
+    Y, refusal = Chart(space, o).forward(np.concatenate((pts, records)))
+    n = len(pts)
     if len(Y) < n:
         raise refusal
     return Y[:n], Y[n:], refusal

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import geomean
-from geomean import geocheck, manifolds
+from geomean import geocheck, manifolds, solver
 from geomean.errors import CutLocusError, DomainError
 from geomean.frechet import make_dataset
 from geomean.geocheck import (Chart, comparison_check, hull_membership,
@@ -393,29 +393,30 @@ def test_hull_check_matches_membership_loop(space, monkeypatch):
     # the NNLS reference's in the chart at the ball center
     monkeypatch.setattr(geocheck, "_BLOCK", 8)
     trials, verdicts, calls = [], [], []
-    descend, membership = geocheck.solver.descend, geocheck.hull_membership
+    descents, membership = geocheck._descents, geocheck.hull_membership
 
-    def spy_descend(ds, cfg, x0=None):
-        trials.append((ds, descend(ds, cfg, x0=x0)))
-        return trials[-1][1]
+    def spy_descents(space, block):
+        records = descents(space, block)
+        trials.extend(zip(block, records))
+        return records
 
     def spy_membership(hulls, tol):
         calls.append(len(hulls))
         verdicts.extend(membership(hulls, tol))
         return verdicts[-len(hulls):]
 
-    monkeypatch.setattr(geocheck.solver, "descend", spy_descend)
+    monkeypatch.setattr(geocheck, "_descents", spy_descents)
     monkeypatch.setattr(geocheck, "hull_membership", spy_membership)
     rep = geocheck.hull_check(space, 30, seed=5)
     monkeypatch.undo()
     flags, expected, violations = [], [], 0
-    for (ds, tr), got in zip(trials, verdicts):
-        chart = Chart(space, ds.ball_center)
-        V = chart_points(chart, ds.points)
+    for ((o, _, points, _, _, _), records), got in zip(trials, verdicts):
+        chart = Chart(space, o)
+        V = chart_points(chart, points)
         flags += got.tolist()
         entered = violated = False
-        for rec in tr.records[:len(got)]:
-            inside = nnls_in_hull(V, chart_points(chart, [rec.point])[0], 1e-8)
+        for point in records[:len(got)]:
+            inside = nnls_in_hull(V, chart_points(chart, [point])[0], 1e-8)
             expected.append(inside)
             violated = violated or entered and not inside
             entered = entered or inside
@@ -428,30 +429,33 @@ def test_hull_check_matches_membership_loop(space, monkeypatch):
 
 def _refusing(trials, k):
     """Chart.forward refusing the rows equal to record k of the first
-    descent in `trials`, the descents seen so far."""
+    descent in `trials`, the records of the descents seen so far."""
     forward = Chart.forward
 
     def forward_refusing(chart, P):
         Y, refusal = forward(chart, P)
         if trials:
-            hit = np.flatnonzero((P == trials[0].records[k].point).all(axis=1))
+            hit = np.flatnonzero((P == trials[0][k]).all(axis=1))
             if len(hit) and hit[0] <= len(Y):
                 return Y[:hit[0]], DomainError("chart: refused")
         return Y, refusal
     return forward_refusing
 
 
-def _spying_descend(trials, fail_at=None):
-    """solver.descend appending each trace to `trials`, raising
-    DomainError at call number fail_at (0 based) where given."""
-    descend = geocheck.solver.descend
+def _spying_descents(trials, fail_at=None):
+    """geocheck._descents appending each trial's records to `trials`,
+    raising DomainError for a block that holds trial number fail_at (0
+    based, after the trials in `trials`) where given: the block, then
+    that trial in the replay one trial at a time."""
+    descents = geocheck._descents
 
-    def spy_descend(ds, cfg, x0=None):
-        if len(trials) == fail_at:
+    def spy_descents(space, block):
+        if fail_at is not None and 0 <= fail_at - len(trials) < len(block):
             raise DomainError("descend: refused")
-        trials.append(descend(ds, cfg, x0=x0))
-        return trials[-1]
-    return spy_descend
+        records = descents(space, block)
+        trials.extend(records)
+        return records
+    return spy_descents
 
 
 def test_hull_check_charts_records_as_the_sweep_reaches_them(monkeypatch):
@@ -459,11 +463,11 @@ def test_hull_check_charts_records_as_the_sweep_reaches_them(monkeypatch):
     # refuses raises only where the sweep, which stops at the first
     # violation, reaches it
     trials = []
-    monkeypatch.setattr(geocheck.solver, "descend", _spying_descend(trials))
+    monkeypatch.setattr(geocheck, "_descents", _spying_descents(trials))
     monkeypatch.setattr(Chart, "forward", _refusing(trials, 1))
     with pytest.raises(DomainError, match="^chart: refused$"):
         geocheck.hull_check(Sphere(2), 3, seed=5)
-    assert len(trials) == 3 and len(trials[0].records) > 2
+    assert len(trials) == 3 and len(trials[0]) > 2
 
     # record 0 enters the hull and record 1 leaves it: record 2 is never
     # reached, so its chart is never asked for
@@ -473,7 +477,7 @@ def test_hull_check_charts_records_as_the_sweep_reaches_them(monkeypatch):
 
     monkeypatch.undo()
     trials.clear()
-    monkeypatch.setattr(geocheck.solver, "descend", _spying_descend(trials))
+    monkeypatch.setattr(geocheck, "_descents", _spying_descents(trials))
     monkeypatch.setattr(geocheck, "hull_membership", membership)
     monkeypatch.setattr(Chart, "forward", _refusing(trials, 2))
     assert geocheck.hull_check(Sphere(2), 1, seed=5)["violations"] == 1
@@ -484,8 +488,8 @@ def test_hull_check_raises_the_first_trials_error_first(monkeypatch):
     # trial 0's sweep reaches a record the chart refuses and trial 2's
     # descent raises, trial 0's error raises, as one trial at a time
     trials = []
-    monkeypatch.setattr(geocheck.solver, "descend",
-                        _spying_descend(trials, fail_at=2))
+    monkeypatch.setattr(geocheck, "_descents",
+                        _spying_descents(trials, fail_at=2))
     with pytest.raises(DomainError, match="^descend: refused$"):
         geocheck.hull_check(Sphere(2), 5, seed=5)
     trials.clear()
@@ -539,14 +543,16 @@ def test_suites_keep_their_draw_order(space, monkeypatch):
     positions = [position()]
     reports.append(tethering_check(space, 200, (0.25, 0.5, 1.0), seed=21))
     positions.append(position())
-    sums, descend = [], geocheck.solver.descend
+    sums, descents = [], geocheck._descents
 
-    def spy_descend(ds, cfg, x0=None):
-        tr = descend(ds, cfg, x0=x0)
-        sums.append(float(ds.points.sum() + x0.sum() + tr.final.sum()))
-        return tr
+    def spy_descents(space, block):
+        records = descents(space, block)
+        sums.extend(float(points.sum() + x0.sum() + trial_records[-1].sum())
+                    for (_, _, points, _, x0, _), trial_records
+                    in zip(block, records))
+        return records
 
-    monkeypatch.setattr(geocheck.solver, "descend", spy_descend)
+    monkeypatch.setattr(geocheck, "_descents", spy_descents)
     reports.append(geocheck.hull_check(space, 20, seed=21))
     positions.append(position())
     assert positions == [tuple(p) for p in states]
@@ -717,19 +723,16 @@ def _tethering_observed(monkeypatch, space, n_trials, t_grid, seed):
         lambda block, space, trials: margins.extend(block)) + (margins,)
 
 
-def _assert_same_run(got, want, counts=True):
+def _assert_same_run(got, want):
     """A suite's (report, Generator state, margins) against a one trial
     at a time reference's: every field but the floats equal, and
     min_margin and each margin within the 1e-12 bound (phase 2 computes
-    the sampled points in arrays, whose sums round another way).  With
-    counts False, the violations are not compared."""
+    the sampled points in arrays, whose sums round another way)."""
     (report, state, margins), (want_report, want_state, want_margins) = \
         got, want[:3]
     report, want_report = dict(report), dict(want_report)
     margin = report.pop("min_margin")
     want_margin = want_report.pop("min_margin")
-    if not counts:
-        del report["violations"], want_report["violations"]
     assert report == want_report and state == want_state
     assert len(margins) == len(want_margins)
     assert all(_within_bound(a, b) for a, b in zip(
@@ -916,9 +919,9 @@ def test_comparison_equals_one_trial_at_a_time(space, seed, block, n_trials,
     # block size in use, whose array passes reach the kernels' along path
     # (manifolds._ALONG_POINTS rows) and end on a short block;
     # the circle (dim 1) has no angle to split, and both refuse it.  On
-    # flat space z = z_euclid exactly, so a margin is the two formulas'
-    # rounding, which a thin triangle amplifies past 1e-12: the
-    # violations there count rounding and are not compared
+    # flat space z = z_euclid exactly, and the oracle's reading of its
+    # triangle's row keeps a margin within rounding of 0, far inside
+    # the 1e-12 threshold, so the violations are compared there too
     monkeypatch.setattr(geocheck, "_BLOCK", block)
     if space.dim < 2:
         with pytest.raises(DomainError, match="need dim >= 2"):
@@ -926,8 +929,7 @@ def test_comparison_equals_one_trial_at_a_time(space, seed, block, n_trials,
         return
     want = _comparison_one_at_a_time(space, n_trials, seed, [])
     _assert_same_run(_comparison_observed(monkeypatch, space, n_trials,
-                                          seed), want,
-                     counts=space.kappa != 0)
+                                          seed), want)
 
 
 @pytest.mark.parametrize("block", [7, geocheck._BLOCK])
@@ -965,7 +967,7 @@ def _hull_trap_violated(ds, x0):
     """Reference: whether the descent from x0 leaves the hull of ds's
     points after entering it, one trial by itself, every record charted
     as the sweep reaches it."""
-    tr = geocheck.solver.descend(ds, geocheck.solver.SolverConfig(
+    tr = solver.descend(ds, solver.SolverConfig(
         p=2.0, step=1.0, grad_tol=1e-9, max_iters=60), x0=x0)
     chart = Chart(ds.space, ds.ball_center)
     V = chart_points(chart, ds.points)
@@ -1021,7 +1023,7 @@ def test_hull_equals_one_trial_at_a_time(space, seed, block, monkeypatch):
     monkeypatch.setattr(manifolds.Draws, "finish", counted)
     report, state = _observed(
         monkeypatch, lambda: geocheck.hull_check(space, 30, seed),
-        "_hull_problem", lambda result, space, trial: inputs.append(
+        "_hull_problem", lambda result, space, trial, records: inputs.append(
             np.concatenate([np.ravel(trial[2]), trial[4]])))
     assert blocks == [min(block, 30 - s) for s in range(0, 30, block)]
     want_report, want_state, want_inputs = _hull_one_at_a_time(space, 30,
@@ -1032,6 +1034,68 @@ def test_hull_equals_one_trial_at_a_time(space, seed, block, monkeypatch):
     assert [len(a) for a in inputs] == [len(a) for a in want_inputs]
     assert all(_within_bound(a, b) for got, want in zip(inputs, want_inputs)
                for a, b in zip(got.tolist(), want.tolist()))
+
+
+_STOPS = [(space, stop) for space in _SIX_SPACES
+          for stop in ("converged", "max_iters", "cut_locus")
+          if stop != "cut_locus" or isinstance(space, Sphere)]
+
+
+@pytest.mark.parametrize("space, stop", _STOPS,
+                         ids=lambda a: a if isinstance(a, str) else repr(a))
+def test_descents_equal_descend_one_trial_at_a_time(space, stop, monkeypatch):
+    # a block's lockstep descents against descend on each trial: the same
+    # number of records, and their points within the 1e-12 bound.  Trials
+    # stop at grad_tol; at max_iters, set to 2 (0 on the flat spaces,
+    # where a descent converges in one step); and, with a cut-locus band from
+    # distance 1 on the sphere family (H and flat space have none), at the
+    # band, the iterate recorded
+    cfg = solver.SolverConfig(p=2.0, step=1.0,
+                              grad_tol=geocheck._HULL_GRAD_TOL,
+                              max_iters=geocheck._HULL_ITERS)
+    if stop == "max_iters":
+        cfg.max_iters = 0 if space.constants().Delta == 0 else 2
+        monkeypatch.setattr(geocheck, "_HULL_ITERS", cfg.max_iters)
+    elif stop == "cut_locus":
+        monkeypatch.setattr(Sphere, "_band_start", lambda self: 1.0)
+    rng = np.random.Generator(np.random.Philox(4))
+    statuses = []
+    for block in geocheck._dataset_trials(space, rng, 60, None):
+        for (o, rho, points, _, x0, _), records in zip(
+                block, geocheck._descents(space, block)):
+            tr = solver.descend(make_dataset(space, points, None, o, rho),
+                                cfg, x0=x0)
+            want = np.array([rec.point for rec in tr.records])
+            assert records.shape == want.shape
+            assert all(_within_bound(a, b) for a, b in
+                       zip(records.ravel().tolist(), want.ravel().tolist()))
+            statuses.append(tr.status)
+    assert stop in statuses
+
+
+@pytest.mark.parametrize("space", _SIX_SPACES, ids=repr)
+def test_tethering_step_equals_one_step_one_trial_at_a_time(space,
+                                                            monkeypatch):
+    # the block's one step, exp_x(-t grad f_2(x)) from the lockstep pass,
+    # against one_step on each trial, and the margins it gives, within
+    # the 1e-12 bound
+    rng = np.random.Generator(np.random.Philox(4))
+    block = next(geocheck._dataset_trials(space, rng, 100, (0.25, 0.5, 1.0)))
+    steps, exp_rows = [], space._exp_rows
+
+    def spy(X, V):
+        steps.append(exp_rows(X, V))
+        return steps[-1]
+    monkeypatch.setattr(space, "_exp_rows", spy)
+    margins = geocheck._step_margins(space, block)
+    (Y,) = steps
+    assert len(Y) == len(margins) == 100
+    for (o, rho, points, weights, x, t), y, margin in zip(block, Y, margins):
+        ds = make_dataset(space, points, weights, o, rho)
+        want = one_step(ds, 2.0, x, t)
+        assert all(_within_bound(a, b)
+                   for a, b in zip(y.tolist(), want.tolist()))
+        assert _within_bound(margin, rho - space.distance(o, want))
 
 
 def test_tethering_t0_identity(rng):
