@@ -48,10 +48,8 @@ def make_dataset(space, points, weights=None, ball_center=None, ball_radius=None
     where they pass it; otherwise the checks run in the order above, so
     the first error raised is the same either way.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _point_rows(points)
     n = len(points)
-    if n < 1:
-        raise DomainError("dataset needs at least one point")
     center = _checked_with_points(space, points, ball_center)
     if center is None:
         space.check_points(points)
@@ -87,6 +85,16 @@ def make_dataset(space, points, weights=None, ball_center=None, ball_radius=None
     return WeightedDataset(space, points, weights, center, ball_radius)
 
 
+def _point_rows(points):
+    """points as an (N, D) float array, a single point given flat as one
+    row; DomainError where there is no point, before atleast_2d makes an
+    empty list one row of no coordinates."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim and not len(points):
+        raise DomainError("dataset needs at least one point")
+    return np.atleast_2d(points)
+
+
 def _checked_with_points(space, points, ball_center):
     """ball_center as a float array when it has the points' shape and
     it and the points pass one check_points on the stacked rows; else
@@ -110,7 +118,7 @@ def dataset_from_json(obj, ball_fallback=None):
     if not isinstance(obj, dict):
         raise DomainError(f"dataset must be an object, got {type(obj).__name__}")
     space = space_from_json(obj["space"])
-    points = np.atleast_2d(_json_array(obj["points"], "points"))
+    points = _point_rows(_json_array(obj["points"], "points"))
     weights = obj.get("weights")
     if weights is not None:
         weights = _json_array(weights, "weights")

@@ -13,23 +13,20 @@ at once.  The hull-trap sweep charts each trial's vertices and records
 in one Chart.forward, a chart per trial, and takes the verdicts of a
 block's records from one call.
 
-The three Monte Carlo sweeps sample in two phases (manifolds.Draws):
-a block of trials makes its Generator calls in the order of one trial
-at a time, then its points are made in array passes.  Where phase 2
-refuses a block, the Generator goes back to its start and the block is
-drawn again one trial at a time (`_in_blocks`), so the Philox stream
-and the first error are those of one trial at a time.  Comparison then
-reads the block's triangles in arrays, and its intersection oracle
-takes a trial's chart images from its row of that reading.  Tethering
-and hull run a block's descent steps in lockstep, x <- exp_x(-t grad
-f_2(x)) with a base point per row (`_gradients`), after validating the
-block's points as make_dataset would in one pass (`_block`): tethering
-takes one step, and hull each trial's records of
-descend(p=2, step=1, grad_tol=1e-9, max_iters=60) (`_descents`).  Where
-such a pass raises, the block is replayed one trial at a time through
-the same code on a block of one, validated by make_dataset
-(`_replayed`), so the first error is again that of one trial at a
-time.
+The three Monte Carlo sweeps draw and run their trials in blocks
+(`_in_blocks`).  A block samples in two phases (manifolds.Draws): its
+Generator calls in the order of one trial at a time, then its points
+in array passes.  Comparison then reads the block's triangles in
+arrays, and its intersection oracle takes a trial's chart images from
+its row of that reading.  Tethering and hull run a block's descent
+steps in lockstep, x <- exp_x(-t grad f_2(x)) with a base point per
+row (`_gradients`), after validating the block's points as make_dataset
+would in one pass (`_block`): tethering takes one step, and hull each
+trial's records of descend(p=2, step=1, grad_tol=1e-9, max_iters=60)
+(`_descents`).  One rule replays: where a block refuses or raises, the
+Generator goes back to its start and the block is drawn and run again
+one careful trial at a time, so the Philox stream and the first error
+are those of one trial at a time.
 """
 
 import contextlib
@@ -266,7 +263,8 @@ def _comparison_draws(space, rng, count, careful):
     """`count` comparison trials drawn in Philox order, as (the row (b, c,
     alpha, e1, e2) of _triangles of its triangle (x, y1, y2), the
     Generator state before the uniform alpha1 is drawn from, that
-    uniform), after phase 2 and _triangles; None where either refuses."""
+    uniform), after phase 2 and _triangles; None where phase 2 refuses,
+    and the error where either raises."""
     cap = _sampling_cap(space)
     draws, drawn = manifolds.Draws(space, rng, careful), []
     for _ in range(count):
@@ -276,12 +274,7 @@ def _comparison_draws(space, rng, count, careful):
     if not draws.finish():
         return None
     T = np.array([tri for tri, _, _ in drawn])
-    try:
-        b, c, alpha, E1, E2 = _triangles(space, T[:, 0], T[:, 1], T[:, 2])
-    except GeomeanError:
-        if careful:
-            raise
-        return None
+    b, c, alpha, E1, E2 = _triangles(space, T[:, 0], T[:, 1], T[:, 2])
     return [(reading, state, u) for (_, state, u), *reading
             in zip(drawn, b.tolist(), c.tolist(), alpha.tolist(), E1, E2)]
 
@@ -415,12 +408,12 @@ def tethering_check(space, n_trials, t_grid, seed):
 
     Trials run in blocks of _BLOCK, in flat memory: the draws, then the
     points in array passes (_dataset_trials), then the block's steps in
-    one lockstep pass (_step_margins), replayed one trial at a time
-    where it raises (_replayed).  Report, Generator state and first
-    error are those of one trial at a time through make_dataset and the
-    step, skipping a trial whose x lies in a point's cut-locus band,
-    where the step is not defined.  An empty t_grid, or one with a step
-    that is not finite and > 0, is refused before any draw.
+    one lockstep pass (_step_margins).  Report, Generator state and
+    first error are those of one trial at a time through make_dataset
+    and the step (_in_blocks), skipping a trial whose x lies in a
+    point's cut-locus band, where the step is not defined.  An empty
+    t_grid, or one with a step that is not finite and > 0, is refused
+    before any draw.
     """
     if n_trials < 1:
         raise DomainError(f"tethering_check: need n_trials >= 1, got {n_trials}")
@@ -429,8 +422,9 @@ def tethering_check(space, n_trials, t_grid, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     violations = 0
     min_margin = math.inf
-    for trials in _dataset_trials(space, rng, n_trials, t_grid):
-        for margin in _tethering_margins(space, trials):
+    for margins in _dataset_trials(space, rng, n_trials, t_grid,
+                                   _step_margins):
+        for margin in margins:
             min_margin = min(min_margin, margin)
             if margin < -1e-9:
                 violations += 1
@@ -439,28 +433,35 @@ def tethering_check(space, n_trials, t_grid, seed):
 
 
 def _in_blocks(rng, draw, sizes):
-    """The blocks of trials draw(count, careful) gives, one for each
-    count in `sizes`, each yielded before the next count is read.  Where
-    it refuses a block (None), the Generator goes back to the block's
-    start and the block is drawn again one careful trial at a time, so
+    """What draw(count, careful) gives for a block of `count` trials it
+    draws and runs, one block for each count in `sizes`, each yielded
+    before the next count is read.  This is the suites' one replay:
+    where the fast draw(count, False) refuses the block (None) or raises
+    a GeomeanError, the Generator goes back to the block's start and the
+    block is drawn and run again one careful trial at a time,
+    draw(1, True).  Careful draws are the block's draws bit for bit, so
     the first error raises where one trial at a time raises it."""
     for count in sizes:
         state = rng.bit_generator.state
-        trials = draw(count, False)
-        if trials is not None:
-            yield trials
+        try:
+            result = draw(count, False)
+        except GeomeanError:
+            result = None
+        if result is not None:
+            yield result
             continue
         rng.bit_generator.state = state
         for _ in range(count):
             yield draw(1, True)
 
 
-def _dataset_trials(space, rng, n_trials, t_grid):
-    """The tethering trials (o, rho, points, weights, x, t), or the hull
-    trials where t_grid is None (no weights, and descend's step t = 1),
-    in blocks of _BLOCK: drawn in Philox order, then filled in by phase
-    2.  Careful, a trial's make_dataset runs before its x draw, as one
-    trial at a time runs it."""
+def _dataset_trials(space, rng, n_trials, t_grid, run):
+    """run(space, trials) on blocks of up to _BLOCK tethering trials (o,
+    rho, points, weights, x, t), or hull trials where t_grid is None (no
+    weights, and descend's step t = 1), by _in_blocks: drawn in Philox
+    order, filled in by phase 2, then run.  Careful, a trial's
+    make_dataset runs before its x draw, as one trial at a time runs
+    it."""
     cap = _sampling_cap(space)
 
     def draw(count, careful):
@@ -479,7 +480,7 @@ def _dataset_trials(space, rng, n_trials, t_grid):
             x = draws.ball(o, rho, 1)[0]
             t = 1.0 if t_grid is None else t_grid[int(rng.integers(len(t_grid)))]
             trials.append((o, rho, pts, wts, x, t))
-        return trials if draws.finish() else None
+        return run(space, trials) if draws.finish() else None
     sizes = (min(_BLOCK, n_trials - s) for s in range(0, n_trials, _BLOCK))
     return _in_blocks(rng, draw, sizes)
 
@@ -497,37 +498,22 @@ def _flat_dirichlet(rng, n):
     return e * (1.0 / acc)
 
 
-def _replayed(space, trials, run):
-    """The results of run(space, trials), one per trial.  Where it
-    raises, the block is replayed one trial at a time, run on a block of
-    the one trial, which _block validates by make_dataset: lazily, a
-    trial run as the one before it is taken, so the first error raises
-    where one trial at a time raises it."""
-    try:
-        return run(space, trials)
-    except GeomeanError:
-        return (run(space, [trial])[0] for trial in trials)
-
-
 def _block(space, trials):
     """A block of trials (o, rho, points, weights, x, t) as arrays,
-    validated as make_dataset validates them: in one check_points and
-    one dist_many ball test (a DomainError where any point fails, which
-    make_dataset then names), or a block of one trial by make_dataset
-    itself.  Returns (O, rho, X, T, counts, P, w), one row of
-    O, rho, X, T and counts a trial, and the trials' points P and
+    validated as make_dataset validates them, in one check_points and
+    one dist_many ball test that passes a NaN distance, as make_dataset
+    does (a DomainError where any point fails, which make_dataset names
+    in the careful replay).  Returns (O, rho, X, T, counts, P, w), one
+    row of O, rho, X, T and counts a trial, and the trials' points P and
     make_dataset's weights w (1/n where a trial has none, else w over
     their sum), one row a point, a trial's rows after the last trial's."""
     o, rho, pts, wts, x, t = zip(*trials)
     counts = np.array([len(p) for p in pts])
     P, O, R = np.concatenate(pts), np.array(o), np.array(rho)
-    if len(trials) == 1:
-        frechet.make_dataset(space, pts[0], wts[0], o[0], rho[0])
-    else:
-        space.check_points(np.concatenate((P, O)))
-        if not (space.dist_many(np.repeat(O, counts, axis=0), P)
-                <= np.repeat(R + 1e-9 * np.maximum(1.0, R), counts)).all():
-            raise DomainError("a point lies outside its ball")
+    space.check_points(np.concatenate((P, O)))
+    if (space.dist_many(np.repeat(O, counts, axis=0), P)
+            > np.repeat(R + 1e-9 * np.maximum(1.0, R), counts)).any():
+        raise DomainError("a point lies outside its ball")
     if wts[0] is None:
         w = np.repeat(1.0 / counts, counts)
     else:
@@ -580,41 +566,29 @@ def _gradients(space, X, P, w, counts, k):
     return G, gn, cut
 
 
-def _tethering_margins(space, trials):
-    """The margins of a block of tethering trials (_step_margins),
-    skipping a trial whose step is not defined."""
-    return [margin for margin in _replayed(space, trials, _step_margins)
-            if margin is not None]
-
-
 def _step_margins(space, trials):
     """The margins rho - d(o, y) of a block of tethering trials, y =
     exp_x(-t grad f_2(x)), from one _gradients and one exp_many over the
-    block, and None for a trial whose x lies in a point's cut-locus
-    band.  Raises where _block or _gradients raises."""
+    block, skipping a trial whose x lies in a point's cut-locus band.
+    Raises where _block or _gradients raises."""
     O, R, X, T, counts, P, w = _block(space, trials)
     G, _, cut = _gradients(space, X, P, w, counts, 0)
     go = ~cut
     Y = space._exp_rows(X[go], -T[go, np.newaxis] * G[go])
-    margins = iter((R[go] - space.dist_many(O[go], Y)).tolist())
-    return [None if c else next(margins) for c in cut.tolist()]
+    return (R[go] - space.dist_many(O[go], Y)).tolist()
 
 
 def hull_check(space, n_trials, seed):
     """Hull-trap sweep: once a descent iterate enters the convex hull of
     the data, later iterates must stay inside.
 
-    The trials are drawn in blocks (_dataset_trials); their descents
-    draw nothing.  A block's descents run in lockstep (_descents, where
-    it raises one trial at a time by _replayed), each trial is charted
-    in the chart at its ball center, then one `hull_membership` call
-    gives every record of the block its verdict, and the block is swept
-    trial by trial.  The records are charted ahead of the sweep, but a
-    record the chart refuses raises only if the sweep, which stops a
-    trial at its first violation, reaches it.  Where a trial's dataset,
-    descent or chart raises, the trials before it are decided and swept
-    first, so the first error is that of one trial at a time.  The
-    report's min_margin is NaN: a margin (how deep the records stay
+    The trials are drawn in blocks (_dataset_trials) and run by
+    _hull_block; their descents draw nothing.  The records are charted
+    ahead of the sweep, but a record the chart refuses raises only if
+    the sweep, which stops a trial at its first violation, reaches it.
+    Where a block raises, it is drawn and run again one trial at a time
+    (_in_blocks), so the first error is that of one trial at a time.
+    The report's min_margin is NaN: a margin (how deep the records stay
     inside) would change the report, and the benchmark's recorded
     reference outputs hold NaN there, so it waits for a change that may
     record them again.
@@ -622,17 +596,20 @@ def hull_check(space, n_trials, seed):
     if n_trials < 1:
         raise DomainError(f"hull_check: need n_trials >= 1, got {n_trials}")
     rng = np.random.Generator(np.random.Philox(seed))
-    violations = 0
-    for trials in _dataset_trials(space, rng, n_trials, None):
-        problems = []
-        try:
-            for trial, records in zip(trials,
-                                      _replayed(space, trials, _descents)):
-                problems.append(_hull_problem(space, trial, records))
-        finally:   # also where a trial raises: the trials before it first
-            violations += _hull_violations(problems)
+    violations = sum(_dataset_trials(space, rng, n_trials, None,
+                                     _hull_block))
     return {"suite": "hull", "trials": n_trials, "violations": violations,
             "min_margin": math.nan, "seed": seed}
+
+
+def _hull_block(space, trials):
+    """How many of a block of hull trials leave the hull after entering
+    it: the block's descents in lockstep (_descents), each trial charted
+    in the chart at its ball center (_hull_problem), then the verdicts
+    of every record of the block from one _hull_violations."""
+    problems = [_hull_problem(space, trial, records)
+                for trial, records in zip(trials, _descents(space, trials))]
+    return _hull_violations(problems)
 
 
 def _descents(space, trials):

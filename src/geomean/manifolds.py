@@ -82,7 +82,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CutLocusError, DomainError, GeomeanError
+from .errors import CutLocusError, DomainError
 from .kernels import sn
 
 _CANON_TOL = 1e-9  # first coordinate of magnitude above this fixes the sign
@@ -930,22 +930,21 @@ class Draws:
         return out
 
     def finish(self):
-        """Phase 2: fill in the arrays phase 1 returned, the points first;
-        False, leaving them unfilled, where a pass refuses or raises, for
-        the caller to replay the draws carefully."""
+        """Phase 2: fill in the arrays phase 1 returned, the points first.
+        It returns False on a refusal (a direction too short to
+        normalise, or a radius-0 ball) and raises a pass's error, leaving
+        the ball samples unfilled either way, for the caller to replay
+        the draws carefully."""
         sp, samples = self.space, np.empty((0, self.space.ambient_dim))
-        try:
-            if self._normals:
-                P = sp._random_points(np.array(self._normals))
-                for out, p in zip(self._points, P):
-                    out[:] = p
-            if self._radii:
-                C = np.repeat([c for _, c in self._balls],
-                              [len(out) for out, _ in self._balls], axis=0)
-                samples = sp._ball_points(C, np.array(self._radii),
-                                          np.array(self._directions))
-        except GeomeanError:
-            return False
+        if self._normals:
+            P = sp._random_points(np.array(self._normals))
+            for out, p in zip(self._points, P):
+                out[:] = p
+        if self._radii:
+            C = np.repeat([c for _, c in self._balls],
+                          [len(out) for out, _ in self._balls], axis=0)
+            samples = sp._ball_points(C, np.array(self._radii),
+                                      np.array(self._directions))
         if self._refused or samples is None:
             return False
         end = 0

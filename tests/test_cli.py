@@ -218,6 +218,21 @@ def test_euclidean_overflow_is_an_error(obj, options, error, tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize("ball", [None, {"center": [0.0, 0.0, 1.0],
+                                           "radius": 0.5}],
+                         ids=["no_ball", "ball"])
+def test_mean_refuses_a_dataset_with_no_points(ball, tmp_path, capsys):
+    # refused as no points, with a ball entry or with the fallback ball
+    # estimate, not as a point of shape (0,)
+    obj = {"space": {"kind": "sphere", "dim": 2}, "points": []}
+    if ball is not None:
+        obj["ball"] = ball
+    assert _mean_with(tmp_path, obj) == cli.EXIT_PARSE
+    _one_error_line(capsys, "error: cannot load dataset: dataset needs at "
+                    "least one point")
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_other_errors_map_to_parse_exit(tmp_path, capsys):
     # the default --kappa 1 is not a valid hyperbolic curvature
     code = cli.main(["check", "comparison", "--space", "hyperbolic",

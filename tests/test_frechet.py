@@ -242,6 +242,15 @@ def test_config_eigenvalue_formulas():
             pytest.approx(rho / math.tan(rho), abs=1e-5)
 
 
+@pytest.mark.parametrize("points", [[], np.empty((0, 3))], ids=["list", "array"])
+def test_make_dataset_refuses_no_points(points):
+    # an empty list once read as one point of shape (0,), which
+    # check_points refused with a shape error
+    o = np.array([0.0, 0.0, 1.0])
+    with pytest.raises(DomainError, match="^dataset needs at least one point$"):
+        make_dataset(Sphere(2), points, None, o, 0.5)
+
+
 def test_dataset_validation():
     sp = Sphere(2)
     o = np.array([0.0, 0.0, 1.0])

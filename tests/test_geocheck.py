@@ -467,7 +467,8 @@ def test_hull_check_charts_records_as_the_sweep_reaches_them(monkeypatch):
     monkeypatch.setattr(Chart, "forward", _refusing(trials, 1))
     with pytest.raises(DomainError, match="^chart: refused$"):
         geocheck.hull_check(Sphere(2), 3, seed=5)
-    assert len(trials) == 3 and len(trials[0]) > 2
+    # the block's 3 descents, then trial 0's in the replay, which raises
+    assert len(trials) == 4 and len(trials[0]) > 2
 
     # record 0 enters the hull and record 1 leaves it: record 2 is never
     # reached, so its chart is never asked for
@@ -496,7 +497,9 @@ def test_hull_check_raises_the_first_trials_error_first(monkeypatch):
     monkeypatch.setattr(Chart, "forward", _refusing(trials, 1))
     with pytest.raises(DomainError, match="^chart: refused$"):
         geocheck.hull_check(Sphere(2), 5, seed=5)
-    assert len(trials) == 2
+    # the block raises before its descents are kept: trial 0's descent
+    # in the replay is the only one, and its sweep raises
+    assert len(trials) == 1
 
 
 # The Generator's Philox state after each suite (its counter and buffer
@@ -719,7 +722,7 @@ def _tethering_observed(monkeypatch, space, n_trials, t_grid, seed):
     margins = []
     return _observed(
         monkeypatch, lambda: tethering_check(space, n_trials, t_grid, seed),
-        "_tethering_margins",
+        "_step_margins",
         lambda block, space, trials: margins.extend(block)) + (margins,)
 
 
@@ -831,8 +834,13 @@ def _inject(monkeypatch, space, refused, outside, x_fails):
 
 _OUTSIDE = "point 0 at distance 10.0 outside ball of radius .*"
 
-
-@pytest.mark.parametrize("refuse, outside, x_draw_fails, error", [
+# (trials whose first point check_points refuses, trials whose first
+# point lies outside the ball, the trial whose x draw fails, the error)
+# over 15 trials in blocks of 7, 7 and 1: past the first block, and in
+# trial 14, alone in the last block, where the suite's own one-trial
+# block checks the points as a whole block does and the replay raises
+# make_dataset's message
+_FIRST_ERRORS = [
     ((10,), (), None, "refused trial 10"),
     ((12, 10), (), None, "refused trial 10"),
     ((12,), (10,), None, _OUTSIDE),
@@ -841,7 +849,25 @@ _OUTSIDE = "point 0 at distance 10.0 outside ball of radius .*"
     ((12,), (), 12, "refused trial 12"),   # its own x draw fails
     ((12,), (), 10, "x draw failed"),
     ((), (), 3, "x draw failed"),
-])
+    ((14,), (), None, "refused trial 14"),
+    ((), (14,), None, _OUTSIDE),
+    ((), (), 14, "x draw failed"),
+]
+
+
+def _injected(refuse, outside, x_draw_fails, drawn):
+    """_inject's (refused, outside, x_fails) for the trials numbered in
+    `refuse`, `outside` and `x_draw_fails`, from each trial's (points,
+    x) in `drawn`."""
+    refused = {drawn[k][0][0].tobytes(): f"trial {k}" for k in refuse}
+    far = {drawn[k][0][0].tobytes() for k in outside}
+    x_fails = None if x_draw_fails is None else \
+        drawn[x_draw_fails][1].tobytes()
+    return refused, far, x_fails
+
+
+@pytest.mark.parametrize("refuse, outside, x_draw_fails, error",
+                         _FIRST_ERRORS)
 def test_tethering_raises_the_first_error_of_one_trial_at_a_time(
         refuse, outside, x_draw_fails, error, monkeypatch):
     # errors injected past the first block of 7 trials: make_dataset's
@@ -851,15 +877,52 @@ def test_tethering_raises_the_first_error_of_one_trial_at_a_time(
     # one-trial-at-a-time order
     monkeypatch.setattr(geocheck, "_BLOCK", 7)
     space, drawn, grid = Sphere(2), [], (0.5, 1.0)
-    _tethering_one_at_a_time(space, 20, grid, 11, points=drawn)
-    refused = {drawn[k][0][0].tobytes(): f"trial {k}" for k in refuse}
-    far = {drawn[k][0][0].tobytes() for k in outside}
-    x_fails = None if x_draw_fails is None else \
-        drawn[x_draw_fails][1].tobytes()
-    for run in (lambda: _tethering_one_at_a_time(space, 20, grid, 11),
-                lambda: tethering_check(space, 20, grid, 11)):
+    _tethering_one_at_a_time(space, 15, grid, 11, points=drawn)
+    injected = _injected(refuse, outside, x_draw_fails, drawn)
+    for run in (lambda: _tethering_one_at_a_time(space, 15, grid, 11),
+                lambda: tethering_check(space, 15, grid, 11)):
         with monkeypatch.context() as m:
-            _inject(m, space, refused, far, x_fails)
+            _inject(m, space, *injected)
+            with pytest.raises(DomainError, match=f"^{error}$"):
+                run()
+
+
+def _hull_drawn_one_at_a_time(space, n_trials, seed, points=None):
+    """Reference: hull_check's violations one trial at a time through
+    random_point, random_points_in_ball, make_dataset and descend, whose
+    points are the suite's byte for byte; appends each trial's (points,
+    x0) to `points` where given."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    cap = geocheck._sampling_cap(space)
+    violations = 0
+    for _ in range(n_trials):
+        o = space.random_point(rng)
+        rho = cap * (0.1 + 0.9 * rng.random())
+        pts = space.random_points_in_ball(o, rho, int(rng.integers(3, 7)),
+                                          rng)
+        ds = make_dataset(space, pts, None, o, rho)
+        x0 = space.random_in_ball(o, rho, rng)
+        if points is not None:
+            points.append((pts, x0))
+        violations += _hull_trap_violated(ds, x0)
+    return violations
+
+
+@pytest.mark.parametrize("refuse, outside, x_draw_fails, error",
+                         _FIRST_ERRORS)
+def test_hull_raises_the_first_error_of_one_trial_at_a_time(
+        refuse, outside, x_draw_fails, error, monkeypatch):
+    # as for tethering: the errors injected into the hull trials raise
+    # in one-trial-at-a-time order
+    monkeypatch.setattr(geocheck, "_BLOCK", 7)
+    space, drawn = Sphere(2), []
+    violations = _hull_drawn_one_at_a_time(space, 15, 11, points=drawn)
+    assert geocheck.hull_check(space, 15, 11)["violations"] == violations
+    injected = _injected(refuse, outside, x_draw_fails, drawn)
+    for run in (lambda: _hull_drawn_one_at_a_time(space, 15, 11),
+                lambda: geocheck.hull_check(space, 15, 11)):
+        with monkeypatch.context() as m:
+            _inject(m, space, *injected)
             with pytest.raises(DomainError, match=f"^{error}$"):
                 run()
 
@@ -1060,7 +1123,8 @@ def test_descents_equal_descend_one_trial_at_a_time(space, stop, monkeypatch):
         monkeypatch.setattr(Sphere, "_band_start", lambda self: 1.0)
     rng = np.random.Generator(np.random.Philox(4))
     statuses = []
-    for block in geocheck._dataset_trials(space, rng, 60, None):
+    for block in geocheck._dataset_trials(space, rng, 60, None,
+                                          lambda space, trials: trials):
         for (o, rho, points, _, x0, _), records in zip(
                 block, geocheck._descents(space, block)):
             tr = solver.descend(make_dataset(space, points, None, o, rho),
@@ -1080,7 +1144,8 @@ def test_tethering_step_equals_one_step_one_trial_at_a_time(space,
     # against one_step on each trial, and the margins it gives, within
     # the 1e-12 bound
     rng = np.random.Generator(np.random.Philox(4))
-    block = next(geocheck._dataset_trials(space, rng, 100, (0.25, 0.5, 1.0)))
+    block = next(geocheck._dataset_trials(space, rng, 100, (0.25, 0.5, 1.0),
+                                          lambda space, trials: trials))
     steps, exp_rows = [], space._exp_rows
 
     def spy(X, V):
