@@ -49,10 +49,17 @@ def make_dataset(space, points, weights=None, ball_center=None, ball_radius=None
     the first error raised is the same either way.
     """
     points = _point_rows(points)
-    n = len(points)
     center = _checked_with_points(space, points, ball_center)
     if center is None:
         space.check_points(points)
+    return _dataset(space, points, weights, ball_center, ball_radius, center)
+
+
+def _dataset(space, points, weights, ball_center, ball_radius, center=None):
+    """make_dataset past its point check, on (N, D) points that passed
+    check_points: center is ball_center where it passed with them, else
+    None, and ball_center is checked by itself."""
+    n = len(points)
     if weights is None:
         weights = np.full(n, 1.0 / n)
     else:
@@ -130,7 +137,7 @@ def dataset_from_json(obj, ball_fallback=None):
         radius = json_float(ball["radius"], "ball radius")
     elif ball_fallback is not None:
         space.check_points(points)  # the fallback needs valid points
-        center, radius = ball_fallback(space, points)
+        return _dataset(space, points, weights, *ball_fallback(space, points))
     else:
         raise DomainError("dataset JSON has no ball and no fallback was given")
     return make_dataset(space, points, weights, center, radius)

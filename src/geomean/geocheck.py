@@ -15,8 +15,10 @@ block's records from one call.
 
 The three Monte Carlo sweeps draw and run their trials in blocks
 (`_in_blocks`).  A block samples in two phases (manifolds.Draws): its
-Generator calls in the order of one trial at a time, then its points
-in array passes.  Comparison then reads the block's triangles in
+Generator calls in the order of one trial at a time, each normal into
+a row of the block's arrays and each uniform as Philox's next_double,
+then its points in array passes, the trials taking their points from
+rows of the finished arrays.  Comparison then reads the block's triangles in
 arrays, and its intersection oracle takes a trial's chart images from
 its row of that reading.  Tethering and hull run a block's descent
 steps in lockstep, x <- exp_x(-t grad f_2(x)) with a base point per
@@ -211,12 +213,11 @@ def comparison_check(space, n_trials, seed):
     Trials run in blocks of up to _BLOCK (_comparison_draws), their
     triangles read in array passes (_triangles); a kappa <= 0 trial's
     secant is read off its row of that reading (_secant), with no
-    second log.  A degenerate
-    triangle draws no alpha1, so each trial keeps the Generator state
-    before that draw, and the first degenerate one sends the Generator
-    back there; the next block starts after it, with about twice as many
-    trials as the last one kept, so runs of degenerate triangles draw
-    little ahead.
+    second log.  A degenerate triangle draws no alpha1: the Generator
+    goes back to its block's start and draws phase 1 again up to that
+    triangle (redraw); the next block starts after it, with about twice
+    as many trials as the last one kept, so runs of degenerate triangles
+    draw little ahead.
     """
     if n_trials < 1:
         raise DomainError(f"comparison_check: need n_trials >= 1, got {n_trials}")
@@ -228,12 +229,12 @@ def comparison_check(space, n_trials, seed):
     done = degenerate = 0
     size = _BLOCK
     draw = functools.partial(_comparison_draws, space, rng)
-    for trials in _in_blocks(rng, draw,
-                             iter(lambda: min(size, n_trials - done), 0)):
+    for trials, redraw in _in_blocks(
+            rng, draw, iter(lambda: min(size, n_trials - done), 0)):
         size = min(_BLOCK, 2 * len(trials))   # twice the trials kept
-        for i, ((b, c, alpha, *frame), before, u) in enumerate(trials):
+        for i, (b, c, alpha, e1, e2, u) in enumerate(trials):
             if alpha <= 1e-9 or alpha >= math.pi - 1e-9:
-                rng.bit_generator.state = before   # no alpha1 drawn
+                redraw(i)   # no alpha1 drawn
                 size = min(_BLOCK, 2 * i + 1)
                 degenerate += 1
                 if degenerate == _MAX_DEGENERATE:
@@ -249,7 +250,7 @@ def comparison_check(space, n_trials, seed):
             if space.kappa > 0:
                 z = secant_sphere(b, c, a1, a2, space.kappa)
             else:
-                z = _secant(space, a1, b, c, alpha, *frame)
+                z = _secant(space, a1, b, c, alpha, e1, e2)
             margin = z - zt
             min_margin = min(min_margin, margin)
             if margin < -1e-12:
@@ -259,24 +260,30 @@ def comparison_check(space, n_trials, seed):
             "violations": violations, "min_margin": min_margin, "seed": seed}
 
 
-def _comparison_draws(space, rng, count, careful):
-    """`count` comparison trials drawn in Philox order, as (the row (b, c,
-    alpha, e1, e2) of _triangles of its triangle (x, y1, y2), the
-    Generator state before the uniform alpha1 is drawn from, that
-    uniform), after phase 2 and _triangles; None where phase 2 refuses,
-    and the error where either raises."""
-    cap = _sampling_cap(space)
-    draws, drawn = manifolds.Draws(space, rng, careful), []
-    for _ in range(count):
-        tri = draws.ball(draws.point(), cap * rng.random(), 3)
-        state = rng.bit_generator.state
-        drawn.append((tri, state, rng.random()))
-    if not draws.finish():
+def _comparison_draws(space, rng, count, careful, until=None):
+    """`count` comparison trials drawn in Philox order, and redraw.  A
+    trial is the row (b, c, alpha, e1, e2) of _triangles of its triangle
+    (x, y1, y2) and the uniform alpha1 is drawn from, after phase 2 and
+    _triangles; redraw(i) sends the Generator back to the block's start
+    and draws phase 1 again up to trial i's triangle, without its
+    uniform, as phase 1 alone draws it where `until` is i.  None where
+    phase 2 refuses, and the error where either raises."""
+    cap, start = _sampling_cap(space), rng.bit_generator.state
+    draws = manifolds.Draws(space, rng, careful, count, 3 * count)
+    raw, u = rng.bit_generator.random_raw, []
+    for k in range(count):
+        draws.ball(draws.point(), cap * ((raw() >> 11) * 2**-53), 3)
+        if k != until:
+            u.append((raw() >> 11) * 2**-53)
+    if until is not None or not draws.finish():
         return None
-    T = np.array([tri for tri, _, _ in drawn])
+
+    def redraw(i):
+        rng.bit_generator.state = start
+        _comparison_draws(space, rng, i + 1, careful, until=i)
+    T = draws.samples.reshape(count, 3, space.ambient_dim)
     b, c, alpha, E1, E2 = _triangles(space, T[:, 0], T[:, 1], T[:, 2])
-    return [(reading, state, u) for (_, state, u), *reading
-            in zip(drawn, b.tolist(), c.tolist(), alpha.tolist(), E1, E2)]
+    return list(zip(b.tolist(), c.tolist(), alpha.tolist(), E1, E2, u)), redraw
 
 
 def _triangles(space, X, Y1, Y2):
@@ -420,16 +427,13 @@ def tethering_check(space, n_trials, t_grid, seed):
     if not (len(t_grid) and all(0 < t < math.inf for t in t_grid)):
         raise DomainError(f"tethering_check: need finite steps t > 0, got {t_grid}")
     rng = np.random.Generator(np.random.Philox(seed))
-    violations = 0
-    min_margin = math.inf
-    for margins in _dataset_trials(space, rng, n_trials, t_grid,
-                                   _step_margins):
-        for margin in margins:
-            min_margin = min(min_margin, margin)
-            if margin < -1e-9:
-                violations += 1
+    # inf first, where the running minimum started: min then passes over
+    # a NaN margin, as min(min_margin, margin) did
+    margins = [math.inf, *itertools.chain.from_iterable(_dataset_trials(
+        space, rng, n_trials, t_grid, _step_margins))]
     return {"suite": "tethering", "trials": n_trials,
-            "violations": violations, "min_margin": min_margin, "seed": seed}
+            "violations": sum(m < -1e-9 for m in margins),
+            "min_margin": min(margins), "seed": seed}
 
 
 def _in_blocks(rng, draw, sizes):
@@ -459,16 +463,20 @@ def _dataset_trials(space, rng, n_trials, t_grid, run):
     """run(space, trials) on blocks of up to _BLOCK tethering trials (o,
     rho, points, weights, x, t), or hull trials where t_grid is None (no
     weights, and descend's step t = 1), by _in_blocks: drawn in Philox
-    order, filled in by phase 2, then run.  Careful, a trial's
-    make_dataset runs before its x draw, as one trial at a time runs
-    it."""
+    order into the rows of one Draws (room for 9 samples a trial: up to
+    8 points and x), filled in by phase 2, then run; o, the points and x
+    are rows of its arrays.  A uniform is read as Philox's next_double,
+    (random_raw() >> 11) * 2**-53, Generator.random()'s bits.  Careful,
+    a trial's make_dataset runs before its x draw, as one trial at a
+    time runs it."""
     cap = _sampling_cap(space)
 
     def draw(count, careful):
-        draws, trials = manifolds.Draws(space, rng, careful), []
+        draws = manifolds.Draws(space, rng, careful, count, 9 * count)
+        raw, trials = rng.bit_generator.random_raw, []
         for _ in range(count):
             o = draws.point()
-            u = rng.random()
+            u = (raw() >> 11) * 2**-53
             if t_grid is None:
                 rho, n = cap * (0.1 + 0.9 * u), int(rng.integers(3, 7))
             else:
@@ -606,10 +614,19 @@ def _hull_block(space, trials):
     """How many of a block of hull trials leave the hull after entering
     it: the block's descents in lockstep (_descents), each trial charted
     in the chart at its ball center (_hull_problem), then the verdicts
-    of every record of the block from one _hull_violations."""
+    of every record of the block from one hull_membership call.  A
+    trial's refused record raises where the sweep, which stops at a
+    violation, reaches it."""
     problems = [_hull_problem(space, trial, records)
                 for trial, records in zip(trials, _descents(space, trials))]
-    return _hull_violations(problems)
+    verdicts = hull_membership([(V, Q) for V, Q, _ in problems], 1e-8)
+    violations = 0
+    for (_, _, refused), inside in zip(problems, verdicts):
+        if inside.any() and not inside[inside.argmax():].all():
+            violations += 1   # a record after the first inside one is not
+        elif refused is not None:
+            raise refused
+    return violations
 
 
 def _descents(space, trials):
@@ -651,17 +668,3 @@ def _hull_problem(space, trial, records):
     if len(Y) < n:
         raise refusal
     return Y[:n], Y[n:], refusal
-
-
-def _hull_violations(problems):
-    """How many of the _hull_problem trials leave the hull after
-    entering it, from one hull_membership call; a trial's refused record
-    raises where the sweep, which stops at a violation, reaches it."""
-    verdicts = hull_membership([(V, Q) for V, Q, _ in problems], 1e-8)
-    violations = 0
-    for (_, _, refused), inside in zip(problems, verdicts):
-        if inside.any() and not inside[inside.argmax():].all():
-            violations += 1   # a record after the first inside one is not
-        elif refused is not None:
-            raise refused
-    return violations

@@ -64,10 +64,12 @@ gives numpy's inf or NaN, without the warning.
 
 Random points and ball samples are drawn in two phases (Draws): phase 1
 makes only the Generator calls, in the order of one point at a time,
-and phase 2 makes the points from the draws in array passes, with a
-center per row (_random_points, _ball_points: the tangent part of each
-normal, normalised, then exp_many).  Those passes move points by
-rounding from the per-pair forms, but not the draws.  random_point and
+each normal straight into a row of a block array and each uniform read
+off the bit generator as Generator.random() reads it, and phase 2 makes
+the points from those rows in array passes, with a center per row
+(_random_points, _ball_points: the tangent part of each normal,
+normalised, then exp_many).  Those passes move points by rounding from
+the per-pair forms, but not the draws.  random_point and
 random_points_in_ball (random_in_ball is its one-point case) finish
 each point at its draw.
 
@@ -117,8 +119,13 @@ class ManifoldSpace:
         self.dim = int(dim)
         if self.dim < 1:
             raise DomainError(f"{self.kind}: need dim >= 1, got {dim}")
-        self.kappa = float(kappa)
+        self.kappa = k = float(kappa)
         self.ambient_dim = self.dim + 1   # a hypersurface; R^n sets its own
+        # the sampler's volume density: sn(kappa, r) is wave(rk r) / rk
+        # (on flat space float(1.0 r) / 1.0, r itself), largest at peak
+        rk = math.sqrt(abs(k)) if k else 1.0
+        self._sn = (rk, math.sin if k > 0 else math.sinh if k else float,
+                    math.pi / (2.0 * rk) if k > 0 else math.inf)
 
     # -- subclass responsibilities -------------------------------------
     def project(self, x):
@@ -286,8 +293,8 @@ class ManifoldSpace:
     def random_points_in_ball(self, center, radius, count, rng):
         """A list of `count` uniform samples from the geodesic ball
         B(center, radius), drawn one after another (careful Draws)."""
-        return list(Draws(self, rng, careful=True).ball(center, radius,
-                                                        count))
+        return list(Draws(self, rng, True, samples=count).ball(center, radius,
+                                                               count))
 
     def _ball_points(self, C, r, G):
         """Phase 2 of the ball sampler: the points exp(C[i], r[i] u_i), u_i
@@ -866,92 +873,100 @@ def _canonical_sign_rows(X):
 
 class Draws:
     """The sampler in two phases.  Phase 1, point() and ball(), makes
-    only the Generator calls, in the order of one point at a time, and
-    returns arrays that phase 2, finish(), fills in with one array pass
-    per kind.  A sample of B(center, radius) draws its radius r by
-    rejection against the volume density sn(r)^(n-1) (flat: r^(n-1)),
-    scaled by its maximum on [0, radius], then its direction's standard
-    normal; a radius past inj, the diameter there, draws as inj.  The
-    draw order is part of the output: the Monte Carlo suites report
-    results determined by their seed.  Careful draws finish each point
-    at its draw, as drawing one point after another does: a direction
-    too short to normalise is drawn again, and an error raises at once.
+    only the Generator calls, in the order of one point at a time.  A
+    standard normal goes straight into the next row of a block array,
+    `points` (a random point's) or `samples` (a ball sample's
+    direction), which the caller sizes (`points` and `samples` rows); a
+    uniform is read as Philox's next_double, (random_raw() >> 11) *
+    2**-53, which is Generator.random()'s bits and stream position
+    (test_uniforms_are_philox_next_double pins both).  A sample of
+    B(center, radius) draws its radius r by rejection against the volume
+    density sn(r)^(n-1) (flat: r^(n-1)), written out with sn's bits and
+    scaled by its maximum on [0, radius], then its direction's normal; a
+    radius past inj, the diameter there, draws as inj.  Phase 2,
+    finish(), turns the rows into the points, then the samples, in place,
+    one array pass each with a center per row, so the rows point() and
+    ball() returned hold them.  The draw order is part of the output:
+    the Monte Carlo suites report results determined by their seed.
+    Careful draws finish each point and sample at its draw, as drawing
+    one after another does: a direction too short to normalise is drawn
+    again, and an error raises at once.
     """
 
-    def __init__(self, space, rng, careful=False):
+    def __init__(self, space, rng, careful=False, points=0, samples=0):
         self.space, self.rng, self.careful = space, rng, careful
-        self._refused = False
-        self._points, self._normals = [], []   # point(): out, its draw
-        self._balls, self._radii, self._directions = [], [], []   # ball()
+        self.points = np.empty((points, space.ambient_dim))
+        self.samples = np.empty((samples, space.ambient_dim))
+        self._radii = np.empty(samples)
+        # a fast ball's (center, count), the rows drawn, and a refusal
+        self._balls, self._np, self._ns, self._refused = [], 0, 0, False
 
     def point(self):
-        """A random point (random_point), an array of shape (D,)."""
+        """A random point (random_point): careful, at its draw; else the
+        next row of `points`."""
         if self.careful:
             return self.space.random_point(self.rng)
-        self._normals.append(self.rng.standard_normal(self.space.ambient_dim))
-        self._points.append(np.empty(self.space.ambient_dim))
-        return self._points[-1]
+        self._np += 1
+        return self.rng.standard_normal(out=self.points[self._np - 1])
 
     def ball(self, center, radius, count):
-        """`count` uniform samples of B(center, radius), the rows of a
-        (count, D) array; center may be an array point() returned.  A
-        NaN, infinite or negative radius is refused before any draw;
-        radius 0 draws nothing (copies of the center, which a fast
-        finish() refuses, as it knows no center before)."""
-        sp, rng, D = self.space, self.rng, self.space.ambient_dim
+        """`count` uniform samples of B(center, radius), the next rows of
+        `samples`; center may be a row point() returned.  A NaN,
+        infinite or negative radius is refused before any draw; radius 0
+        draws nothing (copies of the center, which a fast finish()
+        refuses, as it knows no center before)."""
+        sp = self.space
         if not 0 <= radius < math.inf:   # a NaN or infinite one never accepts
             raise DomainError(
                 f"random_in_ball: need finite radius >= 0, got {radius}")
-        if radius == 0:
-            self._refused |= not self.careful
-            return np.repeat(center[np.newaxis], count, axis=0)
+        start = self._ns
+        self._ns += count
+        out = self.samples[start:self._ns]
+        if radius == 0 or not count:   # no draw
+            self._refused |= not (self.careful or radius)
+            out[:] = center
+            return out
         radius = min(radius, sp._constants.inj)
-        n, kappa = sp.dim, sp.kappa
-        if n > 1:
-            peak = math.pi / (2.0 * math.sqrt(kappa)) if kappa > 0 else math.inf
-            top = sn(kappa, min(radius, peak))
-        out = np.empty((count, D))
-        for i in range(count):
+        n, (rk, wave, peak) = sp.dim, sp._sn
+        if n > 1:   # below top, wave cannot overflow
+            top = sn(sp.kappa, min(radius, peak))
+        rng, radii, samples = self.rng, self._radii, self.samples
+        raw, normal = rng.bit_generator.random_raw, rng.standard_normal
+        for i in range(start, self._ns):
             while True:
-                r = radius * rng.random()
-                if n == 1 or rng.random() <= (sn(kappa, r) / top) ** (n - 1):
+                r = radius * ((raw() >> 11) * 2**-53)
+                if n == 1 or ((raw() >> 11) * 2**-53
+                              <= (wave(rk * r) / rk / top) ** (n - 1)):
                     break
-            if not self.careful:
-                self._radii.append(r)
-                self._directions.append(rng.standard_normal(D))
-                continue
-            p = None
-            while p is None:   # a direction too short to normalise: again
-                p = sp._ball_points(center[np.newaxis], np.array([r]),
-                                    rng.standard_normal(D)[np.newaxis])
-            out[i] = p[0]
+            radii[i] = r
+            normal(out=samples[i])
+            while self.careful:   # the sample at its draw
+                p = sp._ball_points(center[np.newaxis], radii[i:i + 1],
+                                    samples[i:i + 1])
+                if p is not None:
+                    samples[i] = p[0]
+                    break
+                normal(out=samples[i])   # too short to normalise: again
         if not self.careful:
-            self._balls.append((out, center))
+            self._balls.append((center, count))
         return out
 
     def finish(self):
-        """Phase 2: fill in the arrays phase 1 returned, the points first.
-        It returns False on a refusal (a direction too short to
-        normalise, or a radius-0 ball) and raises a pass's error, leaving
-        the ball samples unfilled either way, for the caller to replay
-        the draws carefully."""
-        sp, samples = self.space, np.empty((0, self.space.ambient_dim))
-        if self._normals:
-            P = sp._random_points(np.array(self._normals))
-            for out, p in zip(self._points, P):
-                out[:] = p
-        if self._radii:
-            C = np.repeat([c for _, c in self._balls],
-                          [len(out) for out, _ in self._balls], axis=0)
-            samples = sp._ball_points(C, np.array(self._radii),
-                                      np.array(self._directions))
-        if self._refused or samples is None:
-            return False
-        end = 0
-        for out, _ in self._balls:
-            out[:] = samples[end:end + len(out)]
-            end += len(out)
-        return True
+        """Phase 2: turn the rows phase 1 drew into the points, then the
+        ball samples, in place.  It returns False on a refusal (a
+        direction too short to normalise, or a radius-0 ball) and raises
+        a pass's error, leaving the ball samples unfilled either way, for
+        the caller to replay the draws carefully.  Careful draws are
+        finished already."""
+        sp, P, S = self.space, self.points[:self._np], self.samples[:self._ns]
+        P[:] = sp._random_points(P)
+        if self._balls and not self._refused:
+            centers, counts = zip(*self._balls)
+            S = sp._ball_points(np.repeat(centers, counts, axis=0),
+                                self._radii[:self._ns], S)
+            if S is not None:
+                self.samples[:self._ns] = S
+        return not self._refused and S is not None
 
 
 # space kind -> constructor(dim, kappa); also the CLI's --space choices

@@ -11,6 +11,7 @@ from geomean.kernels import b_lower, c_upper
 from geomean.manifolds import (Circle, Euclidean, Hyperbolic, RealProjective,
                                SO3, Sphere)
 from geomean.experiments import cross_config, pair_config
+from geomean.solver import minimal_ball_estimate
 
 from conftest import dataset_json, random_unit_tangent
 
@@ -356,6 +357,33 @@ def test_dataset_is_validated_in_one_pass(space, rng, monkeypatch):
     assert calls[0].tobytes() == np.vstack([pts, o]).tobytes()
     assert ds.ball_center.dtype == float and ds.ball_center.tolist() == \
         o.tolist()
+
+
+@pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
+def test_ball_less_dataset_validates_its_points_once(space, rng,
+                                                     monkeypatch):
+    # without a "ball", the points are checked once, before the ball
+    # estimate, and the estimate's center alone after it; the dataset is
+    # make_dataset's on the same inputs, byte for byte
+    ds = random_ds(space, rng)
+    obj = dataset_json(ds)
+    del obj["ball"]
+    calls, check_points = [], type(space).check_points
+
+    def spy(self, X):
+        calls.append(np.array(X))
+        return check_points(self, X)
+    monkeypatch.setattr(type(space), "check_points", spy)
+    got = dataset_from_json(obj, ball_fallback=minimal_ball_estimate)
+    assert [c.tobytes() for c in calls] == [ds.points.tobytes(),
+                                            got.ball_center.tobytes()]
+    monkeypatch.undo()
+    want = make_dataset(space, ds.points, ds.weights,
+                        *minimal_ball_estimate(space, ds.points))
+    for a, b in ((got.points, want.points), (got.weights, want.weights),
+                 (got.ball_center, want.ball_center)):
+        assert a.tobytes() == b.tobytes()
+    assert got.ball_radius == want.ball_radius
 
 
 def test_uniqueness_certificate_flag():

@@ -1081,7 +1081,7 @@ def test_hull_equals_one_trial_at_a_time(space, seed, block, monkeypatch):
 
     def counted(draws):
         if not draws.careful:
-            blocks.append(len(draws._points))
+            blocks.append(len(draws.points))
         return finish(draws)
     monkeypatch.setattr(manifolds.Draws, "finish", counted)
     report, state = _observed(

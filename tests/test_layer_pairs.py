@@ -31,3 +31,17 @@ def test_verdicts_of_synthetic_unit_timings():
     assert gain["ratio"] == -0.05
     # a looser bound leaves the slower unit unresolved
     assert layer_pairs.summarize(pairs, 0.5)[3]["verdict"] == "unresolved"
+
+
+def test_units_include_the_sampler_bound_blocks():
+    # the suites' 128-trial blocks, among them the two that phase 1 of
+    # the sampler bounds, each a full suite report of 128 trials
+    units = layer_pairs.units()
+    suites = {"comparison-hyperbolic-128", "tethering-sphere-128",
+              "hull-sphere-128", "comparison-sphere-128",
+              "tethering-so3-128"}
+    assert suites <= set(units)
+    for name in ("comparison-sphere-128", "tethering-so3-128"):
+        report = units[name]()
+        assert report["trials"] == 128 and report["violations"] == 0, name
+        assert report["suite"] == name.split("-")[0]

@@ -393,6 +393,39 @@ def test_array_kernels_keep_the_row_wise_bits(space, n, rng):
                            for a, b in zip(rows, one))
 
 
+@pytest.mark.parametrize("seed", [0, 3, 17])
+def test_uniforms_are_philox_next_double(seed):
+    # phase 1 of the sampler reads a uniform as Philox's next_double,
+    # (random_raw() >> 11) * 2**-53, and draws a normal into a row of a
+    # block array, standard_normal(out=row).  Over a long sequence that
+    # interleaves them with the suites' other draws (integers, the
+    # Dirichlet weights' standard exponentials), each equals
+    # Generator.random() and standard_normal(D) bit for bit, and both
+    # Generators end in the same state.  If a numpy changes next_double
+    # or how the normals fill `out`, this fails before the suites'
+    # outputs move.
+    a, b = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+    raw = a.bit_generator.random_raw
+    schedule = np.random.Generator(np.random.Philox(seed + 1000))
+    rows = np.empty((5, 5))
+    for kind, D in schedule.integers(0, 5, (3000, 2)).tolist():
+        if kind == 0:
+            assert ((raw() >> 11) * 2**-53).hex() == b.random().hex()
+        elif kind == 1:
+            a.standard_normal(out=rows[D, :D + 1])
+            assert rows[D, :D + 1].tobytes() == \
+                b.standard_normal(D + 1).tobytes()
+        elif kind == 2:
+            assert a.integers(3, 7) == b.integers(3, 7)
+        elif kind == 3:
+            assert a.standard_exponential(D + 1).tobytes() == \
+                b.standard_exponential(D + 1).tobytes()
+        else:   # the other way round
+            assert a.random().hex() == \
+                ((b.bit_generator.random_raw() >> 11) * 2**-53).hex()
+    assert _philox_state(a) == _philox_state(b)
+
+
 @pytest.mark.parametrize("n", [1, 5, 127, 128, 1000])
 @pytest.mark.parametrize("D", range(1, 8))
 def test_dot_columns_sums_in_einsums_lane_order(D, n, rng):
@@ -763,15 +796,16 @@ class _FewNormals:
 
     def __init__(self, seed):
         self._rng = np.random.Generator(np.random.Philox(seed))
+        self.bit_generator = self._rng.bit_generator
         self._normals = 0
 
     def random(self):
         return self._rng.random()
 
-    def standard_normal(self, size):
+    def standard_normal(self, size=None, out=None):
         self._normals += 1
         assert self._normals <= 1000, "the sampler drew 1000 normals"
-        return self._rng.standard_normal(size)
+        return self._rng.standard_normal(size, out=out)
 
 
 def test_sampling_where_tangents_overflow_is_domain_error():
@@ -878,15 +912,21 @@ def _philox_state(g):
 
 
 class _ZeroUniforms:
-    """An rng whose uniforms are all 0.0: random_in_ball draws r == 0."""
+    """An rng whose uniforms are all 0.0: random_in_ball draws r == 0.
+    Its raw 64-bit draws, from which the sampler reads its uniforms,
+    are all 0."""
     def __init__(self, seed):
         self._rng = np.random.Generator(np.random.Philox(seed))
+        self.bit_generator = self
 
     def random(self):
         return 0.0
 
-    def standard_normal(self, size):
-        return self._rng.standard_normal(size)
+    def random_raw(self):
+        return 0
+
+    def standard_normal(self, size=None, out=None):
+        return self._rng.standard_normal(size, out=out)
 
 
 @pytest.mark.parametrize("space", SIX_SPACES + [Sphere(10), Hyperbolic(4),
@@ -978,11 +1018,14 @@ class _CenterFirst:
     def random(self):
         return self._rng.random()
 
-    def standard_normal(self, size):
+    def standard_normal(self, size=None, out=None):
         self.normals += 1
         if self.normals == 1:
-            return self._x.copy()
-        return self._rng.standard_normal(size)
+            if out is None:
+                return self._x.copy()
+            out[:] = self._x
+            return out
+        return self._rng.standard_normal(size, out=out)
 
 
 @pytest.mark.parametrize("space", [Sphere(2), Circle(2.0), RealProjective(2),
@@ -998,7 +1041,7 @@ def test_sampler_redraws_a_direction_too_short_to_normalise(space):
         assert_within_bound(got, ref_random_in_ball(space, x, radius, b))
         assert _philox_state(a) == _philox_state(b)
         # drawn ahead, phase 2 refuses it, for a careful replay
-        draws = manifolds.Draws(space, _CenterFirst(x, trial))
+        draws = manifolds.Draws(space, _CenterFirst(x, trial), samples=1)
         draws.ball(x, radius, 1)
         assert draws.finish() is False
 
@@ -1017,7 +1060,9 @@ def test_draws_in_blocks_are_careful_draws(space):
     top = 1.5 * inj if math.isfinite(inj) else 3.0 / math.sqrt(
         -space.kappa if space.kappa < 0 else 1.0)
     a, b = (np.random.Generator(np.random.Philox(5)) for _ in range(2))
-    draws, drawn, want = manifolds.Draws(space, a), [], []
+    draws = manifolds.Draws(space, a, points=60,
+                            samples=sum(k % 9 for k in range(60)))
+    drawn, want = [], []
     for k in range(60):
         c = draws.point()
         radius = top * a.random()
@@ -1033,6 +1078,38 @@ def test_draws_in_blocks_are_careful_draws(space):
         space.check_points(np.vstack([c[np.newaxis], P]))
         assert all(space.distance(c, p) <= min(radius, inj)
                    + 1e-9 * max(1.0, radius) for p in P)
+
+
+@pytest.mark.parametrize("space", SIX_SPACES + [Sphere(3, 4.0),
+                                                 Hyperbolic(3, -0.25)],
+                         ids=lambda s: repr(s))
+def test_ball_radii_are_the_rejection_draws_bit_for_bit(space):
+    # phase 1 reads its uniforms off the bit generator and writes the
+    # density sn(r)^(n-1) out inline: its radii are those of the
+    # rejection loop on Generator.random() and kernels.sn, bit for bit,
+    # and the Generator ends where that loop, with the directions' normals,
+    # leaves it (radii from 0 to past inj, up to the sampling cap on H)
+    inj = space.constants().inj
+    top_radius = 1.5 * inj if math.isfinite(inj) else 3.0
+    a, b = (np.random.Generator(np.random.Philox(11)) for _ in range(2))
+    draws = manifolds.Draws(space, a, samples=200)
+    want = []
+    for k in range(50):
+        radius = top_radius * (k + 1) / 50
+        draws.ball(np.zeros(space.ambient_dim), radius, 4)
+        radius = min(radius, inj)
+        n, kappa = space.dim, space.kappa
+        peak = math.pi / (2.0 * math.sqrt(kappa)) if kappa > 0 else math.inf
+        top = sn(kappa, min(radius, peak))
+        for _ in range(4):
+            while True:
+                r = radius * b.random()
+                if n == 1 or b.random() <= (sn(kappa, r) / top) ** (n - 1):
+                    break
+            want.append(r)
+            b.standard_normal(space.ambient_dim)
+    assert draws._radii.tobytes() == np.array(want).tobytes()
+    assert _philox_state(a) == _philox_state(b)
 
 
 @pytest.mark.parametrize("space", SIX_SPACES, ids=lambda s: s.kind)
@@ -1064,7 +1141,7 @@ def test_random_points_in_ball_are_successive_single_draws(space):
     assert all(p is not c and p.tobytes() == c.tobytes() for p in got)
     # drawn ahead, the copies wait for a center that phase 2 makes: a
     # block holding them is refused, for a careful replay
-    draws = manifolds.Draws(space, _NoDraws())
+    draws = manifolds.Draws(space, _NoDraws(), samples=3)
     draws.ball(c, 0.0, 3)
     assert draws.finish() is False
     assert space.random_points_in_ball(c, 0.5, 0, _NoDraws()) == []

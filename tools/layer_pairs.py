@@ -7,6 +7,9 @@ The units, at fixed seeds and sizes (`units`):
 - `comparison-hyperbolic-128`, `tethering-sphere-128`, `hull-sphere-128`:
   one 128-trial block of each Monte Carlo suite, draws and report
   included (comparison on H^2, where it takes the intersection oracle);
+- `comparison-sphere-128`, `tethering-so3-128`: the same on S^2 and
+  SO(3), where the geometry is light and phase 1 of the sampler (the
+  Generator calls) bounds a block;
 - `cost_gradient-sphere-p2-n5`, `cost_gradient-sphere-p2-n1000`,
   `cost_gradient-hyperbolic-p3-n5`, `cost_gradient-hyperbolic-p3-n1000`:
   one `frechet.cost_gradient` call on points drawn in a ball;
@@ -53,6 +56,7 @@ def units():
     from geomean import frechet, geocheck, manifolds, solver
 
     s2, h2 = manifolds.Sphere(2), manifolds.Hyperbolic(2)
+    so3 = manifolds.SO3()
 
     def problem(space, count):
         rng = np.random.Generator(np.random.Philox(7))
@@ -68,6 +72,10 @@ def units():
             geocheck.tethering_check, s2, 128, (0.25, 0.5, 0.75, 1.0), 12),
         "hull-sphere-128": functools.partial(geocheck.hull_check, s2, 128,
                                              12),
+        "comparison-sphere-128": functools.partial(
+            geocheck.comparison_check, s2, 128, 12),
+        "tethering-so3-128": functools.partial(
+            geocheck.tethering_check, so3, 128, (0.25, 0.5, 0.75, 1.0), 12),
     }
     for space, p in ((s2, 2.0), (h2, 3.0)):
         for count in (5, 1000):
