@@ -13,28 +13,33 @@ at once.  The hull-trap sweep charts each trial's vertices and records
 in one Chart.forward, a chart per trial, and takes the verdicts of a
 block's records from one call.
 
-The three Monte Carlo sweeps draw and run their trials in blocks
-(`_in_blocks`).  A block samples in two phases (manifolds.Draws): its
-Generator calls in the order of one trial at a time, each normal into
-a row of the block's arrays and each uniform as Philox's next_double,
-then its points in array passes, the trials taking their points from
-rows of the finished arrays.  Comparison then reads the block's triangles in
-arrays, and its intersection oracle takes a trial's chart images from
-its row of that reading.  Tethering and hull run a block's descent
+The three Monte Carlo sweeps draw and run their trials in blocks of
+_BLOCK trials, the last block holding the rest (`_in_blocks`).  A block
+samples in two phases (manifolds.Draws): its Generator calls in the
+order of one trial at a time, each normal into a row of the block's
+arrays and each uniform as Philox's next_double, then its points in
+array passes, the trials taking their points from rows of the finished
+arrays.  Comparison then reads the block's triangles in arrays, and its
+intersection oracle takes a trial's chart images from its row of that
+reading.  Tethering and hull run a block's descent
 steps in lockstep, x <- exp_x(-t grad f_2(x)) with a base point per
 row (`_gradients`), after validating the block's points as make_dataset
 would in one pass (`_block`): tethering takes one step, and hull each
 trial's records of descend(p=2, step=1, grad_tol=1e-9, max_iters=60)
-(`_descents`).  One rule replays: where a block refuses or raises, the
-Generator goes back to its start and the block is drawn and run again
-one careful trial at a time, so the Philox stream and the first error
-are those of one trial at a time.
+(`_descents`).  One rule replays, and it is the one place the Generator
+goes back: where a block refuses or raises, the Generator goes back to
+its start and the block is drawn and run again one careful trial at a
+time, so the Philox stream and the first error are those of one trial
+at a time.  Comparison refuses a block that holds a degenerate
+triangle; a careful trial reads its triangle at its draw and draws a
+degenerate one again.
 """
 
 import contextlib
 import functools
 import itertools
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -200,6 +205,20 @@ def triangle_data(space, x, y1, y2):
     return tuple(float(a[0]) for a in _triangles(space, *rows)[:3])
 
 
+def _suite_draws(suite, n_trials, seed):
+    """A suite's n_trials and seed as ints, and its Generator, Philox
+    keyed by seed.  Before any draw it refuses with DomainError an
+    n_trials that is not an integer >= 1 and a seed that is not an
+    integer >= 0 (a bool is neither)."""
+    for name, value, low in (("n_trials", n_trials, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise DomainError(f"{suite}: need an integer {name}, got {value!r}")
+        if value < low:
+            raise DomainError(f"{suite}: need {name} >= {low}, got {value}")
+    seed = int(seed)
+    return int(n_trials), seed, np.random.Generator(np.random.Philox(seed))
+
+
 def comparison_check(space, n_trials, seed):
     """Monte Carlo sweep of the secant comparison z >= z_euclid.
 
@@ -210,80 +229,73 @@ def comparison_check(space, n_trials, seed):
     _MAX_DEGENERATE such draws in a row raise DomainError (on a very
     curved space every side falls below _triangles' 1e-14 floor).
 
-    Trials run in blocks of up to _BLOCK (_comparison_draws), their
-    triangles read in array passes (_triangles); a kappa <= 0 trial's
-    secant is read off its row of that reading (_secant), with no
-    second log.  A degenerate triangle draws no alpha1: the Generator
-    goes back to its block's start and draws phase 1 again up to that
-    triangle (redraw); the next block starts after it, with about twice
-    as many trials as the last one kept, so runs of degenerate triangles
-    draw little ahead.
+    Trials run in blocks of _BLOCK (_comparison_block), their triangles
+    read in array passes (_triangles); a kappa <= 0 trial's secant is
+    read off its row of that reading (_secant), with no second log.  A
+    block that holds a degenerate triangle is refused, and _in_blocks,
+    the suites' one replay, draws it again one careful trial at a time,
+    where each degenerate triangle is drawn again before its alpha1.
     """
-    if n_trials < 1:
-        raise DomainError(f"comparison_check: need n_trials >= 1, got {n_trials}")
+    n_trials, seed, rng = _suite_draws("comparison_check", n_trials, seed)
     if space.dim < 2:   # every triangle is degenerate: no angle to split
         raise DomainError(f"comparison_check: need dim >= 2, got {space.dim}")
-    rng = np.random.Generator(np.random.Philox(seed))
-    violations = 0
-    min_margin = math.inf
-    done = degenerate = 0
-    size = _BLOCK
-    draw = functools.partial(_comparison_draws, space, rng)
-    for trials, redraw in _in_blocks(
-            rng, draw, iter(lambda: min(size, n_trials - done), 0)):
-        size = min(_BLOCK, 2 * len(trials))   # twice the trials kept
-        for i, (b, c, alpha, e1, e2, u) in enumerate(trials):
-            if alpha <= 1e-9 or alpha >= math.pi - 1e-9:
-                redraw(i)   # no alpha1 drawn
-                size = min(_BLOCK, 2 * i + 1)
-                degenerate += 1
-                if degenerate == _MAX_DEGENERATE:
-                    raise DomainError(
-                        f"comparison_check: {degenerate} sampled triangles "
-                        f"in a row were degenerate in balls of radius up to "
-                        f"{_sampling_cap(space):g}")
-                break
-            degenerate = 0
-            a1 = alpha * u
-            a2 = alpha - a1
-            zt = secant_euclid(b, c, a1, a2)
-            if space.kappa > 0:
-                z = secant_sphere(b, c, a1, a2, space.kappa)
-            else:
-                z = _secant(space, a1, b, c, alpha, e1, e2)
-            margin = z - zt
-            min_margin = min(min_margin, margin)
-            if margin < -1e-12:
-                violations += 1
-            done += 1
+    # inf first, so that min passes over a NaN margin (a NaN first would
+    # stick)
+    margins = [math.inf, *itertools.chain.from_iterable(_in_blocks(
+        rng, functools.partial(_comparison_block, space, rng), n_trials))]
     return {"suite": "comparison", "trials": n_trials,
-            "violations": violations, "min_margin": min_margin, "seed": seed}
+            "violations": sum(m < -1e-12 for m in margins),
+            "min_margin": min(margins), "seed": seed}
 
 
-def _comparison_draws(space, rng, count, careful, until=None):
-    """`count` comparison trials drawn in Philox order, and redraw.  A
-    trial is the row (b, c, alpha, e1, e2) of _triangles of its triangle
-    (x, y1, y2) and the uniform alpha1 is drawn from, after phase 2 and
-    _triangles; redraw(i) sends the Generator back to the block's start
-    and draws phase 1 again up to trial i's triangle, without its
-    uniform, as phase 1 alone draws it where `until` is i.  None where
-    phase 2 refuses, and the error where either raises."""
-    cap, start = _sampling_cap(space), rng.bit_generator.state
+def _comparison_block(space, rng, count, careful):
+    """The margins z - z_euclid of `count` comparison trials, drawn in
+    Philox order and run.  A trial draws its triangle (x, y1, y2), then
+    the uniform alpha1 is drawn from, and reads the triangle's row (b, c,
+    alpha, e1, e2) of _triangles.  Fast, the block's triangles are read
+    in one pass after phase 2, and a block with a degenerate triangle
+    (_degenerate) is refused (None), as one phase 2 refuses.  Careful, a
+    trial reads its triangle at its draw, before its uniform, and draws a
+    degenerate one again with no uniform between; the _MAX_DEGENERATE-th
+    in a row raises DomainError."""
+    cap, raw = _sampling_cap(space), rng.bit_generator.random_raw
     draws = manifolds.Draws(space, rng, careful, count, 3 * count)
-    raw, u = rng.bit_generator.random_raw, []
+    T, u = draws.samples.reshape(count, 3, space.ambient_dim), []
     for k in range(count):
-        draws.ball(draws.point(), cap * ((raw() >> 11) * 2**-53), 3)
-        if k != until:
-            u.append((raw() >> 11) * 2**-53)
-    if until is not None or not draws.finish():
+        for _ in range(_MAX_DEGENERATE):
+            # careful, each triangle is drawn, finished and read in a
+            # Draws of its own, so that a degenerate one can be drawn again
+            tri = manifolds.Draws(space, rng, True, 0, 3) if careful else draws
+            T[k] = tri.ball(tri.point(), cap * ((raw() >> 11) * 2**-53), 3)
+            if not (careful and _degenerate(
+                    _triangles(space, *T[k, :, np.newaxis])[2])):
+                break
+        else:
+            raise DomainError(
+                f"comparison_check: {_MAX_DEGENERATE} sampled triangles in "
+                f"a row were degenerate in balls of radius up to {cap:g}")
+        u.append((raw() >> 11) * 2**-53)
+    if not draws.finish():
         return None
-
-    def redraw(i):
-        rng.bit_generator.state = start
-        _comparison_draws(space, rng, i + 1, careful, until=i)
-    T = draws.samples.reshape(count, 3, space.ambient_dim)
     b, c, alpha, E1, E2 = _triangles(space, T[:, 0], T[:, 1], T[:, 2])
-    return list(zip(b.tolist(), c.tolist(), alpha.tolist(), E1, E2, u)), redraw
+    if _degenerate(alpha):
+        return None
+    margins = []
+    for b, c, alpha, e1, e2, u in zip(b.tolist(), c.tolist(), alpha.tolist(),
+                                      E1, E2, u):
+        a1 = alpha * u
+        zt = secant_euclid(b, c, a1, alpha - a1)
+        z = (secant_sphere(b, c, a1, alpha - a1, space.kappa)
+             if space.kappa > 0 else _secant(space, a1, b, c, alpha, e1, e2))
+        margins.append(z - zt)
+    return margins
+
+
+def _degenerate(alpha):
+    """Whether any angle of the array alpha lies outside (1e-9, pi -
+    1e-9), where the comparison draws its triangle again (a NaN does
+    not)."""
+    return bool(((alpha <= 1e-9) | (alpha >= math.pi - 1e-9)).any())
 
 
 def _triangles(space, X, Y1, Y2):
@@ -413,20 +425,18 @@ def tethering_check(space, n_trials, t_grid, seed):
     On negative curvature (delta < 0) the suite is exploratory:
     violations are only reported.
 
-    Trials run in blocks of _BLOCK, in flat memory: the draws, then the
-    points in array passes (_dataset_trials), then the block's steps in
-    one lockstep pass (_step_margins).  Report, Generator state and
-    first error are those of one trial at a time through make_dataset
-    and the step (_in_blocks), skipping a trial whose x lies in a
-    point's cut-locus band, where the step is not defined.  An empty
-    t_grid, or one with a step that is not finite and > 0, is refused
-    before any draw.
+    Trials run in blocks of _BLOCK (_in_blocks), in flat memory: the
+    draws, then the points in array passes (_dataset_trials), then the
+    block's steps in one lockstep pass (_step_margins).  Report,
+    Generator state and first error are those of one trial at a time
+    through make_dataset and the step (_in_blocks), skipping a trial
+    whose x lies in a point's cut-locus band, where the step is not
+    defined.  An empty t_grid, or one with a step that is not finite
+    and > 0, is refused before any draw.
     """
-    if n_trials < 1:
-        raise DomainError(f"tethering_check: need n_trials >= 1, got {n_trials}")
+    n_trials, seed, rng = _suite_draws("tethering_check", n_trials, seed)
     if not (len(t_grid) and all(0 < t < math.inf for t in t_grid)):
         raise DomainError(f"tethering_check: need finite steps t > 0, got {t_grid}")
-    rng = np.random.Generator(np.random.Philox(seed))
     # inf first, where the running minimum started: min then passes over
     # a NaN margin, as min(min_margin, margin) did
     margins = [math.inf, *itertools.chain.from_iterable(_dataset_trials(
@@ -436,16 +446,18 @@ def tethering_check(space, n_trials, t_grid, seed):
             "min_margin": min(margins), "seed": seed}
 
 
-def _in_blocks(rng, draw, sizes):
+def _in_blocks(rng, draw, n_trials):
     """What draw(count, careful) gives for a block of `count` trials it
-    draws and runs, one block for each count in `sizes`, each yielded
-    before the next count is read.  This is the suites' one replay:
-    where the fast draw(count, False) refuses the block (None) or raises
-    a GeomeanError, the Generator goes back to the block's start and the
+    draws and runs, for blocks of _BLOCK trials and then the rest of
+    n_trials, each yielded before the next block is drawn.  This is the
+    suites' one replay, and the one place the Generator goes back: where
+    the fast draw(count, False) refuses the block (None) or raises a
+    GeomeanError, the Generator goes back to the block's start and the
     block is drawn and run again one careful trial at a time,
     draw(1, True).  Careful draws are the block's draws bit for bit, so
     the first error raises where one trial at a time raises it."""
-    for count in sizes:
+    for start in range(0, n_trials, _BLOCK):
+        count = min(_BLOCK, n_trials - start)
         state = rng.bit_generator.state
         try:
             result = draw(count, False)
@@ -460,9 +472,10 @@ def _in_blocks(rng, draw, sizes):
 
 
 def _dataset_trials(space, rng, n_trials, t_grid, run):
-    """run(space, trials) on blocks of up to _BLOCK tethering trials (o,
-    rho, points, weights, x, t), or hull trials where t_grid is None (no
-    weights, and descend's step t = 1), by _in_blocks: drawn in Philox
+    """run(space, trials) on the blocks of _in_blocks (_BLOCK trials,
+    then the rest of n_trials) of tethering trials (o, rho, points,
+    weights, x, t), or hull trials where t_grid is None (no weights, and
+    descend's step t = 1), each drawn in Philox
     order into the rows of one Draws (room for 9 samples a trial: up to
     8 points and x), filled in by phase 2, then run; o, the points and x
     are rows of its arrays.  A uniform is read as Philox's next_double,
@@ -489,8 +502,7 @@ def _dataset_trials(space, rng, n_trials, t_grid, run):
             t = 1.0 if t_grid is None else t_grid[int(rng.integers(len(t_grid)))]
             trials.append((o, rho, pts, wts, x, t))
         return run(space, trials) if draws.finish() else None
-    sizes = (min(_BLOCK, n_trials - s) for s in range(0, n_trials, _BLOCK))
-    return _in_blocks(rng, draw, sizes)
+    return _in_blocks(rng, draw, n_trials)
 
 
 def _flat_dirichlet(rng, n):
@@ -601,9 +613,7 @@ def hull_check(space, n_trials, seed):
     reference outputs hold NaN there, so it waits for a change that may
     record them again.
     """
-    if n_trials < 1:
-        raise DomainError(f"hull_check: need n_trials >= 1, got {n_trials}")
-    rng = np.random.Generator(np.random.Philox(seed))
+    n_trials, seed, rng = _suite_draws("hull_check", n_trials, seed)
     violations = sum(_dataset_trials(space, rng, n_trials, None,
                                      _hull_block))
     return {"suite": "hull", "trials": n_trials, "violations": violations,

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -191,8 +192,9 @@ def test_comparison_check_hyperbolic_reversed():
 
 
 def test_comparison_check_skips_degenerate_triangles():
-    # at kappa = 1e28 most sampled triangles have a side below 1e-14 and
-    # are drawn again, but never 1000 in a row
+    # at kappa = 1e28 most sampled triangles have a side below 1e-14:
+    # their blocks run one careful trial at a time, each trial drawing
+    # its degenerate triangles again, but never 1000 in a row
     rep = comparison_check(Sphere(2, kappa=1e28), 20, seed=0)
     assert rep["trials"] == 20 and rep["violations"] == 0
     with pytest.raises(DomainError, match="1000 sampled triangles in a row"):
@@ -609,6 +611,40 @@ def test_tethering_refuses_a_bad_t_grid_before_any_draw(t_grid, monkeypatch):
         tethering_check(Sphere(2), 50, t_grid, seed=0)
 
 
+_SUITE_CALLS = {
+    "comparison": lambda n, seed: comparison_check(Sphere(2), n, seed),
+    "tethering": lambda n, seed: tethering_check(Sphere(2), n, (1.0,), seed),
+    "hull": lambda n, seed: geocheck.hull_check(Sphere(2), n, seed),
+}
+
+
+@pytest.mark.parametrize("n_trials, seed, error", [
+    (3.0, 0, "need an integer n_trials, got 3.0"),
+    (True, 0, "need an integer n_trials, got True"),
+    (0, 0, "need n_trials >= 1, got 0"),
+    (3, -1, "need seed >= 0, got -1"),
+    (3, 1.5, "need an integer seed, got 1.5"),
+    (3, False, "need an integer seed, got False"),
+    (np.int64(3), np.int64(4), None)], ids=[
+        "float-trials", "bool-trials", "zero-trials", "negative-seed",
+        "float-seed", "bool-seed", "numpy-ints"])
+@pytest.mark.parametrize("suite", sorted(_SUITE_CALLS))
+def test_suites_refuse_a_bad_trial_count_or_seed_before_any_draw(
+        suite, n_trials, seed, error, monkeypatch):
+    # unchecked, a float n_trials or seed reaches numpy's raw TypeError,
+    # a negative seed Philox's ValueError, and numpy integers reach the
+    # report, which JSON cannot write; any draw here would raise TypeError
+    run = functools.partial(_SUITE_CALLS[suite], n_trials, seed)
+    if error is None:
+        report = run()
+        assert type(report["trials"]) is int and type(report["seed"]) is int
+        assert json.loads(json.dumps(report))["trials"] == 3
+        return
+    monkeypatch.setattr(geocheck, "_in_blocks", None)
+    with pytest.raises(DomainError, match=f"^{suite}_check: {error}$"):
+        run()
+
+
 @pytest.mark.parametrize("kappa", [1e14, 1e300])
 def test_tethering_balls_stay_within_r_cx(kappa, monkeypatch):
     # r_cx < 1e-6 here: the floor on a trial's ball radius is r_cx itself,
@@ -995,15 +1031,25 @@ def test_comparison_equals_one_trial_at_a_time(space, seed, block, n_trials,
                                           seed), want)
 
 
-@pytest.mark.parametrize("block", [7, geocheck._BLOCK])
+@pytest.mark.parametrize("block, kappa, n_trials, least", [
+    pytest.param(block, kappa, n_trials, least,
+                 id=f"{block}" + ("-kappa1e24" if kappa == 1e24 else ""))
+    for kappa, n_trials, least in ((1e28, 20, 21), (1e24, 200, 2))
+    for block in (7, geocheck._BLOCK)])
 def test_comparison_redraws_degenerate_triangles_as_one_trial_at_a_time(
-        block, monkeypatch):
-    # at kappa = 1e28 most triangles have a side below 1e-14: each draws
-    # no alpha1 and sends the Generator back to its state before that
-    # draw; at kappa = 1e300 every one does, and the 1000th in a row
-    # raises with the Generator where one trial at a time leaves it
+        block, kappa, n_trials, least, monkeypatch):
+    # a fast block that reads a degenerate triangle is refused and drawn
+    # again one careful trial at a time, where a trial reads its triangle
+    # before its alpha1 draw and draws a degenerate one again, with no
+    # uniform between.  At kappa = 1e28 most triangles have a side below
+    # 1e-14, so a block fails on its first trials; at kappa = 1e24 a few
+    # do (two in 200 trials at seed 0), with good trials before and after
+    # them in their blocks.  The spy counts a degenerate triangle in the
+    # fast block and again in its careful replay.  At kappa = 1e300 every
+    # triangle is degenerate, and the 1000th in a row raises with the
+    # Generator where one trial at a time leaves it
     monkeypatch.setattr(geocheck, "_BLOCK", block)
-    space, degenerate = Sphere(2, kappa=1e28), []
+    space, degenerate = Sphere(2, kappa=kappa), []
     triangles = geocheck._triangles
 
     def count(*args):
@@ -1013,9 +1059,10 @@ def test_comparison_redraws_degenerate_triangles_as_one_trial_at_a_time(
                                      | (alpha >= math.pi - 1e-9))))
         return reading
     monkeypatch.setattr(geocheck, "_triangles", count)
-    want = _comparison_one_at_a_time(space, 20, 0, [])
-    _assert_same_run(_comparison_observed(monkeypatch, space, 20, 0), want)
-    assert sum(degenerate) > 20
+    want = _comparison_one_at_a_time(space, n_trials, 0, [])
+    _assert_same_run(_comparison_observed(monkeypatch, space, n_trials, 0),
+                     want)
+    assert sum(degenerate) >= least
     rngs = []
     with pytest.raises(DomainError, match="1000 degenerate"):
         _comparison_one_at_a_time(Sphere(2, kappa=1e300), 20, 0, rngs)

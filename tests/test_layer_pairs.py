@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import os
 
 _PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -45,3 +46,20 @@ def test_units_include_the_sampler_bound_blocks():
         report = units[name]()
         assert report["trials"] == 128 and report["violations"] == 0, name
         assert report["suite"] == name.split("-")[0]
+
+
+def test_units_include_the_kernels_and_the_step_size_table():
+    # sn on a grid, per-pair distance, exp and log on S^2, H^2 and SO(3),
+    # exit_time_bounds on the table's exit_sphere_rho_third row, and the
+    # table itself
+    units = layer_pairs.units()
+    assert len(units["sn-grid-1000"]()) == 1000
+    for kind in ("sphere", "hyperbolic", "so3"):
+        d = units[f"distance-{kind}"]()
+        assert 0.0 < d <= 1.0 + 1e-12, kind   # two points of a 0.5-ball
+        v, y = units[f"log-{kind}"](), units[f"exp-{kind}"]()
+        assert len(v) == len(y) and all(map(math.isfinite, y)), kind
+    row = units["stepsize_table"]()[0]
+    assert row["label"] == "exit_sphere_rho_third"
+    t_exit = units["exit_time_bounds-sphere-rho-third"]()
+    assert 0.0 < t_exit and math.isfinite(t_exit)

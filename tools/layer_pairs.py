@@ -15,7 +15,16 @@ The units, at fixed seeds and sizes (`units`):
   one `frechet.cost_gradient` call on points drawn in a ball;
 - `descend-iteration-sphere-n5`: `solver.descend` with max_iters = 1 on
   5 points of S^2, so one step and its monitors between two
-  evaluations of the data.
+  evaluations of the data;
+- `sn-grid-1000`: `kernels.sn` at 500 lengths in [0, 3) for kappa = 1
+  and again for kappa = -1;
+- `distance-<space>`, `exp-<space>`, `log-<space>` for `sphere`,
+  `hyperbolic` and `so3` (S^2, H^2, SO(3)): one per-pair call on two
+  points drawn in a ball of radius 0.5, exp along the log between them;
+- `exit_time_bounds-sphere-rho-third`: `stepsize.exit_time_bounds`
+  with the arguments of the step-size table's `exit_sphere_rho_third`
+  row (delta = 0, Delta = 1, rho = (pi/2)/3, rho' = pi/2);
+- `stepsize_table`: `experiments.stepsize_table`, the whole table.
 
 Each pair runs one subprocess per checkout, the side that runs first
 alternating from pair to pair: this script with `--time ROOT`, which
@@ -52,8 +61,10 @@ _spec.loader.exec_module(bench_pairs)
 def units():
     """The units of the module docstring: name -> the callable timed,
     built from the `geomean` on sys.path."""
+    import math
     import numpy as np
-    from geomean import frechet, geocheck, manifolds, solver
+    from geomean import (experiments, frechet, geocheck, kernels,
+                         manifolds, solver, stepsize)
 
     s2, h2 = manifolds.Sphere(2), manifolds.Hyperbolic(2)
     so3 = manifolds.SO3()
@@ -85,6 +96,20 @@ def units():
     ds, _ = problem(s2, 5)
     out["descend-iteration-sphere-n5"] = functools.partial(
         solver.descend, ds, solver.SolverConfig(p=2.0, step=1.0, max_iters=1))
+    grid = [3.0 * i / 500 for i in range(500)]
+    out["sn-grid-1000"] = lambda: [kernels.sn(kappa, r)
+                                   for kappa in (1.0, -1.0) for r in grid]
+    for space in (s2, h2, so3):
+        ds, y = problem(space, 1)
+        x = ds.points[0]
+        v = space.log(x, y)
+        out[f"distance-{space.kind}"] = functools.partial(space.distance, x, y)
+        out[f"exp-{space.kind}"] = functools.partial(space.exp, x, v)
+        out[f"log-{space.kind}"] = functools.partial(space.log, x, y)
+    hp = math.pi / 2.0
+    out["exit_time_bounds-sphere-rho-third"] = functools.partial(
+        stepsize.exit_time_bounds, 0.0, 1.0, hp / 3.0, hp)
+    out["stepsize_table"] = experiments.stepsize_table
     return out
 
 
